@@ -9,6 +9,7 @@ oracle; the CLI (`valuata`) exposes queries, sweeps and benchmarks.
 
 from .digits import (
     DigitExpansion,
+    KernelRangeError,
     digit_sum,
     expand,
     is_prime,
@@ -30,7 +31,9 @@ from .sequences import (
     DomainError,
     IntegralityError,
     SumParams,
+    bsum2_table,
     catalan,
+    catalan_table,
     central_binomial,
     central_multinomial,
     central_multinomial_product,
@@ -43,12 +46,17 @@ from .sequences import (
     eval_M,
     eval_T,
     franel,
+    franel_table,
     fuss_catalan,
     hexagonal,
+    hexagonal_table,
     legendre,
     legendre_rational,
+    legendre_table,
+    motzkin_table,
     schroder_large,
     schroder_little,
+    trinomial_table,
 )
 from .theorems import (
     HarnessGrid,

@@ -13,12 +13,13 @@ import csv
 import json
 import math
 import os
+import re
 import sys
 import time
 from math import comb
 from typing import Callable
 
-from .digits import is_prime, kummer_carries
+from .digits import KernelRangeError, is_prime, kummer_carries
 from .sequences import (
     SEQUENCES,
     DomainError,
@@ -46,19 +47,36 @@ class UsageError(ValueError):
     pass
 
 
+_DECIMAL = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+_MAX_EXPONENT = 4300  # Python's default limit on the digits of an int
+
+
 def _parse_int(text: str) -> int:
-    """Integer literal, allowing 1e15-style scientific shorthand."""
+    """Integer literal, allowing 1e15-style scientific shorthand.
+
+    Decimal forms are parsed exactly, so 1e23 is 10**23, and rejected
+    unless they name an integer: 1.5e1 is 15, 1.5e0 is an error.
+    """
     try:
         return int(text)
     except ValueError:
         pass
-    try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"not an integer: {text!r}") from None
-    if value != int(value):
+    match = _DECIMAL.fullmatch(text.strip())
+    if match is None:
         raise UsageError(f"not an integer: {text!r}")
-    return int(value)
+    sign, whole, frac, exponent = match.groups()
+    frac = frac or ""
+    mantissa = int(whole + frac)
+    shift = int(exponent or 0) - len(frac)
+    if abs(shift) > _MAX_EXPONENT:
+        raise UsageError(f"exponent out of range: {text!r}")
+    if shift >= 0:
+        value = mantissa * 10**shift
+    else:
+        value, rest = divmod(mantissa, 10**-shift)
+        if rest:
+            raise UsageError(f"not an integer: {text!r}")
+    return -value if sign == "-" else value
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -151,13 +169,25 @@ def _bsum_fast_omega(tokens: list[str], base: int) -> int | None:
     return predict_bsum_omega(half, "odd" if rem else "even", a, b)
 
 
-def _explain_lines(base: int, vp_of_y: Callable[[int], int]) -> list[str]:
+def _bsum_core(n: int) -> tuple[str, Callable[[int], int]]:
+    """The core that the fast omega of B(n, 2, a, b) reduces to, and its v_p.
+
+    Even n = 2h: omega = omega(C(2h, h)).  Odd n = 2h+1: omega = 1 +
+    omega((2h+1) * C(2h, h)).
+    """
+    half, odd = divmod(n, 2)
+    if odd:
+        return f"{n}*C({2 * half},{half})", lambda p: vp_int(n, p) + kummer_carries(half, half, p)
+    return f"C({n},{half})", lambda p: kummer_carries(half, half, p)
+
+
+def _explain_lines(base: int, vp_of_y: Callable[[int], int], what: str = "target") -> list[str]:
     lines = []
     parts = []
     for p, e in factorize(abs(base)).factors:
         vy = vp_of_y(p)
         parts.append(vy // e)
-        lines.append(f"  p={p}: v_p(target)={vy}, v_p(base)={e}, floor={vy // e}")
+        lines.append(f"  p={p}: v_p({what})={vy}, v_p(base)={e}, floor={vy // e}")
     lines.append("  min(" + ", ".join(str(q) for q in parts) + f") = {min(parts)}")
     return lines
 
@@ -214,7 +244,12 @@ def cmd_omega(args: argparse.Namespace) -> int:
             elif target.fast_vp is not None:
                 lines = _explain_lines(base, target.fast_vp)
             else:
-                lines = []
+                # Only B n 2 a b targets have a fast route without fast_vp.
+                n = _parse_int(args.target[1])
+                core, core_vp = _bsum_core(n)
+                shift = "1 + " if n % 2 else ""
+                lines = [f"  core: {core}; omega_{base}({target.label}) = {shift}omega_{base}(core)"]
+                lines += _explain_lines(base, core_vp, "core")
             for line in lines:
                 print(line)
     return 0
@@ -344,8 +379,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 row["slack"] = "" if report.slack is None else report.slack
                 writer.writerow(row)
         elif args.format == "json":
-            for report in result.reports:
-                print(json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":")))
+            sys.stdout.writelines(report.to_json_line() + "\n" for report in result.reports)
         else:
             for report in result.reports:
                 fields = " ".join(f"{k}={v}" for k, v in report.instance)
@@ -535,7 +569,15 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
-    except (UsageError, DomainError, InvalidBaseError, ZeroInputError, HypothesisViolation, KeyError) as exc:
+    except (
+        UsageError,
+        DomainError,
+        InvalidBaseError,
+        ZeroInputError,
+        HypothesisViolation,
+        KernelRangeError,
+        KeyError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except IntegralityError as exc:

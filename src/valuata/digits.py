@@ -50,6 +50,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
+class KernelRangeError(ValueError):
+    """An argument outside the 0..2**64 - 1 range of the machine kernels."""
+
+
 def _require_prime(p: int) -> None:
     if not is_prime(p):
         raise ValueError(f"base must be prime, got {p}")
@@ -57,9 +61,9 @@ def _require_prime(p: int) -> None:
 
 def _require_u64(n: int, what: str) -> None:
     if n < 0:
-        raise ValueError(f"{what} must be non-negative, got {n}")
+        raise KernelRangeError(f"{what} must be non-negative, got {n}")
     if n > U64_MAX:
-        raise ValueError(f"{what} exceeds the 64-bit kernel range: {n}")
+        raise KernelRangeError(f"{what} exceeds the 64-bit kernel range: {n}")
 
 
 @dataclass(frozen=True)

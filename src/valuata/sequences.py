@@ -182,25 +182,97 @@ def fuss_catalan(n: int, k: int) -> int:
     return _exact_div(comb(k * n, n), (k - 1) * n + 1, "fuss_catalan")
 
 
-def delannoy_table(n_max: int) -> list[int]:
-    """Central Delannoy numbers D_0..D_n_max by the three-term recurrence
+# ---------------------------------------------------------------------------
+# Recurrence tables: [y_0, ..., y_n_max] in one exact-division pass
+# ---------------------------------------------------------------------------
 
-    (n+2) D_{n+2} = 3(2n+3) D_{n+1} - (n+1) D_n,   D_0 = 1, D_1 = 3.
-    """
+
+def _check_n_max(n_max: int) -> None:
     if n_max < 0:
         raise DomainError(f"n_max must be non-negative, got {n_max}")
-    table = [1, 3]
-    for n in range(n_max - 1):
-        nxt = _exact_div(
-            3 * (2 * n + 3) * table[n + 1] - (n + 1) * table[n], n + 2, "delannoy"
-        )
-        table.append(nxt)
+
+
+def trinomial_table(n_max: int, a: int, b: int) -> list[int]:
+    """T_n(a, b) for n = 0..n_max by the recurrence
+
+    (n+1) T_{n+1} = (2n+1) b T_n - n (b**2 - 4a) T_{n-1},   T_0 = 1, T_1 = b.
+    """
+    _check_n_max(n_max)
+    disc = b * b - 4 * a
+    table = [1, b]
+    for n in range(1, n_max):
+        num = (2 * n + 1) * b * table[n] - n * disc * table[n - 1]
+        table.append(_exact_div(num, n + 1, "trinomial"))
     return table[: n_max + 1]
+
+
+def bsum2_table(n_max: int, a: int, b: int) -> list[int]:
+    """B(n, 2, a, b) for n = 0..n_max: the trinomial table at (ab, a+b), so
+
+    (n+1) B_{n+1} = (2n+1)(a+b) B_n - n (b-a)**2 B_{n-1},   B_0 = 1, B_1 = a + b.
+    """
+    return trinomial_table(n_max, a * b, a + b)
+
+
+def motzkin_table(n_max: int, a: int, b: int) -> list[int]:
+    """M_n(a, b) for n = 0..n_max by the recurrence
+
+    (n+3) M_{n+1} = (2n+3) b M_n + (4a - b**2) n M_{n-1},   M_0 = 1, M_1 = b.
+    """
+    _check_n_max(n_max)
+    disc = 4 * a - b * b
+    table = [1, b]
+    for n in range(1, n_max):
+        num = (2 * n + 3) * b * table[n] + disc * n * table[n - 1]
+        table.append(_exact_div(num, n + 3, "motzkin"))
+    return table[: n_max + 1]
+
+
+def delannoy_table(n_max: int) -> list[int]:
+    """Central Delannoy numbers D_0..D_n_max, the bsum2 table at (1, 2):
+
+    (n+1) D_{n+1} = 3(2n+1) D_n - n D_{n-1},   D_0 = 1, D_1 = 3.
+    """
+    return bsum2_table(n_max, 1, 2)
 
 
 def delannoy(n: int) -> int:
     """Central Delannoy number D_n."""
     return delannoy_table(n)[n]
+
+
+def legendre_table(n_max: int, x: int) -> list[int]:
+    """P_n(x) for n = 0..n_max at odd x: the bsum2 table at ((x-1)/2, (x+1)/2)."""
+    if x % 2 == 0:
+        raise DomainError(f"x must be odd for an integer value, got {x}")
+    return bsum2_table(n_max, (x - 1) // 2, (x + 1) // 2)
+
+
+def franel_table(n_max: int) -> list[int]:
+    """Franel numbers f_0..f_n_max by the recurrence
+
+    (n+1)**2 f_{n+1} = (7n**2 + 7n + 2) f_n + 8 n**2 f_{n-1},   f_0 = 1, f_1 = 2.
+    """
+    _check_n_max(n_max)
+    table = [1, 2]
+    for n in range(1, n_max):
+        num = (7 * n * n + 7 * n + 2) * table[n] + 8 * n * n * table[n - 1]
+        table.append(_exact_div(num, (n + 1) ** 2, "franel"))
+    return table[: n_max + 1]
+
+
+def hexagonal_table(n_max: int) -> list[int]:
+    """Restricted hexagonal numbers: the Motzkin table at (1, 3)."""
+    return motzkin_table(n_max, 1, 3)
+
+
+def catalan_table(n_max: int) -> list[int]:
+    """Catalan numbers C_0..C_n_max by C_{k+1} = 2(2k+1) C_k / (k+2)."""
+    _check_n_max(n_max)
+    table = [1]
+    for k in range(n_max):
+        table.append(_exact_div(2 * (2 * k + 1) * table[k], k + 2, "catalan"))
+    return table
 
 
 def schroder_large(n: int, _dt: list[int] | None = None) -> int:
@@ -239,10 +311,15 @@ def central_multinomial_product(n: int, p: int) -> int:
         raise DomainError(f"n must be non-negative, got {n}")
     if p < 2:
         raise DomainError(f"p must be at least 2, got {p}")
-    out = 1
-    for k in range(2, p + 1):
-        out *= comb(k * n, n)
-    return out
+    # Multiplying in a balanced tree keeps the operands of similar size,
+    # which is much cheaper than growing one product factor by factor.
+    factors = [comb(k * n, n) for k in range(2, p + 1)]
+    while len(factors) > 1:
+        paired = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0]
 
 
 def legendre(n: int, x: int) -> int:

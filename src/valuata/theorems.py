@@ -14,10 +14,13 @@ number that the underlying statement does not back.
 
 from __future__ import annotations
 
+import json
 import math
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from .digits import (
@@ -28,15 +31,16 @@ from .digits import (
     popcount_valuation,
 )
 from .sequences import (
-    catalan,
+    bsum2_table,
+    catalan_table,
     central_multinomial_product,
     delannoy_table,
     eval_B,
-    eval_M,
-    eval_T,
-    franel,
-    hexagonal,
-    legendre,
+    franel_table,
+    hexagonal_table,
+    legendre_table,
+    motzkin_table,
+    trinomial_table,
     IntegralityError,
 )
 from .valuation import INFINITE, Valuation, factorize, omega, vp_int
@@ -265,6 +269,27 @@ class TheoremReport:
             "slack": self.slack,
         }
 
+    def to_json_line(self) -> str:
+        """The bytes of json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))."""
+        instance = dict(self.instance)
+        fields = ",".join(f"{_json_str(k)}:{_json_scalar(instance[k])}" for k in sorted(instance))
+        oracle = '"inf"' if self.oracle is INFINITE else _json_scalar(self.oracle)
+        slack = self.slack
+        return (
+            f'{{"claim":{_json_str(self.claim)},"instance":{{{fields}}},"oracle":{oracle},'
+            f'"predicted":{_json_scalar(self.predicted)},'
+            f'"slack":{"null" if slack is None else _json_scalar(slack)},'
+            f'"verdict":{_json_str(self.verdict)}}}'
+        )
+
+
+def _json_scalar(value) -> str:
+    if type(value) is int:
+        return str(value)
+    if type(value) is str:
+        return _json_str(value)
+    return json.dumps(value)
+
 
 # ---------------------------------------------------------------------------
 # Claim sweeps
@@ -342,11 +367,12 @@ def _run_thm1(a: int, b: int, n_max: int) -> list[TheoremReport]:
     s = a + b
     if s in (0, 1, -1):
         return out
+    table = bsum2_table(2 * n_max + 1, a, b)
     for n in range(n_max + 1):
         for parity in PARITIES:
             idx = 2 * n if parity == "even" else 2 * n + 1
             predicted = predict_bsum_omega(n, parity, a, b)
-            oracle = omega(s, eval_B(idx, 2, a, b))
+            oracle = omega(s, table[idx])
             out.append(
                 TheoremReport(
                     "thm1",
@@ -437,12 +463,13 @@ def _items_cor2(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_cor2(n_lo: int, n_hi: int) -> list[TheoremReport]:
+    table = franel_table(2 * n_hi + 1)
     out = []
     for n in range(n_lo, n_hi + 1):
         for parity in PARITIES:
             idx = 2 * n if parity == "even" else 2 * n + 1
             bound = predict_franel_v2_bound(n, parity)
-            oracle = vp_int(franel(idx), 2)
+            oracle = vp_int(table[idx], 2)
             out.append(
                 TheoremReport(
                     "cor2", (("n", n), ("parity", parity)), bound, oracle, KIND_LOWER
@@ -521,12 +548,13 @@ def _items_cor3(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_cor3(x: int, n_max: int) -> list[TheoremReport]:
+    table = legendre_table(2 * n_max + 1, x)
     out = []
     for n in range(n_max + 1):
         for parity in PARITIES:
             idx = 2 * n if parity == "even" else 2 * n + 1
             predicted = predict_legendre_omega(n, parity, x)
-            oracle = omega(x, legendre(idx, x))
+            oracle = omega(x, table[idx])
             out.append(
                 TheoremReport(
                     "cor3",
@@ -548,12 +576,13 @@ def _items_thm5(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_thm5(a: int, b: int, n_max: int) -> list[TheoremReport]:
+    table = trinomial_table(2 * n_max + 1, a, b)
     out = []
     for n in range(n_max + 1):
         for parity in PARITIES:
             idx = 2 * n if parity == "even" else 2 * n + 1
             predicted = predict_trinomial_omega(n, parity, a, b)
-            oracle = omega(b, eval_T(idx, a, b))
+            oracle = omega(b, table[idx])
             out.append(
                 TheoremReport(
                     "thm5",
@@ -572,12 +601,13 @@ def _items_thm6(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_thm6(a: int, b: int, n_max: int) -> list[TheoremReport]:
+    table = motzkin_table(2 * n_max + 1, a, b)
     out = []
     for n in range(n_max + 1):
         for parity in PARITIES:
             idx = 2 * n if parity == "even" else 2 * n + 1
             predicted = predict_motzkin_omega(n, parity, a, b)
-            oracle = omega(b, eval_M(idx, a, b))
+            oracle = omega(b, table[idx])
             out.append(
                 TheoremReport(
                     "thm6",
@@ -664,6 +694,8 @@ def _items_remarks(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_remarks(n_lo: int, n_hi: int) -> list[TheoremReport]:
+    hexagonals = hexagonal_table(2 * n_hi + 1)
+    catalans = catalan_table(2 * n_hi + 2)
     out = []
     for n in range(n_lo, n_hi + 1):
         for parity in PARITIES:
@@ -674,7 +706,7 @@ def _run_remarks(n_lo: int, n_hi: int) -> list[TheoremReport]:
                     "hexagonal",
                     (("n", n), ("parity", parity)),
                     predicted,
-                    vp_int(hexagonal(idx), 3),
+                    vp_int(hexagonals[idx], 3),
                     KIND_EXACT,
                 )
             )
@@ -688,7 +720,7 @@ def _run_remarks(n_lo: int, n_hi: int) -> list[TheoremReport]:
                     "catalan-shift",
                     (("n", n), ("parity", parity)),
                     predicted,
-                    vp_int(catalan(shift), 2),
+                    vp_int(catalans[shift], 2),
                     KIND_EXACT,
                 )
             )
@@ -857,8 +889,9 @@ class HarnessResult:
         return out
 
 
-def _instance_sort_key(report: TheoremReport):
-    return (report.claim, tuple((k, isinstance(v, str), v) for k, v in report.instance))
+# Within one claim every instance has the same keys and value types, so
+# the instance tuples compare field by field.
+_report_order = attrgetter("claim", "instance")
 
 
 def _run_item(runner_name: str, kwargs: dict) -> list[TheoremReport]:
@@ -902,5 +935,5 @@ def run_harness(
                     for fut in pending:
                         fut.cancel()
                     break
-    reports.sort(key=_instance_sort_key)
+    reports.sort(key=_report_order)
     return HarnessResult(reports)

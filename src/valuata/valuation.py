@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .digits import U64_MAX, is_prime, kummer_carries, _require_prime
+from .digits import U64_MAX, KernelRangeError, is_prime, kummer_carries, _require_prime
 
 
 class ZeroInputError(ValueError):
@@ -156,22 +156,22 @@ def _pollard_rho(n: int) -> int:
     raise ArithmeticError(f"rho failed to split {n}")  # unreachable for n < 2**64
 
 
-_TRIAL_LIMIT = 10**6
+_TRIAL_LIMIT = 2**16
 
 
 @lru_cache(maxsize=4096)
 def factorize(x: int) -> Factorization:
     """Complete signed prime factorization of x, |x| at most 2**64 - 1.
 
-    Trial division by 2, 3 and the 6k+-1 wheel up to 10**6, then rho
-    splitting with deterministic primality certification of cofactors.
+    Trial division by 2, 3 and the 6k+-1 wheel up to 2**16; a cofactor
+    left over is certified prime by is_prime or split by rho.
     """
     if x == 0:
         raise ZeroInputError("cannot factorize 0")
     sign = 1 if x > 0 else -1
     n = abs(x)
     if n > U64_MAX:
-        raise ValueError(f"|x| exceeds the 64-bit base range: {x}")
+        raise KernelRangeError(f"|x| exceeds the 64-bit base range: {x}")
     counts: dict[int, int] = {}
 
     def strip(d: int) -> None:

@@ -36,6 +36,36 @@ class TestOmega:
         assert code == 0
         assert "p=3" in out and "p=11" in out and "min(2, 3) = 2" in out
 
+    def test_fast_explain_on_square_sum_shows_core(self, capsys):
+        code, out, _ = run(capsys, "omega", "99", "B", "4046", "2", "37", "62", "--mode", "fast", "--explain")
+        assert code == 0
+        assert out.splitlines() == [
+            "omega_99(B(4046,2,37,62)) = 2",
+            "  core: C(4046,2023); omega_99(B(4046,2,37,62)) = omega_99(core)",
+            "  p=3: v_p(core)=5, v_p(base)=2, floor=2",
+            "  p=11: v_p(core)=3, v_p(base)=1, floor=3",
+            "  min(2, 3) = 2",
+        ]
+        code, out, _ = run(capsys, "omega", "99", "B", "4047", "2", "37", "62", "--mode", "fast", "--explain")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "omega_99(B(4047,2,37,62)) = 4"
+        assert lines[1] == "  core: 4047*C(4046,2023); omega_99(B(4047,2,37,62)) = 1 + omega_99(core)"
+        assert lines[-1] == "  min(3, 3) = 3"
+
+    def test_fast_square_sum_without_explain_is_one_line(self, capsys):
+        code, out, _ = run(capsys, "omega", "99", "B", "4047", "2", "37", "62", "--mode", "fast")
+        assert code == 0 and out == "omega_99(B(4047,2,37,62)) = 4\n"
+
+    def test_fast_input_past_64_bits_exits_2(self, capsys):
+        code, out, err = run(capsys, "vp", "3", "binom", "1e20", "3", "--mode", "fast")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "64-bit" in err and "Traceback" not in err
+
+    def test_base_past_64_bits_exits_2(self, capsys):
+        code, _, err = run(capsys, "omega", "1e20", "5")
+        assert code == 2 and err.startswith("error: ") and "64-bit" in err
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "omega", "99", "binom", "4046", "2023", "--format", "json")
         assert code == 0
@@ -261,3 +291,16 @@ class TestTopLevel:
             cli._parse_int("1.5")
         with pytest.raises(cli.UsageError):
             cli._parse_int("abc")
+
+    def test_scientific_notation_is_exact(self):
+        assert cli._parse_int("1e23") == 10**23  # a float would give 99999999999999991611392
+        assert cli._parse_int("-2.5e3") == -2500
+        assert cli._parse_int("150e-1") == 15
+        assert cli._parse_int("12345678901234567e10") == 12345678901234567 * 10**10
+        for text in ("1.5e0", "15e-1", "1e-3", "inf", "nan", "1e", "1e99999"):
+            with pytest.raises(cli.UsageError):
+                cli._parse_int(text)
+
+    def test_exact_scientific_target(self, capsys):
+        code, out, _ = run(capsys, "omega", "10", "1e23")
+        assert code == 0 and out == "omega_10(100000000000000000000000) = 23\n"

@@ -10,7 +10,9 @@ from valuata.sequences import (
     SEQUENCES,
     DomainError,
     SumParams,
+    bsum2_table,
     catalan,
+    catalan_table,
     central_binomial,
     central_multinomial,
     central_multinomial_product,
@@ -23,13 +25,18 @@ from valuata.sequences import (
     eval_M,
     eval_T,
     franel,
+    franel_table,
     fuss_catalan,
     hexagonal,
+    hexagonal_table,
     legendre,
     legendre_rational,
+    legendre_table,
+    motzkin_table,
     schroder_large,
     schroder_large_table,
     schroder_little,
+    trinomial_table,
 )
 
 SIGNED_PAIRS = [(1, 1), (1, 2), (2, 3), (-3, 5), (2, -7), (-1, -1), (0, 4), (5, 0)]
@@ -205,6 +212,48 @@ class TestNamedSequences:
     def test_central_binomial(self):
         assert central_binomial(0) == 1
         assert central_binomial(5) == 252
+
+
+class TestRecurrenceTables:
+    N = 30
+    WEIGHTS = range(-4, 6)
+
+    def test_parametrized_tables_match_defining_sums(self):
+        for a in self.WEIGHTS:
+            for b in self.WEIGHTS:
+                assert bsum2_table(self.N - 1, a, b) == [eval_B(n, 2, a, b) for n in range(self.N)]
+                assert trinomial_table(self.N - 1, a, b) == [eval_T(n, a, b) for n in range(self.N)]
+                assert motzkin_table(self.N - 1, a, b) == [eval_M(n, a, b) for n in range(self.N)]
+
+    def test_named_tables_match_defining_sums(self):
+        assert franel_table(self.N - 1) == [franel(n) for n in range(self.N)]
+        assert catalan_table(self.N - 1) == [catalan(n) for n in range(self.N)]
+        assert hexagonal_table(self.N - 1) == [hexagonal(n) for n in range(self.N)]
+        for x in (3, -3, 5, -5, 9, -15):
+            assert legendre_table(self.N - 1, x) == [legendre(n, x) for n in range(self.N)]
+
+    def test_long_tables_match_at_sampled_indices(self):
+        table = bsum2_table(400, 37, 62)
+        for n in (0, 1, 2, 199, 400):
+            assert table[n] == eval_B(n, 2, 37, 62)
+        assert franel_table(300)[300] == franel(300)
+        assert motzkin_table(301, -4, 5)[301] == eval_M(301, -4, 5)
+
+    def test_short_tables(self):
+        for build in (franel_table, catalan_table, hexagonal_table):
+            assert build(0) == [1]
+            assert len(build(1)) == 2
+        assert bsum2_table(0, 2, 3) == [1] and bsum2_table(1, 2, 3) == [1, 5]
+        assert trinomial_table(1, 2, 3) == [1, 3] == motzkin_table(1, 2, 3)
+
+    def test_domain(self):
+        for build in (franel_table, catalan_table, hexagonal_table):
+            with pytest.raises(DomainError):
+                build(-1)
+        with pytest.raises(DomainError):
+            bsum2_table(-1, 1, 2)
+        with pytest.raises(DomainError):
+            legendre_table(5, 4)
 
 
 class TestFussCatalan:

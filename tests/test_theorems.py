@@ -1,4 +1,6 @@
+import json
 import math
+import random
 from math import comb
 
 import pytest
@@ -12,6 +14,7 @@ from valuata.theorems import (
     HarnessGrid,
     HypothesisViolation,
     TheoremReport,
+    _report_order,
     check_lemma1,
     check_remarks,
     coprime_pairs,
@@ -206,6 +209,38 @@ class TestTheoremReport:
             "verdict": "bound_holds",
             "slack": None,
         }
+
+
+class TestReportPath:
+    GRID = HarnessGrid(n_max=6, ab_max=5, prime_max=7, exact_max=5)
+
+    @pytest.fixture(scope="class")
+    def reports(self):
+        return run_harness(["all"], self.GRID).reports
+
+    def test_json_line_matches_json_dumps(self, reports):
+        extra = [
+            TheoremReport("demo", (("n", 1), ("parity", "odd")), 2, INFINITE, KIND_LOWER),
+            TheoremReport("demo", (("n", 1),), 3, INFINITE, KIND_EXACT),
+            TheoremReport("demo", (("p", 7), ("n", 2)), 3, 5, KIND_UPPER),
+            TheoremReport("demo \"quoted\" \u00e9", (("x", -9),), -1, 0, KIND_EXACT),
+        ]
+        for report in reports + extra:
+            expected = json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
+            assert report.to_json_line() == expected
+        assert {r.claim for r in reports} == {
+            claim for runner in RUNNERS.values() for claim in runner.claims
+        }
+        assert any(r.slack is None for r in reports) and any(r.slack is not None for r in reports)
+
+    def test_sort_order_matches_typed_instance_key(self, reports):
+        def typed_key(report):
+            return (report.claim, tuple((k, isinstance(v, str), v) for k, v in report.instance))
+
+        shuffled = list(reports)
+        random.Random(3).shuffle(shuffled)
+        assert sorted(shuffled, key=_report_order) == sorted(shuffled, key=typed_key)
+        assert reports == sorted(reports, key=typed_key)
 
 
 class TestHarness:

@@ -1,9 +1,12 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valuata.valuation as valuation
+from valuata.digits import is_prime
 from valuata.valuation import (
     INFINITE,
     Factorization,
@@ -97,6 +100,33 @@ class TestFactorize:
         assert factorize(n).factors == ((n, 1),)
         with pytest.raises(ValueError):
             factorize(2**64)
+
+    def test_matches_long_trial_division(self, monkeypatch):
+        # The same routine with trial division to 10**6, as it was before
+        # the cofactor went to is_prime and rho from 2**16 on.
+        rng = random.Random(2023)
+
+        def prime(bits):
+            while True:
+                n = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+                if is_prime(n):
+                    return n
+
+        sample = [prime(64) for _ in range(6)]
+        sample += [prime(32) * prime(32) for _ in range(3)]
+        sample += [prime(20) * prime(20) * prime(20) for _ in range(3)]  # factors near 2**16..10**6
+        sample += [prime(17) ** 2 * prime(28) for _ in range(2)]
+        for _ in range(6):
+            n = 1
+            while n.bit_length() < 46:
+                n *= rng.choice((2, 3, 5, 7, 11, 13, 101, 997, 65521, 65537))
+            sample.append(n)
+        new = [factorize.__wrapped__(n) for n in sample]
+        monkeypatch.setattr(valuation, "_TRIAL_LIMIT", 10**6)
+        old = [factorize.__wrapped__(n) for n in sample]
+        assert new == old
+        for n, f in zip(sample, new):
+            assert f.value() == n and all(is_prime(p) for p in f.primes())
 
     @given(st.integers(-(2**48), 2**48).filter(lambda x: x != 0))
     @settings(max_examples=60, deadline=None)
