@@ -31,6 +31,7 @@ from .sequences import (
     DomainError,
     IntegralityError,
     SumParams,
+    bsum,
     bsum2_table,
     catalan,
     catalan_table,

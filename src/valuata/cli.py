@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from .sequences import (
     SEQUENCES,
     DomainError,
     IntegralityError,
+    bsum,
     eval_B,
 )
 from .theorems import (
@@ -48,6 +50,7 @@ class UsageError(ValueError):
 
 
 _DECIMAL = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
+_PLAIN_DECIMAL = re.compile(r"([+-]?)([0-9]+)")
 _MAX_EXPONENT = 4300  # Python's default limit on the digits of an int
 
 
@@ -77,6 +80,18 @@ def _parse_int(text: str) -> int:
         if rest:
             raise UsageError(f"not an integer: {text!r}")
     return -value if sign == "-" else value
+
+
+def _literal_label(text: str, value: int) -> str:
+    """str(value), read off the token's digits when it is a plain decimal.
+
+    Converting a large int back to decimal costs more than parsing it did.
+    """
+    match = _PLAIN_DECIMAL.fullmatch(text)
+    if match is None:
+        return str(value)
+    digits = match.group(2).lstrip("0") or "0"
+    return "-" + digits if match.group(1) == "-" and digits != "0" else digits
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -121,14 +136,14 @@ def _parse_target(tokens: list[str]) -> Target:
     head = tokens[0].lower()
     if len(tokens) == 1 and head not in SEQUENCES and head not in ("b", "bsum", "binom"):
         literal = _parse_int(tokens[0])
-        return Target(str(literal), lambda: literal, None)
+        return Target(_literal_label(tokens[0], literal), lambda: literal, None)
     if head in ("b", "bsum"):
         if len(tokens) != 5:
             raise UsageError("expected: B <n> <m> <a> <b>")
         n, m, a, b = (_parse_int(t) for t in tokens[1:])
         # The fast route for these targets yields the whole omega at once
         # rather than per-prime valuations; see _bsum_fast_omega.
-        return Target(f"B({n},{m},{a},{b})", lambda: eval_B(n, m, a, b), None)
+        return Target(f"B({n},{m},{a},{b})", lambda: bsum(n, m, a, b), None)
     if head == "binom":
         if len(tokens) != 3:
             raise UsageError("expected: binom <n> <k>")
@@ -149,7 +164,15 @@ def _parse_target(tokens: list[str]) -> Target:
         values = [_parse_int(t) for t in tokens[1:]]
         n, extra = values[0], values[1:]
         label = f"{entry.name}({', '.join(str(v) for v in values)})"
-        return Target(label, lambda: entry.fn(n, *extra), None)
+        if entry.table is None:
+            return Target(label, lambda: entry.fn(n, *extra), None)
+
+        def value_fn() -> int:
+            if n < 0:
+                raise DomainError(f"n must be non-negative, got {n}")
+            return entry.table(n, *extra)[n]
+
+        return Target(label, value_fn, None)
     raise UsageError(f"unrecognized target {tokens[0]!r}")
 
 
@@ -279,9 +302,13 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if p is not None and not is_prime(p):
         raise UsageError(f"--valuation takes a prime, got {p}")
     header = ["n", "value"] + ([f"v_{p}"] if p else [])
+    indices = range(lo, hi + 1)
+    if entry.table is not None and indices:
+        values = entry.table(hi, *extra)[lo:]
+    else:
+        values = [entry.fn(n, *extra) for n in indices]
     rows = []
-    for n in range(lo, hi + 1):
-        value = entry.fn(n, *extra)
+    for n, value in zip(indices, values):
         row: list = [n, value]
         if p:
             row.append(vp_int(value, p))
@@ -352,8 +379,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.x_set:
         grid_kwargs["x_values"] = _parse_int_set(args.x_set)
     if args.primes:
-        text = args.primes
-        grid_kwargs["prime_max"] = _parse_int(text.split("..")[-1])
+        lo, hi = _parse_range(args.primes)
+        if ".." in args.primes:
+            if lo < 2 or lo > hi:
+                raise UsageError(f"--primes lo..hi needs 2 <= lo <= hi, got {args.primes}")
+            grid_kwargs["prime_min"] = lo
+        grid_kwargs["prime_max"] = hi
     if args.exact_max is not None:
         grid_kwargs["exact_max"] = _parse_int(args.exact_max)
     for key, value in grid_kwargs.items():
@@ -362,8 +393,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     grid = HarnessGrid(**grid_kwargs)
 
     jobs = args.jobs
-    if os.environ.get("VALUATA_JOBS"):
-        jobs = int(os.environ["VALUATA_JOBS"])
+    env_jobs = os.environ.get("VALUATA_JOBS")
+    if env_jobs:
+        jobs = int(env_jobs) if _PLAIN_DECIMAL.fullmatch(env_jobs.strip()) else 0
+        if jobs < 1:
+            raise UsageError(f"VALUATA_JOBS must be a positive integer, got {env_jobs!r}")
+    elif jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
     result = run_harness(args.claims or ("all",), grid, jobs=jobs, fail_fast=args.fail_fast)
 
@@ -474,7 +510,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="valuata",
         description="Exact combinatorial sequences and highest-power-dividing queries, "
@@ -536,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a-set", dest="a_set")
     p_verify.add_argument("--b-set", dest="b_set")
     p_verify.add_argument("--x-set", dest="x_set")
-    p_verify.add_argument("--primes", help="prime bound, e.g. 97 or 2..97")
+    p_verify.add_argument("--primes", help="largest prime, e.g. 97, or a range lo..hi, e.g. 50..97")
     p_verify.add_argument("--exact-max", dest="exact_max")
     p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--fail-fast", action="store_true")

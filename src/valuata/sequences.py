@@ -352,6 +352,15 @@ def legendre_rational(n: int, x: int) -> Fraction:
     return Fraction(total, 2**n)
 
 
+def bsum(n: int, m: int, a: int, b: int) -> int:
+    """B(n, m, a, b); the square sum (m = 2) is read from its recurrence table."""
+    if m != 2:
+        return eval_B(n, m, a, b)
+    if n < 0:
+        raise DomainError(f"n must be non-negative, got {n}")
+    return bsum2_table(n, a, b)[n]
+
+
 def check_congruence(n: int, m: int, a: int, b: int) -> bool:
     """Whether B(n, m, a, b) is congruent to a**n * B(n, m, 1, -1) mod (a+b).
 
@@ -368,30 +377,37 @@ def check_congruence(n: int, m: int, a: int, b: int) -> bool:
 
 @dataclass(frozen=True)
 class SequenceDef:
-    """A named integer sequence: the CLI-facing registry entry."""
+    """A named integer sequence: the CLI-facing registry entry.
+
+    `table(n_max, *params)` builds [y_0, ..., y_n_max] in one pass, for
+    sequences that have a recurrence; it starts at index 0.
+    """
 
     name: str
     fn: Callable[..., int]
     params: tuple[str, ...]
     min_index: int
     description: str
+    table: Callable[..., list[int]] | None = None
 
 
 SEQUENCES: dict[str, SequenceDef] = {
     s.name: s
     for s in (
-        SequenceDef("delannoy", delannoy, (), 0, "central Delannoy numbers"),
+        SequenceDef("delannoy", delannoy, (), 0, "central Delannoy numbers", delannoy_table),
         SequenceDef("schroder", schroder_large, (), 1, "large Schroder numbers"),
         SequenceDef("little-schroder", schroder_little, (), 1, "little Schroder numbers"),
         SequenceDef("catalan", catalan, (), 0, "Catalan numbers"),
         SequenceDef("central-binomial", central_binomial, (), 0, "central binomial coefficients"),
-        SequenceDef("franel", franel, (), 0, "Franel numbers"),
-        SequenceDef("hexagonal", hexagonal, (), 0, "restricted hexagonal numbers"),
+        SequenceDef("franel", franel, (), 0, "Franel numbers", franel_table),
+        SequenceDef("hexagonal", hexagonal, (), 0, "restricted hexagonal numbers", hexagonal_table),
         SequenceDef("fuss-catalan", fuss_catalan, ("k",), 0, "Fuss-Catalan numbers C(kn,n)/((k-1)n+1)"),
         SequenceDef("multinomial", central_multinomial, ("p",), 0, "central multinomial coefficients (pn)!/(n!)^p"),
-        SequenceDef("trinomial", eval_T, ("a", "b"), 0, "generalized central trinomial coefficients"),
-        SequenceDef("motzkin", eval_M, ("a", "b"), 0, "generalized Motzkin numbers"),
-        SequenceDef("legendre", legendre, ("x",), 0, "Legendre polynomial values at odd x"),
-        SequenceDef("bsum", eval_B, ("m", "a", "b"), 0, "weighted power sums B(n,m,a,b)"),
+        SequenceDef(
+            "trinomial", eval_T, ("a", "b"), 0, "generalized central trinomial coefficients", trinomial_table
+        ),
+        SequenceDef("motzkin", eval_M, ("a", "b"), 0, "generalized Motzkin numbers", motzkin_table),
+        SequenceDef("legendre", legendre, ("x",), 0, "Legendre polynomial values at odd x", legendre_table),
+        SequenceDef("bsum", bsum, ("m", "a", "b"), 0, "weighted power sums B(n,m,a,b)"),
     )
 }

@@ -306,6 +306,7 @@ class HarnessGrid:
     a_values: tuple[int, ...] = (1, -1, 2, -2, 3, -3, 4, -4, 5)
     b_values: tuple[int, ...] = (2, -2, 3, -3, 5, -5, 6)
     x_values: tuple[int, ...] = (3, -3, 5, -5, 9, -9, 15)
+    prime_min: int = 2
     prime_max: int = 97
     exact_max: int = 3000
 
@@ -625,7 +626,7 @@ def _run_thm6(a: int, b: int, n_max: int) -> list[TheoremReport]:
 
 def _items_lemma1(grid: HarnessGrid) -> list[dict]:
     n = _n_max(grid, "lemma1")
-    return [{"p": p, "n_max": n} for p in range(2, grid.prime_max + 1) if is_prime(p)]
+    return [{"p": p, "n_max": n} for p in range(grid.prime_min, grid.prime_max + 1) if is_prime(p)]
 
 
 def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
@@ -908,20 +909,21 @@ def run_harness(
 
     Deterministic: reports are sorted by claim and instance, so the output
     is identical regardless of job count.  Violations are data in the
-    result, not exceptions.
+    result, not exceptions.  The one exception is fail_fast with jobs > 1:
+    which items finish before the stop depends on scheduling.
     """
     grid = grid or HarnessGrid()
     runner_names = resolve_selectors(selectors)
     work = [(name, kw) for name in runner_names for kw in RUNNERS[name].items(grid)]
     reports: list[TheoremReport] = []
-    if jobs <= 1:
+    if jobs <= 1 or len(work) <= 1:
         for name, kw in work:
             batch = _run_item(name, kw)
             reports.extend(batch)
             if fail_fast and any(r.verdict == VERDICT_VIOLATION for r in batch):
                 break
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             pending = {pool.submit(_run_item, name, kw) for name, kw in work}
             while pending:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)

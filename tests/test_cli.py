@@ -1,8 +1,14 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import valuata.cli as cli
 from valuata.cli import main
@@ -10,6 +16,16 @@ from valuata.cli import main
 
 def run(capsys, *argv):
     code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_or_exit(capsys, *argv):
+    """Like run, but an argparse error's SystemExit gives the exit code."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -105,6 +121,10 @@ class TestOmega:
     def test_negative_base(self, capsys):
         code, out, _ = run(capsys, "omega", "-3", "delannoy", "3")
         assert code == 0 and "= 2" in out
+
+    def test_negative_sequence_index_exits_2(self, capsys):
+        code, out, err = run(capsys, "omega", "6", "delannoy", "-3")
+        assert (code, out, err) == (2, "", "error: n must be non-negative, got -3\n")
 
 
 class TestVp:
@@ -252,6 +272,37 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "thm3", "--n-max", "4")
         assert code == 0
 
+    def test_bad_job_counts_exit_2(self, capsys, monkeypatch):
+        monkeypatch.delenv("VALUATA_JOBS", raising=False)
+        code, out, err = run(capsys, "verify", "thm3", "--n-max", "4", "--jobs", "0")
+        assert (code, out) == (2, "") and err == "error: --jobs must be at least 1, got 0\n"
+        for value in ("x", "0"):
+            monkeypatch.setenv("VALUATA_JOBS", value)
+            code, out, err = run(capsys, "verify", "thm3", "--n-max", "4")
+            assert (code, out) == (2, "")
+            assert err == f"error: VALUATA_JOBS must be a positive integer, got {value!r}\n"
+
+    def test_primes_range_honours_lower_bound(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "lemma1", "--n-max", "1", "--primes", "50..53", "--format", "json"
+        )
+        assert code == 0
+        objs = [json.loads(line) for line in out.splitlines()]
+        assert len(objs) == 8 and {obj["instance"]["p"] for obj in objs} == {53}
+        code, out, _ = run(capsys, "verify", "lemma1", "--n-max", "1", "--primes", "50..53", "--summary-only")
+        assert code == 0 and "[lemma1] checked=2 violations=0" in out.splitlines()
+
+    def test_primes_bound_and_full_range_agree(self, capsys):
+        args = ("verify", "lemma1", "--n-max", "2", "--format", "json")
+        outputs = [run(capsys, *args, *extra) for extra in ((), ("--primes", "97"), ("--primes", "2..97"))]
+        assert outputs[0][0] == 0 and outputs[0][1]
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    def test_bad_primes_range_exits_2(self, capsys):
+        for text in ("53..50", "1..50", "0..5"):
+            code, out, err = run(capsys, "verify", "lemma1", "--n-max", "1", "--primes", text)
+            assert (code, out) == (2, "") and err.startswith("error: --primes")
+
 
 class TestBench:
     def test_thm1_with_oracle(self, capsys):
@@ -304,3 +355,57 @@ class TestTopLevel:
     def test_exact_scientific_target(self, capsys):
         code, out, _ = run(capsys, "omega", "10", "1e23")
         assert code == 0 and out == "omega_10(100000000000000000000000) = 23\n"
+
+
+_DIGITS = st.text("0123456789", min_size=1, max_size=40)
+_SIGNS = st.sampled_from(["", "+", "-"])
+_PLAIN = st.builds(
+    lambda sign, zeros, digits: sign + "0" * zeros + digits, _SIGNS, st.integers(0, 3), _DIGITS
+)
+_PADS = st.sampled_from(["", " ", "\t", "\n"])
+_LITERALS = st.one_of(
+    _PLAIN,
+    st.sampled_from(["0", "-0", "+0", "-000", "007", "-007"]),
+    st.builds(lambda sign, x, y: f"{sign}{x}_{y}", _SIGNS, _DIGITS, _DIGITS),
+    st.builds(lambda pad, text, tail: pad + text + tail, _PADS, _PLAIN, _PADS),
+    st.builds(lambda sign, digits, exp: f"{sign}{digits}e{exp}", _SIGNS, _DIGITS, st.integers(-5, 30)),
+)
+
+
+class TestLiteralLabel:
+    @given(_LITERALS)
+    def test_label_equals_decimal_round_trip(self, text):
+        try:
+            value = cli._parse_int(text)
+        except cli.UsageError:
+            with pytest.raises(cli.UsageError):
+                cli._parse_target([text])
+            return
+        assert cli._parse_target([text]).label == str(value)
+
+
+class TestParserCache:
+    CALL_PAIRS = [
+        (("omega", "99", "binom", "40", "20", "--explain"), ("omega", "99", "binom", "40", "20")),
+        (("omega", "99", "binom", "40", "20", "--format", "json"), ("omega", "99", "binom", "40", "20")),
+        (("omega", "99", "--mode", "nonsense", "5"), ("omega", "99", "5")),
+        (("verify", "thm3", "--jobs", "two"), ("verify", "thm3", "--n-max", "3")),
+    ]
+
+    def test_consecutive_calls_match_fresh_ones(self, capsys):
+        for first, second in self.CALL_PAIRS:
+            fresh = []
+            for argv in (first, second):
+                cli.build_parser.cache_clear()
+                fresh.append(run_or_exit(capsys, *argv))
+            cli.build_parser.cache_clear()
+            consecutive = [run_or_exit(capsys, *argv) for argv in (first, second)]
+            assert consecutive == fresh
+        assert fresh[0][0] == 2 and fresh[1][0] == 0
+
+    def test_import_builds_no_parser(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = "import valuata.cli as c; print(c.build_parser.cache_info().currsize)"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout == "0\n"

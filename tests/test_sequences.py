@@ -10,6 +10,7 @@ from valuata.sequences import (
     SEQUENCES,
     DomainError,
     SumParams,
+    bsum,
     bsum2_table,
     catalan,
     catalan_table,
@@ -254,6 +255,47 @@ class TestRecurrenceTables:
             bsum2_table(-1, 1, 2)
         with pytest.raises(DomainError):
             legendre_table(5, 4)
+
+
+class TestRegistryTables:
+    """Each registry table against the defining sum of its sequence."""
+
+    N = 40
+    WEIGHTS = range(-4, 6)
+    XS = (3, -3, 5, -5, 9, -15)
+    DEFINING_SUMS = {
+        "delannoy": lambda n: eval_B(n, 2, 1, 2),
+        "franel": franel,
+        "hexagonal": hexagonal,
+        "trinomial": eval_T,
+        "motzkin": eval_M,
+        "legendre": legendre,
+    }
+
+    def test_tables_match_defining_sums(self):
+        grids = {
+            (): [()],
+            ("a", "b"): [(a, b) for a in self.WEIGHTS for b in self.WEIGHTS],
+            ("x",): [(x,) for x in self.XS],
+        }
+        tabled = [spec for spec in SEQUENCES.values() if spec.table is not None]
+        assert {spec.name for spec in tabled} == set(self.DEFINING_SUMS)
+        for spec in tabled:
+            for params in grids[spec.params]:
+                table = spec.table(self.N - 1, *params)
+                assert table == [self.DEFINING_SUMS[spec.name](n, *params) for n in range(self.N)]
+
+    def test_bsum_matches_eval_B(self):
+        for a in self.WEIGHTS:
+            for b in self.WEIGHTS:
+                for n in range(self.N):
+                    assert bsum(n, 2, a, b) == eval_B(n, 2, a, b)
+        assert bsum(12, 3, 2, -5) == eval_B(12, 3, 2, -5)
+
+    def test_bsum_domain(self):
+        for m in (2, 3):
+            with pytest.raises(DomainError, match="n must be non-negative, got -1"):
+                bsum(-1, m, 1, 2)
 
 
 class TestFussCatalan:

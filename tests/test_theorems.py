@@ -260,6 +260,38 @@ class TestHarness:
         parallel = run_harness(["thm1", "thm3", "lemma1"], self.GRID, jobs=3)
         assert serial.reports == parallel.reports
 
+    def test_single_item_sweep_runs_in_process(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        assert len(RUNNERS["remarks"].items(self.GRID)) == 1
+        serial = run_harness(["remarks"], self.GRID, jobs=1)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-item sweep started a process pool")
+
+        monkeypatch.setattr(theorems, "ProcessPoolExecutor", no_pool)
+        assert run_harness(["remarks"], self.GRID, jobs=2).reports == serial.reports
+
+    def test_pool_size_is_capped_by_work_items(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        pool_sizes = []
+        real_pool = theorems.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            pool_sizes.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setattr(theorems, "ProcessPoolExecutor", recording_pool)
+        items = len(RUNNERS["thm3"].items(self.GRID)) + len(RUNNERS["thm4"].items(self.GRID))
+        assert items == 2
+        result = run_harness(["thm3", "thm4"], self.GRID, jobs=8)
+        assert pool_sizes == [2] and result.reports == run_harness(["thm3", "thm4"], self.GRID).reports
+
+    def test_prime_min_bounds_lemma1(self):
+        grid = HarnessGrid(n_max=1, prime_min=50, prime_max=53)
+        assert {dict(r.instance)["p"] for r in run_harness(["lemma1"], grid).reports} == {53}
+
     def test_selectors(self):
         assert resolve_selectors(["THM1", "delannoy"]) == ["thm1", "thm3"]
         assert resolve_selectors(["all"]) == list(RUNNERS)
