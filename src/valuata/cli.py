@@ -164,15 +164,7 @@ def _parse_target(tokens: list[str]) -> Target:
         values = [_parse_int(t) for t in tokens[1:]]
         n, extra = values[0], values[1:]
         label = f"{entry.name}({', '.join(str(v) for v in values)})"
-        if entry.table is None:
-            return Target(label, lambda: entry.fn(n, *extra), None)
-
-        def value_fn() -> int:
-            if n < 0:
-                raise DomainError(f"n must be non-negative, got {n}")
-            return entry.table(n, *extra)[n]
-
-        return Target(label, value_fn, None)
+        return Target(label, lambda: entry.value(n, *extra), None)
     raise UsageError(f"unrecognized target {tokens[0]!r}")
 
 

@@ -192,6 +192,13 @@ def _check_n_max(n_max: int) -> None:
         raise DomainError(f"n_max must be non-negative, got {n_max}")
 
 
+def table_value(table: Callable[..., list[int]], n: int, *params: int) -> int:
+    """y_n read off `table(n, *params)`, a single value built by its recurrence."""
+    if n < 0:
+        raise DomainError(f"n must be non-negative, got {n}")
+    return table(n, *params)[n]
+
+
 def trinomial_table(n_max: int, a: int, b: int) -> list[int]:
     """T_n(a, b) for n = 0..n_max by the recurrence
 
@@ -238,7 +245,7 @@ def delannoy_table(n_max: int) -> list[int]:
 
 def delannoy(n: int) -> int:
     """Central Delannoy number D_n."""
-    return delannoy_table(n)[n]
+    return table_value(delannoy_table, n)
 
 
 def legendre_table(n_max: int, x: int) -> list[int]:
@@ -356,9 +363,7 @@ def bsum(n: int, m: int, a: int, b: int) -> int:
     """B(n, m, a, b); the square sum (m = 2) is read from its recurrence table."""
     if m != 2:
         return eval_B(n, m, a, b)
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    return bsum2_table(n, a, b)[n]
+    return table_value(bsum2_table, n, a, b)
 
 
 def check_congruence(n: int, m: int, a: int, b: int) -> bool:
@@ -389,6 +394,12 @@ class SequenceDef:
     min_index: int
     description: str
     table: Callable[..., list[int]] | None = None
+
+    def value(self, n: int, *params: int) -> int:
+        """y_n, read off the recurrence table when there is one."""
+        if self.table is None:
+            return self.fn(n, *params)
+        return table_value(self.table, n, *params)
 
 
 SEQUENCES: dict[str, SequenceDef] = {

@@ -216,7 +216,7 @@ class TestNamedSequences:
 
 
 class TestRecurrenceTables:
-    N = 30
+    N = 40
     WEIGHTS = range(-4, 6)
 
     def test_parametrized_tables_match_defining_sums(self):
@@ -258,32 +258,46 @@ class TestRecurrenceTables:
 
 
 class TestRegistryTables:
-    """Each registry table against the defining sum of its sequence."""
+    """Registry entries read single values off the tables in TestRecurrenceTables."""
 
-    N = 40
-    WEIGHTS = range(-4, 6)
-    XS = (3, -3, 5, -5, 9, -15)
-    DEFINING_SUMS = {
-        "delannoy": lambda n: eval_B(n, 2, 1, 2),
-        "franel": franel,
-        "hexagonal": hexagonal,
-        "trinomial": eval_T,
-        "motzkin": eval_M,
-        "legendre": legendre,
-    }
+    N = TestRecurrenceTables.N
+    WEIGHTS = TestRecurrenceTables.WEIGHTS
 
-    def test_tables_match_defining_sums(self):
-        grids = {
-            (): [()],
-            ("a", "b"): [(a, b) for a in self.WEIGHTS for b in self.WEIGHTS],
-            ("x",): [(x,) for x in self.XS],
+    def test_registry_wiring(self):
+        tables = {name: spec.table for name, spec in SEQUENCES.items() if spec.table is not None}
+        assert tables == {
+            "delannoy": delannoy_table,
+            "franel": franel_table,
+            "hexagonal": hexagonal_table,
+            "trinomial": trinomial_table,
+            "motzkin": motzkin_table,
+            "legendre": legendre_table,
         }
-        tabled = [spec for spec in SEQUENCES.values() if spec.table is not None]
-        assert {spec.name for spec in tabled} == set(self.DEFINING_SUMS)
-        for spec in tabled:
-            for params in grids[spec.params]:
-                table = spec.table(self.N - 1, *params)
-                assert table == [self.DEFINING_SUMS[spec.name](n, *params) for n in range(self.N)]
+        assert SEQUENCES["trinomial"].fn is eval_T and SEQUENCES["motzkin"].fn is eval_M
+        assert SEQUENCES["legendre"].fn is legendre and SEQUENCES["franel"].fn is franel
+        assert SEQUENCES["hexagonal"].fn is hexagonal and SEQUENCES["bsum"].fn is bsum
+
+    def test_value_matches_fn(self):
+        for spec, params in [
+            (SEQUENCES["delannoy"], ()),
+            (SEQUENCES["franel"], ()),
+            (SEQUENCES["hexagonal"], ()),
+            (SEQUENCES["trinomial"], (-3, 5)),
+            (SEQUENCES["motzkin"], (2, -4)),
+            (SEQUENCES["legendre"], (-15,)),
+            (SEQUENCES["catalan"], ()),
+        ]:
+            for n in (0, 1, 2, 17, self.N - 1):
+                assert spec.value(n, *params) == spec.fn(n, *params)
+
+    def test_value_domain(self):
+        for spec in SEQUENCES.values():
+            if spec.table is not None:
+                params = (3,) * len(spec.params)
+                with pytest.raises(DomainError, match="n must be non-negative, got -3"):
+                    spec.value(-3, *params)
+        with pytest.raises(DomainError, match="n must be non-negative, got -3"):
+            delannoy(-3)
 
     def test_bsum_matches_eval_B(self):
         for a in self.WEIGHTS:
