@@ -57,6 +57,7 @@ from .sequences import (
     motzkin_table,
     schroder_large,
     schroder_little,
+    table_value,
     trinomial_table,
 )
 from .theorems import (
