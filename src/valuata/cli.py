@@ -376,6 +376,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             if lo < 2 or lo > hi:
                 raise UsageError(f"--primes lo..hi needs 2 <= lo <= hi, got {args.primes}")
             grid_kwargs["prime_min"] = lo
+        elif hi < 0:
+            raise UsageError(f"--primes must be non-negative, got {args.primes}")
         grid_kwargs["prime_max"] = hi
     if args.exact_max is not None:
         grid_kwargs["exact_max"] = _parse_int(args.exact_max)

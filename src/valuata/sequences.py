@@ -303,6 +303,14 @@ def schroder_large_table(n_max: int) -> list[int | None]:
     return out
 
 
+def schroder_little_table(n_max: int) -> list[int | None]:
+    """[None, s_1, ..., s_n_max]; index 0 is undefined."""
+    dt = delannoy_table(n_max + 1)
+    out: list[int | None] = [None]
+    out.extend(schroder_little(n, dt) for n in range(1, n_max + 1))
+    return out
+
+
 def central_multinomial(n: int, p: int) -> int:
     """(pn)! / (n!)**p, the number of ways to deal pn cards into p equal hands."""
     if n < 0:
@@ -385,7 +393,8 @@ class SequenceDef:
     """A named integer sequence: the CLI-facing registry entry.
 
     `table(n_max, *params)` builds [y_0, ..., y_n_max] in one pass, for
-    sequences that have a recurrence; it starts at index 0.
+    sequences that have a recurrence; it starts at index 0, with None
+    below `min_index`.
     """
 
     name: str
@@ -396,8 +405,12 @@ class SequenceDef:
     table: Callable[..., list[int]] | None = None
 
     def value(self, n: int, *params: int) -> int:
-        """y_n, read off the recurrence table when there is one."""
-        if self.table is None:
+        """y_n, read off the recurrence table when there is one.
+
+        A sequence that starts past index 0 (Schroder) takes `fn`, which
+        already reads one Delannoy table and skips the values below n.
+        """
+        if self.table is None or self.min_index:
             return self.fn(n, *params)
         return table_value(self.table, n, *params)
 
@@ -406,8 +419,10 @@ SEQUENCES: dict[str, SequenceDef] = {
     s.name: s
     for s in (
         SequenceDef("delannoy", delannoy, (), 0, "central Delannoy numbers", delannoy_table),
-        SequenceDef("schroder", schroder_large, (), 1, "large Schroder numbers"),
-        SequenceDef("little-schroder", schroder_little, (), 1, "little Schroder numbers"),
+        SequenceDef("schroder", schroder_large, (), 1, "large Schroder numbers", schroder_large_table),
+        SequenceDef(
+            "little-schroder", schroder_little, (), 1, "little Schroder numbers", schroder_little_table
+        ),
         SequenceDef("catalan", catalan, (), 0, "Catalan numbers"),
         SequenceDef("central-binomial", central_binomial, (), 0, "central binomial coefficients"),
         SequenceDef("franel", franel, (), 0, "Franel numbers", franel_table),

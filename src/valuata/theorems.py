@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
@@ -893,10 +894,132 @@ class HarnessResult:
 # Within one claim every instance has the same keys and value types, so
 # the instance tuples compare field by field.
 _report_order = attrgetter("claim", "instance")
+# Workers send reports as their constructor arguments: pickling and
+# rebuilding these tuples takes under half the time that pickling the
+# dataclass instances does.
+_report_args = attrgetter("claim", "instance", "predicted", "oracle", "kind")
 
 
 def _run_item(runner_name: str, kwargs: dict) -> list[TheoremReport]:
     return RUNNERS[runner_name].run(**kwargs)
+
+
+def _violates(batch: list[TheoremReport]) -> bool:
+    return any(r.verdict == VERDICT_VIOLATION for r in batch)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _place(k: int) -> None:
+    """Move this process onto the k-th usable CPU, then allow every CPU again.
+
+    A forked child starts on its parent's CPU and tends to stay there; the
+    brief single-CPU mask spreads the processes without pinning them.
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    try:
+        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
+        os.sched_setaffinity(0, mask)
+    except OSError:  # placement is only a hint
+        pass
+
+
+def _claim_items(work: list, counter, fail_fast: bool) -> list[tuple[int, list[TheoremReport]]]:
+    """Run items taken in index order from the shared counter until none are left."""
+    done = []
+    while True:
+        with counter.get_lock():
+            i = counter.value
+            counter.value = i + 1
+        if i >= len(work):
+            return done
+        batch = _run_item(*work[i])
+        done.append((i, batch))
+        if fail_fast and _violates(batch):
+            _stop_claims(counter, len(work))
+
+
+def _stop_claims(counter, n_items: int) -> None:
+    with counter.get_lock():
+        counter.value = n_items
+
+
+def _worker(k: int, work: list, counter, fail_fast: bool, conn) -> None:
+    _place(k)
+    try:
+        done = _claim_items(work, counter, fail_fast)
+        result = [(i, list(map(_report_args, batch))) for i, batch in done]
+    except Exception as exc:
+        _stop_claims(counter, len(work))
+        result = exc
+    conn.send(result)
+    conn.close()
+
+
+def _start_worker(ctx, k: int, work: list, counter, fail_fast: bool):
+    """Fork the k-th worker; returns it with the read end of its result pipe."""
+    reader, writer = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=_worker, args=(k, work, counter, fail_fast, writer))
+    proc.start()
+    writer.close()
+    return proc, reader
+
+
+def _reap(proc, reader):
+    """The worker's result, or None if it exited without sending one."""
+    try:
+        result = reader.recv()
+    except EOFError:
+        result = None
+    reader.close()
+    proc.join()
+    return result
+
+
+def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremReport] | None]:
+    """Run `work` in this process and `workers` forked ones; batches in work order.
+
+    Items are claimed in index order, so every item before a claimed one has
+    been claimed too and runs to completion.  Every worker is joined before
+    this returns or raises.
+    """
+    ctx = multiprocessing.get_context("fork")
+    counter = ctx.Value("i", 0)
+    children = []
+    _place(0)
+    try:
+        for k in range(1, workers + 1):
+            children.append(_start_worker(ctx, k, work, counter, fail_fast))
+        done = _claim_items(work, counter, fail_fast)
+    except BaseException:
+        _stop_claims(counter, len(work))
+        for proc, reader in children:
+            _reap(proc, reader)
+        raise
+    error = None
+    for proc, reader in children:
+        result = _reap(proc, reader)
+        if result is None:
+            error = error or RuntimeError(
+                f"a harness worker exited with code {proc.exitcode} without a result"
+            )
+        elif isinstance(result, BaseException):
+            error = error or result
+        else:
+            done.extend((i, [TheoremReport(*args) for args in batch]) for i, batch in result)
+    if error is not None:
+        raise error
+    batches: list[list[TheoremReport] | None] = [None] * len(work)
+    for i, batch in done:
+        batches[i] = batch
+    return batches
 
 
 def run_harness(
@@ -909,33 +1032,26 @@ def run_harness(
 
     Deterministic: reports are sorted by claim and instance, so the output
     is identical regardless of job count.  Violations are data in the
-    result, not exceptions.  The one exception is fail_fast with jobs > 1:
-    which items finish before the stop depends on scheduling.
+    result, not exceptions.  With fail_fast the sweep keeps the work items
+    up to and including the first one, in work order, that reports a
+    violation, at any job count.
+
+    jobs > 1 forks min(jobs, work items, usable CPUs) - 1 workers; this
+    process works too.  Items are handed out in order from a shared
+    counter.  An exception raised by an item is raised here.
     """
     grid = grid or HarnessGrid()
     runner_names = resolve_selectors(selectors)
     work = [(name, kw) for name in runner_names for kw in RUNNERS[name].items(grid)]
-    reports: list[TheoremReport] = []
-    if jobs <= 1 or len(work) <= 1:
-        for name, kw in work:
-            batch = _run_item(name, kw)
-            reports.extend(batch)
-            if fail_fast and any(r.verdict == VERDICT_VIOLATION for r in batch):
-                break
+    workers = min(jobs, len(work), _usable_cpus()) - 1
+    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+        batches = (_run_item(name, kw) for name, kw in work)
     else:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            pending = {pool.submit(_run_item, name, kw) for name, kw in work}
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                stop = False
-                for fut in done:
-                    batch = fut.result()
-                    reports.extend(batch)
-                    if fail_fast and any(r.verdict == VERDICT_VIOLATION for r in batch):
-                        stop = True
-                if stop:
-                    for fut in pending:
-                        fut.cancel()
-                    break
+        batches = _run_forked(work, workers, fail_fast)
+    reports: list[TheoremReport] = []
+    for batch in batches:
+        reports.extend(batch)
+        if fail_fast and _violates(batch):
+            break
     reports.sort(key=_report_order)
     return HarnessResult(reports)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -159,6 +160,15 @@ class TestSeq:
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert code == 0 and [r[1] for r in rows] == ["1", "1", "3", "7", "19"]
 
+    @pytest.mark.parametrize("name", ["schroder", "little-schroder"])
+    def test_schroder_table_gives_pointwise_bytes(self, capsys, monkeypatch, name):
+        formats = [("--format", fmt) for fmt in ("human", "json", "csv")] + [("--valuation", "3")]
+        with_table = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
+        assert cli.SEQUENCES[name].table is not None
+        monkeypatch.setitem(cli.SEQUENCES, name, dataclasses.replace(cli.SEQUENCES[name], table=None))
+        pointwise = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
+        assert with_table == pointwise and all(code == 0 and out for code, out, _ in pointwise)
+
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "seq", "schroder", "0..3")
         assert code == 2 and "index 1" in err
@@ -299,9 +309,38 @@ class TestVerify:
         assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_bad_primes_range_exits_2(self, capsys):
-        for text in ("53..50", "1..50", "0..5"):
+        for text in ("53..50", "1..50", "0..5", "-5"):
             code, out, err = run(capsys, "verify", "lemma1", "--n-max", "1", "--primes", text)
             assert (code, out) == (2, "") and err.startswith("error: --primes")
+        assert err == "error: --primes must be non-negative, got -5\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_output_is_the_same_at_any_job_count(self, capsys, monkeypatch, fmt):
+        import valuata.theorems as theorems
+
+        monkeypatch.delenv("VALUATA_JOBS", raising=False)
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
+        args = ("verify", "all", "--n-max", "8", "--ab-max", "6", "--primes", "7", "--format", fmt)
+        serial = run(capsys, *args, "--jobs", "1")
+        assert serial[0] == 0 and serial[1]
+        assert run(capsys, *args, "--jobs", "2") == serial
+
+        # an injected violation in the fourth thm5 item stops both at the same report
+        runner = theorems.RUNNERS["thm5"]
+        items = runner.items(theorems.HarnessGrid(n_max=8, ab_max=6, prime_max=7))
+        bad = theorems.TheoremReport("thm5", (("n", -1),), 1, 0, theorems.KIND_EXACT)
+        monkeypatch.setitem(
+            theorems.RUNNERS,
+            "thm5",
+            theorems.ClaimRunner(
+                runner.name, runner.claims, runner.description, runner.items,
+                lambda **kw: runner.run(**kw) + ([bad] if kw == items[3] else []),
+            ),
+        )
+        serial = run(capsys, *args, "--fail-fast", "--jobs", "1")
+        summary = serial[1] + serial[2]
+        assert serial[0] == 1 and "[thm5]" in summary and "[thm6]" not in summary
+        assert run(capsys, *args, "--fail-fast", "--jobs", "2") == serial
 
 
 class TestBench:

@@ -37,6 +37,7 @@ from valuata.sequences import (
     schroder_large,
     schroder_large_table,
     schroder_little,
+    schroder_little_table,
     trinomial_table,
 )
 
@@ -186,10 +187,11 @@ class TestNamedSequences:
             schroder_little(0)
 
     def test_schroder_table_matches_pointwise(self):
-        table = schroder_large_table(40)
-        assert table[0] is None
+        table, little = schroder_large_table(40), schroder_little_table(40)
+        assert table[0] is None and little[0] is None
         for n in range(1, 41):
-            assert table[n] == schroder_large(n) == 2 * schroder_little(n)
+            assert table[n] == schroder_large(n) == 2 * schroder_little(n) == 2 * little[n]
+        assert schroder_large_table(0) == schroder_little_table(0) == [None]
 
     def test_little_schroder_is_motzkin_value(self):
         for n in range(121):
@@ -272,6 +274,8 @@ class TestRegistryTables:
             "trinomial": trinomial_table,
             "motzkin": motzkin_table,
             "legendre": legendre_table,
+            "schroder": schroder_large_table,
+            "little-schroder": schroder_little_table,
         }
         assert SEQUENCES["trinomial"].fn is eval_T and SEQUENCES["motzkin"].fn is eval_M
         assert SEQUENCES["legendre"].fn is legendre and SEQUENCES["franel"].fn is franel
@@ -289,13 +293,20 @@ class TestRegistryTables:
         ]:
             for n in (0, 1, 2, 17, self.N - 1):
                 assert spec.value(n, *params) == spec.fn(n, *params)
+        for spec in (SEQUENCES["schroder"], SEQUENCES["little-schroder"]):
+            for n in (1, 2, 17, self.N - 1):
+                assert spec.value(n) == spec.fn(n) == spec.table(n)[n]
 
     def test_value_domain(self):
         for spec in SEQUENCES.values():
-            if spec.table is not None:
+            if spec.table is not None and spec.min_index == 0:
                 params = (3,) * len(spec.params)
                 with pytest.raises(DomainError, match="n must be non-negative, got -3"):
                     spec.value(-3, *params)
+        for name in ("schroder", "little-schroder"):
+            for n in (0, -3):
+                with pytest.raises(DomainError, match=f"start at index 1, got {n}"):
+                    SEQUENCES[name].value(n)
         with pytest.raises(DomainError, match="n must be non-negative, got -3"):
             delannoy(-3)
 

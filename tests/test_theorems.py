@@ -1,11 +1,16 @@
+import contextlib
 import json
 import math
+import multiprocessing
+import os
 import random
+import signal
+import time
 from math import comb
 
 import pytest
 
-from valuata.sequences import delannoy, eval_B, eval_M, eval_T, franel, legendre
+from valuata.sequences import IntegralityError, delannoy, eval_B, eval_M, eval_T, franel, legendre
 from valuata.theorems import (
     KIND_EXACT,
     KIND_LOWER,
@@ -243,6 +248,33 @@ class TestReportPath:
         assert reports == sorted(reports, key=typed_key)
 
 
+def _patch_runner(monkeypatch, name, run):
+    import valuata.theorems as theorems
+
+    runner = RUNNERS[name]
+    monkeypatch.setitem(
+        theorems.RUNNERS,
+        name,
+        theorems.ClaimRunner(runner.name, runner.claims, runner.description, runner.items, run),
+    )
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestHarness:
     GRID = HarnessGrid(n_max=6, ab_max=5, prime_max=7)
 
@@ -260,33 +292,75 @@ class TestHarness:
         parallel = run_harness(["thm1", "thm3", "lemma1"], self.GRID, jobs=3)
         assert serial.reports == parallel.reports
 
+    def test_all_parallel_matches_serial(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        starts = []
+        real_start = theorems._start_worker
+
+        def counting_start(*args):
+            starts.append(args[1])
+            return real_start(*args)
+
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        assert run_harness(["all"], self.GRID, jobs=2).reports == run_harness(["all"], self.GRID).reports
+        assert starts == [1]
+
     def test_single_item_sweep_runs_in_process(self, monkeypatch):
         import valuata.theorems as theorems
 
         assert len(RUNNERS["remarks"].items(self.GRID)) == 1
         serial = run_harness(["remarks"], self.GRID, jobs=1)
+        two_items = run_harness(["thm3", "thm4"], self.GRID, jobs=1)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a one-item sweep started a process pool")
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a serial sweep started a process or made a shared counter")
 
-        monkeypatch.setattr(theorems, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(theorems, "_run_forked", no_fork)
+        monkeypatch.setattr(theorems, "_start_worker", no_fork)
         assert run_harness(["remarks"], self.GRID, jobs=2).reports == serial.reports
+        assert run_harness(["thm3", "thm4"], self.GRID, jobs=1).reports == two_items.reports
 
     def test_pool_size_is_capped_by_work_items(self, monkeypatch):
         import valuata.theorems as theorems
 
-        pool_sizes = []
-        real_pool = theorems.ProcessPoolExecutor
+        starts = []
+        real_start = theorems._start_worker
 
-        def recording_pool(max_workers):
-            pool_sizes.append(max_workers)
-            return real_pool(max_workers=max_workers)
+        def counting_start(ctx, k, *args):
+            starts.append(k)
+            return real_start(ctx, k, *args)
 
-        monkeypatch.setattr(theorems, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(theorems, "_start_worker", counting_start)
         items = len(RUNNERS["thm3"].items(self.GRID)) + len(RUNNERS["thm4"].items(self.GRID))
         assert items == 2
         result = run_harness(["thm3", "thm4"], self.GRID, jobs=8)
-        assert pool_sizes == [2] and result.reports == run_harness(["thm3", "thm4"], self.GRID).reports
+        # two items: this process runs one, a single forked worker the other
+        assert starts == [1] and result.reports == run_harness(["thm3", "thm4"], self.GRID).reports
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_workers_capped_by_usable_cpus(self, monkeypatch, cpus):
+        import valuata.theorems as theorems
+
+        starts = []
+        real_start = theorems._start_worker
+
+        def counting_start(ctx, k, *args):
+            starts.append(k)
+            if len(starts) >= cpus:  # refuse before starting one too many
+                raise AssertionError(f"started more than {cpus - 1} workers")
+            return real_start(ctx, k, *args)
+
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        assert len(RUNNERS["thm5"].items(self.GRID)) > 3
+        result = run_harness(["thm5"], self.GRID, jobs=1000)
+        assert starts == list(range(1, cpus))
+        assert result.reports == run_harness(["thm5"], self.GRID).reports
+        assert multiprocessing.active_children() == []
 
     def test_prime_min_bounds_lemma1(self):
         grid = HarnessGrid(n_max=1, prime_min=50, prime_max=53)
@@ -303,8 +377,6 @@ class TestHarness:
         assert result.reports == [] and result.ok and result.summary() == {}
 
     def test_fail_fast_stops_on_injected_violation(self, monkeypatch):
-        import valuata.theorems as theorems
-
         bad = TheoremReport("thm1", (("n", 0), ("parity", "even")), 1, 0, KIND_EXACT)
         calls = []
 
@@ -312,17 +384,81 @@ class TestHarness:
             calls.append(kwargs)
             return [bad]
 
-        runner = RUNNERS["thm1"]
-        monkeypatch.setitem(
-            theorems.RUNNERS,
-            "thm1",
-            theorems.ClaimRunner(
-                runner.name, runner.claims, runner.description, runner.items, fake_run
-            ),
-        )
-        result = theorems.run_harness(["thm1"], self.GRID, fail_fast=True)
+        _patch_runner(monkeypatch, "thm1", fake_run)
+        result = run_harness(["thm1"], self.GRID, fail_fast=True)
         assert not result.ok
         assert len(calls) == 1  # stopped after the first work item
+
+    @pytest.mark.parametrize("k", [0, 3, 9])
+    def test_fail_fast_is_the_same_at_any_job_count(self, monkeypatch, k):
+        import valuata.theorems as theorems
+
+        runner = RUNNERS["thm1"]
+        items = runner.items(self.GRID)
+        assert len(items) == 10
+        bad = TheoremReport("thm1", (("n", -1), ("parity", "even")), 1, 0, KIND_EXACT)
+
+        def violating_run(**kwargs):
+            reports = runner.run(**kwargs)
+            return reports + [bad] if kwargs == items[k] else reports
+
+        _patch_runner(monkeypatch, "thm1", violating_run)
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 3)
+        serial = run_harness(["thm1"], self.GRID, jobs=1, fail_fast=True)
+        expected = sorted(
+            [r for kw in items[: k + 1] for r in runner.run(**kw)] + [bad], key=_report_order
+        )
+        assert serial.reports == expected
+        for jobs in (2, 3, 2):
+            assert run_harness(["thm1"], self.GRID, jobs=jobs, fail_fast=True).reports == expected
+        everything = run_harness(["thm1"], self.GRID, jobs=2)
+        assert len(everything.reports) == len(run_harness(["thm1"], self.GRID).reports)
+
+    def _fork_two(self, monkeypatch, in_parent, in_worker):
+        """Patch thm1 so that the parent's items call in_parent and the worker's in_worker."""
+        import valuata.theorems as theorems
+
+        parent = os.getpid()
+        claimed = multiprocessing.get_context("fork").Event()
+
+        def run(**kwargs):
+            if os.getpid() == parent:
+                # wait until the worker has claimed an item of its own
+                assert claimed.wait(30)
+                return in_parent()
+            claimed.set()
+            return in_worker()
+
+        _patch_runner(monkeypatch, "thm1", run)
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        def fail():
+            raise IntegralityError("worker item failed: 7/2")
+
+        self._fork_two(monkeypatch, lambda: [], fail)
+        with _time_limit(60), pytest.raises(IntegralityError, match=r"^worker item failed: 7/2$"):
+            run_harness(["thm1"], self.GRID, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_exit_without_result_raises(self, monkeypatch):
+        self._fork_two(monkeypatch, lambda: [], lambda: os._exit(3))
+        with _time_limit(60), pytest.raises(RuntimeError, match="exited with code 3 without a result"):
+            run_harness(["thm1"], self.GRID, jobs=2)
+        assert multiprocessing.active_children() == []
+
+    def test_parent_error_joins_workers(self, monkeypatch):
+        def fail():
+            raise IntegralityError("parent item failed")
+
+        def slow():
+            time.sleep(0.2)
+            return []
+
+        self._fork_two(monkeypatch, fail, slow)
+        with _time_limit(60), pytest.raises(IntegralityError, match="parent item failed"):
+            run_harness(["thm1"], self.GRID, jobs=2)
+        assert multiprocessing.active_children() == []
 
     def test_coprime_pairs(self):
         pairs = coprime_pairs(25)
