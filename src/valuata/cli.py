@@ -330,7 +330,10 @@ def cmd_seq(args: argparse.Namespace) -> int:
 
 def cmd_table(args: argparse.Namespace) -> int:
     header, rows = _seq_rows(args)
-    out = open(args.output, "w", newline="") if args.output else sys.stdout
+    try:
+        out = open(args.output, "w", newline="") if args.output else sys.stdout
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
     try:
         writer = csv.writer(out)
         writer.writerow(header)
@@ -364,6 +367,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         grid_kwargs["ab_max"] = _parse_int(args.ab_max)
     if args.m_set:
         grid_kwargs["m_values"] = _parse_int_set(args.m_set)
+        if any(m < 2 for m in grid_kwargs["m_values"]):
+            raise UsageError(f"--m-set takes orders m >= 2, got {args.m_set}")
     if args.a_set:
         grid_kwargs["a_values"] = _parse_int_set(args.a_set)
     if args.b_set:

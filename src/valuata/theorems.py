@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
+import time
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
@@ -900,6 +900,23 @@ _report_order = attrgetter("claim", "instance")
 _report_args = attrgetter("claim", "instance", "predicted", "oracle", "kind")
 
 
+# The remaining work of a sweep must exceed this many seconds, estimated
+# from the items run so far, before run_harness forks.  Measured with a
+# 56 MB parent on two shared cores: a worker costs about 5 ms to start,
+# deliver its first result and reap, and the copy-on-write faults that
+# follow a fork make the parent's own items about 1.5 times slower.  With
+# one worker, R seconds of remaining work then take about
+# 0.005 + 1.5 * R / 2 s instead of R s, so the fork breaks even at
+# R = 20 ms; 50 ms leaves room for an estimate taken from a few items and
+# for a neighbour busy on the second core.
+_FORK_MIN_S = 0.05
+
+
+def _fork_pays(elapsed: float, done: int, left: int) -> bool:
+    """Whether `left` more items, at the mean time of the `done` run so far, outweigh a fork."""
+    return elapsed / done * left > _FORK_MIN_S
+
+
 def _run_item(runner_name: str, kwargs: dict) -> list[TheoremReport]:
     return RUNNERS[runner_name].run(**kwargs)
 
@@ -990,6 +1007,8 @@ def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremR
     been claimed too and runs to completion.  Every worker is joined before
     this returns or raises.
     """
+    import multiprocessing  # only a sweep that forks pays for the import
+
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("i", 0)
     children = []
@@ -1022,6 +1041,23 @@ def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremR
     return batches
 
 
+def _run_adaptive(work: list, jobs: int, cpus: int, fail_fast: bool):
+    """Yield the batches of `work` in work order, forking for the rest once it pays.
+
+    Items run in this process, in order, until the time they took predicts
+    that the remaining ones outweigh a fork; the remaining ones then go to
+    _run_forked with min(jobs, items left, cpus) - 1 workers.
+    """
+    start = time.perf_counter()
+    for done, (name, kw) in enumerate(work, 1):
+        yield _run_item(name, kw)
+        left = len(work) - done
+        workers = min(jobs, left, cpus) - 1
+        if workers >= 1 and _fork_pays(time.perf_counter() - start, done, left):
+            yield from _run_forked(work[done:], workers, fail_fast)
+            return
+
+
 def run_harness(
     selectors: Iterable[str] = ("all",),
     grid: HarnessGrid | None = None,
@@ -1036,18 +1072,22 @@ def run_harness(
     up to and including the first one, in work order, that reports a
     violation, at any job count.
 
-    jobs > 1 forks min(jobs, work items, usable CPUs) - 1 workers; this
-    process works too.  Items are handed out in order from a shared
-    counter.  An exception raised by an item is raised here.
+    jobs > 1 runs items in this process, in work order, and times them.
+    Once the remaining items, at the mean time per item so far, would take
+    clearly longer than starting a worker costs (_FORK_MIN_S), it forks
+    min(jobs, items left, usable CPUs) - 1 workers for them; this process
+    works too, and items are handed out in order from a shared counter.
+    Short sweeps therefore never fork.  An exception raised by an item is
+    raised here.
     """
     grid = grid or HarnessGrid()
     runner_names = resolve_selectors(selectors)
     work = [(name, kw) for name in runner_names for kw in RUNNERS[name].items(grid)]
-    workers = min(jobs, len(work), _usable_cpus()) - 1
-    if workers < 1 or "fork" not in multiprocessing.get_all_start_methods():
+    cpus = _usable_cpus()
+    if min(jobs, len(work), cpus) < 2 or not hasattr(os, "fork"):
         batches = (_run_item(name, kw) for name, kw in work)
     else:
-        batches = _run_forked(work, workers, fail_fast)
+        batches = _run_adaptive(work, jobs, cpus, fail_fast)
     reports: list[TheoremReport] = []
     for batch in batches:
         reports.extend(batch)

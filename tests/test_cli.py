@@ -1,18 +1,22 @@
+import contextlib
 import csv
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valuata.cli as cli
 from valuata.cli import main
+from valuata.sequences import SEQUENCES
+from valuata.theorems import RUNNERS
 
 
 def run(capsys, *argv):
@@ -213,6 +217,13 @@ class TestTable:
         rows = list(csv.reader(io.StringIO(target.read_text())))
         assert rows[0] == ["n", "value"] and rows[6] == ["5", "42"]
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        missing = tmp_path / "no-such-dir" / "x.csv"
+        for target in (missing, tmp_path):
+            code, out, err = run(capsys, "table", "catalan", "0..3", "--output", str(target))
+            assert (code, out) == (2, "") and err.startswith(f"error: cannot write --output {target}: ")
+        assert not missing.parent.exists()
+
 
 class TestVerify:
     def test_small_sweep_exit_0(self, capsys):
@@ -277,6 +288,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "thm3")
         assert code == 1 and "violation" in out
 
+    def test_orders_below_two_exit_2(self, capsys):
+        for text in ("0", "1", "3,0"):
+            code, out, err = run(capsys, "verify", "thm2", "--m-set", text, "--n-max", "1", "--ab-max", "2")
+            assert (code, out) == (2, "")
+            assert err == f"error: --m-set takes orders m >= 2, got {text}\n"
+        code, out, _ = run(capsys, "verify", "thm2", "--m-set", "2,3", "--n-max", "1", "--ab-max", "2")
+        assert code == 0 and "[thm2] checked=16 violations=0" in out
+
     def test_jobs_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("VALUATA_JOBS", "2")
         code, out, _ = run(capsys, "verify", "thm3", "--n-max", "4")
@@ -320,6 +339,7 @@ class TestVerify:
 
         monkeypatch.delenv("VALUATA_JOBS", raising=False)
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theorems, "_FORK_MIN_S", 0)  # fork after the first item
         args = ("verify", "all", "--n-max", "8", "--ab-max", "6", "--primes", "7", "--format", fmt)
         serial = run(capsys, *args, "--jobs", "1")
         assert serial[0] == 0 and serial[1]
@@ -443,8 +463,110 @@ class TestParserCache:
         assert fresh[0][0] == 2 and fresh[1][0] == 0
 
     def test_import_builds_no_parser(self):
-        src = Path(cli.__file__).resolve().parents[1]
         code = "import valuata.cli as c; print(c.build_parser.cache_info().currsize)"
-        env = {**os.environ, "PYTHONPATH": str(src)}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout == "0\n"
+        assert _fresh_python(code) == "0\n"
+
+    def test_import_loads_no_multiprocessing(self):
+        code = "import sys, valuata.cli; print('multiprocessing' in sys.modules)"
+        assert _fresh_python(code) == "False\n"
+
+
+def _fresh_python(code: str) -> str:
+    """The stdout of `code` run in a new interpreter that imports this checkout's package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+# Argument vectors for the exit-code contract.  Every value that gets built
+# has a small index: wide numbers go only where nothing of that size is
+# built (literals, and indices on the fast route), because an oracle query
+# at a huge index has no bound on its cost.
+_SMALL = st.integers(-3, 30).map(str)
+_TOKEN = st.one_of(_SMALL, _SMALL, st.sampled_from(["x", "", "1e2", "-0", "007", "1.5", "2..1", "1_0"]))
+_WIDE = st.integers(-(2**80), 2**80).map(str)
+_FLAGS = st.lists(st.sampled_from([["--format", "json"], ["--format", "csv"], ["--digits", "2"]]), max_size=2)
+
+
+def _params(name):
+    """Mostly the sequence's own number of parameters, sometimes another."""
+    arity = len(SEQUENCES[name].params) if name in SEQUENCES else 0
+    return st.one_of(st.lists(_TOKEN, min_size=arity, max_size=arity), st.lists(_TOKEN, max_size=3))
+
+
+def _target(index):
+    return st.one_of(
+        st.one_of(_WIDE, _TOKEN).map(lambda literal: [literal]),
+        st.tuples(st.sampled_from(["B", "bsum"]), index, _TOKEN, _TOKEN, _TOKEN).map(list),
+        st.tuples(st.just("binom"), index, index).map(list),
+        st.sampled_from(sorted(SEQUENCES)).flatmap(
+            lambda name: st.tuples(st.just([name]), index.map(lambda n: [n]), _params(name))
+        ).map(lambda parts: sum(parts, [])),
+        st.lists(_TOKEN, max_size=3),
+    )
+
+
+def _query(mode, index):
+    return st.tuples(
+        st.sampled_from(["omega", "vp"]),
+        st.one_of(st.sampled_from(["2", "3", "5", "97"]), st.sampled_from(["6", "99", "-4", "0", "1", "x"]), _WIDE),
+        _target(index),
+        st.lists(st.sampled_from([["--explain"], ["--format", "json"]]), max_size=2),
+    ).map(lambda t: [t[0], t[1], *t[2], "--mode", mode, *sum(t[3], [])])
+
+
+_QUERIES = st.one_of(
+    _query("fast", st.one_of(_TOKEN, _WIDE)),
+    _query("oracle", _TOKEN),
+    _query("both", _TOKEN),
+)
+
+_RANGES = st.one_of(_TOKEN, st.tuples(_SMALL, _SMALL).map("..".join))
+_NAMES = st.sampled_from(sorted(SEQUENCES) + ["nope"])
+_VALUATION = st.sampled_from([[], ["--valuation", "3"], ["--valuation", "4"], ["--valuation", "x"]])
+_SEQS = _NAMES.flatmap(
+    lambda name: st.tuples(st.just(["seq", name]), _RANGES.map(lambda r: [r]), _params(name), _VALUATION, _FLAGS)
+).map(lambda parts: sum(parts[:4], []) + sum(parts[4], []))
+_TABLES = _NAMES.flatmap(
+    lambda name: st.tuples(
+        st.just(["table", name]),
+        _RANGES.map(lambda r: [r]),
+        _params(name),
+        _VALUATION,
+        st.sampled_from([[], ["--output", os.devnull], ["--output", "/nonexistent/dir/x.csv"]]),
+    )
+).map(lambda parts: sum(parts, []))
+# --n-max and --ab-max are always given and small: the default grids take minutes.
+_VERIFIES = st.tuples(
+    st.lists(st.sampled_from(sorted(RUNNERS) + ["all", "nope"]), max_size=2),
+    st.integers(-1, 4).map(str),
+    st.integers(-1, 4).map(str),
+    st.lists(
+        st.sampled_from([
+            ["--m-set", "0"], ["--m-set", "3,0"], ["--m-set", "2,4"], ["--m-set", "x"],
+            ["--a-set", "0,1"], ["--b-set", "-2,0"], ["--x-set", "0,3"], ["--x-set", "2"],
+            ["--primes", "5..2"], ["--primes", "-1"], ["--exact-max", "-2"], ["--exact-max", "3"],
+            ["--jobs", "0"], ["--jobs", "x"], ["--fail-fast"], ["--summary-only"],
+            ["--format", "csv"], ["--format", "json"],
+        ]),
+        max_size=3,
+    ),
+).map(lambda t: ["verify", *t[0], "--n-max", t[1], "--ab-max", t[2], "--primes", "13", *sum(t[3], [])])
+
+
+class TestExitCodeContract:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_QUERIES, _SEQS, _TABLES, _VERIFIES))
+    def test_exit_code_matches_the_outcome(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse errors
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code == 1:
+            assert re.search(r"violations=[1-9]", out + err) or err.startswith("DISAGREEMENT")

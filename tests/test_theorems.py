@@ -19,6 +19,7 @@ from valuata.theorems import (
     HarnessGrid,
     HypothesisViolation,
     TheoremReport,
+    _fork_pays,
     _report_order,
     check_lemma1,
     check_remarks,
@@ -275,6 +276,13 @@ def _time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
+def _fork_at_once(monkeypatch):
+    """Make run_harness fork after its first item, however short the sweep."""
+    import valuata.theorems as theorems
+
+    monkeypatch.setattr(theorems, "_FORK_MIN_S", 0)
+
+
 class TestHarness:
     GRID = HarnessGrid(n_max=6, ab_max=5, prime_max=7)
 
@@ -304,7 +312,44 @@ class TestHarness:
 
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        _fork_at_once(monkeypatch)
         assert run_harness(["all"], self.GRID, jobs=2).reports == run_harness(["all"], self.GRID).reports
+        assert starts == [1]
+
+    def test_fork_pays_only_past_the_threshold(self):
+        assert not _fork_pays(0.001, 1, 45)  # 1 ms items, 45 ms left
+        assert _fork_pays(0.001, 1, 55)
+        assert not _fork_pays(0.010, 10, 40)  # the mean over the items done counts
+        assert _fork_pays(0.030, 2, 4)  # 15 ms items, 60 ms left
+        assert not _fork_pays(0.014, 1, 3)  # a 14 ms item with three left
+        assert not _fork_pays(10.0, 1, 0)
+
+    def test_short_sweep_at_two_jobs_runs_in_process(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        grid = HarnessGrid(n_max=6, ab_max=3)
+        assert len(RUNNERS["thm1"].items(grid)) == 4
+        serial = run_harness(["thm1"], grid).reports
+        real_start = theorems._start_worker
+
+        def no_fork(*args, **kwargs):
+            raise AssertionError("a short sweep started a process")
+
+        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theorems, "_start_worker", no_fork)
+        # forking would need the first item to take over 16 ms, the first two over 50 ms
+        assert run_harness(["thm1"], grid, jobs=2).reports == serial
+
+        # the threshold alone keeps it in-process: at 0 the same sweep forks
+        starts = []
+
+        def counting_start(ctx, k, *args):
+            starts.append(k)
+            return real_start(ctx, k, *args)
+
+        monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        _fork_at_once(monkeypatch)
+        assert run_harness(["thm1"], grid, jobs=2).reports == serial
         assert starts == [1]
 
     def test_single_item_sweep_runs_in_process(self, monkeypatch):
@@ -335,11 +380,16 @@ class TestHarness:
 
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        _fork_at_once(monkeypatch)
         items = len(RUNNERS["thm3"].items(self.GRID)) + len(RUNNERS["thm4"].items(self.GRID))
-        assert items == 2
+        assert items == 2 and len(RUNNERS["cor1"].items(self.GRID)) == 1
         result = run_harness(["thm3", "thm4"], self.GRID, jobs=8)
-        # two items: this process runs one, a single forked worker the other
-        assert starts == [1] and result.reports == run_harness(["thm3", "thm4"], self.GRID).reports
+        # two items: this process runs the first, and the one left is no work for a worker
+        assert starts == [] and result.reports == run_harness(["thm3", "thm4"], self.GRID).reports
+        result = run_harness(["thm3", "thm4", "cor1"], self.GRID, jobs=8)
+        # three items: this process runs the first, then shares the two left with one worker
+        assert starts == [1]
+        assert result.reports == run_harness(["thm3", "thm4", "cor1"], self.GRID).reports
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_workers_capped_by_usable_cpus(self, monkeypatch, cpus):
@@ -356,6 +406,7 @@ class TestHarness:
 
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        _fork_at_once(monkeypatch)
         assert len(RUNNERS["thm5"].items(self.GRID)) > 3
         result = run_harness(["thm5"], self.GRID, jobs=1000)
         assert starts == list(range(1, cpus))
@@ -404,6 +455,7 @@ class TestHarness:
 
         _patch_runner(monkeypatch, "thm1", violating_run)
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: 3)
+        _fork_at_once(monkeypatch)
         serial = run_harness(["thm1"], self.GRID, jobs=1, fail_fast=True)
         expected = sorted(
             [r for kw in items[: k + 1] for r in runner.run(**kw)] + [bad], key=_report_order
@@ -420,9 +472,17 @@ class TestHarness:
 
         parent = os.getpid()
         claimed = multiprocessing.get_context("fork").Event()
+        forked = []
+        real_start = theorems._start_worker
+
+        def start(*args):
+            forked.append(True)
+            return real_start(*args)
 
         def run(**kwargs):
             if os.getpid() == parent:
+                if not forked:  # the items run before the fork have no worker to wait for
+                    return []
                 # wait until the worker has claimed an item of its own
                 assert claimed.wait(30)
                 return in_parent()
@@ -431,6 +491,8 @@ class TestHarness:
 
         _patch_runner(monkeypatch, "thm1", run)
         monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(theorems, "_start_worker", start)
+        _fork_at_once(monkeypatch)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         def fail():
