@@ -17,14 +17,27 @@ _SMALL_PRIMES = (
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
 )
 
-# Witness set proven deterministic for every n < 3.317e24, which covers the
-# full 64-bit input range.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin witness sets.  Sinclair's seven bases are proven to decide
+# every n < 2**64 (Feitsma's table of base-2 strong pseudoprimes).  Above
+# that, the first k prime bases decide every n below psi_k, the least strong
+# pseudoprime to all of them: psi_12 = 318665857834031151167461 passes the
+# primes 2..37, so the primes 2..41 are needed up to psi_13.
+_MR_WITNESSES_U64 = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+_MR_WITNESSES_PSI13 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PSI13 = 3317044064679887385961981
 
 
 @lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic primality test, exact for all n below 3.3e24."""
+    """Deterministic primality test for every n below psi_13 (about 3.3e24).
+
+    Trial division by the primes to 61, then strong probable-prime tests:
+    Sinclair's seven witnesses for n <= 2**64 - 1, the thirteen primes 2..41
+    from 2**64 up to psi_13 = 3317044064679887385961981.  n >= psi_13
+    raises KernelRangeError: no witness set here is proven for it.
+    """
+    if n >= _PSI13:
+        raise KernelRangeError(f"primality is decided only below {_PSI13}, got {n}")
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -32,14 +45,27 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
+    if n <= U64_MAX:
+        return _strong_probable_prime(n, _MR_WITNESSES_U64)
+    return _strong_probable_prime(n, _MR_WITNESSES_PSI13)
+
+
+def _strong_probable_prime(n: int, witnesses: tuple[int, ...]) -> bool:
+    """Whether odd n > 2 passes the Miller-Rabin test to every witness.
+
+    A witness that is 0 mod n says nothing about n and is skipped.
+    """
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for a in _MR_WITNESSES:
+    for a in witnesses:
+        a %= n
+        if a == 0:
+            continue
         x = pow(a, d, n)
-        if x in (1, n - 1):
+        if x == 1 or x == n - 1:
             continue
         for _ in range(r - 1):
             x = x * x % n
@@ -51,7 +77,11 @@ def is_prime(n: int) -> bool:
 
 
 class KernelRangeError(ValueError):
-    """An argument outside the 0..2**64 - 1 range of the machine kernels."""
+    """An argument outside the range a kernel decides exactly.
+
+    The digit kernels and `factorize` take 0..2**64 - 1; `is_prime` takes
+    every n below psi_13 (about 3.3e24).
+    """
 
 
 def _require_prime(p: int) -> None:

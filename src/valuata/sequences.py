@@ -428,7 +428,9 @@ SEQUENCES: dict[str, SequenceDef] = {
         SequenceDef("franel", franel, (), 0, "Franel numbers", franel_table),
         SequenceDef("hexagonal", hexagonal, (), 0, "restricted hexagonal numbers", hexagonal_table),
         SequenceDef("fuss-catalan", fuss_catalan, ("k",), 0, "Fuss-Catalan numbers C(kn,n)/((k-1)n+1)"),
-        SequenceDef("multinomial", central_multinomial, ("p",), 0, "central multinomial coefficients (pn)!/(n!)^p"),
+        SequenceDef(
+            "multinomial", central_multinomial_product, ("p",), 0, "central multinomial coefficients (pn)!/(n!)^p"
+        ),
         SequenceDef(
             "trinomial", eval_T, ("a", "b"), 0, "generalized central trinomial coefficients", trinomial_table
         ),

@@ -159,6 +159,15 @@ class TestSeq:
         assert [r[1] for r in rows] == ["1", "2", "10", "56"]
         assert [r[2] for r in rows] == ["0", "1", "1", "3"]
 
+    def test_pseudoprime_valuation_exits_2(self, capsys):
+        # psi_12 passes Miller-Rabin to every prime base 2..37.
+        psi12 = "318665857834031151167461"
+        code, out, err = run(capsys, "seq", "delannoy", "0..3", "--valuation", psi12)
+        assert code == 2 and out == ""
+        assert err == f"error: --valuation takes a prime, got {psi12}\n"
+        code, out, err = run(capsys, "seq", "delannoy", "0..3", "--valuation", "3317044064679887385961981")
+        assert code == 2 and out == "" and "primality is decided only below" in err
+
     def test_parametrized_sequence(self, capsys):
         code, out, _ = run(capsys, "seq", "trinomial", "0..4", "1", "1")
         rows = [line.split("\t") for line in out.strip().splitlines()]

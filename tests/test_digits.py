@@ -1,12 +1,17 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from valuata.digits import (
+    _MR_WITNESSES_PSI13,
+    _MR_WITNESSES_U64,
     U64_MAX,
     DigitExpansion,
+    KernelRangeError,
+    _strong_probable_prime,
     digit_sum,
     expand,
     is_prime,
@@ -41,6 +46,75 @@ class TestIsPrime:
         assert not is_prime(2**61)
         assert is_prime(2**61 - 1)
         assert not is_prime((2**31 - 1) * (2**19 - 1))
+
+    # psi_12 = 399165290221 * 798330580441 is a strong pseudoprime to every
+    # prime base 2..37; psi_13 = 1287836182261 * 2575672364521 to 2..41.
+    PSI12 = 318665857834031151167461
+    PSI13 = 3317044064679887385961981
+    # The least strong pseudoprimes to the first 1, 2, ..., 9 prime bases.
+    STRONG_PSEUDOPRIMES = (
+        2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 3825123056546413051,
+    )
+    PRIMES_64 = (
+        2**61 - 1, 2**62 - 57, 2**63 - 25, 2**63 - 165,
+        2**64 - 59, 2**64 - 83, 2**64 - 95, 2**64 - 179, 2**64 - 363,
+    )
+
+    def test_strong_pseudoprimes_rejected(self):
+        for n in self.STRONG_PSEUDOPRIMES + (self.PSI12,):
+            assert not is_prime.__wrapped__(n), n
+        assert self.PSI12 == 399165290221 * 798330580441
+        assert _strong_probable_prime(self.PSI12, _MR_WITNESSES_PSI13[:12])
+
+    def test_beyond_psi13_raises(self):
+        assert self.PSI13 == 1287836182261 * 2575672364521
+        for n in (self.PSI13, self.PSI13 + 1, self.PSI13 + 2, 2**89 - 1, 10**30):
+            with pytest.raises(KernelRangeError, match="primality"):
+                is_prime(n)
+
+    def test_64_bit_primes_accepted(self):
+        for n in self.PRIMES_64:
+            assert is_prime.__wrapped__(n), n
+
+    def test_primes_past_64_bits(self):
+        # The primes 2..41 decide [2**64, psi_13): the first prime past 2**64,
+        # the last three below psi_13, and a product of two ~2**40 primes.
+        for n in (2**64 + 13, 3317044064679887385961783, 3317044064679887385961801,
+                  3317044064679887385961813):
+            assert is_prime(n), n
+        q, r = 2**40 - 87, 2**41 - 21
+        assert is_prime(q) and is_prime(r) and not is_prime(q * r)
+        assert not is_prime(self.PSI13 - 2) and not is_prime(2**64 + 1)
+
+    def test_matches_sieve_below_100000(self):
+        # Covers 73 * 193 = 14089, the only composite without a factor up to
+        # 61 that divides a Sinclair witness (28178), which the test skips.
+        limit = 100_000
+        sieve = bytearray([1]) * limit
+        sieve[0] = sieve[1] = 0
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        assert [n for n in range(limit) if is_prime.__wrapped__(n)] == [
+            n for n in range(limit) if sieve[n]
+        ]
+
+    def test_primes_dividing_a_witness_accepted(self):
+        # Their witness is 0 mod n and skipped; the other six decide.
+        for n in (73, 193, 407521, 299210837):
+            assert is_prime.__wrapped__(n)
+
+    def test_witness_sets_agree_on_64_bit_odds(self):
+        rng = random.Random(7)
+        sample = [rng.getrandbits(64) | (1 << 63) | 1 for _ in range(3000)]
+        sample = [n for n in sample if all(n % p for p in range(3, 62, 2))]
+        found = 0
+        for n in sample:
+            seven = _strong_probable_prime(n, _MR_WITNESSES_U64)
+            assert seven == _strong_probable_prime(n, _MR_WITNESSES_PSI13), n
+            found += seven
+        assert found > 30  # the sample holds primes, not only composites
 
 
 class TestExpand:

@@ -361,6 +361,19 @@ class TestCentralMultinomial:
         with pytest.raises(DomainError):
             central_multinomial(3, 1)
 
+    def test_registry_builds_from_binomials(self):
+        spec = SEQUENCES["multinomial"]
+        assert spec.fn is central_multinomial_product
+        for p in range(2, 8):
+            for n in range(60):
+                assert spec.value(n, p) == central_multinomial(n, p)
+        for n, p in ((-1, 3), (3, 1)):
+            with pytest.raises(DomainError) as old:
+                central_multinomial(n, p)
+            with pytest.raises(DomainError) as new:
+                spec.value(n, p)
+            assert str(new.value) == str(old.value)
+
 
 class TestLegendre:
     def test_delannoy_specialization(self):

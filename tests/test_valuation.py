@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valuata.valuation as valuation
-from valuata.digits import is_prime
+from valuata.digits import U64_MAX, is_prime
 from valuata.valuation import (
     INFINITE,
     Factorization,
@@ -127,6 +127,41 @@ class TestFactorize:
         assert new == old
         for n, f in zip(sample, new):
             assert f.value() == n and all(is_prime(p) for p in f.primes())
+
+    @staticmethod
+    def _check(n, expected):
+        f = factorize.__wrapped__(n)
+        assert f.value() == n and all(is_prime(p) for p in f.primes()), n
+        assert f == Factorization(1, tuple(sorted(expected.items()))), n
+
+    @staticmethod
+    def _primes_past_trial_limit(rng):
+        """The primes in (_TRIAL_LIMIT, 2**12) and a seeded sample to 2**16."""
+        low = [p for p in range(valuation._TRIAL_LIMIT + 1, 2**12) if is_prime(p)]
+        high = [p for p in range(2**12, 2**16) if is_prime(p)]
+        return low + rng.sample(high, 200)
+
+    def test_prime_powers_past_trial_limit(self):
+        # Prime powers leave trial division as composite cofactors that rho
+        # has to split; every p**k < 2**64, alone and times 2.
+        for p in self._primes_past_trial_limit(random.Random(41)):
+            k, q = 1, p
+            while q <= U64_MAX:
+                self._check(q, {p: k})
+                if 2 * q <= U64_MAX:
+                    self._check(2 * q, {2: 1, p: k})
+                k, q = k + 1, q * p
+
+    def test_products_past_trial_limit(self):
+        rng = random.Random(43)
+        primes = self._primes_past_trial_limit(rng)
+        for size in (2, 3):
+            for _ in range(1500):
+                chosen = [rng.choice(primes) for _ in range(size)]
+                expected = {}
+                for p in chosen:
+                    expected[p] = expected.get(p, 0) + 1
+                self._check(math.prod(chosen), expected)
 
     @given(st.integers(-(2**48), 2**48).filter(lambda x: x != 0))
     @settings(max_examples=60, deadline=None)
