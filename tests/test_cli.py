@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -370,6 +371,25 @@ class TestVerify:
         summary = serial[1] + serial[2]
         assert serial[0] == 1 and "[thm5]" in summary and "[thm6]" not in summary
         assert run(capsys, *args, "--fail-fast", "--jobs", "2") == serial
+
+
+class TestPinnedVerifyOutput:
+    """The stdout bytes of a small `verify all`, pinned per format and job count."""
+
+    ARGS = ("verify", "all", "--n-max", "12", "--ab-max", "5", "--primes", "13")
+    SHA256 = {
+        "json": "2d0b3c84b1e907b2319ad320a0adf25ee5c4a98138bc144e812c56b1707d722e",
+        "csv": "2920af64c983894db80c18c99f9fb320daf83c11eba7afb925a725ae59b2f3e6",
+        "human": "8220b09605d3c8e89ffd4621c750f5c0507325afb45f2fca1b5ec429f709500f",
+    }
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_stdout_sha256(self, capsys, monkeypatch, fmt, jobs):
+        monkeypatch.delenv("VALUATA_JOBS", raising=False)
+        code, out, _ = run(capsys, *self.ARGS, "--format", fmt, "--jobs", jobs)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[fmt]
 
 
 class TestBench:
