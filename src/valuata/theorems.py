@@ -14,14 +14,10 @@ number that the underlying statement does not back.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii as _json_str
 from math import comb
-from operator import attrgetter
 from typing import Callable, Iterable
 
 from .digits import (
@@ -44,7 +40,18 @@ from .sequences import (
     trinomial_table,
     IntegralityError,
 )
-from .valuation import INFINITE, Valuation, factorize, omega, vp_int
+from . import harness
+from .harness import (
+    KIND_EXACT,
+    KIND_LOWER,
+    KIND_UPPER,
+    VERDICT_BOUND,
+    VERDICT_EXACT,
+    VERDICT_VIOLATION,
+    TheoremReport,
+    _report_order,
+)
+from .valuation import factorize, omega, vp_int
 
 PARITIES = ("even", "odd")
 
@@ -216,80 +223,6 @@ def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
     if parity == "even":
         return _omega_fast(b, lambda p: _vp_catalan(n, p))
     return 1 + _omega_fast(b, lambda p: _vp_machine(2 * n + 1, p) + _vp_catalan(n, p))
-
-
-# ---------------------------------------------------------------------------
-# Reports
-# ---------------------------------------------------------------------------
-
-VERDICT_EXACT = "exact"
-VERDICT_BOUND = "bound_holds"
-VERDICT_VIOLATION = "violation"
-
-KIND_EXACT = "exact"
-KIND_LOWER = "lower"  # oracle >= predicted
-KIND_UPPER = "upper"  # oracle <= predicted
-
-
-@dataclass(frozen=True)
-class TheoremReport:
-    """One verified claim instance: predicted vs oracle plus the verdict."""
-
-    claim: str
-    instance: tuple[tuple[str, object], ...]
-    predicted: int
-    oracle: Valuation
-    kind: str = KIND_EXACT
-
-    @property
-    def verdict(self) -> str:
-        if self.kind == KIND_EXACT:
-            return VERDICT_EXACT if self.oracle == self.predicted else VERDICT_VIOLATION
-        if self.kind == KIND_LOWER:
-            return VERDICT_BOUND if self.oracle >= self.predicted else VERDICT_VIOLATION
-        if self.kind == KIND_UPPER:
-            return VERDICT_BOUND if self.oracle <= self.predicted else VERDICT_VIOLATION
-        raise ValueError(f"unknown claim kind {self.kind!r}")
-
-    @property
-    def slack(self) -> int | None:
-        """Unused room in a bound claim (None for exact claims and infinite oracles)."""
-        if self.kind == KIND_EXACT or self.oracle is INFINITE:
-            return None
-        if self.kind == KIND_LOWER:
-            return self.oracle - self.predicted
-        return self.predicted - self.oracle
-
-    def to_json_obj(self) -> dict:
-        return {
-            "claim": self.claim,
-            "instance": dict(self.instance),
-            "predicted": self.predicted,
-            "oracle": "inf" if self.oracle is INFINITE else self.oracle,
-            "verdict": self.verdict,
-            "slack": self.slack,
-        }
-
-    def to_json_line(self) -> str:
-        """The bytes of json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))."""
-        instance = dict(self.instance)
-        fields = ",".join(f"{_json_str(k)}:{_json_scalar(instance[k])}" for k in sorted(instance))
-        oracle = '"inf"' if self.oracle is INFINITE else _json_scalar(self.oracle)
-        slack = self.slack
-        return (
-            f'{{"claim":{_json_str(self.claim)},"instance":{{{fields}}},"oracle":{oracle},'
-            f'"predicted":{_json_scalar(self.predicted)},'
-            f'"slack":{"null" if slack is None else _json_scalar(slack)},'
-            f'"verdict":{_json_str(self.verdict)}}}'
-        )
-
-
-def _json_scalar(value) -> str:
-    if type(value) is int:
-        return str(value)
-    if type(value) is str:
-        return _json_str(value)
-    return json.dumps(value)
 
 
 # ---------------------------------------------------------------------------
@@ -891,173 +824,6 @@ class HarnessResult:
         return out
 
 
-# Within one claim every instance has the same keys and value types, so
-# the instance tuples compare field by field.
-_report_order = attrgetter("claim", "instance")
-# Workers send reports as their constructor arguments: pickling and
-# rebuilding these tuples takes under half the time that pickling the
-# dataclass instances does.
-_report_args = attrgetter("claim", "instance", "predicted", "oracle", "kind")
-
-
-# The remaining work of a sweep must exceed this many seconds, estimated
-# from the items run so far, before run_harness forks.  Measured with a
-# 56 MB parent on two shared cores: a worker costs about 5 ms to start,
-# deliver its first result and reap, and the copy-on-write faults that
-# follow a fork make the parent's own items about 1.5 times slower.  With
-# one worker, R seconds of remaining work then take about
-# 0.005 + 1.5 * R / 2 s instead of R s, so the fork breaks even at
-# R = 20 ms; 50 ms leaves room for an estimate taken from a few items and
-# for a neighbour busy on the second core.
-_FORK_MIN_S = 0.05
-
-
-def _fork_pays(elapsed: float, done: int, left: int) -> bool:
-    """Whether `left` more items, at the mean time of the `done` run so far, outweigh a fork."""
-    return elapsed / done * left > _FORK_MIN_S
-
-
-def _run_item(runner_name: str, kwargs: dict) -> list[TheoremReport]:
-    return RUNNERS[runner_name].run(**kwargs)
-
-
-def _violates(batch: list[TheoremReport]) -> bool:
-    return any(r.verdict == VERDICT_VIOLATION for r in batch)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _place(k: int) -> None:
-    """Move this process onto the k-th usable CPU, then allow every CPU again.
-
-    A forked child starts on its parent's CPU and tends to stay there; the
-    brief single-CPU mask spreads the processes without pinning them.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
-    try:
-        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-        os.sched_setaffinity(0, mask)
-    except OSError:  # placement is only a hint
-        pass
-
-
-def _claim_items(work: list, counter, fail_fast: bool) -> list[tuple[int, list[TheoremReport]]]:
-    """Run items taken in index order from the shared counter until none are left."""
-    done = []
-    while True:
-        with counter.get_lock():
-            i = counter.value
-            counter.value = i + 1
-        if i >= len(work):
-            return done
-        batch = _run_item(*work[i])
-        done.append((i, batch))
-        if fail_fast and _violates(batch):
-            _stop_claims(counter, len(work))
-
-
-def _stop_claims(counter, n_items: int) -> None:
-    with counter.get_lock():
-        counter.value = n_items
-
-
-def _worker(k: int, work: list, counter, fail_fast: bool, conn) -> None:
-    _place(k)
-    try:
-        done = _claim_items(work, counter, fail_fast)
-        result = [(i, list(map(_report_args, batch))) for i, batch in done]
-    except Exception as exc:
-        _stop_claims(counter, len(work))
-        result = exc
-    conn.send(result)
-    conn.close()
-
-
-def _start_worker(ctx, k: int, work: list, counter, fail_fast: bool):
-    """Fork the k-th worker; returns it with the read end of its result pipe."""
-    reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_worker, args=(k, work, counter, fail_fast, writer))
-    proc.start()
-    writer.close()
-    return proc, reader
-
-
-def _reap(proc, reader):
-    """The worker's result, or None if it exited without sending one."""
-    try:
-        result = reader.recv()
-    except EOFError:
-        result = None
-    reader.close()
-    proc.join()
-    return result
-
-
-def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremReport] | None]:
-    """Run `work` in this process and `workers` forked ones; batches in work order.
-
-    Items are claimed in index order, so every item before a claimed one has
-    been claimed too and runs to completion.  Every worker is joined before
-    this returns or raises.
-    """
-    import multiprocessing  # only a sweep that forks pays for the import
-
-    ctx = multiprocessing.get_context("fork")
-    counter = ctx.Value("i", 0)
-    children = []
-    _place(0)
-    try:
-        for k in range(1, workers + 1):
-            children.append(_start_worker(ctx, k, work, counter, fail_fast))
-        done = _claim_items(work, counter, fail_fast)
-    except BaseException:
-        _stop_claims(counter, len(work))
-        for proc, reader in children:
-            _reap(proc, reader)
-        raise
-    error = None
-    for proc, reader in children:
-        result = _reap(proc, reader)
-        if result is None:
-            error = error or RuntimeError(
-                f"a harness worker exited with code {proc.exitcode} without a result"
-            )
-        elif isinstance(result, BaseException):
-            error = error or result
-        else:
-            done.extend((i, [TheoremReport(*args) for args in batch]) for i, batch in result)
-    if error is not None:
-        raise error
-    batches: list[list[TheoremReport] | None] = [None] * len(work)
-    for i, batch in done:
-        batches[i] = batch
-    return batches
-
-
-def _run_adaptive(work: list, jobs: int, cpus: int, fail_fast: bool):
-    """Yield the batches of `work` in work order, forking for the rest once it pays.
-
-    Items run in this process, in order, until the time they took predicts
-    that the remaining ones outweigh a fork; the remaining ones then go to
-    _run_forked with min(jobs, items left, cpus) - 1 workers.
-    """
-    start = time.perf_counter()
-    for done, (name, kw) in enumerate(work, 1):
-        yield _run_item(name, kw)
-        left = len(work) - done
-        workers = min(jobs, left, cpus) - 1
-        if workers >= 1 and _fork_pays(time.perf_counter() - start, done, left):
-            yield from _run_forked(work[done:], workers, fail_fast)
-            return
-
-
 def run_harness(
     selectors: Iterable[str] = ("all",),
     grid: HarnessGrid | None = None,
@@ -1074,7 +840,7 @@ def run_harness(
 
     jobs > 1 runs items in this process, in work order, and times them.
     Once the remaining items, at the mean time per item so far, would take
-    clearly longer than starting a worker costs (_FORK_MIN_S), it forks
+    clearly longer than starting a worker costs (harness._FORK_MIN_S), it forks
     min(jobs, items left, usable CPUs) - 1 workers for them; this process
     works too, and items are handed out in order from a shared counter.
     Short sweeps therefore never fork.  An exception raised by an item is
@@ -1082,16 +848,16 @@ def run_harness(
     """
     grid = grid or HarnessGrid()
     runner_names = resolve_selectors(selectors)
-    work = [(name, kw) for name in runner_names for kw in RUNNERS[name].items(grid)]
-    cpus = _usable_cpus()
+    work = [(RUNNERS[name].run, kw) for name in runner_names for kw in RUNNERS[name].items(grid)]
+    cpus = harness._usable_cpus()
     if min(jobs, len(work), cpus) < 2 or not hasattr(os, "fork"):
-        batches = (_run_item(name, kw) for name, kw in work)
+        batches = (run(**kw) for run, kw in work)
     else:
-        batches = _run_adaptive(work, jobs, cpus, fail_fast)
+        batches = harness._run_adaptive(work, jobs, cpus, fail_fast)
     reports: list[TheoremReport] = []
     for batch in batches:
         reports.extend(batch)
-        if fail_fast and _violates(batch):
+        if fail_fast and harness._violates(batch):
             break
     reports.sort(key=_report_order)
     return HarnessResult(reports)

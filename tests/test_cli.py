@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valuata.cli as cli
+import valuata.harness as harness
 from valuata.cli import main
 from valuata.sequences import SEQUENCES
 from valuata.theorems import RUNNERS
@@ -348,8 +349,8 @@ class TestVerify:
         import valuata.theorems as theorems
 
         monkeypatch.delenv("VALUATA_JOBS", raising=False)
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(theorems, "_FORK_MIN_S", 0)  # fork after the first item
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_FORK_MIN_S", 0)  # fork after the first item
         args = ("verify", "all", "--n-max", "8", "--ab-max", "6", "--primes", "7", "--format", fmt)
         serial = run(capsys, *args, "--jobs", "1")
         assert serial[0] == 0 and serial[1]

@@ -10,6 +10,8 @@ from math import comb
 
 import pytest
 
+import valuata.harness as harness
+from valuata.harness import _fork_pays
 from valuata.sequences import IntegralityError, delannoy, eval_B, eval_M, eval_T, franel, legendre
 from valuata.theorems import (
     KIND_EXACT,
@@ -19,7 +21,6 @@ from valuata.theorems import (
     HarnessGrid,
     HypothesisViolation,
     TheoremReport,
-    _fork_pays,
     _report_order,
     check_lemma1,
     check_remarks,
@@ -278,9 +279,8 @@ def _time_limit(seconds):
 
 def _fork_at_once(monkeypatch):
     """Make run_harness fork after its first item, however short the sweep."""
-    import valuata.theorems as theorems
 
-    monkeypatch.setattr(theorems, "_FORK_MIN_S", 0)
+    monkeypatch.setattr(harness, "_FORK_MIN_S", 0)
 
 
 class TestHarness:
@@ -301,17 +301,16 @@ class TestHarness:
         assert serial.reports == parallel.reports
 
     def test_all_parallel_matches_serial(self, monkeypatch):
-        import valuata.theorems as theorems
 
         starts = []
-        real_start = theorems._start_worker
+        real_start = harness._start_worker
 
         def counting_start(*args):
             starts.append(args[1])
             return real_start(*args)
 
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_start_worker", counting_start)
         _fork_at_once(monkeypatch)
         assert run_harness(["all"], self.GRID, jobs=2).reports == run_harness(["all"], self.GRID).reports
         assert starts == [1]
@@ -325,18 +324,17 @@ class TestHarness:
         assert not _fork_pays(10.0, 1, 0)
 
     def test_short_sweep_at_two_jobs_runs_in_process(self, monkeypatch):
-        import valuata.theorems as theorems
 
         grid = HarnessGrid(n_max=6, ab_max=3)
         assert len(RUNNERS["thm1"].items(grid)) == 4
         serial = run_harness(["thm1"], grid).reports
-        real_start = theorems._start_worker
+        real_start = harness._start_worker
 
         def no_fork(*args, **kwargs):
             raise AssertionError("a short sweep started a process")
 
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(theorems, "_start_worker", no_fork)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_start_worker", no_fork)
         # forking would need the first item to take over 16 ms, the first two over 50 ms
         assert run_harness(["thm1"], grid, jobs=2).reports == serial
 
@@ -347,13 +345,12 @@ class TestHarness:
             starts.append(k)
             return real_start(ctx, k, *args)
 
-        monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        monkeypatch.setattr(harness, "_start_worker", counting_start)
         _fork_at_once(monkeypatch)
         assert run_harness(["thm1"], grid, jobs=2).reports == serial
         assert starts == [1]
 
     def test_single_item_sweep_runs_in_process(self, monkeypatch):
-        import valuata.theorems as theorems
 
         assert len(RUNNERS["remarks"].items(self.GRID)) == 1
         serial = run_harness(["remarks"], self.GRID, jobs=1)
@@ -362,24 +359,23 @@ class TestHarness:
         def no_fork(*args, **kwargs):
             raise AssertionError("a serial sweep started a process or made a shared counter")
 
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(theorems, "_run_forked", no_fork)
-        monkeypatch.setattr(theorems, "_start_worker", no_fork)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(harness, "_run_forked", no_fork)
+        monkeypatch.setattr(harness, "_start_worker", no_fork)
         assert run_harness(["remarks"], self.GRID, jobs=2).reports == serial.reports
         assert run_harness(["thm3", "thm4"], self.GRID, jobs=1).reports == two_items.reports
 
     def test_pool_size_is_capped_by_work_items(self, monkeypatch):
-        import valuata.theorems as theorems
 
         starts = []
-        real_start = theorems._start_worker
+        real_start = harness._start_worker
 
         def counting_start(ctx, k, *args):
             starts.append(k)
             return real_start(ctx, k, *args)
 
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 8)
-        monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(harness, "_start_worker", counting_start)
         _fork_at_once(monkeypatch)
         items = len(RUNNERS["thm3"].items(self.GRID)) + len(RUNNERS["thm4"].items(self.GRID))
         assert items == 2 and len(RUNNERS["cor1"].items(self.GRID)) == 1
@@ -393,10 +389,9 @@ class TestHarness:
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_workers_capped_by_usable_cpus(self, monkeypatch, cpus):
-        import valuata.theorems as theorems
 
         starts = []
-        real_start = theorems._start_worker
+        real_start = harness._start_worker
 
         def counting_start(ctx, k, *args):
             starts.append(k)
@@ -404,8 +399,8 @@ class TestHarness:
                 raise AssertionError(f"started more than {cpus - 1} workers")
             return real_start(ctx, k, *args)
 
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(theorems, "_start_worker", counting_start)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(harness, "_start_worker", counting_start)
         _fork_at_once(monkeypatch)
         assert len(RUNNERS["thm5"].items(self.GRID)) > 3
         result = run_harness(["thm5"], self.GRID, jobs=1000)
@@ -442,7 +437,6 @@ class TestHarness:
 
     @pytest.mark.parametrize("k", [0, 3, 9])
     def test_fail_fast_is_the_same_at_any_job_count(self, monkeypatch, k):
-        import valuata.theorems as theorems
 
         runner = RUNNERS["thm1"]
         items = runner.items(self.GRID)
@@ -454,7 +448,7 @@ class TestHarness:
             return reports + [bad] if kwargs == items[k] else reports
 
         _patch_runner(monkeypatch, "thm1", violating_run)
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         _fork_at_once(monkeypatch)
         serial = run_harness(["thm1"], self.GRID, jobs=1, fail_fast=True)
         expected = sorted(
@@ -468,12 +462,11 @@ class TestHarness:
 
     def _fork_two(self, monkeypatch, in_parent, in_worker):
         """Patch thm1 so that the parent's items call in_parent and the worker's in_worker."""
-        import valuata.theorems as theorems
 
         parent = os.getpid()
         claimed = multiprocessing.get_context("fork").Event()
         forked = []
-        real_start = theorems._start_worker
+        real_start = harness._start_worker
 
         def start(*args):
             forked.append(True)
@@ -490,8 +483,8 @@ class TestHarness:
             return in_worker()
 
         _patch_runner(monkeypatch, "thm1", run)
-        monkeypatch.setattr(theorems, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(theorems, "_start_worker", start)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_start_worker", start)
         _fork_at_once(monkeypatch)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
