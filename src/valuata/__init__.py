@@ -30,7 +30,6 @@ from .sequences import (
     SEQUENCES,
     DomainError,
     IntegralityError,
-    SumParams,
     bsum,
     bsum2_table,
     catalan,
@@ -61,17 +60,15 @@ from .sequences import (
     trinomial_table,
 )
 from .theorems import (
+    CLAIMS,
+    Claim,
     HarnessGrid,
     HarnessResult,
     HypothesisViolation,
     TheoremReport,
-    check_lemma1,
-    check_remarks,
     predict_bsum_omega,
-    predict_bsum_omega_bound,
     predict_central_binomial_v2,
     predict_delannoy_v3,
-    predict_franel_v2_bound,
     predict_legendre_omega,
     predict_motzkin_omega,
     predict_schroder_v3,

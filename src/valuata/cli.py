@@ -17,6 +17,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
@@ -29,6 +30,7 @@ from .sequences import (
     eval_B,
 )
 from .theorems import (
+    CLAIMS,
     RUNNERS,
     HarnessGrid,
     HypothesisViolation,
@@ -118,16 +120,25 @@ def _render_valuation(v) -> str:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class Target:
     """A query target: a label, a big-integer route and an optional fast route.
 
-    The fast route maps a prime p to v_p of the target without building it.
+    The fast route is either `fast_vp`, which maps a prime p to v_p of the
+    target without building it, or the claim of CLAIMS named `claim`, which
+    answers for sequence index `index` at parameters `params`.
     """
 
-    def __init__(self, label: str, value_fn: Callable[[], int], fast_vp: Callable[[int], int] | None):
-        self.label = label
-        self.value_fn = value_fn
-        self.fast_vp = fast_vp
+    label: str
+    value_fn: Callable[[], int]
+    fast_vp: Callable[[int], int] | None = None
+    claim: str | None = None
+    index: int = 0
+    params: tuple[int, ...] = ()
+
+
+# sequence name -> the claim that answers its omega queries on the fast route
+_ROUTES = {claim.sequence: name for name, claim in CLAIMS.items() if claim.sequence}
 
 
 def _parse_target(tokens: list[str]) -> Target:
@@ -136,14 +147,13 @@ def _parse_target(tokens: list[str]) -> Target:
     head = tokens[0].lower()
     if len(tokens) == 1 and head not in SEQUENCES and head not in ("b", "bsum", "binom"):
         literal = _parse_int(tokens[0])
-        return Target(_literal_label(tokens[0], literal), lambda: literal, None)
+        return Target(_literal_label(tokens[0], literal), lambda: literal)
     if head in ("b", "bsum"):
         if len(tokens) != 5:
             raise UsageError("expected: B <n> <m> <a> <b>")
         n, m, a, b = (_parse_int(t) for t in tokens[1:])
-        # The fast route for these targets yields the whole omega at once
-        # rather than per-prime valuations; see _bsum_fast_omega.
-        return Target(f"B({n},{m},{a},{b})", lambda: bsum(n, m, a, b), None)
+        claim = _ROUTES["bsum"] if m == 2 else None
+        return Target(f"B({n},{m},{a},{b})", lambda: bsum(n, m, a, b), claim=claim, index=n, params=(a, b))
     if head == "binom":
         if len(tokens) != 3:
             raise UsageError("expected: binom <n> <k>")
@@ -164,36 +174,34 @@ def _parse_target(tokens: list[str]) -> Target:
         values = [_parse_int(t) for t in tokens[1:]]
         n, extra = values[0], values[1:]
         label = f"{entry.name}({', '.join(str(v) for v in values)})"
-        return Target(label, lambda: entry.value(n, *extra), None)
+        return Target(
+            label, lambda: entry.value(n, *extra), claim=_ROUTES.get(entry.name), index=n, params=tuple(extra)
+        )
     raise UsageError(f"unrecognized target {tokens[0]!r}")
 
 
-def _bsum_fast_omega(tokens: list[str], base: int) -> int | None:
-    """Closed-form omega for `B n 2 a b` targets when base = +-(a+b)."""
-    head = tokens[0].lower()
-    if head not in ("b", "bsum") or len(tokens) != 5:
-        return None
-    n, m, a, b = (_parse_int(t) for t in tokens[1:])
-    if m != 2:
-        raise HypothesisViolation("the fast path covers only the square sum (m = 2)")
-    if abs(base) != abs(a + b):
-        raise HypothesisViolation(
-            f"the fast path computes the power of a+b = {a + b}, not of {base}"
-        )
-    half, rem = divmod(n, 2)
-    return predict_bsum_omega(half, "odd" if rem else "even", a, b)
+def _route_omega(target: Target, base: int) -> int:
+    """omega_base of a target on its claim's fast route: the claim's predictor at the target's index.
 
-
-def _bsum_core(n: int) -> tuple[str, Callable[[int], int]]:
-    """The core that the fast omega of B(n, 2, a, b) reduces to, and its v_p.
-
-    Even n = 2h: omega = omega(C(2h, h)).  Odd n = 2h+1: omega = 1 +
-    omega((2h+1) * C(2h, h)).
+    An index outside the sequence's domain gets the oracle route's error.
     """
-    half, odd = divmod(n, 2)
-    if odd:
-        return f"{n}*C({2 * half},{half})", lambda p: vp_int(n, p) + kummer_carries(half, half, p)
-    return f"C({n},{half})", lambda p: kummer_carries(half, half, p)
+    claim = CLAIMS[target.claim]
+    if target.index < SEQUENCES[claim.sequence].min_index:
+        target.value_fn()  # raises the sequence's own DomainError before building anything
+    n, _ = claim.locate(target.index)
+    x = claim.base(*target.params)
+    if abs(base) != abs(x):
+        raise HypothesisViolation(f"the fast path computes the power of {x}, not of {base}")
+    return claim.predict(n, "odd" if target.index % 2 else "even", *target.params)
+
+
+def _core_lines(target: Target, base: int) -> list[str]:
+    """The core that a fast-route answer reduces to, then its per-prime breakdown."""
+    claim = CLAIMS[target.claim]
+    n, r = claim.locate(target.index)
+    shift = "1 + " if r else ""
+    lines = [f"  core: {claim.core_text(n, r)}; omega_{base}({target.label}) = {shift}omega_{base}(core)"]
+    return lines + _explain_lines(base, lambda p: claim.core_vp(n, r, p), "core")
 
 
 def _explain_lines(base: int, vp_of_y: Callable[[int], int], what: str = "target") -> list[str]:
@@ -221,12 +229,12 @@ def cmd_omega(args: argparse.Namespace) -> int:
             fast_result = min(
                 target.fast_vp(p) // e for p, e in factorize(abs(base)).factors
             )
+        elif target.claim is not None:
+            fast_result = _route_omega(target, base)
         else:
-            fast_result = _bsum_fast_omega(args.target, base)
-            if fast_result is None:
-                raise HypothesisViolation(
-                    f"no fast path for target {target.label}; use --mode oracle"
-                )
+            raise HypothesisViolation(
+                f"no fast path for target {target.label}; use --mode oracle"
+            )
 
     oracle_result = None
     value = None
@@ -259,12 +267,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
             elif target.fast_vp is not None:
                 lines = _explain_lines(base, target.fast_vp)
             else:
-                # Only B n 2 a b targets have a fast route without fast_vp.
-                n = _parse_int(args.target[1])
-                core, core_vp = _bsum_core(n)
-                shift = "1 + " if n % 2 else ""
-                lines = [f"  core: {core}; omega_{base}({target.label}) = {shift}omega_{base}(core)"]
-                lines += _explain_lines(base, core_vp, "core")
+                lines = _core_lines(target, base)
             for line in lines:
                 print(line)
     return 0

@@ -114,10 +114,6 @@ def _fork_pays(elapsed: float, done: int, left: int) -> bool:
     return elapsed / done * left > _FORK_MIN_S
 
 
-def _run_item(run, kwargs: dict) -> list[TheoremReport]:
-    return run(**kwargs)
-
-
 def _violates(batch: list[TheoremReport]) -> bool:
     return any(r.verdict == VERDICT_VIOLATION for r in batch)
 
@@ -154,7 +150,8 @@ def _claim_items(work: list, counter, fail_fast: bool) -> list[tuple[int, list[T
             counter.value = i + 1
         if i >= len(work):
             return done
-        batch = _run_item(*work[i])
+        run, kwargs = work[i]
+        batch = run(**kwargs)
         done.append((i, batch))
         if fail_fast and _violates(batch):
             _stop_claims(counter, len(work))
@@ -247,7 +244,7 @@ def _run_adaptive(work: list, jobs: int, cpus: int, fail_fast: bool):
     """
     start = time.perf_counter()
     for done, (run, kw) in enumerate(work, 1):
-        yield _run_item(run, kw)
+        yield run(**kw)
         left = len(work) - done
         workers = min(jobs, left, cpus) - 1
         if workers >= 1 and _fork_pays(time.perf_counter() - start, done, left):

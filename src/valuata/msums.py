@@ -42,22 +42,14 @@ def _check_index(n: int, j: int, t: int) -> None:
         raise IndexError(f"j must lie in [0, {n // 2}] for n={n}, got {j}")
 
 
-def _msum(n: int, j: int, t: int, term) -> int:
-    """Generic family member; `term(k)` supplies the weight at inner index k.
-
-    Only the power-sum instantiation is public, but the hook keeps the
-    inner sum reusable for other integer-valued weights.
-    """
-    total = 0
-    for v in range(n - 2 * j + 1):
-        total += comb(n - 2 * j, v) * comb(n, j + v) ** t * term(j + v)
-    return comb(n - j, j) * total
-
-
 def msum_B(n: int, j: int, t: int, a: int, b: int) -> int:
     """M(n, j, t; a, b) for the weighted power sum, by direct summation."""
     _check_index(n, j, t)
-    return _msum(n, j, t, lambda k: a ** (n - k) * b**k)
+    total = 0
+    for v in range(n - 2 * j + 1):
+        k = j + v
+        total += comb(n - 2 * j, v) * comb(n, k) ** t * a ** (n - k) * b**k
+    return comb(n - j, j) * total
 
 
 def msum_recurrence_step(n: int, j: int, t: int, a: int, b: int) -> int:

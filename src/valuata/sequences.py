@@ -45,26 +45,6 @@ def _powers(x: int, n: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class SumParams:
-    """Parameter tuple (n, m, a, b) of the weighted power sum."""
-
-    n: int
-    m: int
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise DomainError(f"n must be non-negative, got {self.n}")
-        if self.m < 2:
-            raise DomainError(f"m must be at least 2, got {self.m}")
-
-    def hypotheses_ok(self) -> bool:
-        """True when the divisibility theorems apply: coprime a, b and a+b not 0 or a unit."""
-        return math.gcd(self.a, self.b) == 1 and self.a + self.b not in (0, 1, -1)
-
-
 def eval_B(n: int, m: int, a: int, b: int) -> int:
     """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k."""
     if n < 0:
@@ -296,19 +276,23 @@ def schroder_little(n: int, _dt: list[int] | None = None) -> int:
 
 
 def schroder_large_table(n_max: int) -> list[int | None]:
-    """[None, S_1, ..., S_n_max]; index 0 is undefined."""
-    dt = delannoy_table(n_max + 1)
-    out: list[int | None] = [None]
-    out.extend(schroder_large(n, dt) for n in range(1, n_max + 1))
-    return out
+    """[None, S_1, ..., S_n_max] by the recurrence
+
+    (n+1) S_n = 3(2n-1) S_{n-1} - (n-2) S_{n-2},   S_0 = 1, S_1 = 2;
+
+    index 0 is undefined.
+    """
+    _check_n_max(n_max)
+    table = [1, 2]
+    for n in range(2, n_max + 1):
+        num = 3 * (2 * n - 1) * table[n - 1] - (n - 2) * table[n - 2]
+        table.append(_exact_div(num, n + 1, "schroder_large"))
+    return [None] + table[1 : n_max + 1]
 
 
 def schroder_little_table(n_max: int) -> list[int | None]:
-    """[None, s_1, ..., s_n_max]; index 0 is undefined."""
-    dt = delannoy_table(n_max + 1)
-    out: list[int | None] = [None]
-    out.extend(schroder_little(n, dt) for n in range(1, n_max + 1))
-    return out
+    """[None, s_1, ..., s_n_max]: the large table halved; index 0 is undefined."""
+    return [None] + [_exact_div(s, 2, "schroder_little") for s in schroder_large_table(n_max)[1:]]
 
 
 def central_multinomial(n: int, p: int) -> int:

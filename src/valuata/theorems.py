@@ -1,4 +1,4 @@
-"""Closed-form valuation predictors and the oracle-comparison harness.
+"""Closed-form valuation predictors, the claim table and the oracle-comparison harness.
 
 Each predictor answers "to what power does x divide this sequence value"
 using only digit kernels and machine arithmetic: it never materializes
@@ -7,6 +7,13 @@ the same answer from the exact big integer and compares.  Exact claims
 demand equality; bound claims demand the stated inequality; any other
 outcome is a violation, reported as data rather than raised.
 
+Most claims share one shape: at index i = 2n + r + offset (r = 0 or 1),
+
+    omega_x(Y_i) = r + omega_x((2n+1)**r * core(n)),
+
+with core(n) = C(2n, n) or Catalan(n).  `CLAIMS` lists them; one generic
+runner sweeps them and the CLI derives its fast routes from them.
+
 Hypothesis checking lives in the predictors: called outside its
 hypotheses a predictor raises HypothesisViolation instead of returning a
 number that the underlying statement does not back.
@@ -14,6 +21,7 @@ number that the underlying statement does not back.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -37,6 +45,7 @@ from .sequences import (
     hexagonal_table,
     legendre_table,
     motzkin_table,
+    schroder_large_table,
     trinomial_table,
     IntegralityError,
 )
@@ -45,8 +54,6 @@ from .harness import (
     KIND_EXACT,
     KIND_LOWER,
     KIND_UPPER,
-    VERDICT_BOUND,
-    VERDICT_EXACT,
     VERDICT_VIOLATION,
     TheoremReport,
     _report_order,
@@ -62,16 +69,23 @@ class HypothesisViolation(ValueError):
     """A predictor was invoked outside the hypotheses of its claim."""
 
 
-def _check_parity(parity: str) -> None:
+def _check_instance(n: int, parity: str) -> None:
     if parity not in PARITIES:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
-
-
-def _check_fast_n(n: int) -> None:
     if n < 0:
         raise HypothesisViolation(f"n must be non-negative, got {n}")
     if n > _FAST_N_MAX:
         raise HypothesisViolation(f"n exceeds the machine fast-path range: {n}")
+
+
+def _check_weights(a: int, b: int, what: str, x: int) -> None:
+    """Coprime weights a, b and a base x, named `what`, that is not 0 or a unit and fits the kernels."""
+    if math.gcd(a, b) != 1:
+        raise HypothesisViolation(f"a and b must be coprime, got {a}, {b}")
+    if x in (0, 1, -1):
+        raise HypothesisViolation(f"{what} must not be 0 or a unit, got {x}")
+    if abs(x) > U64_MAX:
+        raise HypothesisViolation(f"|{what}| exceeds the machine fast-path range: {x}")
 
 
 def _vp_machine(m: int, p: int) -> int:
@@ -83,17 +97,20 @@ def _vp_machine(m: int, p: int) -> int:
     return v
 
 
-def _omega_fast(x: int, vp_of_y: Callable[[int], int]) -> int:
-    """min over p**e || x of vp_of_y(p) // e, with x factorized once."""
-    return min(vp_of_y(p) // e for p, e in factorize(abs(x)).factors)
-
-
 def _vp_central_binomial(n: int, p: int) -> int:
     return kummer_carries(n, n, p)
 
 
 def _vp_catalan(n: int, p: int) -> int:
     return kummer_carries(n, n, p) - _vp_machine(n + 1, p)
+
+
+def _omega_shape(x: int, n: int, parity: str, vp_core: Callable[[int, int], int]) -> int:
+    """omega_x(core(n)) at even parity, 1 + omega_x((2n+1) * core(n)) at odd, x factorized once."""
+    factors = factorize(abs(x)).factors
+    if parity == "even":
+        return min(vp_core(n, p) // e for p, e in factors)
+    return 1 + min((_vp_machine(2 * n + 1, p) + vp_core(n, p)) // e for p, e in factors)
 
 
 # ---------------------------------------------------------------------------
@@ -106,29 +123,12 @@ def predict_bsum_omega(n: int, parity: str, a: int, b: int) -> int:
 
     Even index: the power of a+b in C(2n, n).
     Odd index: one more than the power of a+b in (2n+1) * C(2n, n).
-    Hypotheses: gcd(a, b) = 1 and a + b not 0 or a unit.
+    Hypotheses: gcd(a, b) = 1 and a + b not 0 or a unit.  For m > 2 the
+    same number is a lower bound on the power of a+b in B(2n, m, a, b).
     """
-    _check_parity(parity)
-    _check_fast_n(n)
-    if math.gcd(a, b) != 1:
-        raise HypothesisViolation(f"a and b must be coprime, got {a}, {b}")
-    s = a + b
-    if s in (0, 1, -1):
-        raise HypothesisViolation(f"a + b must not be 0 or a unit, got {s}")
-    if abs(s) > U64_MAX:
-        raise HypothesisViolation(f"|a + b| exceeds the machine fast-path range: {s}")
-    if parity == "even":
-        return _omega_fast(s, lambda p: _vp_central_binomial(n, p))
-    return 1 + _omega_fast(s, lambda p: _vp_machine(2 * n + 1, p) + _vp_central_binomial(n, p))
-
-
-def predict_bsum_omega_bound(n: int, parity: str, a: int, b: int) -> int:
-    """Lower bound on the power of a+b dividing B(2n, m, a, b) for any m >= 2.
-
-    The bound is the exact m = 2 answer; for m > 2 divisibility can only
-    improve, so the oracle must report at least this much.
-    """
-    return predict_bsum_omega(n, parity, a, b)
+    _check_instance(n, parity)
+    _check_weights(a, b, "a + b", a + b)
+    return _omega_shape(a + b, n, parity, _vp_central_binomial)
 
 
 def predict_central_binomial_v2(n: int, parity: str) -> int:
@@ -136,25 +136,17 @@ def predict_central_binomial_v2(n: int, parity: str) -> int:
 
     Both reduce to the 1-bit count of n: the doubled central binomial
     keeps the same 2-adic valuation, the odd neighbour gains exactly one.
+    The same number lower-bounds the power of 2 in the Franel numbers
+    f_2n / f_2n+1.
     """
-    _check_parity(parity)
-    _check_fast_n(n)
-    bits = popcount_valuation(n)
-    return bits if parity == "even" else 1 + bits
-
-
-def predict_franel_v2_bound(n: int, parity: str) -> int:
-    """Lower bound on the power of 2 dividing the Franel number f_2n / f_2n+1."""
-    _check_parity(parity)
-    _check_fast_n(n)
+    _check_instance(n, parity)
     bits = popcount_valuation(n)
     return bits if parity == "even" else 1 + bits
 
 
 def predict_delannoy_v3(n: int, parity: str) -> int:
     """Exact power of 3 in the central Delannoy number D_2n / D_2n+1."""
-    _check_parity(parity)
-    _check_fast_n(n)
+    _check_instance(n, parity)
     if parity == "even":
         return _vp_central_binomial(n, 3)
     return 1 + _vp_machine(2 * n + 1, 3) + _vp_central_binomial(n, 3)
@@ -166,8 +158,7 @@ def predict_schroder_v3(n: int, parity: str) -> int:
     The same closed form holds for the little Schroder numbers, whose
     3-adic valuation coincides with the large ones'.
     """
-    _check_parity(parity)
-    _check_fast_n(n)
+    _check_instance(n, parity)
     if parity == "odd":
         return _vp_catalan(n, 3)
     return 1 + _vp_machine(2 * n + 1, 3) + _vp_catalan(n, 3)
@@ -175,17 +166,14 @@ def predict_schroder_v3(n: int, parity: str) -> int:
 
 def predict_legendre_omega(n: int, parity: str, x: int) -> int:
     """Exact power of an odd x (not a unit) dividing P_2n(x) / P_2n+1(x)."""
-    _check_parity(parity)
-    _check_fast_n(n)
+    _check_instance(n, parity)
     if x % 2 == 0:
         raise HypothesisViolation(f"x must be odd, got {x}")
     if x in (1, -1):
         raise HypothesisViolation("x must not be a unit")
     if abs(x) > U64_MAX:
         raise HypothesisViolation(f"|x| exceeds the machine fast-path range: {x}")
-    if parity == "even":
-        return _omega_fast(x, lambda p: _vp_central_binomial(n, p))
-    return 1 + _omega_fast(x, lambda p: _vp_machine(2 * n + 1, p) + _vp_central_binomial(n, p))
+    return _omega_shape(x, n, parity, _vp_central_binomial)
 
 
 def predict_trinomial_omega(n: int, parity: str, a: int, b: int) -> int:
@@ -193,17 +181,9 @@ def predict_trinomial_omega(n: int, parity: str, a: int, b: int) -> int:
 
     Hypotheses: gcd(a, b) = 1 and b not 0 or a unit.
     """
-    _check_parity(parity)
-    _check_fast_n(n)
-    if math.gcd(a, b) != 1:
-        raise HypothesisViolation(f"a and b must be coprime, got {a}, {b}")
-    if b in (0, 1, -1):
-        raise HypothesisViolation(f"b must not be 0 or a unit, got {b}")
-    if abs(b) > U64_MAX:
-        raise HypothesisViolation(f"|b| exceeds the machine fast-path range: {b}")
-    if parity == "even":
-        return _omega_fast(b, lambda p: _vp_central_binomial(n, p))
-    return 1 + _omega_fast(b, lambda p: _vp_machine(2 * n + 1, p) + _vp_central_binomial(n, p))
+    _check_instance(n, parity)
+    _check_weights(a, b, "b", b)
+    return _omega_shape(b, n, parity, _vp_central_binomial)
 
 
 def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
@@ -212,21 +192,27 @@ def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
     Same hypotheses as the trinomial case; the Catalan number replaces
     the central binomial coefficient.
     """
-    _check_parity(parity)
-    _check_fast_n(n)
-    if math.gcd(a, b) != 1:
-        raise HypothesisViolation(f"a and b must be coprime, got {a}, {b}")
-    if b in (0, 1, -1):
-        raise HypothesisViolation(f"b must not be 0 or a unit, got {b}")
-    if abs(b) > U64_MAX:
-        raise HypothesisViolation(f"|b| exceeds the machine fast-path range: {b}")
-    if parity == "even":
-        return _omega_fast(b, lambda p: _vp_catalan(n, p))
-    return 1 + _omega_fast(b, lambda p: _vp_machine(2 * n + 1, p) + _vp_catalan(n, p))
+    _check_instance(n, parity)
+    _check_weights(a, b, "b", b)
+    return _omega_shape(b, n, parity, _vp_catalan)
+
+
+def _predict_hexagonal_v3(n: int, parity: str) -> int:
+    """Power of 3 in the restricted hexagonal number, the Motzkin value at (1, 3)."""
+    return predict_motzkin_omega(n, parity, 1, 3)
+
+
+def _predict_catalan_shift_v2(n: int, parity: str) -> int:
+    """Power of 2 in the Catalan number C_2n+1 (odd) / C_2n+2 (even).
+
+    C_2n+1 keeps the power of two of C_n, C_2n+2 gains exactly one.
+    """
+    vc = _vp_catalan(n, 2)
+    return vc if parity == "odd" else 1 + vc
 
 
 # ---------------------------------------------------------------------------
-# Claim sweeps
+# The claim table
 # ---------------------------------------------------------------------------
 
 
@@ -245,23 +231,6 @@ class HarnessGrid:
     exact_max: int = 3000
 
 
-_DEFAULT_N_MAX = {
-    "thm1": 200,
-    "thm2": 60,
-    "cor1": 1000,
-    "cor2": 300,
-    "thm3": 1000,
-    "thm4": 1000,
-    "cor3": 300,
-    "thm5": 300,
-    "thm6": 300,
-    "lemma1": 500,
-    "remarks": 300,
-}
-
-_BLOCK = 512
-
-
 def coprime_pairs(ab_max: int) -> list[tuple[int, int]]:
     """All (a, b) with 1 <= a <= b <= ab_max, gcd(a, b) = 1."""
     return [
@@ -272,56 +241,163 @@ def coprime_pairs(ab_max: int) -> list[tuple[int, int]]:
     ]
 
 
-def _signed_pairs(a_values: Iterable[int], b_values: Iterable[int]) -> list[tuple[int, int]]:
+def _signed_pairs(grid: HarnessGrid) -> list[tuple[int, int]]:
     return [
         (a, b)
-        for b in b_values
-        for a in a_values
+        for b in grid.b_values
+        for a in grid.a_values
         if b not in (0, 1, -1) and math.gcd(a, b) == 1
     ]
+
+
+def _odd_points(grid: HarnessGrid) -> list[tuple[int]]:
+    return [(x,) for x in grid.x_values if x % 2 and x not in (1, -1)]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the shape omega_x(Y_i) = r + omega_x((2n+1)**r * core(n)), i = 2n + r + offset.
+
+    `core(n, p)` is v_p(core(n)): _vp_central_binomial or _vp_catalan.
+    `table(i_max, *params)` is the oracle: [Y_0, ..., Y_i_max] as exact
+    integers, divided by `divisor`.  `predict(n, parity, *params)` is the
+    library predictor, where parity is that of i.  `axis(grid)` lists the
+    parameter tuples a sweep covers; claims without parameters sweep n in
+    blocks instead.  `sequence` names the `omega` target that the claim
+    answers on the CLI fast route.
+    """
+
+    name: str
+    sequence: str | None
+    table: Callable[..., list]
+    params: tuple[str, ...]
+    base: Callable[..., int]
+    core: Callable[[int, int], int]
+    offset: int
+    kind: str
+    predict: Callable[..., int]
+    axis: Callable[[HarnessGrid], list[tuple]] | None
+    n_max: int
+    divisor: int = 1
+
+    def locate(self, i: int) -> tuple[int, int]:
+        """(n, r) with i = 2n + r + offset, for an index on the fast route."""
+        n, r = divmod(i - self.offset, 2)
+        if n > _FAST_N_MAX:
+            raise HypothesisViolation(f"n exceeds the machine fast-path range: {i}")
+        return n, r
+
+    def core_vp(self, n: int, r: int, p: int) -> int:
+        """v_p((2n+1)**r * core(n))."""
+        return (_vp_machine(2 * n + 1, p) if r else 0) + self.core(n, p)
+
+    def core_text(self, n: int, r: int) -> str:
+        text = f"Catalan({n})" if self.core is _vp_catalan else f"C({2 * n},{n})"
+        return f"{2 * n + 1}*{text}" if r else text
+
+
+_C, _CAT = _vp_central_binomial, _vp_catalan
+
+CLAIMS: dict[str, Claim] = {
+    c.name: c
+    for c in (
+        # name, sequence, table, params, base, core, offset, kind, predict, axis, n_max
+        Claim("thm1", "bsum", bsum2_table, ("a", "b"), lambda a, b: a + b, _C, 0, KIND_EXACT,
+              predict_bsum_omega, lambda grid: coprime_pairs(grid.ab_max), 200),
+        Claim("cor2", None, franel_table, (), lambda: 2, _C, 0, KIND_LOWER,
+              predict_central_binomial_v2, None, 300),
+        Claim("thm3", "delannoy", delannoy_table, (), lambda: 3, _C, 0, KIND_EXACT,
+              predict_delannoy_v3, None, 1000),
+        Claim("thm4", "schroder", schroder_large_table, (), lambda: 3, _CAT, 1, KIND_EXACT,
+              predict_schroder_v3, None, 1000),
+        Claim("little-schroder", "little-schroder", schroder_large_table, (), lambda: 3, _CAT, 1,
+              KIND_EXACT, predict_schroder_v3, None, 1000, divisor=2),
+        Claim("cor3", "legendre", legendre_table, ("x",), lambda x: x, _C, 0, KIND_EXACT,
+              predict_legendre_omega, _odd_points, 300),
+        Claim("thm5", "trinomial", trinomial_table, ("a", "b"), lambda a, b: b, _C, 0, KIND_EXACT,
+              predict_trinomial_omega, _signed_pairs, 300),
+        Claim("thm6", "motzkin", motzkin_table, ("a", "b"), lambda a, b: b, _CAT, 0, KIND_EXACT,
+              predict_motzkin_omega, _signed_pairs, 300),
+        Claim("hexagonal", "hexagonal", hexagonal_table, (), lambda: 3, _CAT, 0, KIND_EXACT,
+              _predict_hexagonal_v3, None, 300),
+        Claim("catalan-shift", None, catalan_table, (), lambda: 2, _CAT, 1, KIND_EXACT,
+              _predict_catalan_shift_v2, None, 300),
+    )
+}
+
+
+# ---------------------------------------------------------------------------
+# Claim sweeps
+# ---------------------------------------------------------------------------
+
+_BLOCK = 512
 
 
 def _blocks(n_max: int) -> list[tuple[int, int]]:
     return [(lo, min(lo + _BLOCK - 1, n_max)) for lo in range(0, n_max + 1, _BLOCK)]
 
 
-def _n_max(grid: HarnessGrid, runner: str) -> int:
-    return grid.n_max if grid.n_max is not None else _DEFAULT_N_MAX[runner]
+def _n_max(grid: HarnessGrid, default: int) -> int:
+    return grid.n_max if grid.n_max is not None else default
 
 
-# --- thm1 / thm2: powers of a+b in the square and higher-order sums
+def _table_items(names: tuple[str, ...], grid: HarnessGrid) -> list[dict]:
+    """One item per parameter tuple, or blocks of n for claims without parameters."""
+    claim = CLAIMS[names[0]]
+    n = _n_max(grid, claim.n_max)
+    if claim.axis is None:
+        return [{"n_lo": lo, "n_hi": hi} for lo, hi in _blocks(n)]
+    return [{**dict(zip(claim.params, values)), "n_max": n} for values in claim.axis(grid)]
 
 
-def _items_thm1(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "thm1")
-    return [{"a": a, "b": b, "n_max": n} for a, b in coprime_pairs(grid.ab_max)]
+def _run_table(
+    names: tuple[str, ...], n_lo: int = 0, n_hi: int | None = None, n_max: int | None = None, **params
+) -> list[TheoremReport]:
+    """Reports of the claims `names`, which share their parameters, for n_lo..n_hi (or 0..n_max).
 
-
-def _run_thm1(a: int, b: int, n_max: int) -> list[TheoremReport]:
+    Claims with the same table build it once, and claims with the same
+    predictor share its answer for each (n, parity).  A prime base takes
+    vp_int directly.
+    """
+    if n_hi is None:
+        n_hi = n_max
+    ns = range(n_lo, n_hi + 1)
+    tables: dict = {}
+    predictions: dict = {}
     out = []
-    s = a + b
-    if s in (0, 1, -1):
-        return out
-    table = bsum2_table(2 * n_max + 1, a, b)
-    for n in range(n_max + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            predicted = predict_bsum_omega(n, parity, a, b)
-            oracle = omega(s, table[idx])
-            out.append(
-                TheoremReport(
-                    "thm1",
-                    (("n", n), ("parity", parity), ("a", a), ("b", b)),
-                    predicted,
-                    oracle,
-                    KIND_EXACT,
-                )
-            )
+    for name in names:
+        claim = CLAIMS[name]
+        args = tuple(params[k] for k in claim.params)
+        extra = tuple(zip(claim.params, args))
+        offset, divisor, kind = claim.offset, claim.divisor, claim.kind
+        key = (claim.table, offset)
+        if key not in tables:
+            tables[key] = claim.table(2 * n_hi + 1 + offset, *args)
+        table = tables[key]
+        if claim.predict not in predictions:
+            predictions[claim.predict] = [claim.predict(n, parity, *args) for n in ns for parity in PARITIES]
+        predicted = iter(predictions[claim.predict])
+        x = claim.base(*args)
+        p = abs(x) if is_prime(abs(x)) else None
+        for n in ns:
+            for parity in PARITIES:
+                i = 2 * n + 1 if parity == "odd" else 2 * n + 2 * offset
+                y = table[i]
+                if divisor != 1:
+                    y, rem = divmod(y, divisor)
+                    if rem:
+                        raise IntegralityError(f"{name} construction failed at index {i}")
+                oracle = omega(x, y) if p is None else vp_int(y, p)
+                instance = (("n", n), ("parity", parity)) + extra
+                out.append(TheoremReport(name, instance, next(predicted), oracle, kind))
     return out
 
 
+# --- thm2: the square-sum power of a+b lower-bounds the higher-order sums
+
+
 def _items_thm2(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "thm2")
+    n = _n_max(grid, 60)
     return [
         {"a": a, "b": b, "n_max": n, "m_values": grid.m_values}
         for a, b in coprime_pairs(grid.ab_max)
@@ -331,12 +407,10 @@ def _items_thm2(grid: HarnessGrid) -> list[dict]:
 def _run_thm2(a: int, b: int, n_max: int, m_values: tuple[int, ...]) -> list[TheoremReport]:
     out = []
     s = a + b
-    if s in (0, 1, -1):
-        return out
     for n in range(n_max + 1):
         for parity in PARITIES:
             idx = 2 * n if parity == "even" else 2 * n + 1
-            bound = predict_bsum_omega_bound(n, parity, a, b)
+            bound = predict_bsum_omega(n, parity, a, b)
             for m in m_values:
                 oracle = omega(s, eval_B(idx, m, a, b))
                 out.append(
@@ -355,7 +429,7 @@ def _run_thm2(a: int, b: int, n_max: int, m_values: tuple[int, ...]) -> list[The
 
 
 def _items_cor1(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "cor1")
+    n = _n_max(grid, 1000)
     return [
         {"n_lo": lo, "n_hi": hi, "exact_max": grid.exact_max} for lo, hi in _blocks(n)
     ]
@@ -389,177 +463,11 @@ def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[TheoremReport]:
     return out
 
 
-# --- cor2: 2-adic lower bounds for Franel numbers
-
-
-def _items_cor2(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "cor2")
-    return [{"n_lo": lo, "n_hi": hi} for lo, hi in _blocks(n)]
-
-
-def _run_cor2(n_lo: int, n_hi: int) -> list[TheoremReport]:
-    table = franel_table(2 * n_hi + 1)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            bound = predict_franel_v2_bound(n, parity)
-            oracle = vp_int(table[idx], 2)
-            out.append(
-                TheoremReport(
-                    "cor2", (("n", n), ("parity", parity)), bound, oracle, KIND_LOWER
-                )
-            )
-    return out
-
-
-# --- thm3: 3-adic valuation of central Delannoy numbers
-
-
-def _items_thm3(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "thm3")
-    return [{"n_lo": lo, "n_hi": hi} for lo, hi in _blocks(n)]
-
-
-def _run_thm3(n_lo: int, n_hi: int) -> list[TheoremReport]:
-    table = delannoy_table(2 * n_hi + 1)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            predicted = predict_delannoy_v3(n, parity)
-            oracle = vp_int(table[idx], 3)
-            out.append(
-                TheoremReport(
-                    "thm3", (("n", n), ("parity", parity)), predicted, oracle, KIND_EXACT
-                )
-            )
-    return out
-
-
-# --- thm4: 3-adic valuation of Schroder numbers (indices start at 1)
-
-
-def _items_thm4(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "thm4")
-    return [{"n_lo": lo, "n_hi": hi} for lo, hi in _blocks(n)]
-
-
-def _run_thm4(n_lo: int, n_hi: int) -> list[TheoremReport]:
-    # S_idx for idx in [2*n_lo+1, 2*n_hi+2]; the little numbers are S/2.
-    dt = delannoy_table(2 * n_hi + 3)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        for parity in PARITIES:
-            idx = 2 * n + 1 if parity == "odd" else 2 * n + 2
-            big, r1 = divmod(-dt[idx - 1] + 6 * dt[idx] - dt[idx + 1], 2)
-            little, r2 = divmod(big, 2)
-            if r1 or r2:
-                raise IntegralityError(f"Schroder construction failed at index {idx}")
-            predicted = predict_schroder_v3(n, parity)
-            out.append(
-                TheoremReport(
-                    "thm4", (("n", n), ("parity", parity)), predicted, vp_int(big, 3), KIND_EXACT
-                )
-            )
-            out.append(
-                TheoremReport(
-                    "little-schroder",
-                    (("n", n), ("parity", parity)),
-                    predicted,
-                    vp_int(little, 3),
-                    KIND_EXACT,
-                )
-            )
-    return out
-
-
-# --- cor3: powers of the evaluation point in Legendre values
-
-
-def _items_cor3(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "cor3")
-    return [{"x": x, "n_max": n} for x in grid.x_values if x % 2 and x not in (1, -1)]
-
-
-def _run_cor3(x: int, n_max: int) -> list[TheoremReport]:
-    table = legendre_table(2 * n_max + 1, x)
-    out = []
-    for n in range(n_max + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            predicted = predict_legendre_omega(n, parity, x)
-            oracle = omega(x, table[idx])
-            out.append(
-                TheoremReport(
-                    "cor3",
-                    (("n", n), ("parity", parity), ("x", x)),
-                    predicted,
-                    oracle,
-                    KIND_EXACT,
-                )
-            )
-    return out
-
-
-# --- thm5 / thm6: powers of b in trinomial and Motzkin values
-
-
-def _items_thm5(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "thm5")
-    return [{"a": a, "b": b, "n_max": n} for a, b in _signed_pairs(grid.a_values, grid.b_values)]
-
-
-def _run_thm5(a: int, b: int, n_max: int) -> list[TheoremReport]:
-    table = trinomial_table(2 * n_max + 1, a, b)
-    out = []
-    for n in range(n_max + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            predicted = predict_trinomial_omega(n, parity, a, b)
-            oracle = omega(b, table[idx])
-            out.append(
-                TheoremReport(
-                    "thm5",
-                    (("n", n), ("parity", parity), ("a", a), ("b", b)),
-                    predicted,
-                    oracle,
-                    KIND_EXACT,
-                )
-            )
-    return out
-
-
-def _items_thm6(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "thm6")
-    return [{"a": a, "b": b, "n_max": n} for a, b in _signed_pairs(grid.a_values, grid.b_values)]
-
-
-def _run_thm6(a: int, b: int, n_max: int) -> list[TheoremReport]:
-    table = motzkin_table(2 * n_max + 1, a, b)
-    out = []
-    for n in range(n_max + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            predicted = predict_motzkin_omega(n, parity, a, b)
-            oracle = omega(b, table[idx])
-            out.append(
-                TheoremReport(
-                    "thm6",
-                    (("n", n), ("parity", parity), ("a", a), ("b", b)),
-                    predicted,
-                    oracle,
-                    KIND_EXACT,
-                )
-            )
-    return out
-
-
 # --- lemma1 family: factor bounds and central multinomial valuations
 
 
 def _items_lemma1(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "lemma1")
+    n = _n_max(grid, 500)
     return [{"p": p, "n_max": n} for p in range(grid.prime_min, grid.prime_max + 1) if is_prime(p)]
 
 
@@ -580,104 +488,23 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
                 f"multinomial forms disagree at n={n}, p={p}"
             )
         central = comb(2 * n, n)
-        out.append(
-            TheoremReport(
-                "lemma1",
-                (("n", n), ("p", p)),
-                n,
-                vp_int((2 * n + 1) * central, p),
-                KIND_UPPER,
-            )
-        )
         vp_multinomial = vp_int(multinomial, p)
-        out.append(
-            TheoremReport(
-                "multinomial-valuation",
-                (("n", n), ("p", p)),
-                digit_sum(n, p),
-                vp_multinomial,
-                KIND_EXACT,
-            )
-        )
-        out.append(
-            TheoremReport(
-                "multinomial-bound", (("n", n), ("p", p)), n, vp_multinomial, KIND_UPPER
-            )
-        )
+        inst = (("n", n), ("p", p))
+        out.append(TheoremReport("lemma1", inst, n, vp_int((2 * n + 1) * central, p), KIND_UPPER))
+        out.append(TheoremReport("multinomial-valuation", inst, digit_sum(n, p), vp_multinomial, KIND_EXACT))
+        out.append(TheoremReport("multinomial-bound", inst, n, vp_multinomial, KIND_UPPER))
         if p > 2:
             shifted = 1
             for k in range(2, p):
                 shifted *= k * n + 1
-            out.append(
-                TheoremReport(
-                    "shifted-product-bound",
-                    (("n", n), ("p", p)),
-                    n,
-                    vp_int(shifted * central, p),
-                    KIND_UPPER,
-                )
-            )
-    return out
-
-
-# --- remarks: hexagonal numbers and the doubled Catalan indices
-
-
-def _items_remarks(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, "remarks")
-    return [{"n_lo": lo, "n_hi": hi} for lo, hi in _blocks(n)]
-
-
-def _run_remarks(n_lo: int, n_hi: int) -> list[TheoremReport]:
-    hexagonals = hexagonal_table(2 * n_hi + 1)
-    catalans = catalan_table(2 * n_hi + 2)
-    out = []
-    for n in range(n_lo, n_hi + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            predicted = predict_motzkin_omega(n, parity, 1, 3)
-            out.append(
-                TheoremReport(
-                    "hexagonal",
-                    (("n", n), ("parity", parity)),
-                    predicted,
-                    vp_int(hexagonals[idx], 3),
-                    KIND_EXACT,
-                )
-            )
-            # Catalan numbers at doubled indices: C_{2n+1} keeps the power
-            # of two of C_n, C_{2n+2} gains exactly one.
-            vc = _vp_catalan(n, 2)
-            shift = 2 * n + 1 if parity == "odd" else 2 * n + 2
-            predicted = vc if parity == "odd" else 1 + vc
-            out.append(
-                TheoremReport(
-                    "catalan-shift",
-                    (("n", n), ("parity", parity)),
-                    predicted,
-                    vp_int(catalans[shift], 2),
-                    KIND_EXACT,
-                )
-            )
+            vp_shifted = vp_int(shifted * central, p)
+            out.append(TheoremReport("shifted-product-bound", inst, n, vp_shifted, KIND_UPPER))
     return out
 
 
 # ---------------------------------------------------------------------------
 # Runner registry and the harness
 # ---------------------------------------------------------------------------
-
-
-def check_remarks(n_max: int) -> list[TheoremReport]:
-    """Sweep the hexagonal 3-adic and Catalan index-doubling 2-adic claims."""
-    return _run_remarks(0, n_max)
-
-
-def check_lemma1(n_max: int, primes: Iterable[int]) -> list[TheoremReport]:
-    """Sweep the factor bound and the central multinomial valuation claims."""
-    out: list[TheoremReport] = []
-    for p in primes:
-        out.extend(_run_lemma1(p, n_max))
-    return out
 
 
 @dataclass(frozen=True)
@@ -689,16 +516,17 @@ class ClaimRunner:
     run: Callable[..., list[TheoremReport]]
 
 
+def _table_runner(name: str, claims: tuple[str, ...], description: str) -> ClaimRunner:
+    """A runner that sweeps `claims` of CLAIMS with the generic table runner."""
+    items, run = functools.partial(_table_items, claims), functools.partial(_run_table, claims)
+    return ClaimRunner(name, claims, description, items, run)
+
+
 RUNNERS: dict[str, ClaimRunner] = {
     r.name: r
     for r in (
-        ClaimRunner(
-            "thm1",
-            ("thm1",),
-            "power of a+b in the square sum equals that of the central binomial",
-            _items_thm1,
-            _run_thm1,
-        ),
+        _table_runner("thm1", ("thm1",),
+                      "power of a+b in the square sum equals that of the central binomial"),
         ClaimRunner(
             "thm2",
             ("thm2",),
@@ -713,48 +541,13 @@ RUNNERS: dict[str, ClaimRunner] = {
             _items_cor1,
             _run_cor1,
         ),
-        ClaimRunner(
-            "cor2",
-            ("cor2",),
-            "2-adic lower bounds for Franel numbers",
-            _items_cor2,
-            _run_cor2,
-        ),
-        ClaimRunner(
-            "thm3",
-            ("thm3",),
-            "3-adic valuation of central Delannoy numbers",
-            _items_thm3,
-            _run_thm3,
-        ),
-        ClaimRunner(
-            "thm4",
-            ("thm4", "little-schroder"),
-            "3-adic valuation of large and little Schroder numbers",
-            _items_thm4,
-            _run_thm4,
-        ),
-        ClaimRunner(
-            "cor3",
-            ("cor3",),
-            "power of an odd x dividing the Legendre value P_n(x)",
-            _items_cor3,
-            _run_cor3,
-        ),
-        ClaimRunner(
-            "thm5",
-            ("thm5",),
-            "power of b dividing generalized central trinomial coefficients",
-            _items_thm5,
-            _run_thm5,
-        ),
-        ClaimRunner(
-            "thm6",
-            ("thm6",),
-            "power of b dividing generalized Motzkin numbers",
-            _items_thm6,
-            _run_thm6,
-        ),
+        _table_runner("cor2", ("cor2",), "2-adic lower bounds for Franel numbers"),
+        _table_runner("thm3", ("thm3",), "3-adic valuation of central Delannoy numbers"),
+        _table_runner("thm4", ("thm4", "little-schroder"),
+                      "3-adic valuation of large and little Schroder numbers"),
+        _table_runner("cor3", ("cor3",), "power of an odd x dividing the Legendre value P_n(x)"),
+        _table_runner("thm5", ("thm5",), "power of b dividing generalized central trinomial coefficients"),
+        _table_runner("thm6", ("thm6",), "power of b dividing generalized Motzkin numbers"),
         ClaimRunner(
             "lemma1",
             ("lemma1", "multinomial-valuation", "multinomial-bound", "shifted-product-bound"),
@@ -762,13 +555,8 @@ RUNNERS: dict[str, ClaimRunner] = {
             _items_lemma1,
             _run_lemma1,
         ),
-        ClaimRunner(
-            "remarks",
-            ("hexagonal", "catalan-shift"),
-            "3-adic hexagonal valuations and 2-adic Catalan index doubling",
-            _items_remarks,
-            _run_remarks,
-        ),
+        _table_runner("remarks", ("hexagonal", "catalan-shift"),
+                      "3-adic hexagonal valuations and 2-adic Catalan index doubling"),
     )
 }
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import valuata.cli as cli
@@ -109,7 +110,7 @@ class TestOmega:
             assert code == 2 and "error" in err
 
     def test_fast_mode_without_fast_path_exits_2(self, capsys):
-        code, _, err = run(capsys, "omega", "3", "delannoy", "3", "--mode", "fast")
+        code, _, err = run(capsys, "omega", "3", "franel", "3", "--mode", "fast")
         assert code == 2 and "fast" in err
 
     def test_fast_mode_wrong_order_exits_2(self, capsys):
@@ -121,7 +122,7 @@ class TestOmega:
         assert code == 2
 
     def test_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_bsum_fast_omega", lambda tokens, base: 99)
+        monkeypatch.setattr(cli, "_route_omega", lambda target, base: 99)
         code, _, err = run(capsys, "omega", "99", "B", "10", "2", "37", "62", "--mode", "both")
         assert code == 1 and "DISAGREEMENT" in err
 
@@ -132,6 +133,141 @@ class TestOmega:
     def test_negative_sequence_index_exits_2(self, capsys):
         code, out, err = run(capsys, "omega", "6", "delannoy", "-3")
         assert (code, out, err) == (2, "", "error: n must be non-negative, got -3\n")
+
+
+class TestFastRoutes:
+    """Fast routes derived from the claim table."""
+
+    def test_routed_targets(self):
+        assert cli._ROUTES == {
+            "bsum": "thm1",
+            "delannoy": "thm3",
+            "schroder": "thm4",
+            "little-schroder": "little-schroder",
+            "legendre": "cor3",
+            "trinomial": "thm5",
+            "motzkin": "thm6",
+            "hexagonal": "hexagonal",
+        }
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            ("B", "-3", "2", "37", "62"),
+            ("bsum", "-1", "2", "1", "2"),
+            ("delannoy", "-2"),
+            ("schroder", "0"),
+            ("schroder", "-5"),
+            ("little-schroder", "0"),
+            ("hexagonal", "-1"),
+            ("trinomial", "-1", "2", "3"),
+            ("motzkin", "-4", "1", "3"),
+            ("legendre", "-1", "5"),
+        ],
+    )
+    def test_out_of_domain_index_gets_the_oracle_error(self, capsys, target):
+        base = {"B": "99", "bsum": "3", "trinomial": "3", "motzkin": "3", "legendre": "5"}.get(target[0], "3")
+        oracle = run(capsys, "omega", base, *target, "--mode", "oracle")
+        assert oracle[0] == 2 and oracle[1] == "" and oracle[2].startswith("error: ")
+        for mode in ("fast", "both"):
+            assert run(capsys, "omega", base, *target, "--mode", mode) == oracle
+
+    def test_index_past_the_fast_range_is_reported_as_given(self, capsys):
+        code, out, err = run(capsys, "omega", "99", "B", "2e19", "2", "37", "62", "--mode", "fast")
+        assert (code, out) == (2, "")
+        assert err == "error: n exceeds the machine fast-path range: 20000000000000000000\n"
+        code, out, _ = run(capsys, "omega", "3", "schroder", str(2**64), "--mode", "fast")
+        assert code == 0 and out.startswith(f"omega_3(schroder({2**64})) = ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("5", "delannoy", "10"),
+            ("9", "schroder", "10"),
+            ("2", "hexagonal", "10"),
+            ("5", "trinomial", "10", "2", "3"),
+            ("-7", "motzkin", "10", "2", "3"),
+            ("3", "legendre", "10", "5"),
+            ("6", "B", "10", "2", "2", "3"),
+        ],
+    )
+    def test_base_mismatch_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "omega", *argv, "--mode", "fast")
+        assert (code, out) == (2, "") and err.startswith("error: the fast path computes the power of ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("4", "trinomial", "10", "2", "4"), "a and b must be coprime, got 2, 4"),
+            (("6", "motzkin", "10", "3", "6"), "a and b must be coprime, got 3, 6"),
+            (("6", "B", "10", "2", "2", "4"), "a and b must be coprime, got 2, 4"),
+            (("4", "legendre", "3", "4"), "x must be odd, got 4"),
+        ],
+    )
+    def test_hypotheses_hold_on_the_fast_route(self, capsys, argv, message):
+        assert run(capsys, "omega", *argv, "--mode", "fast") == (2, "", f"error: {message}\n")
+
+    def test_higher_order_sum_has_no_fast_route(self, capsys):
+        code, out, err = run(capsys, "omega", "99", "B", "10", "3", "37", "62", "--mode", "both")
+        assert (code, out) == (2, "")
+        assert err == "error: no fast path for target B(10,3,37,62); use --mode oracle\n"
+
+    def test_explain_shows_the_core(self, capsys):
+        code, out, _ = run(capsys, "omega", "3", "schroder", "8", "--mode", "fast", "--explain")
+        assert code == 0
+        assert out.splitlines() == [
+            "omega_3(schroder(8)) = 1",
+            "  core: 7*Catalan(3); omega_3(schroder(8)) = 1 + omega_3(core)",
+            "  p=3: v_p(core)=0, v_p(base)=1, floor=0",
+            "  min(0) = 0",
+        ]
+        code, out, _ = run(capsys, "omega", "-6", "motzkin", "12", "5", "6", "--mode", "fast", "--explain")
+        assert code == 0
+        assert out.splitlines() == [
+            "omega_-6(motzkin(12, 5, 6)) = 1",
+            "  core: Catalan(6); omega_-6(motzkin(12, 5, 6)) = omega_-6(core)",
+            "  p=2: v_p(core)=2, v_p(base)=1, floor=2",
+            "  p=3: v_p(core)=1, v_p(base)=1, floor=1",
+            "  min(2, 1) = 1",
+        ]
+        code, out, _ = run(capsys, "vp", "3", "delannoy", "11", "--mode", "fast", "--explain")
+        assert code == 0 and out.splitlines()[1] == "  core: 11*C(10,5); omega_3(delannoy(11)) = 1 + omega_3(core)"
+
+
+# Each routed target: its parameter count, the base that its claim is
+# about, and the hypotheses on its parameters.
+_ROUTED = {
+    "B": (2, lambda a, b: a + b, lambda a, b: math.gcd(a, b) == 1 and a + b not in (0, 1, -1)),
+    "delannoy": (0, lambda: 3, lambda: True),
+    "schroder": (0, lambda: 3, lambda: True),
+    "little-schroder": (0, lambda: 3, lambda: True),
+    "hexagonal": (0, lambda: 3, lambda: True),
+    "trinomial": (2, lambda a, b: b, lambda a, b: math.gcd(a, b) == 1 and b not in (0, 1, -1)),
+    "motzkin": (2, lambda a, b: b, lambda a, b: math.gcd(a, b) == 1 and b not in (0, 1, -1)),
+    "legendre": (1, lambda x: x, lambda x: x % 2 == 1 and x not in (1, -1)),
+}
+
+
+class TestFastRouteAgreement:
+    @settings(max_examples=250, deadline=None)
+    @given(
+        st.sampled_from(sorted(_ROUTED)),
+        st.integers(0, 60),
+        st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+        st.sampled_from([1, -1]),
+        st.booleans(),
+    )
+    def test_both_modes_agree(self, name, index, values, sign, explain):
+        arity, base_of, hypotheses = _ROUTED[name]
+        params = values[:arity]
+        assume(hypotheses(*params))
+        assume(index >= (SEQUENCES[name].min_index if name in SEQUENCES else 0))
+        base = sign * base_of(*params)
+        target = ["B", str(index), "2", *map(str, params)] if name == "B" else [name, str(index), *map(str, params)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["omega", str(base), *target, "--mode", "both"] + (["--explain"] if explain else []))
+        assert (code, err.getvalue()) == (0, "")
 
 
 class TestVp:

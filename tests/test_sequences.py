@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from valuata.sequences import (
     SEQUENCES,
     DomainError,
-    SumParams,
     bsum,
     bsum2_table,
     catalan,
@@ -192,6 +191,9 @@ class TestNamedSequences:
         for n in range(1, 41):
             assert table[n] == schroder_large(n) == 2 * schroder_little(n) == 2 * little[n]
         assert schroder_large_table(0) == schroder_little_table(0) == [None]
+        long_large, long_little = schroder_large_table(1500), schroder_little_table(1500)
+        for n in (41, 257, 1000, 1499, 1500):
+            assert long_large[n] == schroder_large(n) == 2 * long_little[n]
 
     def test_little_schroder_is_motzkin_value(self):
         for n in range(121):
@@ -435,21 +437,6 @@ class TestCongruence:
         if math.gcd(a, b) != 1 or a + b == 0:
             return
         assert check_congruence(n, m, a, b)
-
-
-class TestSumParams:
-    def test_hypotheses(self):
-        assert SumParams(4, 2, 37, 62).hypotheses_ok()
-        assert not SumParams(4, 2, 2, 4).hypotheses_ok()
-        assert not SumParams(4, 2, 1, -2).hypotheses_ok()  # a + b = -1
-        assert not SumParams(4, 2, 2, -1).hypotheses_ok()  # a + b = 1
-        assert not SumParams(4, 2, 1, -1).hypotheses_ok()  # a + b = 0
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            SumParams(-1, 2, 1, 1)
-        with pytest.raises(DomainError):
-            SumParams(1, 1, 1, 1)
 
 
 class TestRegistry:

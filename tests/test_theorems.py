@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -14,6 +15,7 @@ import valuata.harness as harness
 from valuata.harness import _fork_pays
 from valuata.sequences import IntegralityError, delannoy, eval_B, eval_M, eval_T, franel, legendre
 from valuata.theorems import (
+    CLAIMS,
     KIND_EXACT,
     KIND_LOWER,
     KIND_UPPER,
@@ -22,14 +24,10 @@ from valuata.theorems import (
     HypothesisViolation,
     TheoremReport,
     _report_order,
-    check_lemma1,
-    check_remarks,
     coprime_pairs,
     predict_bsum_omega,
-    predict_bsum_omega_bound,
     predict_central_binomial_v2,
     predict_delannoy_v3,
-    predict_franel_v2_bound,
     predict_legendre_omega,
     predict_motzkin_omega,
     predict_schroder_v3,
@@ -37,7 +35,7 @@ from valuata.theorems import (
     resolve_selectors,
     run_harness,
 )
-from valuata.valuation import INFINITE, omega, vp_int
+from valuata.valuation import INFINITE, factorize, omega, vp_int
 
 
 class TestPredictBsum:
@@ -71,16 +69,18 @@ class TestPredictBsum:
             predict_bsum_omega(5, "sideways", 1, 2)
 
     def test_bound_equals_exact_prediction(self):
-        for n in (0, 5, 100, 2023):
-            for parity in ("even", "odd"):
-                assert predict_bsum_omega_bound(n, parity, 37, 62) == predict_bsum_omega(
-                    n, parity, 37, 62
-                )
+        # thm2 bounds every higher order by the exact m = 2 prediction.
+        grid = HarnessGrid(n_max=5, ab_max=4, m_values=(3, 4))
+        reports = run_harness(["thm2"], grid).reports
+        assert len(reports) == 2 * 6 * 2 * len(coprime_pairs(4))
+        for r in reports:
+            inst = dict(r.instance)
+            assert r.predicted == predict_bsum_omega(inst["n"], inst["parity"], inst["a"], inst["b"])
 
     def test_worked_instance_bounds_higher_orders(self):
         # The order-2 answers also floor the order-3 sums at the same indices.
-        bound_even = predict_bsum_omega_bound(2023, "even", 37, 62)
-        bound_odd = predict_bsum_omega_bound(2023, "odd", 37, 62)
+        bound_even = predict_bsum_omega(2023, "even", 37, 62)
+        bound_odd = predict_bsum_omega(2023, "odd", 37, 62)
         assert omega(99, eval_B(4046, 3, 37, 62)) >= bound_even == 2
         assert omega(99, eval_B(4047, 3, 37, 62)) >= bound_odd == 4
 
@@ -100,15 +100,17 @@ class TestPredictCentralBinomial:
 
 
 class TestPredictFranel:
+    """The central binomial 2-adic prediction lower-bounds the Franel numbers."""
+
     def test_examples(self):
-        assert vp_int(franel(2), 2) == 1 >= predict_franel_v2_bound(1, "even")
-        assert vp_int(franel(3), 2) == 3 >= predict_franel_v2_bound(1, "odd") == 2
-        assert vp_int(franel(1), 2) == 1 >= predict_franel_v2_bound(0, "odd") == 1
+        assert vp_int(franel(2), 2) == 1 >= predict_central_binomial_v2(1, "even")
+        assert vp_int(franel(3), 2) == 3 >= predict_central_binomial_v2(1, "odd") == 2
+        assert vp_int(franel(1), 2) == 1 >= predict_central_binomial_v2(0, "odd") == 1
 
     def test_bound_sweep(self):
         for n in range(80):
-            assert vp_int(franel(2 * n), 2) >= predict_franel_v2_bound(n, "even")
-            assert vp_int(franel(2 * n + 1), 2) >= predict_franel_v2_bound(n, "odd")
+            assert vp_int(franel(2 * n), 2) >= predict_central_binomial_v2(n, "even")
+            assert vp_int(franel(2 * n + 1), 2) >= predict_central_binomial_v2(n, "odd")
 
 
 class TestPredictDelannoy:
@@ -216,6 +218,51 @@ class TestTheoremReport:
             "verdict": "bound_holds",
             "slack": None,
         }
+
+
+class TestClaimTable:
+    def test_core_and_offset_agree_with_the_predictor(self):
+        # predict(n, parity) = r + omega_x((2n+1)**r * core(n)) at index 2n + r + offset
+        grid = HarnessGrid()
+        for claim in CLAIMS.values():
+            for args in claim.axis(grid) if claim.axis else [()]:
+                factors = factorize(abs(claim.base(*args))).factors
+                for i in range(claim.offset, 2 * 60 + claim.offset):
+                    n, r = claim.locate(i)
+                    expected = r + min(claim.core_vp(n, r, p) // e for p, e in factors)
+                    parity = "odd" if i % 2 else "even"
+                    assert claim.predict(n, parity, *args) == expected, (claim.name, args, i)
+
+    def test_every_table_claim_has_a_runner(self):
+        claims = {claim for runner in RUNNERS.values() for claim in runner.claims}
+        assert set(CLAIMS) <= claims
+
+    def test_work_items(self):
+        grid = HarnessGrid()
+        assert RUNNERS["thm3"].items(grid) == [{"n_lo": 0, "n_hi": 511}, {"n_lo": 512, "n_hi": 1000}]
+        assert RUNNERS["remarks"].items(grid) == [{"n_lo": 0, "n_hi": 300}]
+        assert RUNNERS["thm1"].items(grid) == [{"a": a, "b": b, "n_max": 200} for a, b in coprime_pairs(25)]
+        assert RUNNERS["cor3"].items(HarnessGrid(n_max=7, x_values=(3, 4, -1, -9))) == [
+            {"x": 3, "n_max": 7},
+            {"x": -9, "n_max": 7},
+        ]
+        assert [(kw["a"], kw["b"]) for kw in RUNNERS["thm6"].items(HarnessGrid(a_values=(1, 2), b_values=(2, 1, 3)))] == [
+            (1, 2),
+            (1, 3),
+            (2, 3),
+        ]
+
+    def test_odd_schroder_value_is_an_integrality_error(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        odd = [None] + [2 * k + 1 for k in range(1, 10)]
+        monkeypatch.setitem(
+            theorems.CLAIMS,
+            "little-schroder",
+            dataclasses.replace(CLAIMS["little-schroder"], table=lambda i_max: odd[: i_max + 1]),
+        )
+        with pytest.raises(IntegralityError, match="^little-schroder construction failed at index 2$"):
+            run_harness(["thm4"], HarnessGrid(n_max=3))
 
 
 class TestReportPath:
@@ -522,13 +569,15 @@ class TestHarness:
 
 
 class TestCheckWrappers:
+    """Single-runner sweeps through run_harness."""
+
     def test_check_remarks_clean(self):
-        reports = check_remarks(40)
-        assert reports and all(r.verdict == "exact" for r in reports)
+        reports = run_harness(["remarks"], HarnessGrid(n_max=40)).reports
+        assert len(reports) == 2 * 41 * 2 and all(r.verdict == "exact" for r in reports)
         assert {r.claim for r in reports} == {"hexagonal", "catalan-shift"}
 
     def test_check_lemma1_clean(self):
-        reports = check_lemma1(60, [2, 3, 5])
+        reports = run_harness(["lemma1"], HarnessGrid(n_max=60, prime_max=5)).reports
         assert reports and all(r.verdict != "violation" for r in reports)
         assert {r.claim for r in reports} == {
             "lemma1",
@@ -539,6 +588,7 @@ class TestCheckWrappers:
 
     def test_lemma1_boundary_instance(self):
         # v_2(3 * C(2, 1)) = 1 hits the bound n = 1 exactly.
-        reports = [r for r in check_lemma1(1, [2]) if r.claim == "lemma1"]
+        grid = HarnessGrid(n_max=1, prime_max=2)
+        reports = [r for r in run_harness(["lemma1"], grid).reports if r.claim == "lemma1"]
         tight = dict(reports[-1].instance)
         assert tight["n"] == 1 and reports[-1].oracle == 1 and reports[-1].predicted == 1
