@@ -9,7 +9,6 @@ violation or path disagreement, 2 usage or domain error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -319,6 +318,8 @@ def cmd_seq(args: argparse.Namespace) -> int:
             obj = dict(zip(header, ["inf" if v is INFINITE else v for v in row]))
             print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout)
         writer.writerow(header)
         writer.writerows([[_render_valuation(v) if v is INFINITE else v for v in row] for row in rows])
@@ -337,6 +338,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         out = open(args.output, "w", newline="") if args.output else sys.stdout
     except OSError as exc:
         raise UsageError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
+    import csv
+
     try:
         writer = csv.writer(out)
         writer.writerow(header)
@@ -407,6 +410,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if not args.summary_only:
         if args.format == "csv":
+            import csv
+
             writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_COLUMNS, extrasaction="ignore")
             writer.writeheader()
             for report in result.reports:

@@ -184,6 +184,26 @@ def kummer_carries(a: int, b: int, p: int) -> int:
     return carries
 
 
+def _doubling_carries(n: int, p: int) -> int:
+    """Carries of n + n in base p, so v_p(C(2n, n)); the predictors' unchecked kernel.
+
+    One division step per base-p digit of n and no range or primality
+    check: the caller guarantees n >= 0 and a prime p (the predictors keep
+    n below 2**63).  A negative n never ends the loop.  The public
+    `kummer_carries` is the checked form of the same count.
+    """
+    carries = carry = 0
+    while n:
+        d = n % p
+        n //= p
+        if d + d + carry >= p:
+            carries += 1
+            carry = 1
+        else:
+            carry = 0
+    return carries
+
+
 def popcount_valuation(n: int) -> int:
     """Count of 1-bits of n; equals the exponent of 2 in C(2n, n)."""
     if n < 0:

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class DomainError(ValueError):
@@ -46,9 +48,11 @@ def _powers(x: int, n: int) -> list[int]:
 
 
 def eval_B(n: int, m: int, a: int, b: int) -> int:
-    """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k."""
+    """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k, for n >= 0 and m >= 0."""
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
+    if m < 0:
+        raise DomainError(f"m must be non-negative, got {m}")
     apow = _powers(a, n)
     bpow = _powers(b, n)
     total = 0
@@ -341,6 +345,8 @@ def legendre_rational(n: int, x: int) -> Fraction:
 
     evaluated in exact rational arithmetic so that even x is testable.
     """
+    from fractions import Fraction  # imported here: it loads decimal too
+
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
     total = 0

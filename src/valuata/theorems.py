@@ -30,6 +30,7 @@ from typing import Callable, Iterable
 
 from .digits import (
     U64_MAX,
+    _doubling_carries,
     digit_sum,
     is_prime,
     kummer_carries,
@@ -105,12 +106,34 @@ def _vp_catalan(n: int, p: int) -> int:
     return kummer_carries(n, n, p) - _vp_machine(n + 1, p)
 
 
-def _omega_shape(x: int, n: int, parity: str, vp_core: Callable[[int, int], int]) -> int:
-    """omega_x(core(n)) at even parity, 1 + omega_x((2n+1) * core(n)) at odd, x factorized once."""
-    factors = factorize(abs(x)).factors
-    if parity == "even":
-        return min(vp_core(n, p) // e for p, e in factors)
-    return 1 + min((_vp_machine(2 * n + 1, p) + vp_core(n, p)) // e for p, e in factors)
+# The predictors below check n (`_check_instance`) and their bases first,
+# then count carries with the unchecked `_doubling_carries`: every p they
+# pass it comes from a certified factorization or is the constant 3.  At
+# p = 2 the carries of n + n are the 1-bits of n.  `_vp_central_binomial`
+# and `_vp_catalan`, the `Claim.core` of the table, keep the checked
+# `kummer_carries`.
+
+
+def _omega_shape(x: int, n: int, parity: str, catalan: bool) -> int:
+    """omega_x(core(n)) at even parity, 1 + omega_x((2n+1) * core(n)) at odd, x factorized once.
+
+    core(n) is Catalan(n) if `catalan`, C(2n, n) otherwise.
+    """
+    odd = parity == "odd"
+    best = None
+    for p, e in factorize(abs(x)).factors:
+        if p == 2:
+            v = n.bit_count()  # and 2n + 1 is odd
+        else:
+            v = _doubling_carries(n, p)
+            if odd:
+                v += _vp_machine(2 * n + 1, p)
+        if catalan:
+            v -= _vp_machine(n + 1, p)
+        v //= e
+        if best is None or v < best:
+            best = v
+    return 1 + best if odd else best
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +151,7 @@ def predict_bsum_omega(n: int, parity: str, a: int, b: int) -> int:
     """
     _check_instance(n, parity)
     _check_weights(a, b, "a + b", a + b)
-    return _omega_shape(a + b, n, parity, _vp_central_binomial)
+    return _omega_shape(a + b, n, parity, False)
 
 
 def predict_central_binomial_v2(n: int, parity: str) -> int:
@@ -140,16 +163,15 @@ def predict_central_binomial_v2(n: int, parity: str) -> int:
     f_2n / f_2n+1.
     """
     _check_instance(n, parity)
-    bits = popcount_valuation(n)
+    bits = n.bit_count()
     return bits if parity == "even" else 1 + bits
 
 
 def predict_delannoy_v3(n: int, parity: str) -> int:
     """Exact power of 3 in the central Delannoy number D_2n / D_2n+1."""
     _check_instance(n, parity)
-    if parity == "even":
-        return _vp_central_binomial(n, 3)
-    return 1 + _vp_machine(2 * n + 1, 3) + _vp_central_binomial(n, 3)
+    v = _doubling_carries(n, 3)
+    return v if parity == "even" else 1 + _vp_machine(2 * n + 1, 3) + v
 
 
 def predict_schroder_v3(n: int, parity: str) -> int:
@@ -159,9 +181,8 @@ def predict_schroder_v3(n: int, parity: str) -> int:
     3-adic valuation coincides with the large ones'.
     """
     _check_instance(n, parity)
-    if parity == "odd":
-        return _vp_catalan(n, 3)
-    return 1 + _vp_machine(2 * n + 1, 3) + _vp_catalan(n, 3)
+    v = _doubling_carries(n, 3) - _vp_machine(n + 1, 3)
+    return v if parity == "odd" else 1 + _vp_machine(2 * n + 1, 3) + v
 
 
 def predict_legendre_omega(n: int, parity: str, x: int) -> int:
@@ -173,7 +194,7 @@ def predict_legendre_omega(n: int, parity: str, x: int) -> int:
         raise HypothesisViolation("x must not be a unit")
     if abs(x) > U64_MAX:
         raise HypothesisViolation(f"|x| exceeds the machine fast-path range: {x}")
-    return _omega_shape(x, n, parity, _vp_central_binomial)
+    return _omega_shape(x, n, parity, False)
 
 
 def predict_trinomial_omega(n: int, parity: str, a: int, b: int) -> int:
@@ -183,7 +204,7 @@ def predict_trinomial_omega(n: int, parity: str, a: int, b: int) -> int:
     """
     _check_instance(n, parity)
     _check_weights(a, b, "b", b)
-    return _omega_shape(b, n, parity, _vp_central_binomial)
+    return _omega_shape(b, n, parity, False)
 
 
 def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
@@ -194,7 +215,7 @@ def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
     """
     _check_instance(n, parity)
     _check_weights(a, b, "b", b)
-    return _omega_shape(b, n, parity, _vp_catalan)
+    return _omega_shape(b, n, parity, True)
 
 
 def _predict_hexagonal_v3(n: int, parity: str) -> int:
@@ -207,7 +228,8 @@ def _predict_catalan_shift_v2(n: int, parity: str) -> int:
 
     C_2n+1 keeps the power of two of C_n, C_2n+2 gains exactly one.
     """
-    vc = _vp_catalan(n, 2)
+    _check_instance(n, parity)
+    vc = n.bit_count() - _vp_machine(n + 1, 2)
     return vc if parity == "odd" else 1 + vc
 
 
@@ -288,8 +310,8 @@ class Claim:
         return n, r
 
     def core_vp(self, n: int, r: int, p: int) -> int:
-        """v_p((2n+1)**r * core(n))."""
-        return (_vp_machine(2 * n + 1, p) if r else 0) + self.core(n, p)
+        """v_p((2n+1)**r * core(n)); the checked core goes first, so a bad n or p raises."""
+        return self.core(n, p) + (_vp_machine(2 * n + 1, p) if r else 0)
 
     def core_text(self, n: int, r: int) -> str:
         text = f"Catalan({n})" if self.core is _vp_catalan else f"C({2 * n},{n})"

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import valuata.cli as cli
@@ -278,6 +278,24 @@ class TestVp:
     def test_composite_base_rejected(self, capsys):
         code, _, err = run(capsys, "vp", "6", "binom", "10", "5")
         assert code == 2 and "prime" in err
+
+
+class TestNegativeOrder:
+    @pytest.mark.parametrize("argv", [
+        ("omega", "3", "B", "4", "-2", "3", "5"),
+        ("omega", "3", "B", "4", "-2", "3", "5", "--mode", "oracle", "--explain"),
+        ("omega", "3", "bsum", "4", "-2", "3", "5", "--format", "json"),
+        ("seq", "bsum", "0..3", "-2", "1", "2"),
+        ("table", "bsum", "0..3", "-2", "1", "2"),
+    ])
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == "error: m must be non-negative, got -2\n"
+
+    def test_orders_zero_and_one_are_valid(self, capsys):
+        assert run(capsys, "seq", "bsum", "0..3", "0", "1", "2")[:2] == (0, "0\t1\n1\t3\n2\t7\n3\t15\n")
+        assert run(capsys, "seq", "bsum", "0..3", "1", "1", "2")[:2] == (0, "0\t1\n1\t3\n2\t9\n3\t27\n")
 
 
 class TestSeq:
@@ -633,8 +651,11 @@ class TestParserCache:
         assert _fresh_python(code) == "0\n"
 
     def test_import_loads_no_multiprocessing(self):
-        code = "import sys, valuata.cli; print('multiprocessing' in sys.modules)"
-        assert _fresh_python(code) == "False\n"
+        # multiprocessing is loaded by a sweep that forks, fractions (and with
+        # it decimal) by legendre_rational, csv by the CSV output paths.
+        lazy = ("multiprocessing", "fractions", "decimal", "csv")
+        code = f"import sys, valuata.cli; print([m for m in {lazy!r} if m in sys.modules])"
+        assert _fresh_python(code) == "[]\n"
 
 
 def _fresh_python(code: str) -> str:
@@ -652,19 +673,23 @@ def _fresh_python(code: str) -> str:
 _SMALL = st.integers(-3, 30).map(str)
 _TOKEN = st.one_of(_SMALL, _SMALL, st.sampled_from(["x", "", "1e2", "-0", "007", "1.5", "2..1", "1_0"]))
 _WIDE = st.integers(-(2**80), 2**80).map(str)
+_ORDER = st.one_of(st.integers(-3, 4).map(str), _TOKEN)  # B/bsum order m, negatives included
 _FLAGS = st.lists(st.sampled_from([["--format", "json"], ["--format", "csv"], ["--digits", "2"]]), max_size=2)
 
 
 def _params(name):
     """Mostly the sequence's own number of parameters, sometimes another."""
     arity = len(SEQUENCES[name].params) if name in SEQUENCES else 0
-    return st.one_of(st.lists(_TOKEN, min_size=arity, max_size=arity), st.lists(_TOKEN, max_size=3))
+    own = st.lists(_TOKEN, min_size=arity, max_size=arity)
+    if name == "bsum":
+        own = st.tuples(_ORDER, _TOKEN, _TOKEN).map(list)
+    return st.one_of(own, st.lists(_TOKEN, max_size=3))
 
 
 def _target(index):
     return st.one_of(
         st.one_of(_WIDE, _TOKEN).map(lambda literal: [literal]),
-        st.tuples(st.sampled_from(["B", "bsum"]), index, _TOKEN, _TOKEN, _TOKEN).map(list),
+        st.tuples(st.sampled_from(["B", "bsum"]), index, _ORDER, _TOKEN, _TOKEN).map(list),
         st.tuples(st.just("binom"), index, index).map(list),
         st.sampled_from(sorted(SEQUENCES)).flatmap(
             lambda name: st.tuples(st.just([name]), index.map(lambda n: [n]), _params(name))
@@ -689,7 +714,7 @@ _QUERIES = st.one_of(
 )
 
 _RANGES = st.one_of(_TOKEN, st.tuples(_SMALL, _SMALL).map("..".join))
-_NAMES = st.sampled_from(sorted(SEQUENCES) + ["nope"])
+_NAMES = st.one_of(st.sampled_from(sorted(SEQUENCES) + ["nope"]), st.just("bsum"))
 _VALUATION = st.sampled_from([[], ["--valuation", "3"], ["--valuation", "4"], ["--valuation", "x"]])
 _SEQS = _NAMES.flatmap(
     lambda name: st.tuples(st.just(["seq", name]), _RANGES.map(lambda r: [r]), _params(name), _VALUATION, _FLAGS)
@@ -721,9 +746,38 @@ _VERIFIES = st.tuples(
 ).map(lambda t: ["verify", *t[0], "--n-max", t[1], "--ab-max", t[2], "--primes", "13", *sum(t[3], [])])
 
 
+_INTEGER = re.compile(r"-?[0-9]+")
+_ABBREVIATED = re.compile(r"-?[0-9]+\.\.\.[0-9]+ \([0-9]+ digits\)")  # --digits
+
+
+def _integer_cell(cell: str) -> bool:
+    return bool(_INTEGER.fullmatch(cell) or _ABBREVIATED.fullmatch(cell)) or cell == "inf"
+
+
+def _non_integer_values(argv: list[str], out: str) -> list:
+    """The values in a successful seq/table output or omega/vp JSON line that are not integers."""
+    command = argv[0]
+    formats = [argv[i + 1] for i in range(len(argv) - 1) if argv[i] == "--format"]
+    fmt = formats[-1] if formats else "csv" if command == "table" else "human"
+    if fmt == "json" and command in ("seq", "omega", "vp"):
+        objs = [json.loads(line) for line in out.splitlines()]
+        values = [v for obj in objs for k, v in obj.items() if command == "seq" or k == "omega"]
+        return [v for v in values if not (type(v) is int or v == "inf")]
+    if command not in ("seq", "table"):
+        return []
+    if fmt == "csv":
+        cells = [cell for row in list(csv.reader(io.StringIO(out)))[1:] for cell in row]
+    else:
+        cells = [cell for line in out.splitlines() for cell in line.split("\t")]
+    return [cell for cell in cells if not _integer_cell(cell)]
+
+
 class TestExitCodeContract:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(_QUERIES, _SEQS, _TABLES, _VERIFIES))
+    @example(["seq", "bsum", "0..3", "-1", "1", "2"])
+    @example(["table", "bsum", "0..3", "-2", "1", "2"])
+    @example(["omega", "3", "B", "4", "-2", "3", "5", "--mode", "oracle", "--format", "json"])
     def test_exit_code_matches_the_outcome(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -736,3 +790,5 @@ class TestExitCodeContract:
         assert "Traceback" not in err
         if code == 1:
             assert re.search(r"violations=[1-9]", out + err) or err.startswith("DISAGREEMENT")
+        if code == 0:
+            assert _non_integer_values(argv, out) == []

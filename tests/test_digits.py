@@ -11,6 +11,7 @@ from valuata.digits import (
     U64_MAX,
     DigitExpansion,
     KernelRangeError,
+    _doubling_carries,
     _strong_probable_prime,
     digit_sum,
     expand,
@@ -19,6 +20,7 @@ from valuata.digits import (
     popcount_valuation,
     vp_factorial,
 )
+from valuata.theorems import _FAST_N_MAX
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -224,6 +226,46 @@ class TestKummerCarries:
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
             kummer_carries(U64_MAX, 1, 3)
+
+
+def legendre_central_valuation(n: int, p: int) -> int:
+    """v_p(C(2n, n)) by Legendre's formula: sum over i of floor(2n / p**i) - 2 floor(n / p**i)."""
+    total = 0
+    q = p
+    while q <= 2 * n:
+        total += 2 * n // q - 2 * (n // q)
+        q *= p
+    return total
+
+
+class TestDoublingCarries:
+    """The predictors' unchecked kernel against Legendre's formula and the checked kernel."""
+
+    PRIMES = (2, 3, 5, 7, 11, 97, 2**31 - 1, 2**61 - 1, 2**64 - 59)
+
+    @staticmethod
+    def inputs(p: int) -> list[int]:
+        edges = [0, 1, _FAST_N_MAX, (p + 1) // 2 - 1, (p + 1) // 2]  # the last two: first carry
+        q = p
+        while q <= _FAST_N_MAX:
+            edges += [q - 1, q]
+            q *= p
+        rng = random.Random(p)
+        seeded = [rng.getrandbits(rng.randint(1, 63)) for _ in range(2000)]
+        return [n for n in edges if n <= _FAST_N_MAX] + seeded
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_legendre(self, p):
+        assert is_prime(p)
+        for n in self.inputs(p):
+            expected = legendre_central_valuation(n, p)
+            assert _doubling_carries(n, p) == expected, (n, p)
+            assert kummer_carries(n, n, p) == expected, (n, p)
+
+    def test_worked_values(self):
+        assert _doubling_carries(2023, 3) == 5
+        assert _doubling_carries(2023, 11) == 3
+        assert _doubling_carries(2**61 - 2, 2**61 - 1) == 1
 
 
 class TestPopcountValuation:

@@ -64,6 +64,21 @@ class TestEvalB:
         with pytest.raises(DomainError):
             eval_B(-1, 2, 1, 1)
 
+    def test_negative_order_rejected(self):
+        # C(n, k)**m with m < 0 is a float, not a term of the sum.
+        for fn in (eval_B, bsum):
+            for n in (0, 4):
+                with pytest.raises(DomainError, match="^m must be non-negative, got -2$"):
+                    fn(n, -2, 3, 5)
+        with pytest.raises(DomainError, match="^m must be non-negative, got -1$"):
+            check_congruence(3, -1, 1, 2)
+
+    def test_orders_zero_and_one(self):
+        # m = 0: sum of a**(n-k) b**k; m = 1: the binomial theorem.
+        assert eval_B(4, 0, 3, 5) == bsum(4, 0, 3, 5) == sum(3 ** (4 - k) * 5**k for k in range(5))
+        assert eval_B(4, 1, 3, 5) == bsum(4, 1, 3, 5) == 8**4
+        assert check_congruence(4, 0, 1, 2) and check_congruence(4, 1, 1, 2)
+
     @given(st.integers(0, 60), st.integers(0, 5), small_int, small_int)
     def test_matches_brute_force(self, n, m, a, b):
         assert eval_B(n, m, a, b) == brute_B(n, m, a, b)

@@ -12,6 +12,7 @@ from math import comb
 import pytest
 
 import valuata.harness as harness
+from valuata.digits import KernelRangeError, kummer_carries
 from valuata.harness import _fork_pays
 from valuata.sequences import IntegralityError, delannoy, eval_B, eval_M, eval_T, franel, legendre
 from valuata.theorems import (
@@ -23,6 +24,7 @@ from valuata.theorems import (
     HarnessGrid,
     HypothesisViolation,
     TheoremReport,
+    _FAST_N_MAX,
     _report_order,
     coprime_pairs,
     predict_bsum_omega,
@@ -263,6 +265,110 @@ class TestClaimTable:
         )
         with pytest.raises(IntegralityError, match="^little-schroder construction failed at index 2$"):
             run_harness(["thm4"], HarnessGrid(n_max=3))
+
+
+def _reference_core(n: int, p: int, catalan: bool) -> int:
+    """v_p(C(2n, n)), or v_p(Catalan(n)), from the checked public kernel."""
+    v = kummer_carries(n, n, p)
+    return v - vp_int(n + 1, p) if catalan else v
+
+
+def _reference_shape(x: int, n: int, r: int, catalan: bool) -> int:
+    """r + omega_x((2n+1)**r * core(n)) from kummer_carries and factorize."""
+    return r + min(
+        ((vp_int(2 * n + 1, p) if r else 0) + _reference_core(n, p, catalan)) // e
+        for p, e in factorize(abs(x)).factors
+    )
+
+
+class TestPredictorFastPath:
+    """The predictors' unchecked carry kernel against the checked public kernels."""
+
+    # claim: (core is Catalan(n), index offset); the base comes from the claim's parameters
+    SHAPES = {
+        "thm1": (False, 0), "cor2": (False, 0), "thm3": (False, 0), "thm4": (True, 1),
+        "little-schroder": (True, 1), "cor3": (False, 0), "thm5": (False, 0), "thm6": (True, 0),
+        "hexagonal": (True, 0), "catalan-shift": (True, 1),
+    }
+    BASES = (2, 3, 6, 8, 9, 12, 2 * 3 * 97, 2**61 - 1)
+
+    @staticmethod
+    def ns() -> list[int]:
+        rng = random.Random(9)
+        edges = [0, 1, 2, 3, 7, 8, 26, 27, 80, 81, 2023, 3**39 - 1, 3**39, _FAST_N_MAX - 1, _FAST_N_MAX]
+        return edges + [rng.getrandbits(rng.randint(1, 63)) for _ in range(60)]
+
+    def params(self, name: str) -> list[tuple]:
+        signed = [s * x for x in self.BASES for s in (1, -1)]
+        if name == "thm1":
+            return [(a, x - a) for x in signed for a in (1, -1, 5) if math.gcd(a, x - a) == 1]
+        if name == "cor3":
+            return [(x,) for x in signed if x % 2]
+        if name in ("thm5", "thm6"):
+            return [(a, x) for x in signed for a in (1, -1, 5) if math.gcd(a, x) == 1]
+        return [()]
+
+    def test_every_public_predictor_is_in_the_table(self):
+        import valuata.theorems as theorems
+
+        public = {getattr(theorems, name) for name in dir(theorems) if name.startswith("predict_")}
+        assert public <= {claim.predict for claim in CLAIMS.values()}
+        assert set(self.SHAPES) == set(CLAIMS)
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_matches_the_checked_kernels(self, name):
+        claim = CLAIMS[name]
+        catalan, offset = self.SHAPES[name]
+        assert claim.offset == offset
+        for args in self.params(name):
+            x = claim.base(*args)
+            for n in self.ns():
+                for r in (0, 1):
+                    parity = "odd" if (r + offset) % 2 else "even"
+                    expected = _reference_shape(x, n, r, catalan)
+                    assert claim.predict(n, parity, *args) == expected, (name, args, n, parity)
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_predictors_check_their_inputs(self, name):
+        claim = CLAIMS[name]
+        args = self.params(name)[0]
+        for n in (-1, -3, _FAST_N_MAX + 1, 2**64):
+            with pytest.raises(HypothesisViolation):
+                claim.predict(n, "odd", *args)
+        with pytest.raises(ValueError, match="parity"):
+            claim.predict(3, "banana", *args)
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_core_checks_its_inputs(self, name):
+        claim = CLAIMS[name]
+        for n, p in ((-1, 3), (-3, 2), (_FAST_N_MAX + 1, 3), (_FAST_N_MAX + 1, 2)):
+            with pytest.raises(KernelRangeError):
+                claim.core(n, p)
+            for r in (0, 1):
+                with pytest.raises(KernelRangeError):
+                    claim.core_vp(n, r, p)
+        for p in (0, 1, 4, 9, 2 * 3 * 97):
+            with pytest.raises(ValueError, match="prime"):
+                claim.core(5, p)
+            for r in (0, 1):
+                with pytest.raises(ValueError, match="prime"):
+                    claim.core_vp(5, r, p)
+
+    @pytest.mark.parametrize("target, claim", [
+        ("predict_central_binomial_v2", "cor1"),
+        ("popcount_valuation", "popcount"),
+    ])
+    def test_cor1_catches_an_off_by_one_predictor_past_exact_max(self, monkeypatch, target, claim):
+        # Past exact_max the oracle is kummer_carries(., ., 2), a digit scan, not a popcount.
+        import valuata.theorems as theorems
+
+        original = getattr(theorems, target)
+        monkeypatch.setattr(theorems, target, lambda *args: original(*args) + 1)
+        reports = run_harness(["cor1"], HarnessGrid(n_max=40, exact_max=0)).reports
+        hit = [r for r in reports if r.claim == claim]
+        assert len(hit) == (2 if claim == "cor1" else 1) * 41
+        assert all(r.verdict == "violation" for r in hit)
+        assert all(r.verdict == "exact" for r in reports if r.claim != claim)
 
 
 class TestReportPath:
