@@ -32,6 +32,7 @@ from .sequences import (
     IntegralityError,
     bsum,
     bsum2_table,
+    bsum_table,
     catalan,
     catalan_table,
     central_binomial,

@@ -114,6 +114,11 @@ def _render_valuation(v) -> str:
     return "inf" if v is INFINITE else str(v)
 
 
+def _check_binom(n: int, k: int) -> None:
+    if not 0 <= k <= n:
+        raise UsageError(f"need 0 <= k <= n, got n={n}, k={k}")
+
+
 # ---------------------------------------------------------------------------
 # Target expressions: literal | B n m a b | binom n k | <sequence> idx [params]
 # ---------------------------------------------------------------------------
@@ -157,8 +162,7 @@ def _parse_target(tokens: list[str]) -> Target:
         if len(tokens) != 3:
             raise UsageError("expected: binom <n> <k>")
         n, k = _parse_int(tokens[1]), _parse_int(tokens[2])
-        if not 0 <= k <= n:
-            raise UsageError(f"need 0 <= k <= n, got n={n}, k={k}")
+        _check_binom(n, k)
 
         def fast_vp(p: int) -> int:
             return kummer_carries(k, n - k, p)
@@ -310,19 +314,25 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     return header, rows
 
 
+def _write_csv(out, header: list[str], rows: list[list]) -> None:
+    import csv
+
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows([[_render_valuation(v) if v is INFINITE else v for v in row] for row in rows])
+
+
 def cmd_seq(args: argparse.Namespace) -> int:
-    header, rows = _seq_rows(args)
     digits = args.digits
+    if digits is not None and digits < 1:
+        raise UsageError(f"--digits must be at least 1, got {digits}")
+    header, rows = _seq_rows(args)
     if args.format == "json":
         for row in rows:
             obj = dict(zip(header, ["inf" if v is INFINITE else v for v in row]))
             print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
-        import csv
-
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows([[_render_valuation(v) if v is INFINITE else v for v in row] for row in rows])
+        _write_csv(sys.stdout, header, rows)
     else:
         for row in rows:
             cells = [str(row[0]), _format_value(row[1], digits)]
@@ -338,14 +348,8 @@ def cmd_table(args: argparse.Namespace) -> int:
         out = open(args.output, "w", newline="") if args.output else sys.stdout
     except OSError as exc:
         raise UsageError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
-    import csv
-
     try:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(
-            [[_render_valuation(v) if v is INFINITE else v for v in row] for row in rows]
-        )
+        _write_csv(out, header, rows)
     finally:
         if args.output:
             out.close()
@@ -491,6 +495,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if scenario == "vp-binom":
         n = _parse_int(args.n) if args.n else 10**18
         k = _parse_int(args.k) if args.k else n // 2
+        _check_binom(n, k)
         p = _parse_int(args.p) if args.p else 3
         if not is_prime(p):
             raise UsageError(f"--p must be prime, got {p}")
@@ -527,21 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="<command>")
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--format", choices=("human", "json", "csv"), default="human")
-        p.add_argument(
-            "--digits",
-            type=int,
-            default=None,
-            help="abbreviate long values to this many leading/trailing digits",
-        )
+    def add_format(p: argparse.ArgumentParser, *choices: str) -> None:
+        p.add_argument("--format", choices=("human",) + choices, default="human")
 
     p_omega = sub.add_parser("omega", help="highest power of a base dividing a target")
     p_omega.add_argument("base")
     p_omega.add_argument("target", nargs="+", help="literal | B n m a b | binom n k | <seq> n [params]")
     p_omega.add_argument("--mode", choices=("fast", "oracle", "both"), default="oracle")
     p_omega.add_argument("--explain", action="store_true", help="show the per-prime breakdown")
-    add_common(p_omega)
+    add_format(p_omega, "json")
     p_omega.set_defaults(func=cmd_omega, prime_base=False)
 
     p_vp = sub.add_parser("vp", help="like omega, for a prime base")
@@ -549,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vp.add_argument("target", nargs="+")
     p_vp.add_argument("--mode", choices=("fast", "oracle", "both"), default="oracle")
     p_vp.add_argument("--explain", action="store_true")
-    add_common(p_vp)
+    add_format(p_vp, "json")
     p_vp.set_defaults(func=cmd_omega, prime_base=True)
 
     p_seq = sub.add_parser("seq", help="print exact sequence values over an index range")
@@ -557,7 +556,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("range", help="inclusive range like 0..10, or a single index")
     p_seq.add_argument("params", nargs="*", help="extra sequence parameters")
     p_seq.add_argument("--valuation", metavar="P", help="add a v_P column")
-    add_common(p_seq)
+    p_seq.add_argument(
+        "--digits",
+        type=int,
+        default=None,
+        help="abbreviate long values to this many leading/trailing digits",
+    )
+    add_format(p_seq, "json", "csv")
     p_seq.set_defaults(func=cmd_seq)
 
     p_table = sub.add_parser("table", help="export sequence values as CSV")
@@ -588,7 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--summary-only", action="store_true", help="suppress per-instance rows"
     )
-    add_common(p_verify)
+    add_format(p_verify, "json", "csv")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="time the fast path against the oracle")

@@ -124,23 +124,6 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _place(k: int) -> None:
-    """Move this process onto the k-th usable CPU, then allow every CPU again.
-
-    A forked child starts on its parent's CPU and tends to stay there; the
-    brief single-CPU mask spreads the processes without pinning them.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        return
-    mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
-    try:
-        os.sched_setaffinity(0, {cpus[k % len(cpus)]})
-        os.sched_setaffinity(0, mask)
-    except OSError:  # placement is only a hint
-        pass
-
-
 def _claim_items(work: list, counter, fail_fast: bool) -> list[tuple[int, list[TheoremReport]]]:
     """Run items taken in index order from the shared counter until none are left."""
     done = []
@@ -162,8 +145,7 @@ def _stop_claims(counter, n_items: int) -> None:
         counter.value = n_items
 
 
-def _worker(k: int, work: list, counter, fail_fast: bool, conn) -> None:
-    _place(k)
+def _worker(work: list, counter, fail_fast: bool, conn) -> None:
     try:
         done = _claim_items(work, counter, fail_fast)
         result = [(i, list(map(_report_args, batch))) for i, batch in done]
@@ -174,10 +156,10 @@ def _worker(k: int, work: list, counter, fail_fast: bool, conn) -> None:
     conn.close()
 
 
-def _start_worker(ctx, k: int, work: list, counter, fail_fast: bool):
-    """Fork the k-th worker; returns it with the read end of its result pipe."""
+def _start_worker(ctx, work: list, counter, fail_fast: bool):
+    """Fork a worker; returns it with the read end of its result pipe."""
     reader, writer = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=_worker, args=(k, work, counter, fail_fast, writer))
+    proc = ctx.Process(target=_worker, args=(work, counter, fail_fast, writer))
     proc.start()
     writer.close()
     return proc, reader
@@ -206,10 +188,9 @@ def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremR
     ctx = multiprocessing.get_context("fork")
     counter = ctx.Value("i", 0)
     children = []
-    _place(0)
     try:
-        for k in range(1, workers + 1):
-            children.append(_start_worker(ctx, k, work, counter, fail_fast))
+        for _ in range(workers):
+            children.append(_start_worker(ctx, work, counter, fail_fast))
         done = _claim_items(work, counter, fail_fast)
     except BaseException:
         _stop_claims(counter, len(work))

@@ -266,17 +266,17 @@ def catalan_table(n_max: int) -> list[int]:
     return table
 
 
-def schroder_large(n: int, _dt: list[int] | None = None) -> int:
+def schroder_large(n: int) -> int:
     """Large Schroder number S_n = (-D_{n-1} + 6 D_n - D_{n+1}) / 2, n >= 1."""
     if n < 1:
         raise DomainError(f"large Schroder numbers start at index 1, got {n}")
-    dt = _dt if _dt is not None else delannoy_table(n + 1)
+    dt = delannoy_table(n + 1)
     return _exact_div(-dt[n - 1] + 6 * dt[n] - dt[n + 1], 2, "schroder_large")
 
 
-def schroder_little(n: int, _dt: list[int] | None = None) -> int:
+def schroder_little(n: int) -> int:
     """Little Schroder number s_n = S_n / 2, n >= 1."""
-    return _exact_div(schroder_large(n, _dt), 2, "schroder_little")
+    return _exact_div(schroder_large(n), 2, "schroder_little")
 
 
 def schroder_large_table(n_max: int) -> list[int | None]:
@@ -362,6 +362,12 @@ def bsum(n: int, m: int, a: int, b: int) -> int:
     if m != 2:
         return eval_B(n, m, a, b)
     return table_value(bsum2_table, n, a, b)
+
+
+def bsum_table(n_max: int, m: int, a: int, b: int) -> list[int]:
+    """B(n, m, a, b) for n = 0..n_max, each by its defining sum (no recurrence covers every m)."""
+    _check_n_max(n_max)
+    return [eval_B(n, m, a, b) for n in range(n_max + 1)]
 
 
 def check_congruence(n: int, m: int, a: int, b: int) -> bool:

@@ -11,8 +11,12 @@ Most claims share one shape: at index i = 2n + r + offset (r = 0 or 1),
 
     omega_x(Y_i) = r + omega_x((2n+1)**r * core(n)),
 
-with core(n) = C(2n, n) or Catalan(n).  `CLAIMS` lists them; one generic
-runner sweeps them and the CLI derives its fast routes from them.
+with core(n) = C(2n, n) or Catalan(n), or at least that for a lower-bound
+claim.  `CLAIMS` lists them; one generic runner sweeps them and the CLI
+derives its fast routes from them.  cor1 and lemma1 keep their own
+runners: past `exact_max` the cor1 oracle is a digit kernel, not a
+sequence value, and lemma1 compares two constructions of the central
+multinomial coefficient.
 
 Hypothesis checking lives in the predictors: called outside its
 hypotheses a predictor raises HypothesisViolation instead of returning a
@@ -38,10 +42,10 @@ from .digits import (
 )
 from .sequences import (
     bsum2_table,
+    bsum_table,
     catalan_table,
     central_multinomial_product,
     delannoy_table,
-    eval_B,
     franel_table,
     hexagonal_table,
     legendre_table,
@@ -223,6 +227,11 @@ def _predict_hexagonal_v3(n: int, parity: str) -> int:
     return predict_motzkin_omega(n, parity, 1, 3)
 
 
+def _predict_bsum_bound(n: int, parity: str, m: int, a: int, b: int) -> int:
+    """The square-sum power of a+b, a lower bound at every order m (thm2)."""
+    return predict_bsum_omega(n, parity, a, b)
+
+
 def _predict_catalan_shift_v2(n: int, parity: str) -> int:
     """Power of 2 in the Catalan number C_2n+1 (odd) / C_2n+2 (even).
 
@@ -270,6 +279,10 @@ def _signed_pairs(grid: HarnessGrid) -> list[tuple[int, int]]:
         for a in grid.a_values
         if b not in (0, 1, -1) and math.gcd(a, b) == 1
     ]
+
+
+def _orders_and_pairs(grid: HarnessGrid) -> list[tuple[int, int, int]]:
+    return [(m, a, b) for a, b in coprime_pairs(grid.ab_max) for m in grid.m_values]
 
 
 def _odd_points(grid: HarnessGrid) -> list[tuple[int]]:
@@ -326,6 +339,8 @@ CLAIMS: dict[str, Claim] = {
         # name, sequence, table, params, base, core, offset, kind, predict, axis, n_max
         Claim("thm1", "bsum", bsum2_table, ("a", "b"), lambda a, b: a + b, _C, 0, KIND_EXACT,
               predict_bsum_omega, lambda grid: coprime_pairs(grid.ab_max), 200),
+        Claim("thm2", None, bsum_table, ("m", "a", "b"), lambda m, a, b: a + b, _C, 0, KIND_LOWER,
+              _predict_bsum_bound, _orders_and_pairs, 60),
         Claim("cor2", None, franel_table, (), lambda: 2, _C, 0, KIND_LOWER,
               predict_central_binomial_v2, None, 300),
         Claim("thm3", "delannoy", delannoy_table, (), lambda: 3, _C, 0, KIND_EXACT,
@@ -412,38 +427,6 @@ def _run_table(
                 oracle = omega(x, y) if p is None else vp_int(y, p)
                 instance = (("n", n), ("parity", parity)) + extra
                 out.append(TheoremReport(name, instance, next(predicted), oracle, kind))
-    return out
-
-
-# --- thm2: the square-sum power of a+b lower-bounds the higher-order sums
-
-
-def _items_thm2(grid: HarnessGrid) -> list[dict]:
-    n = _n_max(grid, 60)
-    return [
-        {"a": a, "b": b, "n_max": n, "m_values": grid.m_values}
-        for a, b in coprime_pairs(grid.ab_max)
-    ]
-
-
-def _run_thm2(a: int, b: int, n_max: int, m_values: tuple[int, ...]) -> list[TheoremReport]:
-    out = []
-    s = a + b
-    for n in range(n_max + 1):
-        for parity in PARITIES:
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            bound = predict_bsum_omega(n, parity, a, b)
-            for m in m_values:
-                oracle = omega(s, eval_B(idx, m, a, b))
-                out.append(
-                    TheoremReport(
-                        "thm2",
-                        (("n", n), ("parity", parity), ("m", m), ("a", a), ("b", b)),
-                        bound,
-                        oracle,
-                        KIND_LOWER,
-                    )
-                )
     return out
 
 
@@ -549,13 +532,7 @@ RUNNERS: dict[str, ClaimRunner] = {
     for r in (
         _table_runner("thm1", ("thm1",),
                       "power of a+b in the square sum equals that of the central binomial"),
-        ClaimRunner(
-            "thm2",
-            ("thm2",),
-            "the square-sum power of a+b lower-bounds every higher-order sum",
-            _items_thm2,
-            _run_thm2,
-        ),
+        _table_runner("thm2", ("thm2",), "the square-sum power of a+b lower-bounds every higher-order sum"),
         ClaimRunner(
             "cor1",
             ("cor1", "popcount"),

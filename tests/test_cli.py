@@ -356,6 +356,11 @@ class TestSeq:
         value_field = out.strip().split("\t")[1]
         assert "..." in value_field and "digits" in value_field
 
+    @pytest.mark.parametrize("digits", ["0", "-1"])
+    def test_digits_below_one_exits_2(self, capsys, digits):
+        code, out, err = run(capsys, "seq", "delannoy", "0..30", "--digits", digits)
+        assert (code, out) == (2, "") and err == f"error: --digits must be at least 1, got {digits}\n"
+
     def test_json_format(self, capsys):
         code, out, _ = run(capsys, "seq", "catalan", "2..3", "--format", "json")
         objs = [json.loads(line) for line in out.strip().splitlines()]
@@ -547,6 +552,42 @@ class TestPinnedVerifyOutput:
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[fmt]
 
 
+class TestPinnedThm2Output:
+    """The stdout bytes of a thm2 sweep over three orders, pinned per format."""
+
+    ARGS = ("verify", "thm2", "--n-max", "40", "--ab-max", "8", "--m-set", "3,4,5")
+    SHA256 = {
+        "json": "82591b13e3637198c32fb9cfb97712f84168bbcfc15db8d7ec69a1ef736b81dd",
+        "csv": "dd990c12304da3c50d8a704d2faa5e130aca94d6720b988210c259682dd3215b",
+        "human": "df3f8b977dc25ba945084985db8d2c8eed35eb6d0556e8d76730dfafa1aa8df5",
+    }
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_stdout_sha256(self, capsys, monkeypatch, fmt):
+        monkeypatch.delenv("VALUATA_JOBS", raising=False)
+        code, out, err = run(capsys, *self.ARGS, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[fmt]
+        assert err == ("" if fmt == "human" else "[thm2] checked=5412 violations=0\n")
+
+
+class TestOutputOptions:
+    """Each command takes only the output options it reads; the others exit 2 in argparse."""
+
+    @pytest.mark.parametrize("argv", [
+        ("omega", "3", "9", "--format", "csv"),
+        ("vp", "3", "9", "--format", "csv"),
+        ("omega", "3", "9", "--digits", "2"),
+        ("vp", "3", "9", "--digits", "2"),
+        ("verify", "thm3", "--n-max", "2", "--digits", "2"),
+        ("table", "delannoy", "0..3", "--digits", "2"),
+        ("table", "delannoy", "0..3", "--format", "json"),
+    ])
+    def test_unread_options_exit_2(self, capsys, argv):
+        code, out, err = run_or_exit(capsys, *argv)
+        assert (code, out) == (2, "") and "error:" in err
+
+
 class TestBench:
     def test_thm1_with_oracle(self, capsys):
         code, out, _ = run(capsys, "bench", "thm1", "--n", "30", "--a", "1", "--b", "2")
@@ -571,6 +612,12 @@ class TestBench:
     def test_unknown_scenario_exit_2(self, capsys):
         code, _, err = run(capsys, "bench", "fibonacci")
         assert code == 2
+
+    def test_vp_binom_k_past_n_exits_2(self, capsys):
+        # the same message as the binom target of omega/vp
+        code, out, err = run(capsys, "bench", "vp-binom", "--n", "5", "--k", "9")
+        assert (code, out) == (2, "") and err == "error: need 0 <= k <= n, got n=5, k=9\n"
+        assert run(capsys, "vp", "3", "binom", "5", "9")[2] == err
 
 
 class TestTopLevel:
@@ -674,7 +721,10 @@ _SMALL = st.integers(-3, 30).map(str)
 _TOKEN = st.one_of(_SMALL, _SMALL, st.sampled_from(["x", "", "1e2", "-0", "007", "1.5", "2..1", "1_0"]))
 _WIDE = st.integers(-(2**80), 2**80).map(str)
 _ORDER = st.one_of(st.integers(-3, 4).map(str), _TOKEN)  # B/bsum order m, negatives included
-_FLAGS = st.lists(st.sampled_from([["--format", "json"], ["--format", "csv"], ["--digits", "2"]]), max_size=2)
+_FLAGS = st.lists(
+    st.sampled_from([["--format", "json"], ["--format", "csv"], ["--digits", "2"], ["--digits", "0"], ["--digits", "-1"]]),
+    max_size=2,
+)
 
 
 def _params(name):
@@ -747,11 +797,15 @@ _VERIFIES = st.tuples(
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
-_ABBREVIATED = re.compile(r"-?[0-9]+\.\.\.[0-9]+ \([0-9]+ digits\)")  # --digits
+_ABBREVIATED = re.compile(r"(-?[0-9]+)\.\.\.([0-9]+) \(([0-9]+) digits\)")  # --digits
 
 
 def _integer_cell(cell: str) -> bool:
-    return bool(_INTEGER.fullmatch(cell) or _ABBREVIATED.fullmatch(cell)) or cell == "inf"
+    abbreviated = _ABBREVIATED.fullmatch(cell)
+    if abbreviated:  # shows fewer characters of the value than it has
+        lead, tail, length = abbreviated.groups()
+        return len(lead) + len(tail) < int(length)
+    return bool(_INTEGER.fullmatch(cell)) or cell == "inf"
 
 
 def _non_integer_values(argv: list[str], out: str) -> list:
@@ -778,6 +832,8 @@ class TestExitCodeContract:
     @example(["seq", "bsum", "0..3", "-1", "1", "2"])
     @example(["table", "bsum", "0..3", "-2", "1", "2"])
     @example(["omega", "3", "B", "4", "-2", "3", "5", "--mode", "oracle", "--format", "json"])
+    @example(["seq", "delannoy", "0..30", "--digits", "0"])
+    @example(["seq", "delannoy", "0..3", "--digits", "-1"])
     def test_exit_code_matches_the_outcome(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -11,6 +11,7 @@ from valuata.sequences import (
     DomainError,
     bsum,
     bsum2_table,
+    bsum_table,
     catalan,
     catalan_table,
     central_binomial,
@@ -82,6 +83,21 @@ class TestEvalB:
     @given(st.integers(0, 60), st.integers(0, 5), small_int, small_int)
     def test_matches_brute_force(self, n, m, a, b):
         assert eval_B(n, m, a, b) == brute_B(n, m, a, b)
+
+
+class TestBsumTable:
+    def test_matches_the_pointwise_sum(self):
+        for m in range(6):
+            for a in range(-4, 6):
+                for b in range(-4, 6):
+                    assert bsum_table(24, m, a, b) == [eval_B(n, m, a, b) for n in range(25)], (m, a, b)
+
+    def test_domain(self):
+        assert bsum_table(0, 3, 2, 5) == [1]
+        with pytest.raises(DomainError, match="^n_max must be non-negative, got -1$"):
+            bsum_table(-1, 3, 1, 2)
+        with pytest.raises(DomainError, match="^m must be non-negative, got -1$"):
+            bsum_table(3, -1, 1, 2)
 
 
 class TestFoldedForms:

@@ -286,7 +286,7 @@ class TestPredictorFastPath:
 
     # claim: (core is Catalan(n), index offset); the base comes from the claim's parameters
     SHAPES = {
-        "thm1": (False, 0), "cor2": (False, 0), "thm3": (False, 0), "thm4": (True, 1),
+        "thm1": (False, 0), "thm2": (False, 0), "cor2": (False, 0), "thm3": (False, 0), "thm4": (True, 1),
         "little-schroder": (True, 1), "cor3": (False, 0), "thm5": (False, 0), "thm6": (True, 0),
         "hexagonal": (True, 0), "catalan-shift": (True, 1),
     }
@@ -302,6 +302,8 @@ class TestPredictorFastPath:
         signed = [s * x for x in self.BASES for s in (1, -1)]
         if name == "thm1":
             return [(a, x - a) for x in signed for a in (1, -1, 5) if math.gcd(a, x - a) == 1]
+        if name == "thm2":  # the order m does not enter the bound
+            return [(m, a, x - a) for x in signed for a in (1, -1, 5) for m in (3, 7) if math.gcd(a, x - a) == 1]
         if name == "cor3":
             return [(x,) for x in signed if x % 2]
         if name in ("thm5", "thm6"):
@@ -459,7 +461,7 @@ class TestHarness:
         real_start = harness._start_worker
 
         def counting_start(*args):
-            starts.append(args[1])
+            starts.append(len(starts) + 1)
             return real_start(*args)
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
@@ -494,9 +496,9 @@ class TestHarness:
         # the threshold alone keeps it in-process: at 0 the same sweep forks
         starts = []
 
-        def counting_start(ctx, k, *args):
-            starts.append(k)
-            return real_start(ctx, k, *args)
+        def counting_start(*args):
+            starts.append(len(starts) + 1)
+            return real_start(*args)
 
         monkeypatch.setattr(harness, "_start_worker", counting_start)
         _fork_at_once(monkeypatch)
@@ -523,9 +525,9 @@ class TestHarness:
         starts = []
         real_start = harness._start_worker
 
-        def counting_start(ctx, k, *args):
-            starts.append(k)
-            return real_start(ctx, k, *args)
+        def counting_start(*args):
+            starts.append(len(starts) + 1)
+            return real_start(*args)
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 8)
         monkeypatch.setattr(harness, "_start_worker", counting_start)
@@ -546,11 +548,11 @@ class TestHarness:
         starts = []
         real_start = harness._start_worker
 
-        def counting_start(ctx, k, *args):
-            starts.append(k)
+        def counting_start(*args):
+            starts.append(len(starts) + 1)
             if len(starts) >= cpus:  # refuse before starting one too many
                 raise AssertionError(f"started more than {cpus - 1} workers")
-            return real_start(ctx, k, *args)
+            return real_start(*args)
 
         monkeypatch.setattr(harness, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(harness, "_start_worker", counting_start)
