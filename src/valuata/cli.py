@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import re
 import sys
 import time
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Callable
 
-from .digits import KernelRangeError, is_prime, kummer_carries
+from .digits import KernelRangeError, is_prime
 from .sequences import (
     SEQUENCES,
     DomainError,
@@ -33,6 +32,7 @@ from .theorems import (
     RUNNERS,
     HarnessGrid,
     HypothesisViolation,
+    SelectionError,
     predict_bsum_omega,
     run_harness,
 )
@@ -40,8 +40,10 @@ from .valuation import (
     INFINITE,
     InvalidBaseError,
     ZeroInputError,
+    check_binomial,
     factorize,
     omega,
+    vp_binomial_fast,
     vp_int,
 )
 
@@ -114,11 +116,6 @@ def _render_valuation(v) -> str:
     return "inf" if v is INFINITE else str(v)
 
 
-def _check_binom(n: int, k: int) -> None:
-    if not 0 <= k <= n:
-        raise UsageError(f"need 0 <= k <= n, got n={n}, k={k}")
-
-
 # ---------------------------------------------------------------------------
 # Target expressions: literal | B n m a b | binom n k | <sequence> idx [params]
 # ---------------------------------------------------------------------------
@@ -162,12 +159,8 @@ def _parse_target(tokens: list[str]) -> Target:
         if len(tokens) != 3:
             raise UsageError("expected: binom <n> <k>")
         n, k = _parse_int(tokens[1]), _parse_int(tokens[2])
-        _check_binom(n, k)
-
-        def fast_vp(p: int) -> int:
-            return kummer_carries(k, n - k, p)
-
-        return Target(f"binom({n},{k})", lambda: comb(n, k), fast_vp)
+        check_binomial(n, k)
+        return Target(f"binom({n},{k})", lambda: comb(n, k), functools.partial(vp_binomial_fast, n, k))
     if head in SEQUENCES:
         entry = SEQUENCES[head]
         want = 1 + len(entry.params)
@@ -304,7 +297,7 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if entry.table is not None and indices:
         values = entry.table(hi, *extra)[lo:]
     else:
-        values = [entry.fn(n, *extra) for n in indices]
+        values = [entry.value(n, *extra) for n in indices]
     rows = []
     for n, value in zip(indices, values):
         row: list = [n, value]
@@ -401,16 +394,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"--{key.replace('_', '-')} must be non-negative")
     grid = HarnessGrid(**grid_kwargs)
 
-    jobs = args.jobs
-    env_jobs = os.environ.get("VALUATA_JOBS")
-    if env_jobs:
-        jobs = int(env_jobs) if _PLAIN_DECIMAL.fullmatch(env_jobs.strip()) else 0
-        if jobs < 1:
-            raise UsageError(f"VALUATA_JOBS must be a positive integer, got {env_jobs!r}")
-    elif jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {jobs}")
+    if args.jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
 
-    result = run_harness(args.claims or ("all",), grid, jobs=jobs, fail_fast=args.fail_fast)
+    result = run_harness(args.claims or ("all",), grid, jobs=args.jobs, fail_fast=args.fail_fast)
 
     if not args.summary_only:
         if args.format == "csv":
@@ -495,11 +482,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if scenario == "vp-binom":
         n = _parse_int(args.n) if args.n else 10**18
         k = _parse_int(args.k) if args.k else n // 2
-        _check_binom(n, k)
         p = _parse_int(args.p) if args.p else 3
         if not is_prime(p):
             raise UsageError(f"--p must be prime, got {p}")
-        fast_t, fast_v = _time_best(lambda: kummer_carries(k, n - k, p))
+        fast_t, fast_v = _time_best(lambda: vp_binomial_fast(n, k, p))
         print(f"scenario=vp-binom n={n} k={k} p={p}")
         print(f"  fast={fast_t * 1000:.3f}ms v_p={fast_v}")
         # Beyond this the binomial itself is too large to be worth building.
@@ -578,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         "claims",
         nargs="*",
         metavar="CLAIM",
-        help=f"any of: all, {', '.join(sorted(RUNNERS))}",
+        help=f"all, a runner ({', '.join(RUNNERS)}), or a claim or sequence that a runner sweeps",
     )
     p_verify.add_argument("--n-max", dest="n_max")
     p_verify.add_argument("--ab-max", dest="ab_max")
@@ -626,9 +612,12 @@ def main(argv: list[str] | None = None) -> int:
         ZeroInputError,
         HypothesisViolation,
         KernelRangeError,
-        KeyError,
+        SelectionError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; ask for a smaller range, index or grid", file=sys.stderr)
         return 2
     except IntegralityError as exc:
         print(f"internal arithmetic failure: {exc}", file=sys.stderr)

@@ -388,25 +388,21 @@ def check_congruence(n: int, m: int, a: int, b: int) -> bool:
 class SequenceDef:
     """A named integer sequence: the CLI-facing registry entry.
 
-    `table(n_max, *params)` builds [y_0, ..., y_n_max] in one pass, for
-    sequences that have a recurrence; it starts at index 0, with None
-    below `min_index`.
+    `fn(n, *params)` computes one value; `table(n_max, *params)` builds
+    [y_0, ..., y_n_max] in one pass, for sequences that have a recurrence;
+    it starts at index 0, with None below `min_index`.  An entry has at
+    least one of the two.
     """
 
     name: str
-    fn: Callable[..., int]
     params: tuple[str, ...]
     min_index: int
-    description: str
+    fn: Callable[..., int] | None = None
     table: Callable[..., list[int]] | None = None
 
     def value(self, n: int, *params: int) -> int:
-        """y_n, read off the recurrence table when there is one.
-
-        A sequence that starts past index 0 (Schroder) takes `fn`, which
-        already reads one Delannoy table and skips the values below n.
-        """
-        if self.table is None or self.min_index:
+        """y_n by `fn` when the entry has one, else read off its table."""
+        if self.fn is not None:
             return self.fn(n, *params)
         return table_value(self.table, n, *params)
 
@@ -414,24 +410,18 @@ class SequenceDef:
 SEQUENCES: dict[str, SequenceDef] = {
     s.name: s
     for s in (
-        SequenceDef("delannoy", delannoy, (), 0, "central Delannoy numbers", delannoy_table),
-        SequenceDef("schroder", schroder_large, (), 1, "large Schroder numbers", schroder_large_table),
-        SequenceDef(
-            "little-schroder", schroder_little, (), 1, "little Schroder numbers", schroder_little_table
-        ),
-        SequenceDef("catalan", catalan, (), 0, "Catalan numbers"),
-        SequenceDef("central-binomial", central_binomial, (), 0, "central binomial coefficients"),
-        SequenceDef("franel", franel, (), 0, "Franel numbers", franel_table),
-        SequenceDef("hexagonal", hexagonal, (), 0, "restricted hexagonal numbers", hexagonal_table),
-        SequenceDef("fuss-catalan", fuss_catalan, ("k",), 0, "Fuss-Catalan numbers C(kn,n)/((k-1)n+1)"),
-        SequenceDef(
-            "multinomial", central_multinomial_product, ("p",), 0, "central multinomial coefficients (pn)!/(n!)^p"
-        ),
-        SequenceDef(
-            "trinomial", eval_T, ("a", "b"), 0, "generalized central trinomial coefficients", trinomial_table
-        ),
-        SequenceDef("motzkin", eval_M, ("a", "b"), 0, "generalized Motzkin numbers", motzkin_table),
-        SequenceDef("legendre", legendre, ("x",), 0, "Legendre polynomial values at odd x", legendre_table),
-        SequenceDef("bsum", bsum, ("m", "a", "b"), 0, "weighted power sums B(n,m,a,b)"),
+        SequenceDef("delannoy", (), 0, table=delannoy_table),
+        SequenceDef("schroder", (), 1, schroder_large, schroder_large_table),
+        SequenceDef("little-schroder", (), 1, schroder_little, schroder_little_table),
+        SequenceDef("catalan", (), 0, catalan),
+        SequenceDef("central-binomial", (), 0, central_binomial),
+        SequenceDef("franel", (), 0, table=franel_table),
+        SequenceDef("hexagonal", (), 0, table=hexagonal_table),
+        SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan),
+        SequenceDef("multinomial", ("p",), 0, central_multinomial_product),
+        SequenceDef("trinomial", ("a", "b"), 0, table=trinomial_table),
+        SequenceDef("motzkin", ("a", "b"), 0, table=motzkin_table),
+        SequenceDef("legendre", ("x",), 0, table=legendre_table),
+        SequenceDef("bsum", ("m", "a", "b"), 0, bsum),
     )
 }

@@ -272,21 +272,24 @@ def coprime_pairs(ab_max: int) -> list[tuple[int, int]]:
     ]
 
 
+# The axes below sweep each grid value once, at its first occurrence.
+
+
 def _signed_pairs(grid: HarnessGrid) -> list[tuple[int, int]]:
     return [
         (a, b)
-        for b in grid.b_values
-        for a in grid.a_values
+        for b in dict.fromkeys(grid.b_values)
+        for a in dict.fromkeys(grid.a_values)
         if b not in (0, 1, -1) and math.gcd(a, b) == 1
     ]
 
 
 def _orders_and_pairs(grid: HarnessGrid) -> list[tuple[int, int, int]]:
-    return [(m, a, b) for a, b in coprime_pairs(grid.ab_max) for m in grid.m_values]
+    return [(m, a, b) for a, b in coprime_pairs(grid.ab_max) for m in dict.fromkeys(grid.m_values)]
 
 
 def _odd_points(grid: HarnessGrid) -> list[tuple[int]]:
-    return [(x,) for x in grid.x_values if x % 2 and x not in (1, -1)]
+    return [(x,) for x in dict.fromkeys(grid.x_values) if x % 2 and x not in (1, -1)]
 
 
 @dataclass(frozen=True)
@@ -514,78 +517,74 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
 
 @dataclass(frozen=True)
 class ClaimRunner:
-    name: str
+    """Sweeps `claims`: `items(grid)` lists work items, `run(**item)` returns their reports."""
+
     claims: tuple[str, ...]
-    description: str
     items: Callable[[HarnessGrid], list[dict]]
     run: Callable[..., list[TheoremReport]]
 
 
-def _table_runner(name: str, claims: tuple[str, ...], description: str) -> ClaimRunner:
+def _table_runner(*claims: str) -> ClaimRunner:
     """A runner that sweeps `claims` of CLAIMS with the generic table runner."""
-    items, run = functools.partial(_table_items, claims), functools.partial(_run_table, claims)
-    return ClaimRunner(name, claims, description, items, run)
+    return ClaimRunner(claims, functools.partial(_table_items, claims), functools.partial(_run_table, claims))
 
 
 RUNNERS: dict[str, ClaimRunner] = {
-    r.name: r
-    for r in (
-        _table_runner("thm1", ("thm1",),
-                      "power of a+b in the square sum equals that of the central binomial"),
-        _table_runner("thm2", ("thm2",), "the square-sum power of a+b lower-bounds every higher-order sum"),
-        ClaimRunner(
-            "cor1",
-            ("cor1", "popcount"),
-            "2-adic valuation of doubled central binomials; equals the 1-bit count",
-            _items_cor1,
-            _run_cor1,
-        ),
-        _table_runner("cor2", ("cor2",), "2-adic lower bounds for Franel numbers"),
-        _table_runner("thm3", ("thm3",), "3-adic valuation of central Delannoy numbers"),
-        _table_runner("thm4", ("thm4", "little-schroder"),
-                      "3-adic valuation of large and little Schroder numbers"),
-        _table_runner("cor3", ("cor3",), "power of an odd x dividing the Legendre value P_n(x)"),
-        _table_runner("thm5", ("thm5",), "power of b dividing generalized central trinomial coefficients"),
-        _table_runner("thm6", ("thm6",), "power of b dividing generalized Motzkin numbers"),
-        ClaimRunner(
-            "lemma1",
-            ("lemma1", "multinomial-valuation", "multinomial-bound", "shifted-product-bound"),
-            "factor bounds and central multinomial valuations",
-            _items_lemma1,
-            _run_lemma1,
-        ),
-        _table_runner("remarks", ("hexagonal", "catalan-shift"),
-                      "3-adic hexagonal valuations and 2-adic Catalan index doubling"),
-    )
+    "thm1": _table_runner("thm1"),
+    "thm2": _table_runner("thm2"),
+    "cor1": ClaimRunner(("cor1", "popcount"), _items_cor1, _run_cor1),
+    "cor2": _table_runner("cor2"),
+    "thm3": _table_runner("thm3"),
+    "thm4": _table_runner("thm4", "little-schroder"),
+    "cor3": _table_runner("cor3"),
+    "thm5": _table_runner("thm5"),
+    "thm6": _table_runner("thm6"),
+    "lemma1": ClaimRunner(
+        ("lemma1", "multinomial-valuation", "multinomial-bound", "shifted-product-bound"),
+        _items_lemma1,
+        _run_lemma1,
+    ),
+    "remarks": _table_runner("hexagonal", "catalan-shift"),
 }
 
-SELECTOR_ALIASES = {
+# Selector -> the runner that sweeps it: the paper's names for cor1 and cor2,
+# then every claim a runner reports, the sequence of each table claim, and
+# the runner names themselves.
+_SELECTORS = {
     "remark2": "cor1",
-    "popcount": "cor1",
-    "schroder": "thm4",
-    "delannoy": "thm3",
     "franel": "cor2",
-    "legendre": "cor3",
-    "trinomial": "thm5",
-    "motzkin": "thm6",
+    **{claim: name for name, runner in RUNNERS.items() for claim in runner.claims},
+    **{
+        CLAIMS[claim].sequence: name
+        for name, runner in RUNNERS.items()
+        for claim in runner.claims
+        if claim in CLAIMS and CLAIMS[claim].sequence
+    },
+    **{name: name for name in RUNNERS},
 }
+
+
+class SelectionError(ValueError):
+    """A sweep request that names no runner, or gives a selected runner nothing to check."""
 
 
 def resolve_selectors(names: Iterable[str]) -> list[str]:
-    """Normalize user-facing claim selectors to runner names, keeping order."""
+    """Runner names for user-facing claim selectors, in order of first mention.
+
+    A selector is "all", a runner name, a claim that a runner reports or the
+    sequence of a table claim, in any case.  Selecting a claim selects its
+    whole runner.
+    """
     out: list[str] = []
     for name in names:
         key = name.lower()
         if key == "all":
-            for runner in RUNNERS:
-                if runner not in out:
-                    out.append(runner)
+            out.extend(runner for runner in RUNNERS if runner not in out)
             continue
-        key = SELECTOR_ALIASES.get(key, key)
-        if key not in RUNNERS:
-            raise KeyError(f"unknown claim selector {name!r}")
-        if key not in out:
-            out.append(key)
+        if key not in _SELECTORS:
+            raise SelectionError(f"unknown claim selector {name!r}")
+        if _SELECTORS[key] not in out:
+            out.append(_SELECTORS[key])
     return out
 
 
@@ -630,19 +629,21 @@ def run_harness(
     clearly longer than starting a worker costs (harness._FORK_MIN_S), it forks
     min(jobs, items left, usable CPUs) - 1 workers for them; this process
     works too, and items are handed out in order from a shared counter.
-    Short sweeps therefore never fork.  An exception raised by an item is
-    raised here.
+    Short sweeps therefore never fork, and neither does any sweep where
+    os.fork is missing.  An exception raised by an item is raised here, and
+    a selected runner without work items raises SelectionError.
     """
     grid = grid or HarnessGrid()
-    runner_names = resolve_selectors(selectors)
-    work = [(RUNNERS[name].run, kw) for name in runner_names for kw in RUNNERS[name].items(grid)]
-    cpus = harness._usable_cpus()
-    if min(jobs, len(work), cpus) < 2 or not hasattr(os, "fork"):
-        batches = (run(**kw) for run, kw in work)
-    else:
-        batches = harness._run_adaptive(work, jobs, cpus, fail_fast)
+    work = []
+    for name in resolve_selectors(selectors):
+        runner = RUNNERS[name]
+        items = runner.items(grid)
+        if not items:
+            raise SelectionError(f"the grid gives {name} nothing to check")
+        work += [(runner.run, kw) for kw in items]
+    jobs = jobs if hasattr(os, "fork") else 1
     reports: list[TheoremReport] = []
-    for batch in batches:
+    for batch in harness._run_adaptive(work, jobs, harness._usable_cpus(), fail_fast):
         reports.extend(batch)
         if fail_fast and harness._violates(batch):
             break

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
 
-from .digits import U64_MAX, KernelRangeError, is_prime, kummer_carries, _require_prime
+from .digits import U64_MAX, KernelRangeError, is_prime, kummer_carries, _require_prime, _require_u64
+from .sequences import DomainError
 
 
 class ZeroInputError(ValueError):
@@ -222,8 +223,17 @@ def omega(x: int, y: int) -> Valuation:
     return min(vp_int(y, p) // e for p, e in factorize(abs(x)).factors)
 
 
-def vp_binomial_fast(n: int, k: int, p: int) -> int:
-    """Exponent of p in C(n, k) by carry counting; never builds the binomial."""
+def check_binomial(n: int, k: int) -> None:
+    """Raise DomainError unless 0 <= k <= n, the binomials C(n, k) that queries take."""
     if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got n={n}, k={k}")
+        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
+
+
+def vp_binomial_fast(n: int, k: int, p: int) -> int:
+    """Exponent of p in C(n, k) by carry counting; never builds the binomial.
+
+    Takes 0 <= k <= n <= 2**64 - 1 (DomainError, then KernelRangeError).
+    """
+    check_binomial(n, k)
+    _require_u64(n, "n")
     return kummer_carries(k, n - k, p)

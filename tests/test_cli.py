@@ -19,7 +19,7 @@ import valuata.cli as cli
 import valuata.harness as harness
 from valuata.cli import main
 from valuata.sequences import SEQUENCES
-from valuata.theorems import RUNNERS
+from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, run_harness
 
 
 def run(capsys, *argv):
@@ -448,12 +448,7 @@ class TestVerify:
         )
         runner = theorems.RUNNERS["thm3"]
         monkeypatch.setitem(
-            theorems.RUNNERS,
-            "thm3",
-            theorems.ClaimRunner(
-                runner.name, runner.claims, runner.description,
-                lambda grid: [{}], lambda: [bad],
-            ),
+            theorems.RUNNERS, "thm3", dataclasses.replace(runner, items=lambda grid: [{}], run=lambda: [bad])
         )
         code, out, _ = run(capsys, "verify", "thm3")
         assert code == 1 and "violation" in out
@@ -466,20 +461,9 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "thm2", "--m-set", "2,3", "--n-max", "1", "--ab-max", "2")
         assert code == 0 and "[thm2] checked=16 violations=0" in out
 
-    def test_jobs_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("VALUATA_JOBS", "2")
-        code, out, _ = run(capsys, "verify", "thm3", "--n-max", "4")
-        assert code == 0
-
-    def test_bad_job_counts_exit_2(self, capsys, monkeypatch):
-        monkeypatch.delenv("VALUATA_JOBS", raising=False)
+    def test_bad_job_counts_exit_2(self, capsys):
         code, out, err = run(capsys, "verify", "thm3", "--n-max", "4", "--jobs", "0")
         assert (code, out) == (2, "") and err == "error: --jobs must be at least 1, got 0\n"
-        for value in ("x", "0"):
-            monkeypatch.setenv("VALUATA_JOBS", value)
-            code, out, err = run(capsys, "verify", "thm3", "--n-max", "4")
-            assert (code, out) == (2, "")
-            assert err == f"error: VALUATA_JOBS must be a positive integer, got {value!r}\n"
 
     def test_primes_range_honours_lower_bound(self, capsys):
         code, out, _ = run(
@@ -507,7 +491,6 @@ class TestVerify:
     def test_output_is_the_same_at_any_job_count(self, capsys, monkeypatch, fmt):
         import valuata.theorems as theorems
 
-        monkeypatch.delenv("VALUATA_JOBS", raising=False)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(harness, "_FORK_MIN_S", 0)  # fork after the first item
         args = ("verify", "all", "--n-max", "8", "--ab-max", "6", "--primes", "7", "--format", fmt)
@@ -522,15 +505,94 @@ class TestVerify:
         monkeypatch.setitem(
             theorems.RUNNERS,
             "thm5",
-            theorems.ClaimRunner(
-                runner.name, runner.claims, runner.description, runner.items,
-                lambda **kw: runner.run(**kw) + ([bad] if kw == items[3] else []),
-            ),
+            dataclasses.replace(runner, run=lambda **kw: runner.run(**kw) + ([bad] if kw == items[3] else [])),
         )
         serial = run(capsys, *args, "--fail-fast", "--jobs", "1")
         summary = serial[1] + serial[2]
         assert serial[0] == 1 and "[thm5]" in summary and "[thm6]" not in summary
         assert run(capsys, *args, "--fail-fast", "--jobs", "2") == serial
+
+
+_SMALL_GRID = ("--n-max", "2", "--ab-max", "3", "--primes", "5", "--summary-only")
+
+
+def _summary_claims(out: str) -> list[str]:
+    return [line[1 : line.index("]")] for line in out.splitlines()]
+
+
+class TestSelectors:
+    """A selector is a runner, a claim a runner reports, or the sequence of a table claim."""
+
+    def test_every_reported_claim_and_routed_sequence_is_a_selector(self, capsys):
+        code, out, _ = run(capsys, "verify", "all", *_SMALL_GRID)
+        claims = _summary_claims(out)
+        assert code == 0 and len(claims) == 17
+        routes = {claim.sequence: claim.name for claim in CLAIMS.values() if claim.sequence}
+        for selector, claim in [(claim, claim) for claim in claims] + sorted(routes.items()):
+            code, out, err = run(capsys, "verify", selector.upper(), *_SMALL_GRID)
+            assert (code, err) == (0, "") and claim in _summary_claims(out), selector
+
+    @pytest.mark.parametrize("selector, runner", [
+        ("remark2", "cor1"), ("popcount", "cor1"), ("schroder", "thm4"), ("delannoy", "thm3"),
+        ("franel", "cor2"), ("legendre", "cor3"), ("trinomial", "thm5"), ("motzkin", "thm6"),
+    ])
+    def test_paper_names_select_their_runner(self, capsys, selector, runner):
+        assert run(capsys, "verify", selector, *_SMALL_GRID) == run(capsys, "verify", runner, *_SMALL_GRID)
+
+    def test_unknown_selector_message(self, capsys):
+        assert run(capsys, "verify", "thm1", "Nope", *_SMALL_GRID) == (
+            2, "", "error: unknown claim selector 'Nope'\n"
+        )
+
+
+class TestGridValues:
+    def test_repeated_values_give_the_bytes_of_the_distinct_ones(self, capsys):
+        base = ("--n-max", "2", "--ab-max", "2", "--format", "json")
+        for selector, repeated, distinct in [
+            ("thm2", ("--m-set", "3,4,3,3"), ("--m-set", "3,4")),
+            ("thm5", ("--a-set", "1,2,1", "--b-set", "3,3,-5,3"), ("--a-set", "1,2", "--b-set", "3,-5")),
+            ("cor3", ("--x-set", "5,3,5,-3,3"), ("--x-set", "5,3,-3")),
+        ]:
+            once = run(capsys, "verify", selector, *base, *distinct)
+            assert once[0] == 0 and once[1]
+            assert run(capsys, "verify", selector, *base, *repeated) == once, selector
+        grid = HarnessGrid(n_max=2, ab_max=2, m_values=(3, 3), a_values=(1, 1), b_values=(2, 2), x_values=(3, 3))
+        once = HarnessGrid(n_max=2, ab_max=2, m_values=(3,), a_values=(1,), b_values=(2,), x_values=(3,))
+        assert run_harness(["all"], grid).reports == run_harness(["all"], once).reports
+
+    @pytest.mark.parametrize("argv, runner", [
+        (("thm1", "--ab-max", "0"), "thm1"),
+        (("thm2", "--ab-max", "0"), "thm2"),
+        (("lemma1", "--primes", "1"), "lemma1"),
+        (("thm5", "--b-set", "1,-1,0"), "thm5"),
+        (("all", "--x-set", "4"), "cor3"),
+        (("thm3", "thm6", "--a-set", "2", "--b-set", "4"), "thm6"),
+    ])
+    def test_a_runner_with_nothing_to_check_exits_2(self, capsys, argv, runner):
+        code, out, err = run(capsys, "verify", *argv, "--n-max", "2")
+        assert (code, out, err) == (2, "", f"error: the grid gives {runner} nothing to check\n")
+
+
+class TestOutOfMemory:
+    def test_memory_exhaustion_exits_2(self):
+        import resource
+
+        limit = 400 * 2**20
+
+        def lower_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "valuata", "seq", "delannoy", "0..1000000", "--valuation", "3"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            preexec_fn=lower_address_space,
+            timeout=300,
+        )
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
 
 
 class TestPinnedVerifyOutput:
@@ -546,7 +608,6 @@ class TestPinnedVerifyOutput:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
     def test_stdout_sha256(self, capsys, monkeypatch, fmt, jobs):
-        monkeypatch.delenv("VALUATA_JOBS", raising=False)
         code, out, _ = run(capsys, *self.ARGS, "--format", fmt, "--jobs", jobs)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[fmt]
@@ -564,7 +625,6 @@ class TestPinnedThm2Output:
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
     def test_stdout_sha256(self, capsys, monkeypatch, fmt):
-        monkeypatch.delenv("VALUATA_JOBS", raising=False)
         code, out, err = run(capsys, *self.ARGS, "--format", fmt)
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[fmt]
@@ -612,6 +672,11 @@ class TestBench:
     def test_unknown_scenario_exit_2(self, capsys):
         code, _, err = run(capsys, "bench", "fibonacci")
         assert code == 2
+
+    def test_binom_past_the_kernel_range_names_n(self, capsys):
+        expected = (2, "", "error: n exceeds the 64-bit kernel range: 300000000000000000000\n")
+        assert run(capsys, "vp", "3", "binom", "3e20", "1e20", "--mode", "fast") == expected
+        assert run(capsys, "bench", "vp-binom", "--n", "3e20", "--fast-only") == expected
 
     def test_vp_binom_k_past_n_exits_2(self, capsys):
         # the same message as the binom target of omega/vp

@@ -310,22 +310,34 @@ class TestRegistryTables:
             "schroder": schroder_large_table,
             "little-schroder": schroder_little_table,
         }
-        assert SEQUENCES["trinomial"].fn is eval_T and SEQUENCES["motzkin"].fn is eval_M
-        assert SEQUENCES["legendre"].fn is legendre and SEQUENCES["franel"].fn is franel
-        assert SEQUENCES["hexagonal"].fn is hexagonal and SEQUENCES["bsum"].fn is bsum
+        fns = {name: spec.fn for name, spec in SEQUENCES.items() if spec.fn is not None}
+        assert fns == {
+            "schroder": schroder_large,
+            "little-schroder": schroder_little,
+            "catalan": catalan,
+            "central-binomial": central_binomial,
+            "fuss-catalan": fuss_catalan,
+            "multinomial": central_multinomial_product,
+            "bsum": bsum,
+        }
+        assert set(tables) | set(fns) == set(SEQUENCES)
 
-    def test_value_matches_fn(self):
-        for spec, params in [
-            (SEQUENCES["delannoy"], ()),
-            (SEQUENCES["franel"], ()),
-            (SEQUENCES["hexagonal"], ()),
-            (SEQUENCES["trinomial"], (-3, 5)),
-            (SEQUENCES["motzkin"], (2, -4)),
-            (SEQUENCES["legendre"], (-15,)),
-            (SEQUENCES["catalan"], ()),
-        ]:
+    def test_value_matches_the_defining_sums(self):
+        # The entries without `fn` read their tables; the sums share no code with them.
+        sums = {
+            "delannoy": ((), lambda n: eval_B(n, 2, 1, 2)),
+            "franel": ((), lambda n: eval_B(n, 3, 1, 1)),
+            "hexagonal": ((), lambda n: eval_M(n, 1, 3)),
+            "trinomial": ((-3, 5), lambda n: eval_T(n, -3, 5)),
+            "motzkin": ((2, -4), lambda n: eval_M(n, 2, -4)),
+            "legendre": ((-15,), lambda n: eval_B(n, 2, -8, -7)),
+        }
+        assert set(sums) == {name for name, spec in SEQUENCES.items() if spec.fn is None}
+        for name, (params, defining_sum) in sums.items():
             for n in (0, 1, 2, 17, self.N - 1):
-                assert spec.value(n, *params) == spec.fn(n, *params)
+                assert SEQUENCES[name].value(n, *params) == defining_sum(n), (name, n)
+        for n in (0, 1, 2, 17, self.N - 1):
+            assert SEQUENCES["catalan"].value(n) == catalan(n)
         for spec in (SEQUENCES["schroder"], SEQUENCES["little-schroder"]):
             for n in (1, 2, 17, self.N - 1):
                 assert spec.value(n) == spec.fn(n) == spec.table(n)[n]
@@ -475,7 +487,7 @@ class TestRegistry:
         defaults = {"k": 2, "p": 3, "a": 1, "b": 2, "x": 3, "m": 2}
         for spec in SEQUENCES.values():
             extra = [defaults[p] for p in spec.params]
-            value = spec.fn(spec.min_index, *extra)
+            value = spec.value(spec.min_index, *extra)
             assert isinstance(value, int)
 
     def test_known_names(self):

@@ -23,6 +23,7 @@ from valuata.theorems import (
     RUNNERS,
     HarnessGrid,
     HypothesisViolation,
+    SelectionError,
     TheoremReport,
     _FAST_N_MAX,
     _report_order,
@@ -409,11 +410,7 @@ def _patch_runner(monkeypatch, name, run):
     import valuata.theorems as theorems
 
     runner = RUNNERS[name]
-    monkeypatch.setitem(
-        theorems.RUNNERS,
-        name,
-        theorems.ClaimRunner(runner.name, runner.claims, runner.description, runner.items, run),
-    )
+    monkeypatch.setitem(theorems.RUNNERS, name, dataclasses.replace(runner, run=run))
 
 
 @contextlib.contextmanager
@@ -570,8 +567,9 @@ class TestHarness:
     def test_selectors(self):
         assert resolve_selectors(["THM1", "delannoy"]) == ["thm1", "thm3"]
         assert resolve_selectors(["all"]) == list(RUNNERS)
-        with pytest.raises(KeyError):
+        with pytest.raises(SelectionError, match="^unknown claim selector 'no-such-claim'$"):
             resolve_selectors(["no-such-claim"])
+        assert issubclass(SelectionError, ValueError)
 
     def test_empty_claim_set_gives_empty_report(self):
         result = run_harness([], self.GRID)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valuata.valuation as valuation
-from valuata.digits import U64_MAX, is_prime
+from valuata.digits import U64_MAX, KernelRangeError, is_prime
+from valuata.sequences import DomainError
 from valuata.valuation import (
     INFINITE,
     Factorization,
@@ -222,6 +223,14 @@ class TestVpBinomialFast:
             assert vp_binomial_fast(17, 17, p) == 0
         with pytest.raises(ValueError):
             vp_binomial_fast(3, 4, 2)
+
+    def test_errors_name_the_binomial_arguments(self):
+        with pytest.raises(DomainError, match=r"^need 0 <= k <= n, got n=3, k=4$"):
+            vp_binomial_fast(3, 4, 2)
+        with pytest.raises(DomainError, match=r"^need 0 <= k <= n, got n=3, k=-1$"):
+            vp_binomial_fast(3, -1, 2)
+        with pytest.raises(KernelRangeError, match=r"^n exceeds the 64-bit kernel range: 300000000000000000000$"):
+            vp_binomial_fast(3 * 10**20, 10**20, 3)
 
     @pytest.mark.parametrize("p", PRIMES)
     def test_small_sweep_against_exact(self, p):
