@@ -20,6 +20,7 @@ from math import comb
 from typing import Callable
 
 from .digits import KernelRangeError, is_prime
+from .harness import json_lines
 from .sequences import (
     SEQUENCES,
     DomainError,
@@ -413,7 +414,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 row["slack"] = "" if report.slack is None else report.slack
                 writer.writerow(row)
         elif args.format == "json":
-            sys.stdout.writelines(report.to_json_line() + "\n" for report in result.reports)
+            sys.stdout.writelines(json_lines(result.reports))
         else:
             for report in result.reports:
                 fields = " ".join(f"{k}={v}" for k, v in report.instance)

@@ -9,12 +9,14 @@ shared counter, so the batches come back in work order at any job count.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
-from dataclasses import dataclass
+from itertools import chain, groupby
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
+from operator import itemgetter
+from typing import Iterable, Iterator
 
 from .valuation import INFINITE, Valuation
 
@@ -26,35 +28,58 @@ KIND_EXACT = "exact"
 KIND_LOWER = "lower"  # oracle >= predicted
 KIND_UPPER = "upper"  # oracle <= predicted
 
+_new_tuple = tuple.__new__
 
-@dataclass(frozen=True)
-class TheoremReport:
-    """One verified claim instance: predicted vs oracle plus the verdict."""
 
-    claim: str
-    instance: tuple[tuple[str, object], ...]
-    predicted: int
-    oracle: Valuation
-    kind: str = KIND_EXACT
+class TheoremReport(tuple):
+    """One verified claim instance: predicted vs oracle plus the verdict.
 
-    @property
-    def verdict(self) -> str:
-        if self.kind == KIND_EXACT:
-            return VERDICT_EXACT if self.oracle == self.predicted else VERDICT_VIOLATION
-        if self.kind == KIND_LOWER:
-            return VERDICT_BOUND if self.oracle >= self.predicted else VERDICT_VIOLATION
-        if self.kind == KIND_UPPER:
-            return VERDICT_BOUND if self.oracle <= self.predicted else VERDICT_VIOLATION
-        raise ValueError(f"unknown claim kind {self.kind!r}")
+    A tuple of (claim, instance, predicted, oracle, kind, verdict, slack),
+    built from the first five.  The verdict and the slack are fixed at
+    construction, and an unknown kind raises ValueError there.
+    """
 
-    @property
-    def slack(self) -> int | None:
-        """Unused room in a bound claim (None for exact claims and infinite oracles)."""
-        if self.kind == KIND_EXACT or self.oracle is INFINITE:
-            return None
-        if self.kind == KIND_LOWER:
-            return self.oracle - self.predicted
-        return self.predicted - self.oracle
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        claim: str,
+        instance: tuple[tuple[str, object], ...],
+        predicted: int,
+        oracle: Valuation,
+        kind: str = KIND_EXACT,
+    ) -> TheoremReport:
+        slack = None
+        if kind == KIND_EXACT:
+            verdict = VERDICT_EXACT if oracle == predicted else VERDICT_VIOLATION
+        elif kind == KIND_LOWER:
+            verdict = VERDICT_BOUND if oracle >= predicted else VERDICT_VIOLATION
+            if oracle is not INFINITE:
+                slack = oracle - predicted
+        elif kind == KIND_UPPER:
+            verdict = VERDICT_BOUND if oracle <= predicted else VERDICT_VIOLATION
+            if oracle is not INFINITE:
+                slack = predicted - oracle
+        else:
+            raise ValueError(f"unknown claim kind {kind!r}")
+        return _new_tuple(cls, (claim, instance, predicted, oracle, kind, verdict, slack))
+
+    claim = property(itemgetter(0))
+    instance = property(itemgetter(1))
+    predicted = property(itemgetter(2))
+    oracle = property(itemgetter(3))
+    kind = property(itemgetter(4))
+    verdict = property(itemgetter(5))
+    slack = property(
+        itemgetter(6), doc="Unused room in a bound claim (None for exact claims and infinite oracles)."
+    )
+
+    def __reduce__(self):
+        return (_new_tuple, (TheoremReport, tuple(self)))
+
+    def __repr__(self) -> str:
+        names = ("claim", "instance", "predicted", "oracle", "kind")
+        return "TheoremReport(" + ", ".join(f"{k}={v!r}" for k, v in zip(names, self)) + ")"
 
     def to_json_obj(self) -> dict:
         return {
@@ -67,34 +92,101 @@ class TheoremReport:
         }
 
     def to_json_line(self) -> str:
-        """The bytes of json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))."""
-        instance = dict(self.instance)
-        fields = ",".join(f"{_json_str(k)}:{_json_scalar(instance[k])}" for k in sorted(instance))
-        oracle = '"inf"' if self.oracle is INFINITE else _json_scalar(self.oracle)
-        slack = self.slack
-        return (
-            f'{{"claim":{_json_str(self.claim)},"instance":{{{fields}}},"oracle":{oracle},'
-            f'"predicted":{_json_scalar(self.predicted)},'
-            f'"slack":{"null" if slack is None else _json_scalar(slack)},'
-            f'"verdict":{_json_str(self.verdict)}}}'
-        )
+        """json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))."""
+        return _dumps(self.to_json_obj())
 
 
-def _json_scalar(value) -> str:
-    if type(value) is int:
-        return str(value)
-    if type(value) is str:
-        return _json_str(value)
-    return json.dumps(value)
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def json_lines(reports: Iterable[TheoremReport]) -> Iterator[str]:
+    """`report.to_json_line() + "\\n"` for each report, in order.
+
+    The lines come from one printf-style template per claim and instance
+    shape (the keys of the instance, in order), filled column by column:
+    consecutive reports of one claim are formatted together.
+    """
+    for claim, group in groupby(reports, _claim):
+        group = list(group)
+        lines = _shape_lines(claim, group)
+        if lines is None:  # the claim's instances have more than one shape
+            lines = chain.from_iterable(
+                _shape_lines(claim, list(run)) for _, run in groupby(group, _instance_keys)
+            )
+        yield from lines
+
+
+def _instance_keys(report: TheoremReport) -> tuple:
+    return tuple(key for key, _ in report.instance)
+
+
+def _shape_lines(claim: str, reports: list[TheoremReport]) -> Iterable[str] | None:
+    """The JSON lines of reports of `claim`, or None if their instances differ in shape."""
+    _, instances, predicted, oracle, _, verdict, slack = zip(*reports)
+    if len(set(map(len, instances))) != 1:
+        return None
+    keys, values = [], []
+    for column in zip(*instances):
+        column_keys = set(map(_key, column))
+        if len(column_keys) != 1:
+            return None
+        keys += column_keys
+        values.append(tuple(map(_value, column)))
+    if not all(type(text) is str for text in [claim, *keys]):
+        return (report.to_json_line() + "\n" for report in reports)
+    # dict(instance) keeps the last value of a repeated key.
+    position = {key: i for i, key in enumerate(keys)}
+    order = sorted(position)
+    fields = ",".join(f"{_template_text(key)}:%s" for key in order)
+    # The verdict is one of the VERDICT_ words, which need no escaping.
+    template = (
+        f'{{"claim":{_template_text(claim)},"instance":{{{fields}}},'
+        '"oracle":%s,"predicted":%s,"slack":%s,"verdict":"%s"}\n'
+    )
+    columns = [_json_column(values[position[key]]) for key in order]
+    columns += [_json_column(oracle), _json_column(predicted), _json_column(slack), verdict]
+    return map(template.__mod__, zip(*columns))
+
+
+def _template_text(text: str) -> str:
+    """`text` as a JSON string inside a printf-style template."""
+    return _json_str(text).replace("%", "%%")
+
+
+_claim = itemgetter(0)
+_key = itemgetter(0)
+_value = itemgetter(1)
+_verdict = itemgetter(5)
+
+# JSON text of the non-int values a report field takes; %s renders an int
+# (but not a bool) exactly as JSON does.
+_JSON_CONSTANTS = {INFINITE: '"inf"', None: "null"}
+_CONSTANT_TYPES = {int, type(INFINITE), type(None)}
+
+
+def _json_column(values: tuple) -> Iterable:
+    """`values` as text or ints that %s renders as their JSON."""
+    types = set(map(type, values))
+    if types == {int}:
+        return values
+    if types <= _CONSTANT_TYPES:
+        return map(_JSON_CONSTANTS.get, values, values)
+    if types == {str}:
+        return map(_json_str, values)
+    return map(_json_value, values)
+
+
+def _json_value(value) -> str:
+    return '"inf"' if value is INFINITE else _dumps(value)
 
 
 # Within one claim every instance has the same keys and value types, so
 # the instance tuples compare field by field.
-_report_order = attrgetter("claim", "instance")
-# Workers send reports as their constructor arguments: pickling and
-# rebuilding these tuples takes under half the time that pickling the
-# dataclass instances does.
-_report_args = attrgetter("claim", "instance", "predicted", "oracle", "kind")
+_report_order = itemgetter(0, 1)
+# Workers send reports as plain tuples of their fields: pickling those and
+# rebuilding the reports takes about half the time that pickling the
+# reports does, which pickle through their Python-level __reduce__.
+_report_from_fields = functools.partial(_new_tuple, TheoremReport)
 
 
 # The remaining work of a sweep must exceed this many seconds, estimated
@@ -114,8 +206,8 @@ def _fork_pays(elapsed: float, done: int, left: int) -> bool:
     return elapsed / done * left > _FORK_MIN_S
 
 
-def _violates(batch: list[TheoremReport]) -> bool:
-    return any(r.verdict == VERDICT_VIOLATION for r in batch)
+def _violates(reports: Iterable[TheoremReport]) -> bool:
+    return VERDICT_VIOLATION in map(_verdict, reports)
 
 
 def _usable_cpus() -> int:
@@ -148,7 +240,7 @@ def _stop_claims(counter, n_items: int) -> None:
 def _worker(work: list, counter, fail_fast: bool, conn) -> None:
     try:
         done = _claim_items(work, counter, fail_fast)
-        result = [(i, list(map(_report_args, batch))) for i, batch in done]
+        result = [(i, list(map(tuple, batch))) for i, batch in done]
     except Exception as exc:
         _stop_claims(counter, len(work))
         result = exc
@@ -207,7 +299,7 @@ def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremR
         elif isinstance(result, BaseException):
             error = error or result
         else:
-            done.extend((i, [TheoremReport(*args) for args in batch]) for i, batch in result)
+            done.extend((i, list(map(_report_from_fields, batch))) for i, batch in result)
     if error is not None:
         raise error
     batches: list[list[TheoremReport] | None] = [None] * len(work)

@@ -16,6 +16,7 @@ implementation bug, not a mathematical possibility).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from math import comb
 from typing import TYPE_CHECKING, Callable
@@ -365,9 +366,33 @@ def bsum(n: int, m: int, a: int, b: int) -> int:
 
 
 def bsum_table(n_max: int, m: int, a: int, b: int) -> list[int]:
-    """B(n, m, a, b) for n = 0..n_max, each by its defining sum (no recurrence covers every m)."""
+    """B(n, m, a, b) for n = 0..n_max, each by its defining sum (no recurrence covers every m).
+
+    The sum pairs the terms k and n - k: for k < n/2 they add up to
+    C(n, k)**m * (ab)**k * (a**(n-2k) + b**(n-2k)), and an even n adds the
+    middle term C(n, n/2)**m * (ab)**(n/2).  Each sum runs in Horner form
+    over ab.  The rows C(n, 0..n/2) are built by addition, and the powers
+    of a and b are shared by every n.
+    """
     _check_n_max(n_max)
-    return [eval_B(n, m, a, b) for n in range(n_max + 1)]
+    if m < 0:
+        raise DomainError(f"m must be non-negative, got {m}")
+    apow = _powers(a, n_max)
+    bpow = _powers(b, n_max)
+    ab = a * b
+    out = []
+    row = [1]  # C(n, k) for k = 0..n//2
+    for n in range(n_max + 1):
+        if n:
+            # The half row of n - 1, extended by C(n-1, n/2) = C(n-1, n/2 - 1) when n is even.
+            prev = row + row[-1:] if n % 2 == 0 else row
+            row = [1] + list(map(operator.add, prev, prev[1:]))
+        total = 0
+        for k in range(n // 2, -1, -1):
+            c = row[k] ** m
+            total = total * ab + (c if 2 * k == n else c * (apow[n - 2 * k] + bpow[n - 2 * k]))
+        out.append(total)
+    return out
 
 
 def check_congruence(n: int, m: int, a: int, b: int) -> bool:

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from math import comb
 from typing import Callable, Iterable
@@ -598,16 +600,20 @@ class HarnessResult:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return not harness._violates(self.reports)
 
     def summary(self) -> dict[str, dict[str, int]]:
+        """Reports checked and violations found per claim, claims in order of first report."""
         out: dict[str, dict[str, int]] = {}
-        for r in self.reports:
-            bucket = out.setdefault(r.claim, {"checked": 0, "violations": 0})
-            bucket["checked"] += 1
-            if r.verdict == VERDICT_VIOLATION:
-                bucket["violations"] += 1
+        for (claim, verdict), count in Counter(map(_claim_verdict, self.reports)).items():
+            bucket = out.setdefault(claim, {"checked": 0, "violations": 0})
+            bucket["checked"] += count
+            if verdict == VERDICT_VIOLATION:
+                bucket["violations"] += count
         return out
+
+
+_claim_verdict = operator.itemgetter(0, 5)
 
 
 def run_harness(

@@ -10,6 +10,7 @@ kernels in `digits`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Union
@@ -97,29 +98,66 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+# One CPython int digit: a remainder by a divisor below it takes one pass
+# over the dividend and builds no quotient.
+_DIGIT = 1 << sys.int_info.bits_per_digit
+
+
+@lru_cache(maxsize=4096)
+def _digit_power(p: int) -> tuple[int, int]:
+    """(p**k, k) for the largest k with p**k below one int digit, or (p, 1) past it; p must be prime."""
+    _require_prime(p)
+    power, k = p, 1
+    while power * p < _DIGIT:
+        power *= p
+        k += 1
+    return power, k
+
+
 def vp_int(y: int, p: int) -> Valuation:
     """Exponent of the prime p in y (sign ignored); INFINITE for y = 0.
 
-    Strips p, p**2, p**4, ... while they divide, so the cost stays close
-    to linear in the bit length of y even for heavily divisible values.
+    At p = 2 it reads the lowest set bit.  Otherwise one remainder by p**k,
+    the largest power of p below one int digit, decides v_p(y) < k.  When
+    p**k divides y, stripping goes on from y // p**k with v = k: it strips
+    the squares p**(2k), p**(4k), ... while they divide.  The first that
+    does not leaves a remainder r of the same valuation, below that square,
+    and the powers p**(k * 2**i) are then tried on r from the largest down,
+    each step keeping the valuation and leaving r below the next power.
+    Only the first remainder, the division by p**k and the stripping pass
+    over y, one each, so no y costs more passes than stripping p, p**2,
+    p**4, ... from it does.
     """
-    _require_prime(p)
+    digit_power, k = _digit_power(p)
     if y == 0:
         return INFINITE
-    y = abs(y)
+    if p == 2:
+        return (y & -y).bit_length() - 1
     v = 0
-    step, power = 1, p
-    while True:
-        q, r = divmod(y, power)
-        if r == 0:
+    r = y % digit_power
+    if not r:
+        y //= digit_power
+        v = k
+        powers = [digit_power]  # p**(k * 2**i)
+        while True:
+            square = powers[-1] * powers[-1]
+            q, r = divmod(y, square)
+            if r:
+                break
             y = q
-            v += step
-            step *= 2
-            power *= power
-        elif step == 1:
-            return v
-        else:
-            step, power = 1, p
+            v += k << len(powers)
+            powers.append(square)
+        for i in range(len(powers) - 1, -1, -1):
+            q, rem = divmod(r, powers[i])
+            if rem:
+                r = rem
+            else:
+                r = q
+                v += k << i
+    while r % p == 0:
+        r //= p
+        v += 1
+    return v
 
 
 def _pollard_rho(n: int) -> int:

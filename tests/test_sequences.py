@@ -87,10 +87,11 @@ class TestEvalB:
 
 class TestBsumTable:
     def test_matches_the_pointwise_sum(self):
-        for m in range(6):
-            for a in range(-4, 6):
-                for b in range(-4, 6):
-                    assert bsum_table(24, m, a, b) == [eval_B(n, m, a, b) for n in range(25)], (m, a, b)
+        # a or b = 0 covers the 0**0 = 1 convention.
+        for m in range(7):
+            for a in range(-5, 6):
+                for b in range(-5, 6):
+                    assert bsum_table(59, m, a, b) == [eval_B(n, m, a, b) for n in range(60)], (m, a, b)
 
     def test_domain(self):
         assert bsum_table(0, 3, 2, 5) == [1]

@@ -4,6 +4,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import time
@@ -13,7 +14,7 @@ import pytest
 
 import valuata.harness as harness
 from valuata.digits import KernelRangeError, kummer_carries
-from valuata.harness import _fork_pays
+from valuata.harness import _fork_pays, json_lines
 from valuata.sequences import IntegralityError, delannoy, eval_B, eval_M, eval_T, franel, legendre
 from valuata.theorems import (
     CLAIMS,
@@ -222,6 +223,34 @@ class TestTheoremReport:
             "slack": None,
         }
 
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="^unknown claim kind 'sideways'$"):
+            TheoremReport("demo", (("n", 1),), 3, 3, "sideways")
+
+    def test_fields_are_fixed_at_construction(self):
+        report = TheoremReport("demo", (("n", 1),), 6, 2, KIND_UPPER)
+        assert tuple(report) == ("demo", (("n", 1),), 6, 2, KIND_UPPER, "bound_holds", 4)
+        assert TheoremReport("demo", (("n", 1),), 6, 2) == ("demo", (("n", 1),), 6, 2, KIND_EXACT, "violation", None)
+        with pytest.raises(AttributeError):
+            report.verdict = "exact"
+        assert repr(report) == "TheoremReport(claim='demo', instance=(('n', 1),), predicted=6, oracle=2, kind='upper')"
+
+    @pytest.mark.parametrize(
+        "report",
+        [
+            TheoremReport("demo", (("n", 1), ("parity", "odd")), 2, INFINITE, KIND_LOWER),
+            TheoremReport("demo", (("p", 7), ("n", 2)), 6, 2, KIND_UPPER),
+            TheoremReport("demo", (("n", 1),), 3, 4, KIND_EXACT),
+        ],
+    )
+    def test_pickle_round_trip(self, report):
+        copy = pickle.loads(pickle.dumps(report))
+        assert type(copy) is TheoremReport
+        assert copy == report and hash(copy) == hash(report)
+        names = ("claim", "instance", "predicted", "oracle", "kind", "verdict", "slack")
+        # INFINITE compares equal only to itself, so this also checks its identity.
+        assert [getattr(copy, k) for k in names] == [getattr(report, k) for k in names]
+
 
 class TestClaimTable:
     def test_core_and_offset_agree_with_the_predictor(self):
@@ -391,10 +420,63 @@ class TestReportPath:
         for report in reports + extra:
             expected = json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
             assert report.to_json_line() == expected
+        assert list(json_lines(reports)) == [_dumps_line(r) for r in reports]
         assert {r.claim for r in reports} == {
             claim for runner in RUNNERS.values() for claim in runner.claims
         }
         assert any(r.slack is None for r in reports) and any(r.slack is not None for r in reports)
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            pytest.param(
+                [
+                    TheoremReport("demo", (("n", 1), ("parity", "odd")), 2, 2, KIND_EXACT),
+                    TheoremReport("demo", (("n", 2), ("parity", "even")), 2, 3, KIND_LOWER),
+                    TheoremReport("demo", (("n", 3),), 2, 1, KIND_UPPER),
+                    TheoremReport("demo", (("parity", "odd"), ("n", 4)), 2, 2, KIND_EXACT),
+                    TheoremReport("demo", (("n", 5), ("parity", 5)), 2, 2, KIND_EXACT),
+                    TheoremReport("demo", (), 0, INFINITE, KIND_EXACT),
+                    TheoremReport("demo", (("n", 6), ("parity", "odd")), 2, 2, KIND_EXACT),
+                    TheoremReport("swap", (("n", 1), ("p", 2)), 2, 2, KIND_EXACT),
+                    TheoremReport("swap", (("p", 3), ("n", 4)), 2, 2, KIND_EXACT),
+                ],
+                id="shapes-within-one-claim",
+            ),
+            pytest.param(
+                [
+                    TheoremReport('q"u\\ote{%s}', (('k"\\{}%', 1), ("\u00e9\u6f22", "\u00e9\"}{%d\\")), 1, 1),
+                    TheoremReport("caf\u00e9 {0} %%", (("x{", -9), ("y}", "\U0001f600")), -1, 0, KIND_LOWER),
+                    TheoremReport("caf\u00e9 {0} %%", (("x{", 3), ("y}", "\n\t")), -1, -2, KIND_UPPER),
+                ],
+                id="escapes-and-non-ascii",
+            ),
+            pytest.param(
+                [
+                    TheoremReport("signs", (("a", -3), ("b", True), ("c", False)), -2, -5, KIND_LOWER),
+                    TheoremReport("signs", (("a", -4), ("b", False), ("c", 0)), -2, -1, KIND_UPPER),
+                    TheoremReport("signs", (("a", True), ("b", None), ("c", -1)), True, 1, KIND_EXACT),
+                    TheoremReport("signs", (("a", 1.5), ("b", [1, "x"]), ("c", {"z": 1, "y": 2})), False, 0),
+                ],
+                id="negative-and-bool-values",
+            ),
+            pytest.param(
+                [
+                    TheoremReport("inf", (("n", 0),), 3, INFINITE, KIND_EXACT),
+                    TheoremReport("inf", (("n", 1),), 3, INFINITE, KIND_LOWER),
+                    TheoremReport("inf", (("n", 2),), 3, INFINITE, KIND_UPPER),
+                    TheoremReport("inf", (("n", 3),), 3, 7, KIND_LOWER),
+                    TheoremReport("inf", (("n", 4), ("n", 5)), 3, 3, KIND_EXACT),
+                    TheoremReport("inf", ((1, 4),), 3, 3, KIND_EXACT),
+                ],
+                id="infinite-oracle-none-slack-and-odd-keys",
+            ),
+        ],
+    )
+    def test_json_lines_match_json_dumps(self, batch):
+        assert list(json_lines(batch)) == [_dumps_line(r) for r in batch]
+        for report in batch:
+            assert list(json_lines([report])) == [_dumps_line(report)]
 
     def test_sort_order_matches_typed_instance_key(self, reports):
         def typed_key(report):
@@ -404,6 +486,10 @@ class TestReportPath:
         random.Random(3).shuffle(shuffled)
         assert sorted(shuffled, key=_report_order) == sorted(shuffled, key=typed_key)
         assert reports == sorted(reports, key=typed_key)
+
+
+def _dumps_line(report):
+    return json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _patch_runner(monkeypatch, name, run):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -63,8 +64,33 @@ class TestVpInt:
         assert vp_int(m * p**k, p) == k
 
     def test_composite_base_rejected(self):
-        with pytest.raises(ValueError):
-            vp_int(100, 10)
+        for p in (10, 4, 1, 0, -3, 65535, (2**31 - 1) * 65537):
+            for y in (100, 0, p**40):
+                with pytest.raises(ValueError, match="^base must be prime"):
+                    vp_int(y, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 97, 65537, 2**31 - 1, 2**61 - 1])
+    def test_matches_naive_stripping_around_the_digit_power(self, p):
+        # k: the largest power of p below one int digit, or 1 once p itself is not.
+        k = 1
+        while p ** (k + 1) < 2**sys.int_info.bits_per_digit:
+            k += 1
+        rng = random.Random(p)
+        for v in (0, k - 1, k, k + 1, 2 * k, 4 * k + 3, 20 * k + 3):
+            for m in (1, p - 1, rng.getrandbits(64), rng.getrandbits(3000)):
+                if m % p == 0:
+                    m += 1
+                for y in (m * p**v, -m * p**v):
+                    assert vp_int(y, p) == _naive_vp(y, p) == v, (p, v, m)
+        assert vp_int(0, p) is INFINITE
+
+
+def _naive_vp(y: int, p: int) -> int:
+    y, v = abs(y), 0
+    while y % p == 0:
+        y //= p
+        v += 1
+    return v
 
 
 class TestFactorize:
