@@ -34,6 +34,7 @@ from .theorems import (
     HarnessGrid,
     HypothesisViolation,
     SelectionError,
+    _core_vp,
     predict_bsum_omega,
     run_harness,
 )
@@ -196,9 +197,12 @@ def _core_lines(target: Target, base: int) -> list[str]:
     """The core that a fast-route answer reduces to, then its per-prime breakdown."""
     claim = CLAIMS[target.claim]
     n, r = claim.locate(target.index)
+    core = f"Catalan({n})" if claim.catalan else f"C({2 * n},{n})"
+    if r:
+        core = f"{2 * n + 1}*{core}"
     shift = "1 + " if r else ""
-    lines = [f"  core: {claim.core_text(n, r)}; omega_{base}({target.label}) = {shift}omega_{base}(core)"]
-    return lines + _explain_lines(base, lambda p: claim.core_vp(n, r, p), "core")
+    lines = [f"  core: {core}; omega_{base}({target.label}) = {shift}omega_{base}(core)"]
+    return lines + _explain_lines(base, lambda p: _core_vp(n, r, p, claim.catalan), "core")
 
 
 def _explain_lines(base: int, vp_of_y: Callable[[int], int], what: str = "target") -> list[str]:
@@ -213,6 +217,8 @@ def _explain_lines(base: int, vp_of_y: Callable[[int], int], what: str = "target
 
 
 def cmd_omega(args: argparse.Namespace) -> int:
+    if args.explain and args.format != "human":
+        raise UsageError("--explain takes --format human")
     base = _parse_int(args.base)
     if args.prime_base and not is_prime(base):
         raise UsageError(f"base must be prime for vp, got {base}")
@@ -450,8 +456,16 @@ def _time_best(fn: Callable[[], object], repeats: int = 5) -> tuple[float, objec
     return best, value
 
 
+_BENCH_OPTIONS = {"thm1": ("n", "a", "b"), "vp-binom": ("n", "k", "p")}  # besides --fast-only
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
     scenario = args.scenario.lower()
+    if scenario not in _BENCH_OPTIONS:
+        raise UsageError(f"unknown bench scenario {args.scenario!r}; use thm1 or vp-binom")
+    unread = [f"--{k}" for k in ("n", "k", "p", "a", "b") if k not in _BENCH_OPTIONS[scenario] and getattr(args, k)]
+    if unread:
+        raise UsageError(f"bench {scenario} does not take {', '.join(unread)}")
     if scenario == "thm1":
         n = _parse_int(args.n) if args.n else 2023
         a = _parse_int(args.a) if args.a else 37
@@ -480,28 +494,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 line += " | fast-only"
             print(line)
         return status
-    if scenario == "vp-binom":
-        n = _parse_int(args.n) if args.n else 10**18
-        k = _parse_int(args.k) if args.k else n // 2
-        p = _parse_int(args.p) if args.p else 3
-        if not is_prime(p):
-            raise UsageError(f"--p must be prime, got {p}")
-        fast_t, fast_v = _time_best(lambda: vp_binomial_fast(n, k, p))
-        print(f"scenario=vp-binom n={n} k={k} p={p}")
-        print(f"  fast={fast_t * 1000:.3f}ms v_p={fast_v}")
-        # Beyond this the binomial itself is too large to be worth building.
-        oracle_reach = 200_000
-        if args.fast_only or n > oracle_reach:
-            if not args.fast_only:
-                print(f"  oracle skipped: n > {oracle_reach}, fast path only")
-            return 0
-        start = time.perf_counter()
-        oracle_v = vp_int(comb(n, k), p)
-        oracle_t = time.perf_counter() - start
-        verdict = "agree" if oracle_v == fast_v else "DISAGREE"
-        print(f"  oracle={oracle_t * 1000:.3f}ms v_p={_render_valuation(oracle_v)} | {verdict}")
-        return 0 if verdict == "agree" else 1
-    raise UsageError(f"unknown bench scenario {args.scenario!r}; use thm1 or vp-binom")
+    # vp-binom
+    n = _parse_int(args.n) if args.n else 10**18
+    k = _parse_int(args.k) if args.k else n // 2
+    p = _parse_int(args.p) if args.p else 3
+    if not is_prime(p):
+        raise UsageError(f"--p must be prime, got {p}")
+    fast_t, fast_v = _time_best(lambda: vp_binomial_fast(n, k, p))
+    print(f"scenario=vp-binom n={n} k={k} p={p}")
+    print(f"  fast={fast_t * 1000:.3f}ms v_p={fast_v}")
+    # Beyond this the binomial itself is too large to be worth building.
+    oracle_reach = 200_000
+    if args.fast_only or n > oracle_reach:
+        if not args.fast_only:
+            print(f"  oracle skipped: n > {oracle_reach}, fast path only")
+        return 0
+    start = time.perf_counter()
+    oracle_v = vp_int(comb(n, k), p)
+    oracle_t = time.perf_counter() - start
+    verdict = "agree" if oracle_v == fast_v else "DISAGREE"
+    print(f"  oracle={oracle_t * 1000:.3f}ms v_p={_render_valuation(oracle_v)} | {verdict}")
+    return 0 if verdict == "agree" else 1
 
 
 # ---------------------------------------------------------------------------

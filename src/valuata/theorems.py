@@ -12,7 +12,8 @@ Most claims share one shape: at index i = 2n + r + offset (r = 0 or 1),
     omega_x(Y_i) = r + omega_x((2n+1)**r * core(n)),
 
 with core(n) = C(2n, n) or Catalan(n), or at least that for a lower-bound
-claim.  `CLAIMS` lists them; one generic runner sweeps them and the CLI
+claim.  `CLAIMS` lists them, each with its shape as data: every entry
+builds its predictor from it, one generic runner sweeps them and the CLI
 derives its fast routes from them.  cor1 and lemma1 keep their own
 runners: past `exact_max` the cor1 oracle is a digit kernel, not a
 sequence value, and lemma1 compares two constructions of the central
@@ -85,14 +86,26 @@ def _check_instance(n: int, parity: str) -> None:
         raise HypothesisViolation(f"n exceeds the machine fast-path range: {n}")
 
 
-def _check_weights(a: int, b: int, what: str, x: int) -> None:
-    """Coprime weights a, b and a base x, named `what`, that is not 0 or a unit and fits the kernels."""
+def _check_weights(a: int, b: int, what: str, x: int) -> int:
+    """x, once a, b are coprime weights and x, named `what`, is not 0 or a unit and fits the kernels."""
     if math.gcd(a, b) != 1:
         raise HypothesisViolation(f"a and b must be coprime, got {a}, {b}")
     if x in (0, 1, -1):
         raise HypothesisViolation(f"{what} must not be 0 or a unit, got {x}")
     if abs(x) > U64_MAX:
         raise HypothesisViolation(f"|{what}| exceeds the machine fast-path range: {x}")
+    return x
+
+
+def _check_odd(x: int) -> int:
+    """x, once it is odd, not a unit and fits the kernels."""
+    if x % 2 == 0:
+        raise HypothesisViolation(f"x must be odd, got {x}")
+    if x in (1, -1):
+        raise HypothesisViolation("x must not be a unit")
+    if abs(x) > U64_MAX:
+        raise HypothesisViolation(f"|x| exceeds the machine fast-path range: {x}")
+    return x
 
 
 def _vp_machine(m: int, p: int) -> int:
@@ -104,144 +117,51 @@ def _vp_machine(m: int, p: int) -> int:
     return v
 
 
-def _vp_central_binomial(n: int, p: int) -> int:
-    return kummer_carries(n, n, p)
+def _core_vp(n: int, r: int, p: int, catalan: bool) -> int:
+    """v_p((2n+1)**r * core(n)), core(n) = Catalan(n) if `catalan`, else C(2n, n); for the predictors and --explain.
 
-
-def _vp_catalan(n: int, p: int) -> int:
-    return kummer_carries(n, n, p) - _vp_machine(n + 1, p)
-
-
-# The predictors below check n (`_check_instance`) and their bases first,
-# then count carries with the unchecked `_doubling_carries`: every p they
-# pass it comes from a certified factorization or is the constant 3.  At
-# p = 2 the carries of n + n are the 1-bits of n.  `_vp_central_binomial`
-# and `_vp_catalan`, the `Claim.core` of the table, keep the checked
-# `kummer_carries`.
-
-
-def _omega_shape(x: int, n: int, parity: str, catalan: bool) -> int:
-    """omega_x(core(n)) at even parity, 1 + omega_x((2n+1) * core(n)) at odd, x factorized once.
-
-    core(n) is Catalan(n) if `catalan`, C(2n, n) otherwise.
+    Unchecked: n has passed `_check_instance`, and p is a certified prime.
     """
-    odd = parity == "odd"
-    best = None
-    for p, e in factorize(abs(x)).factors:
-        if p == 2:
-            v = n.bit_count()  # and 2n + 1 is odd
-        else:
-            v = _doubling_carries(n, p)
-            if odd:
-                v += _vp_machine(2 * n + 1, p)
-        if catalan:
-            v -= _vp_machine(n + 1, p)
-        v //= e
-        if best is None or v < best:
-            best = v
-    return 1 + best if odd else best
+    if p == 2:
+        v = n.bit_count()  # the carries of n + n; and 2n + 1 is odd
+    else:
+        v = _doubling_carries(n, p)
+        if r:
+            v += _vp_machine(2 * n + 1, p)
+    if catalan:
+        v -= _vp_machine(n + 1, p)
+    return v
 
 
-# ---------------------------------------------------------------------------
-# Predictors
-# ---------------------------------------------------------------------------
+def _shape_predictor(claim: Claim) -> Callable[..., int]:
+    """r + omega_x((2n+1)**r * core(n)) for `claim`, after the checks of n and the parity, then of the base.
 
-
-def predict_bsum_omega(n: int, parity: str, a: int, b: int) -> int:
-    """Exact power of a+b dividing the square sum B(2n, 2, a, b) / B(2n+1, 2, a, b).
-
-    Even index: the power of a+b in C(2n, n).
-    Odd index: one more than the power of a+b in (2n+1) * C(2n, n).
-    Hypotheses: gcd(a, b) = 1 and a + b not 0 or a unit.  For m > 2 the
-    same number is a lower bound on the power of a+b in B(2n, m, a, b).
+    A claim without parameters has a fixed prime base: one `_core_vp` call.
     """
-    _check_instance(n, parity)
-    _check_weights(a, b, "a + b", a + b)
-    return _omega_shape(a + b, n, parity, False)
+    odd_r = PARITIES[claim.index(0, 1) % 2]  # the parity of the indices with r = 1
+    base, catalan = claim.base, claim.catalan
+    if not claim.params:
+        p = base()
 
+        def predict(n, parity):
+            _check_instance(n, parity)
+            r = parity == odd_r
+            return r + _core_vp(n, r, p, catalan)
 
-def predict_central_binomial_v2(n: int, parity: str) -> int:
-    """Exact power of 2 in C(4n, 2n) (even) or C(4n+2, 2n+1) (odd).
+        return predict
 
-    Both reduce to the 1-bit count of n: the doubled central binomial
-    keeps the same 2-adic valuation, the odd neighbour gains exactly one.
-    The same number lower-bounds the power of 2 in the Franel numbers
-    f_2n / f_2n+1.
-    """
-    _check_instance(n, parity)
-    bits = n.bit_count()
-    return bits if parity == "even" else 1 + bits
+    def predict(n, parity, *params):
+        _check_instance(n, parity)
+        x = base(*params)
+        r = parity == odd_r
+        best = None
+        for p, e in factorize(abs(x)).factors:
+            v = _core_vp(n, r, p, catalan) // e
+            if best is None or v < best:
+                best = v
+        return r + best
 
-
-def predict_delannoy_v3(n: int, parity: str) -> int:
-    """Exact power of 3 in the central Delannoy number D_2n / D_2n+1."""
-    _check_instance(n, parity)
-    v = _doubling_carries(n, 3)
-    return v if parity == "even" else 1 + _vp_machine(2 * n + 1, 3) + v
-
-
-def predict_schroder_v3(n: int, parity: str) -> int:
-    """Exact power of 3 in the large Schroder number S_2n+1 (odd) / S_2n+2 (even).
-
-    The same closed form holds for the little Schroder numbers, whose
-    3-adic valuation coincides with the large ones'.
-    """
-    _check_instance(n, parity)
-    v = _doubling_carries(n, 3) - _vp_machine(n + 1, 3)
-    return v if parity == "odd" else 1 + _vp_machine(2 * n + 1, 3) + v
-
-
-def predict_legendre_omega(n: int, parity: str, x: int) -> int:
-    """Exact power of an odd x (not a unit) dividing P_2n(x) / P_2n+1(x)."""
-    _check_instance(n, parity)
-    if x % 2 == 0:
-        raise HypothesisViolation(f"x must be odd, got {x}")
-    if x in (1, -1):
-        raise HypothesisViolation("x must not be a unit")
-    if abs(x) > U64_MAX:
-        raise HypothesisViolation(f"|x| exceeds the machine fast-path range: {x}")
-    return _omega_shape(x, n, parity, False)
-
-
-def predict_trinomial_omega(n: int, parity: str, a: int, b: int) -> int:
-    """Exact power of b dividing the trinomial coefficient T_2n(a, b) / T_2n+1(a, b).
-
-    Hypotheses: gcd(a, b) = 1 and b not 0 or a unit.
-    """
-    _check_instance(n, parity)
-    _check_weights(a, b, "b", b)
-    return _omega_shape(b, n, parity, False)
-
-
-def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
-    """Exact power of b dividing the Motzkin value M_2n(a, b) / M_2n+1(a, b).
-
-    Same hypotheses as the trinomial case; the Catalan number replaces
-    the central binomial coefficient.
-    """
-    _check_instance(n, parity)
-    _check_weights(a, b, "b", b)
-    return _omega_shape(b, n, parity, True)
-
-
-def _predict_hexagonal_v3(n: int, parity: str) -> int:
-    """Power of 3 in the restricted hexagonal number, the Motzkin value at (1, 3)."""
-    return predict_motzkin_omega(n, parity, 1, 3)
-
-
-def _predict_bsum_bound(n: int, parity: str, m: int, a: int, b: int) -> int:
-    """The square-sum power of a+b, a lower bound at every order m (thm2)."""
-    return predict_bsum_omega(n, parity, a, b)
-
-
-def _predict_catalan_shift_v2(n: int, parity: str) -> int:
-    """Power of 2 in the Catalan number C_2n+1 (odd) / C_2n+2 (even).
-
-    C_2n+1 keeps the power of two of C_n, C_2n+2 gains exactly one.
-    """
-    _check_instance(n, parity)
-    vc = n.bit_count() - _vp_machine(n + 1, 2)
-    return vc if parity == "odd" else 1 + vc
+    return predict
 
 
 # ---------------------------------------------------------------------------
@@ -298,13 +218,16 @@ def _odd_points(grid: HarnessGrid) -> list[tuple[int]]:
 class Claim:
     """One claim of the shape omega_x(Y_i) = r + omega_x((2n+1)**r * core(n)), i = 2n + r + offset.
 
-    `core(n, p)` is v_p(core(n)): _vp_central_binomial or _vp_catalan.
-    `table(i_max, *params)` is the oracle: [Y_0, ..., Y_i_max] as exact
-    integers, divided by `divisor`.  `predict(n, parity, *params)` is the
-    library predictor, where parity is that of i.  `axis(grid)` lists the
-    parameter tuples a sweep covers; claims without parameters sweep n in
-    blocks instead.  `sequence` names the `omega` target that the claim
-    answers on the CLI fast route.
+    The shape is data: `base(*params)` is x, and it raises
+    HypothesisViolation outside the claim's hypotheses on its parameters (a
+    claim without parameters has a fixed prime base); `catalan` says whether
+    core(n) is Catalan(n) rather than C(2n, n), and `offset` places the
+    index.  `predict(n, parity, *params)`, where parity is that of i, is the
+    predictor built from those fields at construction.  `table(i_max,
+    *params)` is the oracle: [Y_0, ..., Y_i_max] as exact integers, divided
+    by `divisor`.  `axis(grid)` lists the parameter tuples a sweep covers;
+    claims without parameters sweep n in blocks instead.  `sequence` names
+    the `omega` target that the claim answers on the CLI fast route.
     """
 
     name: str
@@ -312,60 +235,120 @@ class Claim:
     table: Callable[..., list]
     params: tuple[str, ...]
     base: Callable[..., int]
-    core: Callable[[int, int], int]
+    catalan: bool
     offset: int
     kind: str
-    predict: Callable[..., int]
     axis: Callable[[HarnessGrid], list[tuple]] | None
     n_max: int
     divisor: int = 1
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "predict", _shape_predictor(self))
+
+    def index(self, n: int, r: int) -> int:
+        """The index i = 2n + r + offset of the sequence value at (n, r)."""
+        return 2 * n + r + self.offset
+
     def locate(self, i: int) -> tuple[int, int]:
-        """(n, r) with i = 2n + r + offset, for an index on the fast route."""
+        """(n, r) with index(n, r) = i, for an index on the fast route."""
         n, r = divmod(i - self.offset, 2)
+        if n < 0:
+            raise HypothesisViolation(f"{self.name} starts at index {self.offset}, got {i}")
         if n > _FAST_N_MAX:
             raise HypothesisViolation(f"n exceeds the machine fast-path range: {i}")
         return n, r
 
-    def core_vp(self, n: int, r: int, p: int) -> int:
-        """v_p((2n+1)**r * core(n)); the checked core goes first, so a bad n or p raises."""
-        return self.core(n, p) + (_vp_machine(2 * n + 1, p) if r else 0)
-
-    def core_text(self, n: int, r: int) -> str:
-        text = f"Catalan({n})" if self.core is _vp_catalan else f"C({2 * n},{n})"
-        return f"{2 * n + 1}*{text}" if r else text
-
-
-_C, _CAT = _vp_central_binomial, _vp_catalan
 
 CLAIMS: dict[str, Claim] = {
     c.name: c
     for c in (
-        # name, sequence, table, params, base, core, offset, kind, predict, axis, n_max
-        Claim("thm1", "bsum", bsum2_table, ("a", "b"), lambda a, b: a + b, _C, 0, KIND_EXACT,
-              predict_bsum_omega, lambda grid: coprime_pairs(grid.ab_max), 200),
-        Claim("thm2", None, bsum_table, ("m", "a", "b"), lambda m, a, b: a + b, _C, 0, KIND_LOWER,
-              _predict_bsum_bound, _orders_and_pairs, 60),
-        Claim("cor2", None, franel_table, (), lambda: 2, _C, 0, KIND_LOWER,
-              predict_central_binomial_v2, None, 300),
-        Claim("thm3", "delannoy", delannoy_table, (), lambda: 3, _C, 0, KIND_EXACT,
-              predict_delannoy_v3, None, 1000),
-        Claim("thm4", "schroder", schroder_large_table, (), lambda: 3, _CAT, 1, KIND_EXACT,
-              predict_schroder_v3, None, 1000),
-        Claim("little-schroder", "little-schroder", schroder_large_table, (), lambda: 3, _CAT, 1,
-              KIND_EXACT, predict_schroder_v3, None, 1000, divisor=2),
-        Claim("cor3", "legendre", legendre_table, ("x",), lambda x: x, _C, 0, KIND_EXACT,
-              predict_legendre_omega, _odd_points, 300),
-        Claim("thm5", "trinomial", trinomial_table, ("a", "b"), lambda a, b: b, _C, 0, KIND_EXACT,
-              predict_trinomial_omega, _signed_pairs, 300),
-        Claim("thm6", "motzkin", motzkin_table, ("a", "b"), lambda a, b: b, _CAT, 0, KIND_EXACT,
-              predict_motzkin_omega, _signed_pairs, 300),
-        Claim("hexagonal", "hexagonal", hexagonal_table, (), lambda: 3, _CAT, 0, KIND_EXACT,
-              _predict_hexagonal_v3, None, 300),
-        Claim("catalan-shift", None, catalan_table, (), lambda: 2, _CAT, 1, KIND_EXACT,
-              _predict_catalan_shift_v2, None, 300),
+        # name, sequence, table, params, base, catalan, offset, kind, axis, n_max
+        Claim("thm1", "bsum", bsum2_table, ("a", "b"), lambda a, b: _check_weights(a, b, "a + b", a + b), False, 0,
+              KIND_EXACT, lambda grid: coprime_pairs(grid.ab_max), 200),
+        Claim("thm2", None, bsum_table, ("m", "a", "b"), lambda m, a, b: _check_weights(a, b, "a + b", a + b), False,
+              0, KIND_LOWER, _orders_and_pairs, 60),
+        Claim("cor2", None, franel_table, (), lambda: 2, False, 0, KIND_LOWER, None, 300),
+        Claim("thm3", "delannoy", delannoy_table, (), lambda: 3, False, 0, KIND_EXACT, None, 1000),
+        Claim("thm4", "schroder", schroder_large_table, (), lambda: 3, True, 1, KIND_EXACT, None, 1000),
+        Claim("little-schroder", "little-schroder", schroder_large_table, (), lambda: 3, True, 1, KIND_EXACT, None,
+              1000, divisor=2),
+        Claim("cor3", "legendre", legendre_table, ("x",), _check_odd, False, 0, KIND_EXACT, _odd_points, 300),
+        Claim("thm5", "trinomial", trinomial_table, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), False, 0,
+              KIND_EXACT, _signed_pairs, 300),
+        Claim("thm6", "motzkin", motzkin_table, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), True, 0,
+              KIND_EXACT, _signed_pairs, 300),
+        Claim("hexagonal", "hexagonal", hexagonal_table, (), lambda: 3, True, 0, KIND_EXACT, None, 300),
+        Claim("catalan-shift", None, catalan_table, (), lambda: 2, True, 1, KIND_EXACT, None, 300),
     )
 }
+
+
+# ---------------------------------------------------------------------------
+# Predictors
+# ---------------------------------------------------------------------------
+
+
+def _predictor_of(claim: str) -> Callable[[Callable], Callable[..., int]]:
+    """Make the decorated def CLAIMS[claim].predict, lending it only the def's name, signature and statement."""
+    return lambda stub: functools.update_wrapper(CLAIMS[claim].predict, stub)
+
+
+@_predictor_of("thm1")
+def predict_bsum_omega(n: int, parity: str, a: int, b: int) -> int:
+    """Exact power of a+b dividing the square sum B(2n, 2, a, b) / B(2n+1, 2, a, b).
+
+    Even index: the power of a+b in C(2n, n).
+    Odd index: one more than the power of a+b in (2n+1) * C(2n, n).
+    Hypotheses: gcd(a, b) = 1 and a + b not 0 or a unit.  For m > 2 the
+    same number is a lower bound on the power of a+b in B(2n, m, a, b).
+    """
+
+
+@_predictor_of("cor2")
+def predict_central_binomial_v2(n: int, parity: str) -> int:
+    """Exact power of 2 in C(4n, 2n) (even) or C(4n+2, 2n+1) (odd).
+
+    Both reduce to the 1-bit count of n: the doubled central binomial
+    keeps the same 2-adic valuation, the odd neighbour gains exactly one.
+    The same number lower-bounds the power of 2 in the Franel numbers
+    f_2n / f_2n+1.
+    """
+
+
+@_predictor_of("thm3")
+def predict_delannoy_v3(n: int, parity: str) -> int:
+    """Exact power of 3 in the central Delannoy number D_2n / D_2n+1."""
+
+
+@_predictor_of("thm4")
+def predict_schroder_v3(n: int, parity: str) -> int:
+    """Exact power of 3 in the large Schroder number S_2n+1 (odd) / S_2n+2 (even).
+
+    The same closed form holds for the little Schroder numbers, whose
+    3-adic valuation coincides with the large ones'.
+    """
+
+
+@_predictor_of("cor3")
+def predict_legendre_omega(n: int, parity: str, x: int) -> int:
+    """Exact power of an odd x (not a unit) dividing P_2n(x) / P_2n+1(x)."""
+
+
+@_predictor_of("thm5")
+def predict_trinomial_omega(n: int, parity: str, a: int, b: int) -> int:
+    """Exact power of b dividing the trinomial coefficient T_2n(a, b) / T_2n+1(a, b).
+
+    Hypotheses: gcd(a, b) = 1 and b not 0 or a unit.
+    """
+
+
+@_predictor_of("thm6")
+def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
+    """Exact power of b dividing the Motzkin value M_2n(a, b) / M_2n+1(a, b).
+
+    Same hypotheses as the trinomial case; the Catalan number replaces
+    the central binomial coefficient.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +380,8 @@ def _run_table(
 ) -> list[TheoremReport]:
     """Reports of the claims `names`, which share their parameters, for n_lo..n_hi (or 0..n_max).
 
-    Claims with the same table build it once, and claims with the same
-    predictor share its answer for each (n, parity).  A prime base takes
+    Claims with the same table build it once, and claims of the same shape
+    share their predictor's answer at each index.  A prime base takes
     vp_int directly.
     """
     if n_hi is None:
@@ -411,27 +394,27 @@ def _run_table(
         claim = CLAIMS[name]
         args = tuple(params[k] for k in claim.params)
         extra = tuple(zip(claim.params, args))
-        offset, divisor, kind = claim.offset, claim.divisor, claim.kind
-        key = (claim.table, offset)
+        divisor, kind = claim.divisor, claim.kind
+        key = (claim.table, claim.offset)
         if key not in tables:
-            tables[key] = claim.table(2 * n_hi + 1 + offset, *args)
+            tables[key] = claim.table(claim.index(n_hi, 1), *args)
         table = tables[key]
-        if claim.predict not in predictions:
-            predictions[claim.predict] = [claim.predict(n, parity, *args) for n in ns for parity in PARITIES]
-        predicted = iter(predictions[claim.predict])
+        rs = sorted((0, 1), key=lambda r: claim.index(0, r) % 2)  # the even index first, as reports sort
+        indices = [(n, claim.index(n, r)) for n in ns for r in rs]
         x = claim.base(*args)
+        shape = (x, claim.catalan, claim.offset)
+        if shape not in predictions:
+            predictions[shape] = [claim.predict(n, PARITIES[i % 2], *args) for n, i in indices]
         p = abs(x) if is_prime(abs(x)) else None
-        for n in ns:
-            for parity in PARITIES:
-                i = 2 * n + 1 if parity == "odd" else 2 * n + 2 * offset
-                y = table[i]
-                if divisor != 1:
-                    y, rem = divmod(y, divisor)
-                    if rem:
-                        raise IntegralityError(f"{name} construction failed at index {i}")
-                oracle = omega(x, y) if p is None else vp_int(y, p)
-                instance = (("n", n), ("parity", parity)) + extra
-                out.append(TheoremReport(name, instance, next(predicted), oracle, kind))
+        for (n, i), predicted in zip(indices, predictions[shape]):
+            y = table[i]
+            if divisor != 1:
+                y, rem = divmod(y, divisor)
+                if rem:
+                    raise IntegralityError(f"{name} construction failed at index {i}")
+            oracle = omega(x, y) if p is None else vp_int(y, p)
+            instance = (("n", n), ("parity", PARITIES[i % 2])) + extra
+            out.append(TheoremReport(name, instance, predicted, oracle, kind))
     return out
 
 

@@ -18,8 +18,10 @@ from hypothesis import strategies as st
 import valuata.cli as cli
 import valuata.harness as harness
 from valuata.cli import main
+from valuata.digits import kummer_carries
 from valuata.sequences import SEQUENCES
-from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, run_harness
+from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
+from valuata.valuation import vp_int
 
 
 def run(capsys, *argv):
@@ -135,6 +137,27 @@ class TestOmega:
         assert (code, out, err) == (2, "", "error: n must be non-negative, got -3\n")
 
 
+def _reference_core(n: int, r: int, p: int, catalan: bool) -> int:
+    """v_p((2n+1)**r * core(n)) from the checked public kernel, core(n) = Catalan(n) or C(2n, n)."""
+    v = kummer_carries(n, n, p) + (vp_int(2 * n + 1, p) if r else 0)
+    return v - vp_int(n + 1, p) if catalan else v
+
+
+# A target on each fast route: the tokens before and after its index, its
+# base and that base's primes, whether its core is Catalan(n) and the offset
+# of its index, i = 2n + r + offset.
+_EXPLAINED = {
+    "bsum": (("B",), ("2", "37", "62"), 99, (3, 11), False, 0),
+    "delannoy": (("delannoy",), (), 3, (3,), False, 0),
+    "schroder": (("schroder",), (), 3, (3,), True, 1),
+    "little-schroder": (("little-schroder",), (), -3, (3,), True, 1),
+    "hexagonal": (("hexagonal",), (), 3, (3,), True, 0),
+    "legendre": (("legendre",), ("15",), 15, (3, 5), False, 0),
+    "trinomial": (("trinomial",), ("7", "-10"), -10, (2, 5), False, 0),
+    "motzkin": (("motzkin",), ("5", "6"), -6, (2, 3), True, 0),
+}
+
+
 class TestFastRoutes:
     """Fast routes derived from the claim table."""
 
@@ -169,8 +192,9 @@ class TestFastRoutes:
         base = {"B": "99", "bsum": "3", "trinomial": "3", "motzkin": "3", "legendre": "5"}.get(target[0], "3")
         oracle = run(capsys, "omega", base, *target, "--mode", "oracle")
         assert oracle[0] == 2 and oracle[1] == "" and oracle[2].startswith("error: ")
-        for mode in ("fast", "both"):
+        for mode in ("oracle", "fast", "both"):
             assert run(capsys, "omega", base, *target, "--mode", mode) == oracle
+            assert run(capsys, "omega", base, *target, "--mode", mode, "--explain") == oracle
 
     def test_index_past_the_fast_range_is_reported_as_given(self, capsys):
         code, out, err = run(capsys, "omega", "99", "B", "2e19", "2", "37", "62", "--mode", "fast")
@@ -232,6 +256,41 @@ class TestFastRoutes:
         ]
         code, out, _ = run(capsys, "vp", "3", "delannoy", "11", "--mode", "fast", "--explain")
         assert code == 0 and out.splitlines()[1] == "  core: 11*C(10,5); omega_3(delannoy(11)) = 1 + omega_3(core)"
+
+    @pytest.mark.parametrize("sequence", sorted(_EXPLAINED))
+    def test_explain_core_matches_the_reference(self, capsys, sequence):
+        head, tail, base, primes, catalan, offset = _EXPLAINED[sequence]
+        line = re.compile(r"  p=(\d+): v_p\(core\)=(\d+), v_p\(base\)=\d+, floor=\d+")
+        ns = {0, _FAST_N_MAX}
+        for p in primes:
+            k = 1
+            while p ** (k + 1) <= _FAST_N_MAX:
+                k += 1
+            ns |= {p - 1, p, p**k - 1, p**k}
+        for n in sorted(ns):
+            for r in (0, 1):
+                i = 2 * n + r + offset
+                code, out, err = run(capsys, "omega", str(base), *head, str(i), *tail, "--mode", "fast", "--explain")
+                assert (code, err) == (0, ""), (sequence, i)
+                core = f"Catalan({n})" if catalan else f"C({2 * n},{n})"
+                assert out.splitlines()[1].startswith(f"  core: {2 * n + 1}*{core};" if r else f"  core: {core};")
+                got = {int(m.group(1)): int(m.group(2)) for m in map(line.fullmatch, out.splitlines()) if m}
+                assert got == {p: _reference_core(n, r, p, catalan) for p in primes}, (sequence, i)
+        for r in (0, 1):
+            i = 2 * (_FAST_N_MAX + 1) + r + offset
+            expected = (2, "", f"error: n exceeds the machine fast-path range: {i}\n")
+            assert run(capsys, "omega", str(base), *head, str(i), *tail, "--mode", "fast", "--explain") == expected
+        below = (*head, str(offset - 1), *tail)
+        oracle = run(capsys, "omega", str(base), *below, "--mode", "oracle", "--explain")
+        assert oracle[0] == 2 and oracle[2].startswith("error: ")
+        assert run(capsys, "omega", str(base), *below, "--mode", "fast", "--explain") == oracle
+
+    @pytest.mark.parametrize("command", ["omega", "vp"])
+    @pytest.mark.parametrize("mode", ["fast", "oracle", "both"])
+    def test_explain_takes_the_human_format(self, capsys, command, mode):
+        argv = (command, "3", "delannoy", "11", "--mode", mode, "--explain", "--format", "json")
+        assert run(capsys, *argv) == (2, "", "error: --explain takes --format human\n")
+        assert run(capsys, *argv[:-2], "--format", "human")[0] == 0
 
 
 # Each routed target: its parameter count, the base that its claim is
@@ -673,6 +732,15 @@ class TestBench:
         code, _, err = run(capsys, "bench", "fibonacci")
         assert code == 2
 
+    @pytest.mark.parametrize("argv, unread", [
+        (("thm1", "--k", "5", "--p", "7"), "--k, --p"),
+        (("thm1", "--n", "30", "--p", "7", "--fast-only"), "--p"),
+        (("vp-binom", "--a", "3"), "--a"),
+        (("vp-binom", "--n", "10", "--a", "1", "--b", "2", "--fast-only"), "--a, --b"),
+    ])
+    def test_options_the_scenario_does_not_read_exit_2(self, capsys, argv, unread):
+        assert run(capsys, "bench", *argv) == (2, "", f"error: bench {argv[0]} does not take {unread}\n")
+
     def test_binom_past_the_kernel_range_names_n(self, capsys):
         expected = (2, "", "error: n exceeds the 64-bit kernel range: 300000000000000000000\n")
         assert run(capsys, "vp", "3", "binom", "3e20", "1e20", "--mode", "fast") == expected
@@ -843,22 +911,82 @@ _TABLES = _NAMES.flatmap(
         st.sampled_from([[], ["--output", os.devnull], ["--output", "/nonexistent/dir/x.csv"]]),
     )
 ).map(lambda parts: sum(parts, []))
+# Grid value sets with repeated, negative and unordered values, as one
+# `--option=values` token, since argparse takes "-2,3" for an option.
+_INT_SET = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda vs: ",".join(map(str, vs)))
+_ORDER_SET = st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(lambda vs: ",".join(map(str, vs)))
+_GRID_SETS = st.one_of(
+    st.tuples(st.just("--m-set"), _ORDER_SET),
+    st.tuples(st.sampled_from(["--a-set", "--b-set", "--x-set"]), _INT_SET),
+).map(lambda t: ["=".join(t)])
 # --n-max and --ab-max are always given and small: the default grids take minutes.
 _VERIFIES = st.tuples(
     st.lists(st.sampled_from(sorted(RUNNERS) + ["all", "nope"]), max_size=2),
     st.integers(-1, 4).map(str),
     st.integers(-1, 4).map(str),
     st.lists(
-        st.sampled_from([
-            ["--m-set", "0"], ["--m-set", "3,0"], ["--m-set", "2,4"], ["--m-set", "x"],
-            ["--a-set", "0,1"], ["--b-set", "-2,0"], ["--x-set", "0,3"], ["--x-set", "2"],
-            ["--primes", "5..2"], ["--primes", "-1"], ["--exact-max", "-2"], ["--exact-max", "3"],
-            ["--jobs", "0"], ["--jobs", "x"], ["--fail-fast"], ["--summary-only"],
-            ["--format", "csv"], ["--format", "json"],
-        ]),
-        max_size=3,
+        st.one_of(
+            st.sampled_from([
+                ["--m-set", "0"], ["--m-set", "3,0"], ["--m-set", "2,4"], ["--m-set", "x"],
+                ["--a-set", "0,1"], ["--b-set", "-2,0"], ["--x-set", "0,3"], ["--x-set", "2"],
+                ["--primes", "5..2"], ["--primes", "-1"], ["--exact-max", "-2"], ["--exact-max", "3"],
+                ["--jobs", "0"], ["--jobs", "x"], ["--fail-fast"], ["--summary-only"],
+                ["--format", "csv"], ["--format", "json"],
+            ]),
+            _GRID_SETS,
+        ),
+        max_size=4,
     ),
 ).map(lambda t: ["verify", *t[0], "--n-max", t[1], "--ab-max", t[2], "--primes", "13", *sum(t[3], [])])
+
+
+_SUMMARY_LINE = re.compile(r"\[([^]]+)\] checked=([0-9]+) violations=[0-9]+")
+# The primes that --primes 13 gives lemma1.
+_PRIMES_TO_13 = (2, 3, 5, 7, 11, 13)
+
+
+def _distinct_grid_points(argv: list[str]) -> dict[str, int]:
+    """Reports per claim of a clean verify run: one per distinct grid point, from the arguments alone."""
+    selectors, options = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("--fail-fast", "--summary-only"):
+            continue
+        if token.startswith("--"):
+            key, _, value = token.partition("=")
+            options[key] = value or next(tokens)  # the last occurrence wins, as in argparse
+        else:
+            selectors.append(token)
+
+    def values(option: str, default: tuple[int, ...]) -> set[int]:
+        return {int(v) for v in options[option].split(",")} if option in options else set(default)
+
+    grid = HarnessGrid()
+    rows, ab_max = int(options["--n-max"]) + 1, int(options["--ab-max"])
+    a_values, b_values = values("--a-set", grid.a_values), values("--b-set", grid.b_values)
+    pairs = [(a, b) for b in range(1, ab_max + 1) for a in range(1, b + 1) if math.gcd(a, b) == 1]
+    signed = [(a, b) for a in a_values for b in b_values if b not in (0, 1, -1) and math.gcd(a, b) == 1]
+    odd = [x for x in values("--x-set", grid.x_values) if x % 2 and x not in (1, -1)]
+    per_runner = {
+        "thm1": {"thm1": 2 * rows * len(pairs)},
+        "thm2": {"thm2": 2 * rows * len(pairs) * len(values("--m-set", grid.m_values))},
+        "cor1": {"cor1": 2 * rows, "popcount": rows},
+        "cor2": {"cor2": 2 * rows},
+        "thm3": {"thm3": 2 * rows},
+        "thm4": {"thm4": 2 * rows, "little-schroder": 2 * rows},
+        "cor3": {"cor3": 2 * rows * len(odd)},
+        "thm5": {"thm5": 2 * rows * len(signed)},
+        "thm6": {"thm6": 2 * rows * len(signed)},
+        "lemma1": {
+            "lemma1": rows * len(_PRIMES_TO_13),
+            "multinomial-valuation": rows * len(_PRIMES_TO_13),
+            "multinomial-bound": rows * len(_PRIMES_TO_13),
+            "shifted-product-bound": rows * (len(_PRIMES_TO_13) - 1),
+        },
+        "remarks": {"hexagonal": 2 * rows, "catalan-shift": 2 * rows},
+    }
+    runners = per_runner if not selectors or "all" in selectors else selectors
+    return {claim: count for runner in runners for claim, count in per_runner[runner].items()}
 
 
 _INTEGER = re.compile(r"-?[0-9]+")
@@ -899,6 +1027,12 @@ class TestExitCodeContract:
     @example(["omega", "3", "B", "4", "-2", "3", "5", "--mode", "oracle", "--format", "json"])
     @example(["seq", "delannoy", "0..30", "--digits", "0"])
     @example(["seq", "delannoy", "0..3", "--digits", "-1"])
+    @example(["omega", "3", "delannoy", "11", "--mode", "fast", "--explain", "--format", "json"])
+    @example([
+        "verify", "thm2", "thm5", "--n-max", "2", "--ab-max", "3", "--primes", "13",
+        "--m-set", "4,3,4", "--a-set=-2,1,-2,5", "--b-set=5,-3,5",
+    ])
+    @example(["verify", "cor3", "--n-max", "1", "--ab-max", "0", "--primes", "13", "--x-set=-3,5,-3,1,2"])
     def test_exit_code_matches_the_outcome(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -913,3 +1047,6 @@ class TestExitCodeContract:
             assert re.search(r"violations=[1-9]", out + err) or err.startswith("DISAGREEMENT")
         if code == 0:
             assert _non_integer_values(argv, out) == []
+        if code == 0 and argv[0] == "verify":
+            checked = {m.group(1): int(m.group(2)) for m in map(_SUMMARY_LINE.fullmatch, (out + err).splitlines()) if m}
+            assert checked == _distinct_grid_points(argv)

@@ -12,8 +12,9 @@ from math import comb
 
 import pytest
 
+import valuata.cli as cli
 import valuata.harness as harness
-from valuata.digits import KernelRangeError, kummer_carries
+from valuata.digits import kummer_carries
 from valuata.harness import _fork_pays, json_lines
 from valuata.sequences import IntegralityError, delannoy, eval_B, eval_M, eval_T, franel, legendre
 from valuata.theorems import (
@@ -253,18 +254,6 @@ class TestTheoremReport:
 
 
 class TestClaimTable:
-    def test_core_and_offset_agree_with_the_predictor(self):
-        # predict(n, parity) = r + omega_x((2n+1)**r * core(n)) at index 2n + r + offset
-        grid = HarnessGrid()
-        for claim in CLAIMS.values():
-            for args in claim.axis(grid) if claim.axis else [()]:
-                factors = factorize(abs(claim.base(*args))).factors
-                for i in range(claim.offset, 2 * 60 + claim.offset):
-                    n, r = claim.locate(i)
-                    expected = r + min(claim.core_vp(n, r, p) // e for p, e in factors)
-                    parity = "odd" if i % 2 else "even"
-                    assert claim.predict(n, parity, *args) == expected, (claim.name, args, i)
-
     def test_every_table_claim_has_a_runner(self):
         claims = {claim for runner in RUNNERS.values() for claim in runner.claims}
         assert set(CLAIMS) <= claims
@@ -347,11 +336,27 @@ class TestPredictorFastPath:
         assert public <= {claim.predict for claim in CLAIMS.values()}
         assert set(self.SHAPES) == set(CLAIMS)
 
+    def test_public_predictors_keep_their_signatures(self):
+        import inspect
+
+        signatures = {
+            predict_bsum_omega: "(n: 'int', parity: 'str', a: 'int', b: 'int') -> 'int'",
+            predict_central_binomial_v2: "(n: 'int', parity: 'str') -> 'int'",
+            predict_delannoy_v3: "(n: 'int', parity: 'str') -> 'int'",
+            predict_schroder_v3: "(n: 'int', parity: 'str') -> 'int'",
+            predict_legendre_omega: "(n: 'int', parity: 'str', x: 'int') -> 'int'",
+            predict_trinomial_omega: "(n: 'int', parity: 'str', a: 'int', b: 'int') -> 'int'",
+            predict_motzkin_omega: "(n: 'int', parity: 'str', a: 'int', b: 'int') -> 'int'",
+        }
+        for predictor, signature in signatures.items():
+            assert str(inspect.signature(predictor)) == signature, predictor.__name__
+            assert predictor.__doc__.startswith("Exact power of "), predictor.__name__
+
     @pytest.mark.parametrize("name", sorted(CLAIMS))
     def test_matches_the_checked_kernels(self, name):
         claim = CLAIMS[name]
         catalan, offset = self.SHAPES[name]
-        assert claim.offset == offset
+        assert (claim.catalan, claim.offset) == (catalan, offset)
         for args in self.params(name):
             x = claim.base(*args)
             for n in self.ns():
@@ -369,22 +374,31 @@ class TestPredictorFastPath:
                 claim.predict(n, "odd", *args)
         with pytest.raises(ValueError, match="parity"):
             claim.predict(3, "banana", *args)
+        # n and the parity are checked before the hypotheses on the parameters
+        bad = {"thm1": (2, 4), "thm2": (3, 2, 4), "cor3": (4,), "thm5": (2, 4), "thm6": (2, 4)}.get(name)
+        if bad:
+            with pytest.raises(HypothesisViolation, match="^n must be non-negative, got -1$"):
+                claim.predict(-1, "odd", *bad)
+            with pytest.raises(ValueError, match="parity"):
+                claim.predict(3, "banana", *bad)
+            with pytest.raises(HypothesisViolation, match="^(a and b must be coprime, got 2, 4|x must be odd, got 4)$"):
+                claim.predict(3, "odd", *bad)
 
     @pytest.mark.parametrize("name", sorted(CLAIMS))
     def test_core_checks_its_inputs(self, name):
+        # The per-prime core checks nothing; besides the predictors, which check
+        # their own inputs, only --explain reaches it, through Claim.locate.
         claim = CLAIMS[name]
-        for n, p in ((-1, 3), (-3, 2), (_FAST_N_MAX + 1, 3), (_FAST_N_MAX + 1, 2)):
-            with pytest.raises(KernelRangeError):
-                claim.core(n, p)
-            for r in (0, 1):
-                with pytest.raises(KernelRangeError):
-                    claim.core_vp(n, r, p)
-        for p in (0, 1, 4, 9, 2 * 3 * 97):
-            with pytest.raises(ValueError, match="prime"):
-                claim.core(5, p)
-            for r in (0, 1):
-                with pytest.raises(ValueError, match="prime"):
-                    claim.core_vp(5, r, p)
+        args = self.params(name)[0]
+        for i in range(claim.offset, claim.offset + 40):
+            assert claim.index(*claim.locate(i)) == i
+        past = _FAST_N_MAX + 1
+        for i in (claim.offset - 1, claim.offset - 2, -5, claim.index(past, 0), claim.index(past, 1), 2**70):
+            with pytest.raises(HypothesisViolation):
+                claim.locate(i)
+            target = cli.Target("y", lambda: 0, claim=name, index=i, params=args)
+            with pytest.raises(HypothesisViolation):
+                cli._core_lines(target, claim.base(*args))
 
     @pytest.mark.parametrize("target, claim", [
         ("predict_central_binomial_v2", "cor1"),
