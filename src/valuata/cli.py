@@ -16,6 +16,7 @@ import re
 import sys
 import time
 from dataclasses import dataclass
+from itertools import islice
 from math import comb
 from typing import Callable
 
@@ -301,8 +302,8 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         raise UsageError(f"--valuation takes a prime, got {p}")
     header = ["n", "value"] + ([f"v_{p}"] if p else [])
     indices = range(lo, hi + 1)
-    if entry.table is not None and indices:
-        values = entry.table(hi, *extra)[lo:]
+    if entry.values is not None and indices:
+        values = list(islice(entry.values(*extra), lo, hi + 1))
     else:
         values = [entry.value(n, *extra) for n in indices]
     rows = []
@@ -609,11 +610,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# verify's comma-separated lists; a list may start with a negative value.
+_LIST_OPTIONS = ("--m-set", "--a-set", "--b-set", "--x-set")
+_NEGATIVE = re.compile(r"-[0-9]")
+
+
+def _attach_negative_lists(argv: list[str]) -> list[str]:
+    """`--a-set -2,1` as `--a-set=-2,1`: argparse would take a separate `-2,1` for an option."""
+    out: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            return out + [token, *tokens]
+        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE.match(token):
+            token = f"{out.pop()}={token}"
+        out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
     if not getattr(args, "command", None):
         parser.print_help()
         return 2

@@ -18,8 +18,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from itertools import count, islice
 from math import comb
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -48,20 +49,34 @@ def _powers(x: int, n: int) -> list[int]:
     return out
 
 
+def _paired_sum(n: int, m: int, row: list[int], ab: int, apow: list[int], bpow: list[int]) -> int:
+    """sum_k C(n, k)**m * a**(n-k) * b**k from the half row C(n, 0..n//2) and the powers of a and b.
+
+    The terms k and n - k pair up: for k < n/2 they add up to
+    C(n, k)**m * (ab)**k * (a**(n-2k) + b**(n-2k)), and an even n adds the
+    middle term C(n, n/2)**m * (ab)**(n/2).  The sum runs in Horner form
+    over ab, with one large product per pair.
+    """
+    total = 0
+    for k in range(n // 2, -1, -1):
+        c = row[k] ** m
+        total = total * ab + (c if 2 * k == n else c * (apow[n - 2 * k] + bpow[n - 2 * k]))
+    return total
+
+
 def eval_B(n: int, m: int, a: int, b: int) -> int:
-    """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k, for n >= 0 and m >= 0."""
+    """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k, for n >= 0 and m >= 0.
+
+    The defining sum, with its terms k and n - k summed in pairs (see _paired_sum).
+    """
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
-    apow = _powers(a, n)
-    bpow = _powers(b, n)
-    total = 0
-    c = 1
-    for k in range(n + 1):
-        total += c**m * apow[n - k] * bpow[k]
-        c = c * (n - k) // (k + 1)
-    return total
+    row = [1]  # C(n, k) for k = 0..n//2
+    for k in range(n // 2):
+        row.append(row[k] * (n - k) // (k + 1))
+    return _paired_sum(n, m, row, a * b, _powers(a, n), _powers(b, n))
 
 
 def eval_B_via_trinomial(n: int, a: int, b: int) -> int:
@@ -168,7 +183,106 @@ def fuss_catalan(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Recurrence tables: [y_0, ..., y_n_max] in one exact-division pass
+# Value streams: y_0, y_1, ... of one recurrence, two values held at a time
+# ---------------------------------------------------------------------------
+
+
+def trinomial_values(a: int, b: int) -> Iterator[int]:
+    """T_0(a, b), T_1(a, b), ... by the recurrence
+
+    (n+1) T_{n+1} = (2n+1) b T_n - n (b**2 - 4a) T_{n-1},   T_0 = 1, T_1 = b.
+    """
+    disc = b * b - 4 * a
+    prev, cur = 0, 1
+    for n in count():
+        yield cur
+        prev, cur = cur, _exact_div((2 * n + 1) * b * cur - n * disc * prev, n + 1, "trinomial")
+
+
+def motzkin_values(a: int, b: int) -> Iterator[int]:
+    """M_0(a, b), M_1(a, b), ... by the recurrence
+
+    (n+3) M_{n+1} = (2n+3) b M_n + (4a - b**2) n M_{n-1},   M_0 = 1, M_1 = b.
+    """
+    disc = 4 * a - b * b
+    prev, cur = 0, 1
+    for n in count():
+        yield cur
+        prev, cur = cur, _exact_div((2 * n + 3) * b * cur + disc * n * prev, n + 3, "motzkin")
+
+
+def franel_values() -> Iterator[int]:
+    """Franel numbers f_0, f_1, ... by the recurrence
+
+    (n+1)**2 f_{n+1} = (7n**2 + 7n + 2) f_n + 8 n**2 f_{n-1},   f_0 = 1, f_1 = 2.
+    """
+    prev, cur = 0, 1
+    for n in count():
+        yield cur
+        prev, cur = cur, _exact_div((7 * n * n + 7 * n + 2) * cur + 8 * n * n * prev, (n + 1) ** 2, "franel")
+
+
+def schroder_large_values() -> Iterator[int | None]:
+    """None, S_1, S_2, ... by the recurrence
+
+    (n+1) S_n = 3(2n-1) S_{n-1} - (n-2) S_{n-2},   S_0 = 1, S_1 = 2;
+
+    index 0 is undefined.
+    """
+    yield None
+    prev, cur = 1, 2
+    for n in count(2):
+        yield cur
+        prev, cur = cur, _exact_div(3 * (2 * n - 1) * cur - (n - 2) * prev, n + 1, "schroder_large")
+
+
+def catalan_values() -> Iterator[int]:
+    """Catalan numbers C_0, C_1, ... by C_{k+1} = 2(2k+1) C_k / (k+2)."""
+    cur = 1
+    for k in count():
+        yield cur
+        cur = _exact_div(2 * (2 * k + 1) * cur, k + 2, "catalan")
+
+
+def delannoy_values() -> Iterator[int]:
+    """Central Delannoy numbers D_0, D_1, ...: the trinomial stream at (ab, a+b) = (2, 3), so
+
+    (n+1) D_{n+1} = 3(2n+1) D_n - n D_{n-1},   D_0 = 1, D_1 = 3.
+    """
+    return trinomial_values(2, 3)
+
+
+def legendre_values(x: int) -> Iterator[int]:
+    """P_0(x), P_1(x), ... at odd x: the trinomial stream at (ab, a+b) for (a, b) = ((x-1)/2, (x+1)/2)."""
+    if x % 2 == 0:
+        raise DomainError(f"x must be odd for an integer value, got {x}")
+    a, b = (x - 1) // 2, (x + 1) // 2
+    return trinomial_values(a * b, a + b)
+
+
+def hexagonal_values() -> Iterator[int]:
+    """Restricted hexagonal numbers: the Motzkin stream at (1, 3)."""
+    return motzkin_values(1, 3)
+
+
+def schroder_little_values() -> Iterator[int | None]:
+    """None, s_1, s_2, ...: the large stream halved; index 0 is undefined."""
+    large = schroder_large_values()
+    next(large)
+    yield None
+    for s in large:
+        yield _exact_div(s, 2, "schroder_little")
+
+
+def table_value(values: Callable[..., Iterator[int]], n: int, *params: int) -> int:
+    """y_n, element n of the stream `values(*params)`; only two values are held at a time."""
+    if n < 0:
+        raise DomainError(f"n must be non-negative, got {n}")
+    return next(islice(values(*params), n, None))
+
+
+# ---------------------------------------------------------------------------
+# Recurrence tables: [y_0, ..., y_n_max], the first n_max + 1 values of a stream
 # ---------------------------------------------------------------------------
 
 
@@ -177,25 +291,14 @@ def _check_n_max(n_max: int) -> None:
         raise DomainError(f"n_max must be non-negative, got {n_max}")
 
 
-def table_value(table: Callable[..., list[int]], n: int, *params: int) -> int:
-    """y_n read off `table(n, *params)`, a single value built by its recurrence."""
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    return table(n, *params)[n]
+def _take(values: Iterator, n_max: int) -> list:
+    _check_n_max(n_max)
+    return list(islice(values, n_max + 1))
 
 
 def trinomial_table(n_max: int, a: int, b: int) -> list[int]:
-    """T_n(a, b) for n = 0..n_max by the recurrence
-
-    (n+1) T_{n+1} = (2n+1) b T_n - n (b**2 - 4a) T_{n-1},   T_0 = 1, T_1 = b.
-    """
-    _check_n_max(n_max)
-    disc = b * b - 4 * a
-    table = [1, b]
-    for n in range(1, n_max):
-        num = (2 * n + 1) * b * table[n] - n * disc * table[n - 1]
-        table.append(_exact_div(num, n + 1, "trinomial"))
-    return table[: n_max + 1]
+    """T_n(a, b) for n = 0..n_max (see trinomial_values)."""
+    return _take(trinomial_values(a, b), n_max)
 
 
 def bsum2_table(n_max: int, a: int, b: int) -> list[int]:
@@ -207,72 +310,46 @@ def bsum2_table(n_max: int, a: int, b: int) -> list[int]:
 
 
 def motzkin_table(n_max: int, a: int, b: int) -> list[int]:
-    """M_n(a, b) for n = 0..n_max by the recurrence
-
-    (n+3) M_{n+1} = (2n+3) b M_n + (4a - b**2) n M_{n-1},   M_0 = 1, M_1 = b.
-    """
-    _check_n_max(n_max)
-    disc = 4 * a - b * b
-    table = [1, b]
-    for n in range(1, n_max):
-        num = (2 * n + 3) * b * table[n] + disc * n * table[n - 1]
-        table.append(_exact_div(num, n + 3, "motzkin"))
-    return table[: n_max + 1]
+    """M_n(a, b) for n = 0..n_max (see motzkin_values)."""
+    return _take(motzkin_values(a, b), n_max)
 
 
 def delannoy_table(n_max: int) -> list[int]:
-    """Central Delannoy numbers D_0..D_n_max, the bsum2 table at (1, 2):
-
-    (n+1) D_{n+1} = 3(2n+1) D_n - n D_{n-1},   D_0 = 1, D_1 = 3.
-    """
-    return bsum2_table(n_max, 1, 2)
+    """Central Delannoy numbers D_0..D_n_max (see delannoy_values)."""
+    return _take(delannoy_values(), n_max)
 
 
 def delannoy(n: int) -> int:
     """Central Delannoy number D_n."""
-    return table_value(delannoy_table, n)
+    return table_value(delannoy_values, n)
 
 
 def legendre_table(n_max: int, x: int) -> list[int]:
     """P_n(x) for n = 0..n_max at odd x: the bsum2 table at ((x-1)/2, (x+1)/2)."""
-    if x % 2 == 0:
-        raise DomainError(f"x must be odd for an integer value, got {x}")
-    return bsum2_table(n_max, (x - 1) // 2, (x + 1) // 2)
+    return _take(legendre_values(x), n_max)
 
 
 def franel_table(n_max: int) -> list[int]:
-    """Franel numbers f_0..f_n_max by the recurrence
-
-    (n+1)**2 f_{n+1} = (7n**2 + 7n + 2) f_n + 8 n**2 f_{n-1},   f_0 = 1, f_1 = 2.
-    """
-    _check_n_max(n_max)
-    table = [1, 2]
-    for n in range(1, n_max):
-        num = (7 * n * n + 7 * n + 2) * table[n] + 8 * n * n * table[n - 1]
-        table.append(_exact_div(num, (n + 1) ** 2, "franel"))
-    return table[: n_max + 1]
+    """Franel numbers f_0..f_n_max (see franel_values)."""
+    return _take(franel_values(), n_max)
 
 
 def hexagonal_table(n_max: int) -> list[int]:
     """Restricted hexagonal numbers: the Motzkin table at (1, 3)."""
-    return motzkin_table(n_max, 1, 3)
+    return _take(hexagonal_values(), n_max)
 
 
 def catalan_table(n_max: int) -> list[int]:
-    """Catalan numbers C_0..C_n_max by C_{k+1} = 2(2k+1) C_k / (k+2)."""
-    _check_n_max(n_max)
-    table = [1]
-    for k in range(n_max):
-        table.append(_exact_div(2 * (2 * k + 1) * table[k], k + 2, "catalan"))
-    return table
+    """Catalan numbers C_0..C_n_max (see catalan_values)."""
+    return _take(catalan_values(), n_max)
 
 
 def schroder_large(n: int) -> int:
     """Large Schroder number S_n = (-D_{n-1} + 6 D_n - D_{n+1}) / 2, n >= 1."""
     if n < 1:
         raise DomainError(f"large Schroder numbers start at index 1, got {n}")
-    dt = delannoy_table(n + 1)
-    return _exact_div(-dt[n - 1] + 6 * dt[n] - dt[n + 1], 2, "schroder_large")
+    d_prev, d, d_next = islice(delannoy_values(), n - 1, n + 2)
+    return _exact_div(-d_prev + 6 * d - d_next, 2, "schroder_large")
 
 
 def schroder_little(n: int) -> int:
@@ -281,23 +358,13 @@ def schroder_little(n: int) -> int:
 
 
 def schroder_large_table(n_max: int) -> list[int | None]:
-    """[None, S_1, ..., S_n_max] by the recurrence
-
-    (n+1) S_n = 3(2n-1) S_{n-1} - (n-2) S_{n-2},   S_0 = 1, S_1 = 2;
-
-    index 0 is undefined.
-    """
-    _check_n_max(n_max)
-    table = [1, 2]
-    for n in range(2, n_max + 1):
-        num = 3 * (2 * n - 1) * table[n - 1] - (n - 2) * table[n - 2]
-        table.append(_exact_div(num, n + 1, "schroder_large"))
-    return [None] + table[1 : n_max + 1]
+    """[None, S_1, ..., S_n_max] (see schroder_large_values); index 0 is undefined."""
+    return _take(schroder_large_values(), n_max)
 
 
 def schroder_little_table(n_max: int) -> list[int | None]:
     """[None, s_1, ..., s_n_max]: the large table halved; index 0 is undefined."""
-    return [None] + [_exact_div(s, 2, "schroder_little") for s in schroder_large_table(n_max)[1:]]
+    return _take(schroder_little_values(), n_max)
 
 
 def central_multinomial(n: int, p: int) -> int:
@@ -359,20 +426,17 @@ def legendre_rational(n: int, x: int) -> Fraction:
 
 
 def bsum(n: int, m: int, a: int, b: int) -> int:
-    """B(n, m, a, b); the square sum (m = 2) is read from its recurrence table."""
+    """B(n, m, a, b); the square sum (m = 2) is read from its recurrence stream."""
     if m != 2:
         return eval_B(n, m, a, b)
-    return table_value(bsum2_table, n, a, b)
+    return table_value(trinomial_values, n, a * b, a + b)
 
 
 def bsum_table(n_max: int, m: int, a: int, b: int) -> list[int]:
     """B(n, m, a, b) for n = 0..n_max, each by its defining sum (no recurrence covers every m).
 
-    The sum pairs the terms k and n - k: for k < n/2 they add up to
-    C(n, k)**m * (ab)**k * (a**(n-2k) + b**(n-2k)), and an even n adds the
-    middle term C(n, n/2)**m * (ab)**(n/2).  Each sum runs in Horner form
-    over ab.  The rows C(n, 0..n/2) are built by addition, and the powers
-    of a and b are shared by every n.
+    Each sum is _paired_sum, the one eval_B takes.  The rows C(n, 0..n/2)
+    are built by addition, and the powers of a and b are shared by every n.
     """
     _check_n_max(n_max)
     if m < 0:
@@ -387,11 +451,7 @@ def bsum_table(n_max: int, m: int, a: int, b: int) -> list[int]:
             # The half row of n - 1, extended by C(n-1, n/2) = C(n-1, n/2 - 1) when n is even.
             prev = row + row[-1:] if n % 2 == 0 else row
             row = [1] + list(map(operator.add, prev, prev[1:]))
-        total = 0
-        for k in range(n // 2, -1, -1):
-            c = row[k] ** m
-            total = total * ab + (c if 2 * k == n else c * (apow[n - 2 * k] + bpow[n - 2 * k]))
-        out.append(total)
+        out.append(_paired_sum(n, m, row, ab, apow, bpow))
     return out
 
 
@@ -413,40 +473,39 @@ def check_congruence(n: int, m: int, a: int, b: int) -> bool:
 class SequenceDef:
     """A named integer sequence: the CLI-facing registry entry.
 
-    `fn(n, *params)` computes one value; `table(n_max, *params)` builds
-    [y_0, ..., y_n_max] in one pass, for sequences that have a recurrence;
-    it starts at index 0, with None below `min_index`.  An entry has at
-    least one of the two.
+    `fn(n, *params)` computes one value; `values(*params)` streams y_0,
+    y_1, ... by a recurrence, for sequences that have one, with None below
+    `min_index`.  An entry has at least one of the two.
     """
 
     name: str
     params: tuple[str, ...]
     min_index: int
     fn: Callable[..., int] | None = None
-    table: Callable[..., list[int]] | None = None
+    values: Callable[..., Iterator[int | None]] | None = None
 
     def value(self, n: int, *params: int) -> int:
-        """y_n by `fn` when the entry has one, else read off its table."""
+        """y_n by `fn` when the entry has one, else element n of its stream."""
         if self.fn is not None:
             return self.fn(n, *params)
-        return table_value(self.table, n, *params)
+        return table_value(self.values, n, *params)
 
 
 SEQUENCES: dict[str, SequenceDef] = {
     s.name: s
     for s in (
-        SequenceDef("delannoy", (), 0, table=delannoy_table),
-        SequenceDef("schroder", (), 1, schroder_large, schroder_large_table),
-        SequenceDef("little-schroder", (), 1, schroder_little, schroder_little_table),
+        SequenceDef("delannoy", (), 0, values=delannoy_values),
+        SequenceDef("schroder", (), 1, schroder_large, schroder_large_values),
+        SequenceDef("little-schroder", (), 1, schroder_little, schroder_little_values),
         SequenceDef("catalan", (), 0, catalan),
         SequenceDef("central-binomial", (), 0, central_binomial),
-        SequenceDef("franel", (), 0, table=franel_table),
-        SequenceDef("hexagonal", (), 0, table=hexagonal_table),
+        SequenceDef("franel", (), 0, values=franel_values),
+        SequenceDef("hexagonal", (), 0, values=hexagonal_values),
         SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan),
         SequenceDef("multinomial", ("p",), 0, central_multinomial_product),
-        SequenceDef("trinomial", ("a", "b"), 0, table=trinomial_table),
-        SequenceDef("motzkin", ("a", "b"), 0, table=motzkin_table),
-        SequenceDef("legendre", ("x",), 0, table=legendre_table),
+        SequenceDef("trinomial", ("a", "b"), 0, values=trinomial_values),
+        SequenceDef("motzkin", ("a", "b"), 0, values=motzkin_values),
+        SequenceDef("legendre", ("x",), 0, values=legendre_values),
         SequenceDef("bsum", ("m", "a", "b"), 0, bsum),
     )
 }

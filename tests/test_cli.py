@@ -392,8 +392,8 @@ class TestSeq:
     def test_schroder_table_gives_pointwise_bytes(self, capsys, monkeypatch, name):
         formats = [("--format", fmt) for fmt in ("human", "json", "csv")] + [("--valuation", "3")]
         with_table = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
-        assert cli.SEQUENCES[name].table is not None
-        monkeypatch.setitem(cli.SEQUENCES, name, dataclasses.replace(cli.SEQUENCES[name], table=None))
+        assert cli.SEQUENCES[name].values is not None
+        monkeypatch.setitem(cli.SEQUENCES, name, dataclasses.replace(cli.SEQUENCES[name], values=None))
         pointwise = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
         assert with_table == pointwise and all(code == 0 and out for code, out, _ in pointwise)
 
@@ -618,6 +618,21 @@ class TestGridValues:
         grid = HarnessGrid(n_max=2, ab_max=2, m_values=(3, 3), a_values=(1, 1), b_values=(2, 2), x_values=(3, 3))
         once = HarnessGrid(n_max=2, ab_max=2, m_values=(3,), a_values=(1,), b_values=(2,), x_values=(3,))
         assert run_harness(["all"], grid).reports == run_harness(["all"], once).reports
+
+    def test_a_list_may_start_negative_as_a_separate_argument(self, capsys):
+        assert run(capsys, "verify", "thm5", "--n-max", "2", "--a-set", "-2,1") == run(
+            capsys, "verify", "thm5", "--n-max", "2", "--a-set=-2,1"
+        )
+        base = ("--n-max", "2", "--ab-max", "2", "--format", "json")
+        for selector, option, values, code in [
+            ("thm5", "--a-set", "-2,1", 0),
+            ("thm6", "--b-set", "-3,5,-3", 0),
+            ("cor3", "--x-set", "-3,5", 0),
+            ("thm2", "--m-set", "-1,3", 2),
+        ]:
+            joined = run_or_exit(capsys, "verify", selector, *base, f"{option}={values}")
+            assert joined[0] == code and (joined[1] if code == 0 else joined[2])
+            assert run_or_exit(capsys, "verify", selector, *base, option, values) == joined, option
 
     @pytest.mark.parametrize("argv, runner", [
         (("thm1", "--ab-max", "0"), "thm1"),
@@ -912,13 +927,16 @@ _TABLES = _NAMES.flatmap(
     )
 ).map(lambda parts: sum(parts, []))
 # Grid value sets with repeated, negative and unordered values, as one
-# `--option=values` token, since argparse takes "-2,3" for an option.
+# `--option=values` token or as two arguments.
 _INT_SET = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda vs: ",".join(map(str, vs)))
 _ORDER_SET = st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(lambda vs: ",".join(map(str, vs)))
-_GRID_SETS = st.one_of(
-    st.tuples(st.just("--m-set"), _ORDER_SET),
-    st.tuples(st.sampled_from(["--a-set", "--b-set", "--x-set"]), _INT_SET),
-).map(lambda t: ["=".join(t)])
+_GRID_SETS = st.tuples(
+    st.one_of(
+        st.tuples(st.just("--m-set"), _ORDER_SET),
+        st.tuples(st.sampled_from(["--a-set", "--b-set", "--x-set"]), _INT_SET),
+    ),
+    st.booleans(),
+).map(lambda t: ["=".join(t[0])] if t[1] else list(t[0]))
 # --n-max and --ab-max are always given and small: the default grids take minutes.
 _VERIFIES = st.tuples(
     st.lists(st.sampled_from(sorted(RUNNERS) + ["all", "nope"]), max_size=2),
@@ -1033,6 +1051,10 @@ class TestExitCodeContract:
         "--m-set", "4,3,4", "--a-set=-2,1,-2,5", "--b-set=5,-3,5",
     ])
     @example(["verify", "cor3", "--n-max", "1", "--ab-max", "0", "--primes", "13", "--x-set=-3,5,-3,1,2"])
+    @example([
+        "verify", "thm5", "--n-max", "2", "--ab-max", "3", "--primes", "13",
+        "--a-set", "-2,1", "--b-set", "-3,5,-3",
+    ])
     def test_exit_code_matches_the_outcome(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -1043,6 +1065,8 @@ class TestExitCodeContract:
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2)
         assert "Traceback" not in err
+        if argv[0] == "verify":  # every option drawn carries its value, even a list that starts negative
+            assert "expected one argument" not in err
         if code == 1:
             assert re.search(r"violations=[1-9]", out + err) or err.startswith("DISAGREEMENT")
         if code == 0:

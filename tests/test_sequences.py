@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -20,6 +22,7 @@ from valuata.sequences import (
     check_congruence,
     delannoy,
     delannoy_table,
+    delannoy_values,
     eval_B,
     eval_B_via_macmahon,
     eval_B_via_trinomial,
@@ -27,18 +30,26 @@ from valuata.sequences import (
     eval_T,
     franel,
     franel_table,
+    franel_values,
     fuss_catalan,
     hexagonal,
     hexagonal_table,
+    hexagonal_values,
     legendre,
     legendre_rational,
     legendre_table,
+    legendre_values,
     motzkin_table,
+    motzkin_values,
     schroder_large,
     schroder_large_table,
+    schroder_large_values,
     schroder_little,
     schroder_little_table,
+    schroder_little_values,
+    table_value,
     trinomial_table,
+    trinomial_values,
 )
 
 SIGNED_PAIRS = [(1, 1), (1, 2), (2, 3), (-3, 5), (2, -7), (-1, -1), (0, 4), (5, 0)]
@@ -48,6 +59,33 @@ small_int = st.integers(-20, 20)
 
 def brute_B(n, m, a, b):
     return sum(comb(n, k) ** m * a ** (n - k) * b**k for k in range(n + 1))
+
+
+def _eval_B_reference(n, m, a, b):
+    """The defining sum term by term, as eval_B summed it before it paired the terms k and n - k."""
+    apow = [a**i for i in range(n + 1)]
+    bpow = [b**i for i in range(n + 1)]
+    total = 0
+    c = 1
+    for k in range(n + 1):
+        total += c**m * apow[n - k] * bpow[k]
+        c = c * (n - k) // (k + 1)
+    return total
+
+
+def _traced_peak(route):
+    """(peak bytes that route() allocated while it ran, its result)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = route()
+        return tracemalloc.get_traced_memory()[1] - start, result
+    finally:
+        tracemalloc.stop()
+
+
+# Every (m, a, b) with m in 0..6 and a, b in -5..5; a or b = 0 covers the 0**0 = 1 convention.
+SUM_GRID = [(m, a, b) for m in range(7) for a in range(-5, 6) for b in range(-5, 6)]
 
 
 class TestEvalB:
@@ -84,14 +122,17 @@ class TestEvalB:
     def test_matches_brute_force(self, n, m, a, b):
         assert eval_B(n, m, a, b) == brute_B(n, m, a, b)
 
+    def test_paired_sum_matches_the_term_by_term_sum(self):
+        assert _eval_B_reference(0, 3, 0, 0) == 1 and _eval_B_reference(3, 2, 0, 2) == 8
+        for m, a, b in SUM_GRID:
+            reference = [_eval_B_reference(n, m, a, b) for n in range(60)]
+            assert [eval_B(n, m, a, b) for n in range(60)] == reference, (m, a, b)
+
 
 class TestBsumTable:
     def test_matches_the_pointwise_sum(self):
-        # a or b = 0 covers the 0**0 = 1 convention.
-        for m in range(7):
-            for a in range(-5, 6):
-                for b in range(-5, 6):
-                    assert bsum_table(59, m, a, b) == [eval_B(n, m, a, b) for n in range(60)], (m, a, b)
+        for m, a, b in SUM_GRID:
+            assert bsum_table(59, m, a, b) == [_eval_B_reference(n, m, a, b) for n in range(60)], (m, a, b)
 
     def test_domain(self):
         assert bsum_table(0, 3, 2, 5) == [1]
@@ -294,22 +335,22 @@ class TestRecurrenceTables:
 
 
 class TestRegistryTables:
-    """Registry entries read single values off the tables in TestRecurrenceTables."""
+    """Registry entries read single values off the streams behind the tables in TestRecurrenceTables."""
 
     N = TestRecurrenceTables.N
     WEIGHTS = TestRecurrenceTables.WEIGHTS
 
     def test_registry_wiring(self):
-        tables = {name: spec.table for name, spec in SEQUENCES.items() if spec.table is not None}
-        assert tables == {
-            "delannoy": delannoy_table,
-            "franel": franel_table,
-            "hexagonal": hexagonal_table,
-            "trinomial": trinomial_table,
-            "motzkin": motzkin_table,
-            "legendre": legendre_table,
-            "schroder": schroder_large_table,
-            "little-schroder": schroder_little_table,
+        streams = {name: spec.values for name, spec in SEQUENCES.items() if spec.values is not None}
+        assert streams == {
+            "delannoy": delannoy_values,
+            "franel": franel_values,
+            "hexagonal": hexagonal_values,
+            "trinomial": trinomial_values,
+            "motzkin": motzkin_values,
+            "legendre": legendre_values,
+            "schroder": schroder_large_values,
+            "little-schroder": schroder_little_values,
         }
         fns = {name: spec.fn for name, spec in SEQUENCES.items() if spec.fn is not None}
         assert fns == {
@@ -321,10 +362,10 @@ class TestRegistryTables:
             "multinomial": central_multinomial_product,
             "bsum": bsum,
         }
-        assert set(tables) | set(fns) == set(SEQUENCES)
+        assert set(streams) | set(fns) == set(SEQUENCES)
 
     def test_value_matches_the_defining_sums(self):
-        # The entries without `fn` read their tables; the sums share no code with them.
+        # The entries without `fn` read their streams; the sums share no code with them.
         sums = {
             "delannoy": ((), lambda n: eval_B(n, 2, 1, 2)),
             "franel": ((), lambda n: eval_B(n, 3, 1, 1)),
@@ -341,20 +382,74 @@ class TestRegistryTables:
             assert SEQUENCES["catalan"].value(n) == catalan(n)
         for spec in (SEQUENCES["schroder"], SEQUENCES["little-schroder"]):
             for n in (1, 2, 17, self.N - 1):
-                assert spec.value(n) == spec.fn(n) == spec.table(n)[n]
+                assert spec.value(n) == spec.fn(n) == table_value(spec.values, n)
+
+    def test_single_values_match_their_tables(self):
+        n_max = 59
+        tables = {
+            "delannoy": ((), delannoy_table),
+            "schroder": ((), schroder_large_table),
+            "little-schroder": ((), schroder_little_table),
+            "franel": ((), franel_table),
+            "hexagonal": ((), hexagonal_table),
+            "trinomial": ((-3, 5), trinomial_table),
+            "motzkin": ((2, -4), motzkin_table),
+            "legendre": ((-15,), legendre_table),
+        }
+        assert set(tables) == {name for name, spec in SEQUENCES.items() if spec.values is not None}
+        for name, (params, build) in tables.items():
+            spec, table = SEQUENCES[name], build(n_max, *params)
+            assert len(table) == n_max + 1 and table[: spec.min_index] == [None] * spec.min_index
+            for n in range(spec.min_index, n_max + 1):
+                assert spec.value(n, *params) == table_value(spec.values, n, *params) == table[n], (name, n)
+        delannoys, large, little = delannoy_table(n_max), schroder_large_table(n_max), schroder_little_table(n_max)
+        square_sums = {(a, b): bsum2_table(n_max, a, b) for a, b in SIGNED_PAIRS}
+        for n in range(n_max + 1):
+            assert delannoy(n) == delannoys[n]
+            for (a, b), table in square_sums.items():
+                assert bsum(n, 2, a, b) == table[n], (n, a, b)
+            if n:
+                assert schroder_large(n) == large[n] and schroder_little(n) == little[n]
+
+    def test_single_values_hold_only_a_few_values(self):
+        # A single value at n = 3000 is about 1 KB.  Its route may hold a few
+        # values of its size at a time; a whole table up to n holds about 1500.
+        n = 3000
+        routes = {
+            "delannoy": lambda: delannoy(n),
+            "schroder_large": lambda: schroder_large(n),
+            "schroder_little": lambda: schroder_little(n),
+            "bsum": lambda: bsum(n, 2, 3, 7),
+        }
+        params = {"trinomial": (2, 5), "motzkin": (3, -4), "legendre": (-15,)}
+        for name, spec in SEQUENCES.items():
+            if spec.values is not None:
+                extra = params.get(name, ())
+                routes[name] = lambda spec=spec, extra=extra: spec.value(n, *extra)
+                routes[f"{name} stream"] = lambda spec=spec, extra=extra: table_value(spec.values, n, *extra)
+        for name, route in routes.items():
+            peak, value = _traced_peak(route)
+            assert peak < 16 * sys.getsizeof(value), (name, peak, sys.getsizeof(value))
+        peak, table = _traced_peak(lambda: delannoy_table(n))
+        assert peak > 1000 * sys.getsizeof(table[n])  # the measurement tells a table from a value
 
     def test_value_domain(self):
+        # Every single-value route gives the message it gave when it read a table.
         for spec in SEQUENCES.values():
-            if spec.table is not None and spec.min_index == 0:
+            if spec.values is not None and spec.min_index == 0:
                 params = (3,) * len(spec.params)
-                with pytest.raises(DomainError, match="n must be non-negative, got -3"):
+                with pytest.raises(DomainError, match="^n must be non-negative, got -3$"):
                     spec.value(-3, *params)
-        for name in ("schroder", "little-schroder"):
+        for route in (delannoy, lambda n: bsum(n, 2, 1, 2), lambda n: table_value(trinomial_values, n, 1, 2)):
+            with pytest.raises(DomainError, match="^n must be non-negative, got -3$"):
+                route(-3)
+        for route in (schroder_large, schroder_little, SEQUENCES["schroder"].value, SEQUENCES["little-schroder"].value):
             for n in (0, -3):
-                with pytest.raises(DomainError, match=f"start at index 1, got {n}"):
-                    SEQUENCES[name].value(n)
-        with pytest.raises(DomainError, match="n must be non-negative, got -3"):
-            delannoy(-3)
+                with pytest.raises(DomainError, match=f"^large Schroder numbers start at index 1, got {n}$"):
+                    route(n)
+        for route in (SEQUENCES["legendre"].value, legendre, legendre_table):
+            with pytest.raises(DomainError, match="^x must be odd for an integer value, got 4$"):
+                route(3, 4)
 
     def test_bsum_matches_eval_B(self):
         for a in self.WEIGHTS:
