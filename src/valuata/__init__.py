@@ -31,17 +31,14 @@ from .sequences import (
     DomainError,
     IntegralityError,
     bsum,
-    bsum2_table,
-    bsum_table,
+    bsum_values,
     catalan,
-    catalan_table,
     catalan_values,
     central_binomial,
     central_multinomial,
     central_multinomial_product,
     check_congruence,
     delannoy,
-    delannoy_table,
     delannoy_values,
     eval_B,
     eval_B_via_macmahon,
@@ -49,24 +46,19 @@ from .sequences import (
     eval_M,
     eval_T,
     franel,
-    franel_table,
     franel_values,
     fuss_catalan,
     hexagonal,
-    hexagonal_table,
     hexagonal_values,
     legendre,
     legendre_rational,
-    legendre_table,
     legendre_values,
-    motzkin_table,
     motzkin_values,
     schroder_large,
     schroder_large_values,
     schroder_little,
     schroder_little_values,
     table_value,
-    trinomial_table,
     trinomial_values,
 )
 from .theorems import (

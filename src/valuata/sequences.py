@@ -18,9 +18,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import accumulate, count, islice
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -49,18 +49,25 @@ def _powers(x: int, n: int) -> list[int]:
     return out
 
 
-def _paired_sum(n: int, m: int, row: list[int], ab: int, apow: list[int], bpow: list[int]) -> int:
-    """sum_k C(n, k)**m * a**(n-k) * b**k from the half row C(n, 0..n//2) and the powers of a and b.
+def _paired_sum(n: int, m: int, coeffs: Iterable[int], a: int, b: int) -> int:
+    """sum_k C(n, k)**m * a**(n-k) * b**k from the half row C(n, n//2), ..., C(n, 0), in that order.
 
     The terms k and n - k pair up: for k < n/2 they add up to
     C(n, k)**m * (ab)**k * (a**(n-2k) + b**(n-2k)), and an even n adds the
     middle term C(n, n/2)**m * (ab)**(n/2).  The sum runs in Horner form
-    over ab, with one large product per pair.
+    over ab, with one large product per pair; a**(n-2k) and b**(n-2k) are
+    running products, so only a few values are held at a time.
     """
-    total = 0
-    for k in range(n // 2, -1, -1):
-        c = row[k] ** m
-        total = total * ab + (c if 2 * k == n else c * (apow[n - 2 * k] + bpow[n - 2 * k]))
+    coeffs = iter(coeffs)
+    ab, aa, bb = a * b, a * a, b * b
+    if n % 2:
+        apow, bpow, total = a, b, 0
+    else:
+        apow, bpow, total = aa, bb, next(coeffs) ** m
+    for c in coeffs:
+        total = total * ab + c**m * (apow + bpow)
+        apow *= aa
+        bpow *= bb
     return total
 
 
@@ -73,10 +80,9 @@ def eval_B(n: int, m: int, a: int, b: int) -> int:
         raise DomainError(f"n must be non-negative, got {n}")
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
-    row = [1]  # C(n, k) for k = 0..n//2
-    for k in range(n // 2):
-        row.append(row[k] * (n - k) // (k + 1))
-    return _paired_sum(n, m, row, a * b, _powers(a, n), _powers(b, n))
+    # C(n, n//2), then C(n, k - 1) = C(n, k) * k / (n - k + 1) down to C(n, 0).
+    row = accumulate(range(n // 2, 0, -1), lambda c, k: c * k // (n - k + 1), initial=comb(n, n // 2))
+    return _paired_sum(n, m, row, a, b)
 
 
 def eval_B_via_trinomial(n: int, a: int, b: int) -> int:
@@ -281,67 +287,9 @@ def table_value(values: Callable[..., Iterator[int]], n: int, *params: int) -> i
     return next(islice(values(*params), n, None))
 
 
-# ---------------------------------------------------------------------------
-# Recurrence tables: [y_0, ..., y_n_max], the first n_max + 1 values of a stream
-# ---------------------------------------------------------------------------
-
-
-def _check_n_max(n_max: int) -> None:
-    if n_max < 0:
-        raise DomainError(f"n_max must be non-negative, got {n_max}")
-
-
-def _take(values: Iterator, n_max: int) -> list:
-    _check_n_max(n_max)
-    return list(islice(values, n_max + 1))
-
-
-def trinomial_table(n_max: int, a: int, b: int) -> list[int]:
-    """T_n(a, b) for n = 0..n_max (see trinomial_values)."""
-    return _take(trinomial_values(a, b), n_max)
-
-
-def bsum2_table(n_max: int, a: int, b: int) -> list[int]:
-    """B(n, 2, a, b) for n = 0..n_max: the trinomial table at (ab, a+b), so
-
-    (n+1) B_{n+1} = (2n+1)(a+b) B_n - n (b-a)**2 B_{n-1},   B_0 = 1, B_1 = a + b.
-    """
-    return trinomial_table(n_max, a * b, a + b)
-
-
-def motzkin_table(n_max: int, a: int, b: int) -> list[int]:
-    """M_n(a, b) for n = 0..n_max (see motzkin_values)."""
-    return _take(motzkin_values(a, b), n_max)
-
-
-def delannoy_table(n_max: int) -> list[int]:
-    """Central Delannoy numbers D_0..D_n_max (see delannoy_values)."""
-    return _take(delannoy_values(), n_max)
-
-
 def delannoy(n: int) -> int:
     """Central Delannoy number D_n."""
     return table_value(delannoy_values, n)
-
-
-def legendre_table(n_max: int, x: int) -> list[int]:
-    """P_n(x) for n = 0..n_max at odd x: the bsum2 table at ((x-1)/2, (x+1)/2)."""
-    return _take(legendre_values(x), n_max)
-
-
-def franel_table(n_max: int) -> list[int]:
-    """Franel numbers f_0..f_n_max (see franel_values)."""
-    return _take(franel_values(), n_max)
-
-
-def hexagonal_table(n_max: int) -> list[int]:
-    """Restricted hexagonal numbers: the Motzkin table at (1, 3)."""
-    return _take(hexagonal_values(), n_max)
-
-
-def catalan_table(n_max: int) -> list[int]:
-    """Catalan numbers C_0..C_n_max (see catalan_values)."""
-    return _take(catalan_values(), n_max)
 
 
 def schroder_large(n: int) -> int:
@@ -355,16 +303,6 @@ def schroder_large(n: int) -> int:
 def schroder_little(n: int) -> int:
     """Little Schroder number s_n = S_n / 2, n >= 1."""
     return _exact_div(schroder_large(n), 2, "schroder_little")
-
-
-def schroder_large_table(n_max: int) -> list[int | None]:
-    """[None, S_1, ..., S_n_max] (see schroder_large_values); index 0 is undefined."""
-    return _take(schroder_large_values(), n_max)
-
-
-def schroder_little_table(n_max: int) -> list[int | None]:
-    """[None, s_1, ..., s_n_max]: the large table halved; index 0 is undefined."""
-    return _take(schroder_little_values(), n_max)
 
 
 def central_multinomial(n: int, p: int) -> int:
@@ -432,27 +370,25 @@ def bsum(n: int, m: int, a: int, b: int) -> int:
     return table_value(trinomial_values, n, a * b, a + b)
 
 
-def bsum_table(n_max: int, m: int, a: int, b: int) -> list[int]:
-    """B(n, m, a, b) for n = 0..n_max, each by its defining sum (no recurrence covers every m).
+def bsum_values(m: int, a: int, b: int) -> Iterator[int]:
+    """B(0, m, a, b), B(1, m, a, b), ..., each by its defining sum (no recurrence covers every m).
 
-    Each sum is _paired_sum, the one eval_B takes.  The rows C(n, 0..n/2)
-    are built by addition, and the powers of a and b are shared by every n.
+    Each sum is _paired_sum, the one eval_B takes; the half rows
+    C(n, 0..n/2) are built by addition.
     """
-    _check_n_max(n_max)
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
-    apow = _powers(a, n_max)
-    bpow = _powers(b, n_max)
-    ab = a * b
-    out = []
-    row = [1]  # C(n, k) for k = 0..n//2
-    for n in range(n_max + 1):
-        if n:
-            # The half row of n - 1, extended by C(n-1, n/2) = C(n-1, n/2 - 1) when n is even.
-            prev = row + row[-1:] if n % 2 == 0 else row
-            row = [1] + list(map(operator.add, prev, prev[1:]))
-        out.append(_paired_sum(n, m, row, ab, apow, bpow))
-    return out
+
+    def values() -> Iterator[int]:
+        row = [1]  # C(n, k) for k = 0..n//2
+        for n in count():
+            if n:
+                # The half row of n - 1, extended by C(n-1, n/2) = C(n-1, n/2 - 1) when n is even.
+                prev = row + row[-1:] if n % 2 == 0 else row
+                row = [1] + list(map(operator.add, prev, prev[1:]))
+            yield _paired_sum(n, m, reversed(row), a, b)
+
+    return values()
 
 
 def check_congruence(n: int, m: int, a: int, b: int) -> bool:

@@ -32,8 +32,9 @@ import operator
 import os
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .digits import (
     U64_MAX,
@@ -44,17 +45,16 @@ from .digits import (
     popcount_valuation,
 )
 from .sequences import (
-    bsum2_table,
-    bsum_table,
-    catalan_table,
+    bsum_values,
+    catalan_values,
     central_multinomial_product,
-    delannoy_table,
-    franel_table,
-    hexagonal_table,
-    legendre_table,
-    motzkin_table,
-    schroder_large_table,
-    trinomial_table,
+    delannoy_values,
+    franel_values,
+    hexagonal_values,
+    legendre_values,
+    motzkin_values,
+    schroder_large_values,
+    trinomial_values,
     IntegralityError,
 )
 from . import harness
@@ -223,16 +223,16 @@ class Claim:
     claim without parameters has a fixed prime base); `catalan` says whether
     core(n) is Catalan(n) rather than C(2n, n), and `offset` places the
     index.  `predict(n, parity, *params)`, where parity is that of i, is the
-    predictor built from those fields at construction.  `table(i_max,
-    *params)` is the oracle: [Y_0, ..., Y_i_max] as exact integers, divided
-    by `divisor`.  `axis(grid)` lists the parameter tuples a sweep covers;
+    predictor built from those fields at construction.  `values(*params)`
+    is the oracle: the stream Y_0, Y_1, ... of exact integers, divided by
+    `divisor`.  `axis(grid)` lists the parameter tuples a sweep covers;
     claims without parameters sweep n in blocks instead.  `sequence` names
     the `omega` target that the claim answers on the CLI fast route.
     """
 
     name: str
     sequence: str | None
-    table: Callable[..., list]
+    values: Callable[..., Iterator]
     params: tuple[str, ...]
     base: Callable[..., int]
     catalan: bool
@@ -262,23 +262,24 @@ class Claim:
 CLAIMS: dict[str, Claim] = {
     c.name: c
     for c in (
-        # name, sequence, table, params, base, catalan, offset, kind, axis, n_max
-        Claim("thm1", "bsum", bsum2_table, ("a", "b"), lambda a, b: _check_weights(a, b, "a + b", a + b), False, 0,
-              KIND_EXACT, lambda grid: coprime_pairs(grid.ab_max), 200),
-        Claim("thm2", None, bsum_table, ("m", "a", "b"), lambda m, a, b: _check_weights(a, b, "a + b", a + b), False,
+        # name, sequence, values, params, base, catalan, offset, kind, axis, n_max
+        Claim("thm1", "bsum", lambda a, b: trinomial_values(a * b, a + b), ("a", "b"),
+              lambda a, b: _check_weights(a, b, "a + b", a + b), False, 0, KIND_EXACT,
+              lambda grid: coprime_pairs(grid.ab_max), 200),
+        Claim("thm2", None, bsum_values, ("m", "a", "b"), lambda m, a, b: _check_weights(a, b, "a + b", a + b), False,
               0, KIND_LOWER, _orders_and_pairs, 60),
-        Claim("cor2", None, franel_table, (), lambda: 2, False, 0, KIND_LOWER, None, 300),
-        Claim("thm3", "delannoy", delannoy_table, (), lambda: 3, False, 0, KIND_EXACT, None, 1000),
-        Claim("thm4", "schroder", schroder_large_table, (), lambda: 3, True, 1, KIND_EXACT, None, 1000),
-        Claim("little-schroder", "little-schroder", schroder_large_table, (), lambda: 3, True, 1, KIND_EXACT, None,
+        Claim("cor2", None, franel_values, (), lambda: 2, False, 0, KIND_LOWER, None, 300),
+        Claim("thm3", "delannoy", delannoy_values, (), lambda: 3, False, 0, KIND_EXACT, None, 1000),
+        Claim("thm4", "schroder", schroder_large_values, (), lambda: 3, True, 1, KIND_EXACT, None, 1000),
+        Claim("little-schroder", "little-schroder", schroder_large_values, (), lambda: 3, True, 1, KIND_EXACT, None,
               1000, divisor=2),
-        Claim("cor3", "legendre", legendre_table, ("x",), _check_odd, False, 0, KIND_EXACT, _odd_points, 300),
-        Claim("thm5", "trinomial", trinomial_table, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), False, 0,
+        Claim("cor3", "legendre", legendre_values, ("x",), _check_odd, False, 0, KIND_EXACT, _odd_points, 300),
+        Claim("thm5", "trinomial", trinomial_values, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), False, 0,
               KIND_EXACT, _signed_pairs, 300),
-        Claim("thm6", "motzkin", motzkin_table, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), True, 0,
+        Claim("thm6", "motzkin", motzkin_values, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), True, 0,
               KIND_EXACT, _signed_pairs, 300),
-        Claim("hexagonal", "hexagonal", hexagonal_table, (), lambda: 3, True, 0, KIND_EXACT, None, 300),
-        Claim("catalan-shift", None, catalan_table, (), lambda: 2, True, 1, KIND_EXACT, None, 300),
+        Claim("hexagonal", "hexagonal", hexagonal_values, (), lambda: 3, True, 0, KIND_EXACT, None, 300),
+        Claim("catalan-shift", None, catalan_values, (), lambda: 2, True, 1, KIND_EXACT, None, 300),
     )
 }
 
@@ -380,14 +381,15 @@ def _run_table(
 ) -> list[TheoremReport]:
     """Reports of the claims `names`, which share their parameters, for n_lo..n_hi (or 0..n_max).
 
-    Claims with the same table build it once, and claims of the same shape
-    share their predictor's answer at each index.  A prime base takes
+    Each claim reads its stream's values at the indices of n_lo..n_hi;
+    claims with the same stream build them once, and claims of the same
+    shape share their predictor's answer at each index.  A prime base takes
     vp_int directly.
     """
     if n_hi is None:
         n_hi = n_max
     ns = range(n_lo, n_hi + 1)
-    tables: dict = {}
+    blocks: dict = {}
     predictions: dict = {}
     out = []
     for name in names:
@@ -395,10 +397,11 @@ def _run_table(
         args = tuple(params[k] for k in claim.params)
         extra = tuple(zip(claim.params, args))
         divisor, kind = claim.divisor, claim.kind
-        key = (claim.table, claim.offset)
-        if key not in tables:
-            tables[key] = claim.table(claim.index(n_hi, 1), *args)
-        table = tables[key]
+        lo = claim.index(n_lo, 0)
+        key = (claim.values, claim.offset)
+        if key not in blocks:
+            blocks[key] = list(islice(claim.values(*args), lo, claim.index(n_hi, 1) + 1))
+        block = blocks[key]
         rs = sorted((0, 1), key=lambda r: claim.index(0, r) % 2)  # the even index first, as reports sort
         indices = [(n, claim.index(n, r)) for n in ns for r in rs]
         x = claim.base(*args)
@@ -407,7 +410,7 @@ def _run_table(
             predictions[shape] = [claim.predict(n, PARITIES[i % 2], *args) for n, i in indices]
         p = abs(x) if is_prime(abs(x)) else None
         for (n, i), predicted in zip(indices, predictions[shape]):
-            y = table[i]
+            y = block[i - lo]
             if divisor != 1:
                 y, rem = divmod(y, divisor)
                 if rem:

@@ -7,13 +7,14 @@ is printed by the conftest terminal hook.
 
 import math
 import time
+from itertools import islice
 from math import comb, gcd
 
 from valuata.digits import kummer_carries, popcount_valuation
 from valuata.msums import msum_B, msum_closed_t0, msum_closed_t1, msum_closed_t2
 from valuata.sequences import (
     check_congruence,
-    delannoy_table,
+    delannoy_values,
     eval_B,
     eval_B_via_macmahon,
     eval_B_via_trinomial,
@@ -27,6 +28,11 @@ from valuata.theorems import (
     run_harness,
 )
 from valuata.valuation import omega, vp_binomial_fast, vp_int
+
+
+def _first(values, n_max):
+    """[y_0, ..., y_n_max], the first n_max + 1 values of a stream."""
+    return list(islice(values, n_max + 1))
 
 
 def best_of(fn, repeats=5):
@@ -122,7 +128,7 @@ class TestCriterion05DelannoySchroder:
     def test_criterion_05_three_adic_exact(self):
         # Brute-force tables; the recurrence route is cross-checked against
         # the direct summation route over the full doubled index range.
-        table = delannoy_table(2 * self.N_MAX + 3)
+        table = _first(delannoy_values(), 2 * self.N_MAX + 3)
         for idx in range(2 * self.N_MAX + 1):
             assert table[idx] == eval_B(idx, 2, 1, 2)
 

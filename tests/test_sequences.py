@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import islice
 from math import comb
 
 import pytest
@@ -12,16 +13,14 @@ from valuata.sequences import (
     SEQUENCES,
     DomainError,
     bsum,
-    bsum2_table,
-    bsum_table,
+    bsum_values,
     catalan,
-    catalan_table,
+    catalan_values,
     central_binomial,
     central_multinomial,
     central_multinomial_product,
     check_congruence,
     delannoy,
-    delannoy_table,
     delannoy_values,
     eval_B,
     eval_B_via_macmahon,
@@ -29,26 +28,19 @@ from valuata.sequences import (
     eval_M,
     eval_T,
     franel,
-    franel_table,
     franel_values,
     fuss_catalan,
     hexagonal,
-    hexagonal_table,
     hexagonal_values,
     legendre,
     legendre_rational,
-    legendre_table,
     legendre_values,
-    motzkin_table,
     motzkin_values,
     schroder_large,
-    schroder_large_table,
     schroder_large_values,
     schroder_little,
-    schroder_little_table,
     schroder_little_values,
     table_value,
-    trinomial_table,
     trinomial_values,
 )
 
@@ -71,6 +63,11 @@ def _eval_B_reference(n, m, a, b):
         total += c**m * apow[n - k] * bpow[k]
         c = c * (n - k) // (k + 1)
     return total
+
+
+def _first(values, n_max):
+    """[y_0, ..., y_n_max], the first n_max + 1 values of a stream."""
+    return list(islice(values, n_max + 1))
 
 
 def _traced_peak(route):
@@ -132,14 +129,12 @@ class TestEvalB:
 class TestBsumTable:
     def test_matches_the_pointwise_sum(self):
         for m, a, b in SUM_GRID:
-            assert bsum_table(59, m, a, b) == [_eval_B_reference(n, m, a, b) for n in range(60)], (m, a, b)
+            assert _first(bsum_values(m, a, b), 59) == [_eval_B_reference(n, m, a, b) for n in range(60)], (m, a, b)
 
     def test_domain(self):
-        assert bsum_table(0, 3, 2, 5) == [1]
-        with pytest.raises(DomainError, match="^n_max must be non-negative, got -1$"):
-            bsum_table(-1, 3, 1, 2)
+        assert _first(bsum_values(3, 2, 5), 0) == [1]
         with pytest.raises(DomainError, match="^m must be non-negative, got -1$"):
-            bsum_table(3, -1, 1, 2)
+            bsum_values(-1, 1, 2)
 
 
 class TestFoldedForms:
@@ -236,7 +231,7 @@ class TestMotzkin:
 
 class TestNamedSequences:
     def test_delannoy_values(self):
-        assert delannoy_table(5) == [1, 3, 13, 63, 321, 1683]
+        assert _first(delannoy_values(), 5) == [1, 3, 13, 63, 321, 1683]
         assert delannoy(3) == 63
 
     def test_delannoy_equals_square_sum(self):
@@ -259,12 +254,12 @@ class TestNamedSequences:
             schroder_little(0)
 
     def test_schroder_table_matches_pointwise(self):
-        table, little = schroder_large_table(40), schroder_little_table(40)
+        table, little = _first(schroder_large_values(), 40), _first(schroder_little_values(), 40)
         assert table[0] is None and little[0] is None
         for n in range(1, 41):
             assert table[n] == schroder_large(n) == 2 * schroder_little(n) == 2 * little[n]
-        assert schroder_large_table(0) == schroder_little_table(0) == [None]
-        long_large, long_little = schroder_large_table(1500), schroder_little_table(1500)
+        assert _first(schroder_large_values(), 0) == _first(schroder_little_values(), 0) == [None]
+        long_large, long_little = _first(schroder_large_values(), 1500), _first(schroder_little_values(), 1500)
         for n in (41, 257, 1000, 1499, 1500):
             assert long_large[n] == schroder_large(n) == 2 * long_little[n]
 
@@ -299,39 +294,35 @@ class TestRecurrenceTables:
     def test_parametrized_tables_match_defining_sums(self):
         for a in self.WEIGHTS:
             for b in self.WEIGHTS:
-                assert bsum2_table(self.N - 1, a, b) == [eval_B(n, 2, a, b) for n in range(self.N)]
-                assert trinomial_table(self.N - 1, a, b) == [eval_T(n, a, b) for n in range(self.N)]
-                assert motzkin_table(self.N - 1, a, b) == [eval_M(n, a, b) for n in range(self.N)]
+                square_sums = _first(trinomial_values(a * b, a + b), self.N - 1)
+                assert square_sums == [eval_B(n, 2, a, b) for n in range(self.N)]
+                assert _first(trinomial_values(a, b), self.N - 1) == [eval_T(n, a, b) for n in range(self.N)]
+                assert _first(motzkin_values(a, b), self.N - 1) == [eval_M(n, a, b) for n in range(self.N)]
 
     def test_named_tables_match_defining_sums(self):
-        assert franel_table(self.N - 1) == [franel(n) for n in range(self.N)]
-        assert catalan_table(self.N - 1) == [catalan(n) for n in range(self.N)]
-        assert hexagonal_table(self.N - 1) == [hexagonal(n) for n in range(self.N)]
+        assert _first(franel_values(), self.N - 1) == [franel(n) for n in range(self.N)]
+        assert _first(catalan_values(), self.N - 1) == [catalan(n) for n in range(self.N)]
+        assert _first(hexagonal_values(), self.N - 1) == [hexagonal(n) for n in range(self.N)]
         for x in (3, -3, 5, -5, 9, -15):
-            assert legendre_table(self.N - 1, x) == [legendre(n, x) for n in range(self.N)]
+            assert _first(legendre_values(x), self.N - 1) == [legendre(n, x) for n in range(self.N)]
 
     def test_long_tables_match_at_sampled_indices(self):
-        table = bsum2_table(400, 37, 62)
+        table = _first(trinomial_values(37 * 62, 37 + 62), 400)
         for n in (0, 1, 2, 199, 400):
             assert table[n] == eval_B(n, 2, 37, 62)
-        assert franel_table(300)[300] == franel(300)
-        assert motzkin_table(301, -4, 5)[301] == eval_M(301, -4, 5)
+        assert _first(franel_values(), 300)[300] == franel(300)
+        assert _first(motzkin_values(-4, 5), 301)[301] == eval_M(301, -4, 5)
 
     def test_short_tables(self):
-        for build in (franel_table, catalan_table, hexagonal_table):
-            assert build(0) == [1]
-            assert len(build(1)) == 2
-        assert bsum2_table(0, 2, 3) == [1] and bsum2_table(1, 2, 3) == [1, 5]
-        assert trinomial_table(1, 2, 3) == [1, 3] == motzkin_table(1, 2, 3)
+        for values in (franel_values, catalan_values, hexagonal_values):
+            assert _first(values(), 0) == [1]
+            assert len(_first(values(), 1)) == 2
+        assert _first(trinomial_values(6, 5), 0) == [1] and _first(trinomial_values(6, 5), 1) == [1, 5]
+        assert _first(trinomial_values(2, 3), 1) == [1, 3] == _first(motzkin_values(2, 3), 1)
 
     def test_domain(self):
-        for build in (franel_table, catalan_table, hexagonal_table):
-            with pytest.raises(DomainError):
-                build(-1)
         with pytest.raises(DomainError):
-            bsum2_table(-1, 1, 2)
-        with pytest.raises(DomainError):
-            legendre_table(5, 4)
+            legendre_values(4)
 
 
 class TestRegistryTables:
@@ -387,23 +378,24 @@ class TestRegistryTables:
     def test_single_values_match_their_tables(self):
         n_max = 59
         tables = {
-            "delannoy": ((), delannoy_table),
-            "schroder": ((), schroder_large_table),
-            "little-schroder": ((), schroder_little_table),
-            "franel": ((), franel_table),
-            "hexagonal": ((), hexagonal_table),
-            "trinomial": ((-3, 5), trinomial_table),
-            "motzkin": ((2, -4), motzkin_table),
-            "legendre": ((-15,), legendre_table),
+            "delannoy": ((), delannoy_values),
+            "schroder": ((), schroder_large_values),
+            "little-schroder": ((), schroder_little_values),
+            "franel": ((), franel_values),
+            "hexagonal": ((), hexagonal_values),
+            "trinomial": ((-3, 5), trinomial_values),
+            "motzkin": ((2, -4), motzkin_values),
+            "legendre": ((-15,), legendre_values),
         }
         assert set(tables) == {name for name, spec in SEQUENCES.items() if spec.values is not None}
-        for name, (params, build) in tables.items():
-            spec, table = SEQUENCES[name], build(n_max, *params)
+        for name, (params, values) in tables.items():
+            spec, table = SEQUENCES[name], _first(values(*params), n_max)
             assert len(table) == n_max + 1 and table[: spec.min_index] == [None] * spec.min_index
             for n in range(spec.min_index, n_max + 1):
                 assert spec.value(n, *params) == table_value(spec.values, n, *params) == table[n], (name, n)
-        delannoys, large, little = delannoy_table(n_max), schroder_large_table(n_max), schroder_little_table(n_max)
-        square_sums = {(a, b): bsum2_table(n_max, a, b) for a, b in SIGNED_PAIRS}
+        delannoys = _first(delannoy_values(), n_max)
+        large, little = _first(schroder_large_values(), n_max), _first(schroder_little_values(), n_max)
+        square_sums = {(a, b): _first(trinomial_values(a * b, a + b), n_max) for a, b in SIGNED_PAIRS}
         for n in range(n_max + 1):
             assert delannoy(n) == delannoys[n]
             for (a, b), table in square_sums.items():
@@ -420,6 +412,9 @@ class TestRegistryTables:
             "schroder_large": lambda: schroder_large(n),
             "schroder_little": lambda: schroder_little(n),
             "bsum": lambda: bsum(n, 2, 3, 7),
+            "eval_B": lambda: eval_B(n, 3, 7, 2),
+            "franel": lambda: franel(n),
+            "legendre": lambda: legendre(n, -15),
         }
         params = {"trinomial": (2, 5), "motzkin": (3, -4), "legendre": (-15,)}
         for name, spec in SEQUENCES.items():
@@ -430,7 +425,7 @@ class TestRegistryTables:
         for name, route in routes.items():
             peak, value = _traced_peak(route)
             assert peak < 16 * sys.getsizeof(value), (name, peak, sys.getsizeof(value))
-        peak, table = _traced_peak(lambda: delannoy_table(n))
+        peak, table = _traced_peak(lambda: _first(delannoy_values(), n))
         assert peak > 1000 * sys.getsizeof(table[n])  # the measurement tells a table from a value
 
     def test_value_domain(self):
@@ -447,7 +442,7 @@ class TestRegistryTables:
             for n in (0, -3):
                 with pytest.raises(DomainError, match=f"^large Schroder numbers start at index 1, got {n}$"):
                     route(n)
-        for route in (SEQUENCES["legendre"].value, legendre, legendre_table):
+        for route in (SEQUENCES["legendre"].value, legendre, lambda n, x: _first(legendre_values(x), n)):
             with pytest.raises(DomainError, match="^x must be odd for an integer value, got 4$"):
                 route(3, 4)
 

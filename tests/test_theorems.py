@@ -7,7 +7,9 @@ import os
 import pickle
 import random
 import signal
+import sys
 import time
+import tracemalloc
 from math import comb
 
 import pytest
@@ -280,10 +282,24 @@ class TestClaimTable:
         monkeypatch.setitem(
             theorems.CLAIMS,
             "little-schroder",
-            dataclasses.replace(CLAIMS["little-schroder"], table=lambda i_max: odd[: i_max + 1]),
+            dataclasses.replace(CLAIMS["little-schroder"], values=lambda: iter(odd)),
         )
         with pytest.raises(IntegralityError, match="^little-schroder construction failed at index 2$"):
             run_harness(["thm4"], HarnessGrid(n_max=3))
+
+    def test_a_high_block_holds_only_its_own_values(self):
+        # n = 5000..5003 reads D_10000..D_10007, about 3.4 KB each; a list of
+        # every value from D_0 would hold about 5000 times that.
+        size = sys.getsizeof(delannoy(10007))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reports = RUNNERS["thm3"].run(n_lo=5000, n_hi=5003)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert [r.verdict for r in reports] == ["exact"] * 8
+        assert peak < 32 * size, (peak, size)
 
 
 def _reference_core(n: int, p: int, catalan: bool) -> int:
