@@ -35,6 +35,7 @@ from .sequences import (
     catalan,
     catalan_values,
     central_binomial,
+    central_binomial_values,
     central_multinomial,
     central_multinomial_product,
     check_congruence,

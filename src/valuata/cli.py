@@ -295,6 +295,8 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         )
     extra = [_parse_int(t) for t in args.params]
     lo, hi = _parse_range(args.range)
+    if lo > hi:
+        raise UsageError(f"range lo..hi needs lo <= hi, got {args.range}")
     if lo < entry.min_index:
         raise DomainError(f"{entry.name} starts at index {entry.min_index}, got {lo}")
     p = _parse_int(args.valuation) if args.valuation else None
@@ -302,7 +304,7 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         raise UsageError(f"--valuation takes a prime, got {p}")
     header = ["n", "value"] + ([f"v_{p}"] if p else [])
     indices = range(lo, hi + 1)
-    if entry.values is not None and indices:
+    if entry.values is not None:
         values = list(islice(entry.values(*extra), lo, hi + 1))
     else:
         values = [entry.value(n, *extra) for n in indices]

@@ -242,6 +242,23 @@ def schroder_large_values() -> Iterator[int | None]:
         prev, cur = cur, _exact_div(3 * (2 * n - 1) * cur - (n - 2) * prev, n + 1, "schroder_large")
 
 
+def central_binomial_values(start: int = 0) -> Iterator[int]:
+    """Central binomials C(2k, k) for k = start, start + 1, ... by
+
+    C(2k+2, k+1) = 2(2k+1) C(2k, k) / (k+1),   the first one from comb.
+    """
+    if start < 0:
+        raise DomainError(f"start must be non-negative, got {start}")
+
+    def values() -> Iterator[int]:
+        cur = comb(2 * start, start)
+        for k in count(start):
+            yield cur
+            cur = _exact_div(2 * (2 * k + 1) * cur, k + 1, "central_binomial")
+
+    return values()
+
+
 def catalan_values() -> Iterator[int]:
     """Catalan numbers C_0, C_1, ... by C_{k+1} = 2(2k+1) C_k / (k+2)."""
     cur = 1
@@ -302,6 +319,8 @@ def schroder_large(n: int) -> int:
 
 def schroder_little(n: int) -> int:
     """Little Schroder number s_n = S_n / 2, n >= 1."""
+    if n < 1:
+        raise DomainError(f"little Schroder numbers start at index 1, got {n}")
     return _exact_div(schroder_large(n), 2, "schroder_little")
 
 
@@ -434,7 +453,7 @@ SEQUENCES: dict[str, SequenceDef] = {
         SequenceDef("schroder", (), 1, schroder_large, schroder_large_values),
         SequenceDef("little-schroder", (), 1, schroder_little, schroder_little_values),
         SequenceDef("catalan", (), 0, catalan),
-        SequenceDef("central-binomial", (), 0, central_binomial),
+        SequenceDef("central-binomial", (), 0, central_binomial, central_binomial_values),
         SequenceDef("franel", (), 0, values=franel_values),
         SequenceDef("hexagonal", (), 0, values=hexagonal_values),
         SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan),

@@ -17,7 +17,7 @@ builds its predictor from it, one generic runner sweeps them and the CLI
 derives its fast routes from them.  cor1 and lemma1 keep their own
 runners: past `exact_max` the cor1 oracle is a digit kernel, not a
 sequence value, and lemma1 compares two constructions of the central
-multinomial coefficient.
+multinomial coefficient at checkpoints.
 
 Hypothesis checking lives in the predictors: called outside its
 hypotheses a predictor raises HypothesisViolation instead of returning a
@@ -47,6 +47,7 @@ from .digits import (
 from .sequences import (
     bsum_values,
     catalan_values,
+    central_binomial_values,
     central_multinomial_product,
     delannoy_values,
     franel_values,
@@ -376,15 +377,42 @@ def _table_items(names: tuple[str, ...], grid: HarnessGrid) -> list[dict]:
     return [{**dict(zip(claim.params, values)), "n_max": n} for values in claim.axis(grid)]
 
 
+# Within one run_harness call: stream -> (its parameters, the index it yields
+# next, the stream itself), so that each block of a sweep resumes the stream
+# where the block before it stopped.  Forked workers inherit it; outside a
+# sweep it is None and every block starts its stream afresh.
+_streams: dict | None = None
+
+
+def _stream_block(values: Callable[..., Iterator], args: tuple, lo: int, hi: int) -> list:
+    """Elements lo..hi - 1 of the stream `values(*args)`.
+
+    Within a sweep the stream resumes at the index where the last block read
+    from it stopped, and restarts at 0 only when that index lies past `lo`.
+    A stream is taken out of `_streams` while it is read, so no two blocks
+    read one at once and a block that raises leaves none behind; one is kept
+    per stream function.
+    """
+    streams = _streams
+    held = streams.pop(values, None) if streams is not None else None
+    if held is None or held[0] != args or held[1] > lo:
+        held = (args, 0, values(*args))  # and the stream held before, if any, is let go
+    _, start, stream = held
+    block = list(islice(stream, lo - start, hi - start))
+    if streams is not None:
+        streams[values] = (args, hi, stream)
+    return block
+
+
 def _run_table(
     names: tuple[str, ...], n_lo: int = 0, n_hi: int | None = None, n_max: int | None = None, **params
 ) -> list[TheoremReport]:
     """Reports of the claims `names`, which share their parameters, for n_lo..n_hi (or 0..n_max).
 
-    Each claim reads its stream's values at the indices of n_lo..n_hi;
-    claims with the same stream build them once, and claims of the same
-    shape share their predictor's answer at each index.  A prime base takes
-    vp_int directly.
+    Each claim reads its stream's values at the indices of n_lo..n_hi, by
+    `_stream_block`; claims with the same stream build them once, and claims
+    of the same shape share their predictor's answer at each index.  A prime
+    base takes vp_int directly.
     """
     if n_hi is None:
         n_hi = n_max
@@ -400,7 +428,7 @@ def _run_table(
         lo = claim.index(n_lo, 0)
         key = (claim.values, claim.offset)
         if key not in blocks:
-            blocks[key] = list(islice(claim.values(*args), lo, claim.index(n_hi, 1) + 1))
+            blocks[key] = _stream_block(claim.values, args, lo, claim.index(n_hi, 1) + 1)
         block = blocks[key]
         rs = sorted((0, 1), key=lambda r: claim.index(0, r) % 2)  # the even index first, as reports sort
         indices = [(n, claim.index(n, r)) for n in ns for r in rs]
@@ -432,13 +460,14 @@ def _items_cor1(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[TheoremReport]:
+    """Up to exact_max the oracle is v_2 of C(2h, h) from its stream: h = 2n, 2n + 1 for cor1, h = n for popcount."""
+    doubled, single = central_binomial_values(2 * n_lo), central_binomial_values(n_lo)
     out = []
     for n in range(n_lo, n_hi + 1):
-        for parity in PARITIES:
-            half = 2 * n if parity == "even" else 2 * n + 1
+        for half, parity in zip((2 * n, 2 * n + 1), PARITIES):
             predicted = predict_central_binomial_v2(n, parity)
             if half <= exact_max:
-                oracle = vp_int(comb(2 * half, half), 2)
+                oracle = vp_int(next(doubled), 2)
             else:
                 oracle = kummer_carries(half, half, 2)
             out.append(
@@ -452,7 +481,7 @@ def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[TheoremReport]:
             )
         predicted = popcount_valuation(n)
         if n <= exact_max:
-            oracle = vp_int(comb(2 * n, n), 2)
+            oracle = vp_int(next(single), 2)
         else:
             oracle = kummer_carries(n, n, 2)
         out.append(TheoremReport("popcount", (("n", n),), predicted, oracle, KIND_EXACT))
@@ -468,6 +497,15 @@ def _items_lemma1(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
+    """lemma1's family for p at n = 0..n_max, from (pn)! / (n!)**p maintained incrementally.
+
+    Every step is an exact division, its remainder checked.  The product
+    form is rebuilt only at n = 0, at each power of two and at n_max: a
+    value gone wrong at some n stays wrong at n_max unless a later step
+    cancels the error.  (Comparing the two forms' step ratios would check an
+    identity: the product form's ratio telescopes to the incremental step.)
+    """
+    checkpoints = {0, n_max, *(1 << k for k in range(n_max.bit_length()))}
     out = []
     multinomial = 1  # (pn)! / (n!)**p, maintained incrementally over n
     for n in range(n_max + 1):
@@ -479,7 +517,7 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
             if r:
                 raise IntegralityError(f"multinomial update failed at n={n}, p={p}")
             multinomial = q
-        if central_multinomial_product(n, p) != multinomial:
+        if n in checkpoints and central_multinomial_product(n, p) != multinomial:
             raise IntegralityError(
                 f"multinomial forms disagree at n={n}, p={p}"
             )
@@ -624,6 +662,9 @@ def run_harness(
     Short sweeps therefore never fork, and neither does any sweep where
     os.fork is missing.  An exception raised by an item is raised here, and
     a selected runner without work items raises SelectionError.
+
+    The table runners' streams resume from block to block within the call
+    (see `_stream_block`) and are dropped when it returns.
     """
     grid = grid or HarnessGrid()
     work = []
@@ -635,9 +676,14 @@ def run_harness(
         work += [(runner.run, kw) for kw in items]
     jobs = jobs if hasattr(os, "fork") else 1
     reports: list[TheoremReport] = []
-    for batch in harness._run_adaptive(work, jobs, harness._usable_cpus(), fail_fast):
-        reports.extend(batch)
-        if fail_fast and harness._violates(batch):
-            break
+    global _streams
+    _streams = {}
+    try:
+        for batch in harness._run_adaptive(work, jobs, harness._usable_cpus(), fail_fast):
+            reports.extend(batch)
+            if fail_fast and harness._violates(batch):
+                break
+    finally:
+        _streams = None
     reports.sort(key=_report_order)
     return HarnessResult(reports)

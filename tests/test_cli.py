@@ -196,6 +196,14 @@ class TestFastRoutes:
             assert run(capsys, "omega", base, *target, "--mode", mode) == oracle
             assert run(capsys, "omega", base, *target, "--mode", mode, "--explain") == oracle
 
+    @pytest.mark.parametrize("name, size", [("schroder", "large"), ("little-schroder", "little")])
+    def test_out_of_domain_index_names_the_sequence_asked_for(self, capsys, name, size):
+        for index in ("0", "-5"):
+            expected = (2, "", f"error: {size} Schroder numbers start at index 1, got {index}\n")
+            for mode in ("oracle", "fast", "both"):
+                assert run(capsys, "omega", "3", name, index, "--mode", mode) == expected
+        assert run(capsys, "seq", name, "0..3") == (2, "", f"error: {name} starts at index 1, got 0\n")
+
     def test_index_past_the_fast_range_is_reported_as_given(self, capsys):
         code, out, err = run(capsys, "omega", "99", "B", "2e19", "2", "37", "62", "--mode", "fast")
         assert (code, out) == (2, "")
@@ -400,6 +408,13 @@ class TestSeq:
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "seq", "schroder", "0..3")
         assert code == 2 and "index 1" in err
+
+    @pytest.mark.parametrize("command", ["seq", "table"])
+    def test_descending_range_exits_2(self, capsys, command):
+        for name, extra in (("delannoy", ()), ("catalan", ()), ("trinomial", ("1", "1"))):
+            code, out, err = run(capsys, command, name, "5..3", *extra)
+            assert (code, out, err) == (2, "", "error: range lo..hi needs lo <= hi, got 5..3\n")
+        assert run(capsys, command, "delannoy", "3..3")[0] == 0
 
     def test_unknown_name_exit_2(self, capsys):
         code, _, err = run(capsys, "seq", "fibonacci", "0..3")

@@ -17,6 +17,7 @@ from valuata.sequences import (
     catalan,
     catalan_values,
     central_binomial,
+    central_binomial_values,
     central_multinomial,
     central_multinomial_product,
     check_congruence,
@@ -286,6 +287,14 @@ class TestNamedSequences:
         assert central_binomial(0) == 1
         assert central_binomial(5) == 252
 
+    def test_central_binomial_stream(self):
+        # k <= 3000 is the range in which cor1 reads the stream at the default --exact-max.
+        assert _first(central_binomial_values(), 3000) == [comb(2 * k, k) for k in range(3001)]
+        for start in (1, 2, 1000):
+            assert _first(central_binomial_values(start), 5) == [comb(2 * k, k) for k in range(start, start + 6)]
+        with pytest.raises(DomainError, match="^start must be non-negative, got -1$"):
+            central_binomial_values(-1)
+
 
 class TestRecurrenceTables:
     N = 40
@@ -342,6 +351,7 @@ class TestRegistryTables:
             "legendre": legendre_values,
             "schroder": schroder_large_values,
             "little-schroder": schroder_little_values,
+            "central-binomial": central_binomial_values,
         }
         fns = {name: spec.fn for name, spec in SEQUENCES.items() if spec.fn is not None}
         assert fns == {
@@ -386,6 +396,7 @@ class TestRegistryTables:
             "trinomial": ((-3, 5), trinomial_values),
             "motzkin": ((2, -4), motzkin_values),
             "legendre": ((-15,), legendre_values),
+            "central-binomial": ((), central_binomial_values),
         }
         assert set(tables) == {name for name, spec in SEQUENCES.items() if spec.values is not None}
         for name, (params, values) in tables.items():
@@ -438,10 +449,14 @@ class TestRegistryTables:
         for route in (delannoy, lambda n: bsum(n, 2, 1, 2), lambda n: table_value(trinomial_values, n, 1, 2)):
             with pytest.raises(DomainError, match="^n must be non-negative, got -3$"):
                 route(-3)
-        for route in (schroder_large, schroder_little, SEQUENCES["schroder"].value, SEQUENCES["little-schroder"].value):
-            for n in (0, -3):
-                with pytest.raises(DomainError, match=f"^large Schroder numbers start at index 1, got {n}$"):
-                    route(n)
+        for size, routes in (
+            ("large", (schroder_large, SEQUENCES["schroder"].value)),
+            ("little", (schroder_little, SEQUENCES["little-schroder"].value)),
+        ):
+            for route in routes:
+                for n in (0, -3):
+                    with pytest.raises(DomainError, match=f"^{size} Schroder numbers start at index 1, got {n}$"):
+                        route(n)
         for route in (SEQUENCES["legendre"].value, legendre, lambda n, x: _first(legendre_values(x), n)):
             with pytest.raises(DomainError, match="^x must be odd for an integer value, got 4$"):
                 route(3, 4)

@@ -10,6 +10,7 @@ import signal
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from math import comb
 
 import pytest
@@ -18,7 +19,16 @@ import valuata.cli as cli
 import valuata.harness as harness
 from valuata.digits import kummer_carries
 from valuata.harness import _fork_pays, json_lines
-from valuata.sequences import IntegralityError, delannoy, eval_B, eval_M, eval_T, franel, legendre
+from valuata.sequences import (
+    IntegralityError,
+    delannoy,
+    delannoy_values,
+    eval_B,
+    eval_M,
+    eval_T,
+    franel,
+    legendre,
+)
 from valuata.theorems import (
     CLAIMS,
     KIND_EXACT,
@@ -300,6 +310,120 @@ class TestClaimTable:
             tracemalloc.stop()
         assert [r.verdict for r in reports] == ["exact"] * 8
         assert peak < 32 * size, (peak, size)
+
+
+def _counted_delannoy(monkeypatch, counts: Counter):
+    """Make thm3 read a Delannoy stream that counts its starts and the values it yields."""
+    import valuata.theorems as theorems
+
+    def values():
+        counts["starts"] += 1
+        for value in delannoy_values():
+            counts["values"] += 1
+            yield value
+
+    monkeypatch.setitem(theorems.CLAIMS, "thm3", dataclasses.replace(CLAIMS["thm3"], values=values))
+
+
+class TestResumedStreams:
+    def test_a_blocked_sweep_streams_each_value_about_once(self, monkeypatch):
+        # n <= 5000 checks D_0..D_10001 in ten blocks; restarting every block
+        # at D_0 streamed about 5.6 times as many values.
+        import valuata.theorems as theorems
+
+        counts = Counter()
+        _counted_delannoy(monkeypatch, counts)
+        result = run_harness(["thm3"], HarnessGrid(n_max=5000))
+        assert result.summary() == {"thm3": {"checked": 10002, "violations": 0}}
+        assert counts["values"] <= 2 * 10002, counts
+        assert theorems._streams is None
+
+    def test_a_runner_called_outside_run_harness_keeps_no_stream_state(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        counts = Counter()
+        _counted_delannoy(monkeypatch, counts)
+        blocks = RUNNERS["thm3"].run(n_lo=0, n_hi=3) + RUNNERS["thm3"].run(n_lo=4, n_hi=7)
+        assert theorems._streams is None
+        assert counts == {"starts": 2, "values": 8 + 16}
+        assert blocks == RUNNERS["thm3"].run(n_lo=0, n_hi=7)
+
+    def test_a_stream_restarts_only_for_a_block_behind_it(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        fresh = {lo: RUNNERS["thm3"].run(n_lo=lo, n_hi=lo + 3) for lo in (2, 6, 10)}
+        counts = Counter()
+        _counted_delannoy(monkeypatch, counts)
+        monkeypatch.setattr(theorems, "_streams", {})
+        assert [RUNNERS["thm3"].run(n_lo=lo, n_hi=lo + 3) for lo in (10, 2, 6)] == [fresh[10], fresh[2], fresh[6]]
+        # D_0..D_27 for n = 10..13, then D_0..D_11 and D_12..D_19: the last block resumes.
+        assert counts == {"starts": 2, "values": 28 + 20}
+
+    def test_forked_workers_resume_the_inherited_streams(self, monkeypatch):
+        grid = HarnessGrid(n_max=2100)
+        starts = []
+        real_start = harness._start_worker
+
+        def counting_start(*args):
+            starts.append(len(starts) + 1)
+            return real_start(*args)
+
+        serial = run_harness(["thm3", "thm4"], grid).reports
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(harness, "_start_worker", counting_start)
+        _fork_at_once(monkeypatch)
+        assert run_harness(["thm3", "thm4"], grid, jobs=2).reports == serial
+        assert starts == [1]
+
+
+class TestLemma1Checkpoints:
+    """lemma1 rebuilds the product form of (pn)! / (n!)**p at n = 0, the powers of two and n_max."""
+
+    @pytest.mark.parametrize("n_max", [1, 2, 3, 37, 64, 100])
+    def test_the_product_form_runs_at_most_log2_n_max_plus_3_times(self, monkeypatch, n_max):
+        import valuata.theorems as theorems
+
+        calls = Counter()
+        real = theorems.central_multinomial_product
+
+        def counted(n, p):
+            calls[p] += 1
+            return real(n, p)
+
+        monkeypatch.setattr(theorems, "central_multinomial_product", counted)
+        assert run_harness(["lemma1"], HarnessGrid(n_max=n_max, prime_max=7)).ok
+        assert set(calls) == {2, 3, 5, 7}
+        assert max(calls.values()) <= (n_max.bit_length() - 1) + 3, calls
+
+    @pytest.mark.parametrize("bad_n", [0, 1, 64, 100])
+    def test_a_disagreement_at_a_checkpoint_raises(self, monkeypatch, bad_n):
+        import valuata.theorems as theorems
+
+        real = theorems.central_multinomial_product
+        monkeypatch.setattr(theorems, "central_multinomial_product", lambda n, p: real(n, p) + (n == bad_n))
+        with pytest.raises(IntegralityError, match=f"^multinomial forms disagree at n={bad_n}, p=3$"):
+            RUNNERS["lemma1"].run(p=3, n_max=100)
+        with pytest.raises(IntegralityError, match=f"^multinomial forms disagree at n={bad_n}, p=3$"):
+            run_harness(["lemma1"], HarnessGrid(n_max=100, prime_min=3, prime_max=3))
+
+
+class TestCor1Stream:
+    @pytest.mark.parametrize("exact_max", [-1, 0, 7, 13, 40])
+    @pytest.mark.parametrize("n_lo, n_hi", [(0, 10), (5, 12), (30, 31)])
+    def test_the_oracle_reads_the_central_binomial_of_each_instance(self, n_lo, n_hi, exact_max):
+        reports = RUNNERS["cor1"].run(n_lo=n_lo, n_hi=n_hi, exact_max=exact_max)
+        halves = []
+        for report in reports:
+            inst = dict(report.instance)
+            n = inst["n"]
+            halves.append(n if report.claim == "popcount" else 2 * n + (inst["parity"] == "odd"))
+        assert len(reports) == 3 * (n_hi - n_lo + 1)
+        assert [r.oracle for r in reports] == [vp_int(comb(2 * h, h), 2) for h in halves]
+
+    def test_a_block_past_exact_max_streams_nothing(self):
+        with _time_limit(10):
+            reports = RUNNERS["cor1"].run(n_lo=10**8, n_hi=10**8 + 1, exact_max=3000)
+        assert [r.verdict for r in reports] == ["exact"] * 6
 
 
 def _reference_core(n: int, p: int, catalan: bool) -> int:
