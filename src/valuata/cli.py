@@ -575,6 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--valuation", metavar="P")
     p_table.add_argument("-o", "--output", help="write to a file instead of stdout")
     p_table.set_defaults(func=cmd_table)
+    # argparse takes a token such as `-5..3` for an unknown option, since it
+    # starts with `-` and is not a plain number; a range may start below 0
+    # and must reach the domain check, so these parsers read it as a value.
+    for p in (p_seq, p_table):
+        p._negative_number_matcher = _NEGATIVE
 
     p_verify = sub.add_parser("verify", help="sweep claims against the big-integer oracle")
     p_verify.add_argument(

@@ -416,6 +416,18 @@ class TestSeq:
             assert (code, out, err) == (2, "", "error: range lo..hi needs lo <= hi, got 5..3\n")
         assert run(capsys, command, "delannoy", "3..3")[0] == 0
 
+    @pytest.mark.parametrize("command", ["seq", "table"])
+    def test_negative_range_start_reaches_the_domain_check(self, capsys, command):
+        # argparse would take `-5..3` for an unknown option and print a usage error.
+        for name, start, extra in (
+            ("little-schroder", "-5..3", ()),
+            ("delannoy", "-3..2", ()),
+            ("trinomial", "-1..2", ("1", "-1")),
+        ):
+            code, out, err = run_or_exit(capsys, command, name, start, *extra, "--valuation", "3")
+            lo, index = start.split("..")[0], SEQUENCES[name].min_index
+            assert (code, out, err) == (2, "", f"error: {name} starts at index {index}, got {lo}\n")
+
     def test_unknown_name_exit_2(self, capsys):
         code, _, err = run(capsys, "seq", "fibonacci", "0..3")
         assert code == 2

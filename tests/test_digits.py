@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import valuata.digits as digits
 from valuata.digits import (
     _MR_WITNESSES_PSI13,
-    _MR_WITNESSES_U64,
     U64_MAX,
     DigitExpansion,
     KernelRangeError,
     _doubling_carries,
+    _strong_lucas_probable_prime,
     _strong_probable_prime,
     digit_sum,
     expand,
@@ -25,6 +26,52 @@ from valuata.theorems import _FAST_N_MAX
 PRIMES = [2, 3, 5, 7, 11, 13]
 
 primes_st = st.sampled_from(PRIMES)
+
+# Sinclair's seven Miller-Rabin witnesses decide every n < 2**64 (proven
+# against Feitsma and Galway's list of base-2 strong pseudoprimes); they are
+# the reference is_prime's Baillie-PSW test is checked against.
+SINCLAIR_WITNESSES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
+
+
+def sinclair_is_prime(n: int) -> bool:
+    """Primality of n < 2**64: trial division to 61, then Sinclair's witnesses."""
+    if n < 2:
+        return False
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in SINCLAIR_WITNESSES:
+        a %= n
+        if a == 0:  # n divides the witness, which then says nothing
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def sieve(limit: int) -> bytearray:
+    """sieve(limit)[n] is 1 exactly when n < limit is prime."""
+    flags = bytearray([1]) * limit
+    flags[0] = flags[1] = 0
+    for i in range(2, int(limit**0.5) + 1):
+        if flags[i]:
+            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+    return flags
+
+
+def no_factor_to_61(n: int) -> bool:
+    return all(n % p for p in range(2, 62))
 
 
 def floor_sum_valuation(n: int, p: int) -> int:
@@ -90,33 +137,96 @@ class TestIsPrime:
         assert not is_prime(self.PSI13 - 2) and not is_prime(2**64 + 1)
 
     def test_matches_sieve_below_100000(self):
-        # Covers 73 * 193 = 14089, the only composite without a factor up to
-        # 61 that divides a Sinclair witness (28178), which the test skips.
+        # Covers the cofactors below 67**2 that trial division leaves prime
+        # and every Baillie-PSW decision from there to 10**5.
         limit = 100_000
-        sieve = bytearray([1]) * limit
-        sieve[0] = sieve[1] = 0
-        for i in range(2, int(limit**0.5) + 1):
-            if sieve[i]:
-                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        flags = sieve(limit)
         assert [n for n in range(limit) if is_prime.__wrapped__(n)] == [
-            n for n in range(limit) if sieve[n]
+            n for n in range(limit) if flags[n]
         ]
 
     def test_primes_dividing_a_witness_accepted(self):
-        # Their witness is 0 mod n and skipped; the other six decide.
+        # The reference skips the witness they divide; the other six decide.
         for n in (73, 193, 407521, 299210837):
-            assert is_prime.__wrapped__(n)
+            assert is_prime.__wrapped__(n) and sinclair_is_prime(n)
 
     def test_witness_sets_agree_on_64_bit_odds(self):
         rng = random.Random(7)
-        sample = [rng.getrandbits(64) | (1 << 63) | 1 for _ in range(3000)]
-        sample = [n for n in sample if all(n % p for p in range(3, 62, 2))]
+        sample = []
+        while len(sample) < 3000:
+            n = rng.getrandbits(64) | (1 << 63) | 1
+            if no_factor_to_61(n):
+                sample.append(n)
         found = 0
         for n in sample:
-            seven = _strong_probable_prime(n, _MR_WITNESSES_U64)
-            assert seven == _strong_probable_prime(n, _MR_WITNESSES_PSI13), n
-            found += seven
+            prime = is_prime.__wrapped__(n)
+            assert prime == sinclair_is_prime(n), n
+            assert prime == _strong_probable_prime(n, _MR_WITNESSES_PSI13), n
+            found += prime
         assert found > 30  # the sample holds primes, not only composites
+
+    # The strong Lucas pseudoprimes below 140,000 (Selfridge's parameters,
+    # OEIS A217255) that have no prime factor up to 61.
+    LUCAS_PSEUDOPRIMES = (
+        10877, 16109, 22499, 24569, 25199, 40309, 58519, 75077, 97439, 100127,
+        113573, 115639, 130139,
+    )
+    # Strong pseudoprimes to base 2 (OEIS A001262); only the last has no
+    # prime factor up to 61.
+    BASE_2_PSEUDOPRIMES = (2047, 3277, 4033, 4681, 8321, 3825123056546413051)
+
+    def test_lucas_half_accepts_exactly_its_pseudoprimes(self):
+        limit = 140_000
+        flags = sieve(limit)
+        accepted = [
+            n for n in range(67, limit, 2)
+            if no_factor_to_61(n) and _strong_lucas_probable_prime(n)
+        ]
+        assert [n for n in accepted if not flags[n]] == list(self.LUCAS_PSEUDOPRIMES)
+        assert [n for n in accepted if flags[n]] == [
+            n for n in range(67, limit, 2) if flags[n]
+        ]
+        for n in self.LUCAS_PSEUDOPRIMES:
+            assert not _strong_probable_prime(n, (2,)), n
+            assert not is_prime.__wrapped__(n), n
+
+    def test_base_2_half_accepts_its_pseudoprimes(self):
+        for n in self.BASE_2_PSEUDOPRIMES:
+            assert _strong_probable_prime(n, (2,)), n
+            assert not is_prime.__wrapped__(n), n
+        assert not _strong_lucas_probable_prime(self.BASE_2_PSEUDOPRIMES[-1])
+        # Every base-2 strong pseudoprime below 10**6 with no factor up to 61
+        # is left to the Lucas half, which rejects it.
+        limit = 10**6
+        flags = sieve(limit)
+        left = [
+            n for n in range(67 * 67, limit, 2)
+            if not flags[n] and no_factor_to_61(n) and _strong_probable_prime(n, (2,))
+        ]
+        assert len(left) > 10
+        for n in left:
+            assert not _strong_lucas_probable_prime(n), n
+            assert not is_prime.__wrapped__(n), n
+
+    def test_cold_64_bit_prime_costs_one_strong_and_one_lucas_test(self, monkeypatch):
+        calls = []
+        strong, lucas = _strong_probable_prime, _strong_lucas_probable_prime
+        monkeypatch.setattr(
+            digits, "_strong_probable_prime", lambda n, w: calls.append(w) or strong(n, w)
+        )
+        monkeypatch.setattr(
+            digits, "_strong_lucas_probable_prime", lambda n: calls.append("lucas") or lucas(n)
+        )
+        for n in self.PRIMES_64:
+            calls.clear()
+            assert is_prime.__wrapped__(n), n
+            assert calls == [(2,), "lucas"], n
+        calls.clear()
+        # Below 67**2 trial division alone decides.
+        assert [n for n in range(67 * 67) if is_prime.__wrapped__(n)] == [
+            n for n in range(67 * 67) if sinclair_is_prime(n)
+        ]
+        assert calls == []
 
 
 class TestExpand:

@@ -128,9 +128,31 @@ class TestFactorize:
         with pytest.raises(ValueError):
             factorize(2**64)
 
-    def test_matches_long_trial_division(self, monkeypatch):
-        # The same routine with trial division to 10**6, as it was before
-        # the cofactor went to is_prime and rho from 2**16 on.
+    @staticmethod
+    def _long_trial_division(n, primes):
+        """({p: e} for the primes in `primes` dividing n, the cofactor left).
+
+        Stops once p * p exceeds the cofactor, which is then 1 or prime.
+        """
+        found = {}
+        for p in primes:
+            if p * p > n:
+                break
+            while n % p == 0:
+                found[p] = found.get(p, 0) + 1
+                n //= p
+        return found, n
+
+    def test_matches_long_trial_division(self):
+        # Trial division by every prime to 10**6, written out here; a
+        # cofactor it leaves below 10**12 is prime, a larger one has only
+        # prime factors above 10**6, which factorize must find.
+        limit = 10**6
+        sieve = bytearray([1]) * limit
+        for i in range(2, int(limit**0.5) + 1):
+            if sieve[i]:
+                sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+        trial_primes = [p for p in range(2, limit) if sieve[p]]
         rng = random.Random(2023)
 
         def prime(bits):
@@ -148,12 +170,36 @@ class TestFactorize:
             while n.bit_length() < 46:
                 n *= rng.choice((2, 3, 5, 7, 11, 13, 101, 997, 65521, 65537))
             sample.append(n)
-        new = [factorize.__wrapped__(n) for n in sample]
-        monkeypatch.setattr(valuation, "_TRIAL_LIMIT", 10**6)
-        old = [factorize.__wrapped__(n) for n in sample]
-        assert new == old
-        for n, f in zip(sample, new):
-            assert f.value() == n and all(is_prime(p) for p in f.primes())
+        # The edges of the gcd screen of the primes below 2**8: its last
+        # prime, the next, and products across the edge.
+        sample += [251, 257, 257**2, 251 * 257, 2**56 * 251, 65521 * 65537]
+        for n in sample:
+            f = factorize.__wrapped__(n)
+            expected, rest = self._long_trial_division(n, trial_primes)
+            if rest < limit**2:
+                if rest > 1:
+                    expected[rest] = expected.get(rest, 0) + 1
+                assert f == Factorization(1, tuple(sorted(expected.items()))), n
+            else:
+                large = [(p, e) for p, e in f.factors if p > limit]
+                assert [(p, e) for p, e in f.factors if p <= limit] == sorted(expected.items()), n
+                assert math.prod(p**e for p, e in large) == rest, n
+            assert f.value() == n and all(is_prime(p) for p in f.primes()), n
+        with pytest.raises(KernelRangeError):
+            factorize(2**63 * 251)
+
+    def test_cold_64_bit_prime_is_certified_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(valuation, "is_prime", lambda n: calls.append(n) or is_prime(n))
+
+        def no_rho(n):
+            raise AssertionError(f"rho called on {n}")
+
+        monkeypatch.setattr(valuation, "_pollard_rho", no_rho)
+        for n in (2**61 - 1, 2**62 - 57, 2**63 - 25, 2**64 - 59, 2**64 - 363):
+            calls.clear()
+            assert factorize.__wrapped__(n).factors == ((n, 1),)
+            assert calls == [n]
 
     @staticmethod
     def _check(n, expected):
@@ -163,13 +209,13 @@ class TestFactorize:
 
     @staticmethod
     def _primes_past_trial_limit(rng):
-        """The primes in (_TRIAL_LIMIT, 2**12) and a seeded sample to 2**16."""
-        low = [p for p in range(valuation._TRIAL_LIMIT + 1, 2**12) if is_prime(p)]
+        """The primes past the gcd screen up to 2**12 and a seeded sample to 2**16."""
+        low = [p for p in range(valuation._SCREEN_PRIMES[-1] + 1, 2**12) if is_prime(p)]
         high = [p for p in range(2**12, 2**16) if is_prime(p)]
         return low + rng.sample(high, 200)
 
     def test_prime_powers_past_trial_limit(self):
-        # Prime powers leave trial division as composite cofactors that rho
+        # Prime powers leave the screen as composite cofactors that rho
         # has to split; every p**k < 2**64, alone and times 2.
         for p in self._primes_past_trial_limit(random.Random(41)):
             k, q = 1, p
