@@ -326,7 +326,7 @@ def _write_csv(out, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
-    digits = args.digits
+    digits = _parse_int(args.digits) if args.digits is not None else None
     if digits is not None and digits < 1:
         raise UsageError(f"--digits must be at least 1, got {digits}")
     header, rows = _seq_rows(args)
@@ -404,10 +404,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError(f"--{key.replace('_', '-')} must be non-negative")
     grid = HarnessGrid(**grid_kwargs)
 
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be at least 1, got {args.jobs}")
+    jobs = _parse_int(args.jobs)
+    if jobs < 1:
+        raise UsageError(f"--jobs must be at least 1, got {jobs}")
 
-    result = run_harness(args.claims or ("all",), grid, jobs=args.jobs, fail_fast=args.fail_fast)
+    result = run_harness(args.claims or ("all",), grid, jobs=jobs, fail_fast=args.fail_fast)
 
     if not args.summary_only:
         if args.format == "csv":
@@ -538,33 +539,24 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, *choices: str) -> None:
         p.add_argument("--format", choices=("human",) + choices, default="human")
 
-    p_omega = sub.add_parser("omega", help="highest power of a base dividing a target")
-    p_omega.add_argument("base")
-    p_omega.add_argument("target", nargs="+", help="literal | B n m a b | binom n k | <seq> n [params]")
-    p_omega.add_argument("--mode", choices=("fast", "oracle", "both"), default="oracle")
-    p_omega.add_argument("--explain", action="store_true", help="show the per-prime breakdown")
-    add_format(p_omega, "json")
-    p_omega.set_defaults(func=cmd_omega, prime_base=False)
-
-    p_vp = sub.add_parser("vp", help="like omega, for a prime base")
-    p_vp.add_argument("base")
-    p_vp.add_argument("target", nargs="+")
-    p_vp.add_argument("--mode", choices=("fast", "oracle", "both"), default="oracle")
-    p_vp.add_argument("--explain", action="store_true")
-    add_format(p_vp, "json")
-    p_vp.set_defaults(func=cmd_omega, prime_base=True)
+    for name, prime_base, about in (
+        ("omega", False, "highest power of a base dividing a target"),
+        ("vp", True, "like omega, for a prime base"),
+    ):
+        p = sub.add_parser(name, help=about)
+        p.add_argument("base")
+        p.add_argument("target", nargs="+", help="literal | B n m a b | binom n k | <seq> n [params]")
+        p.add_argument("--mode", choices=("fast", "oracle", "both"), default="oracle")
+        p.add_argument("--explain", action="store_true", help="show the per-prime breakdown")
+        add_format(p, "json")
+        p.set_defaults(func=cmd_omega, prime_base=prime_base)
 
     p_seq = sub.add_parser("seq", help="print exact sequence values over an index range")
     p_seq.add_argument("name")
     p_seq.add_argument("range", help="inclusive range like 0..10, or a single index")
     p_seq.add_argument("params", nargs="*", help="extra sequence parameters")
     p_seq.add_argument("--valuation", metavar="P", help="add a v_P column")
-    p_seq.add_argument(
-        "--digits",
-        type=int,
-        default=None,
-        help="abbreviate long values to this many leading/trailing digits",
-    )
+    p_seq.add_argument("--digits", help="abbreviate long values to this many leading/trailing digits")
     add_format(p_seq, "json", "csv")
     p_seq.set_defaults(func=cmd_seq)
 
@@ -575,11 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("--valuation", metavar="P")
     p_table.add_argument("-o", "--output", help="write to a file instead of stdout")
     p_table.set_defaults(func=cmd_table)
-    # argparse takes a token such as `-5..3` for an unknown option, since it
-    # starts with `-` and is not a plain number; a range may start below 0
-    # and must reach the domain check, so these parsers read it as a value.
-    for p in (p_seq, p_table):
-        p._negative_number_matcher = _NEGATIVE
 
     p_verify = sub.add_parser("verify", help="sweep claims against the big-integer oracle")
     p_verify.add_argument(
@@ -596,7 +583,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--x-set", dest="x_set")
     p_verify.add_argument("--primes", help="largest prime, e.g. 97, or a range lo..hi, e.g. 50..97")
     p_verify.add_argument("--exact-max", dest="exact_max")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", default="1")
     p_verify.add_argument("--fail-fast", action="store_true")
     p_verify.add_argument(
         "--summary-only", action="store_true", help="suppress per-instance rows"
@@ -614,32 +601,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--fast-only", action="store_true")
     p_bench.set_defaults(func=cmd_bench)
 
+    # argparse takes a token that starts with `-` for an option unless it is
+    # a plain number, but `-2e1`, `-5..3` and `-2,1` are integer arguments
+    # too: every command reads a token that starts with `-` and a digit as a value.
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE
     return parser
 
 
-# verify's comma-separated lists; a list may start with a negative value.
-_LIST_OPTIONS = ("--m-set", "--a-set", "--b-set", "--x-set")
 _NEGATIVE = re.compile(r"-[0-9]")
-
-
-def _attach_negative_lists(argv: list[str]) -> list[str]:
-    """`--a-set -2,1` as `--a-set=-2,1`: argparse would take a separate `-2,1` for an option."""
-    out: list[str] = []
-    tokens = iter(argv)
-    for token in tokens:
-        if token == "--":
-            return out + [token, *tokens]
-        if out and out[-1] in _LIST_OPTIONS and _NEGATIVE.match(token):
-            token = f"{out.pop()}={token}"
-        out.append(token)
-    return out
 
 
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
-    args = parser.parse_args(_attach_negative_lists(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_help()
         return 2

@@ -37,8 +37,7 @@ def is_prime(n: int) -> bool:
     parameters (Baillie & Wagstaff, Lucas pseudoprimes, Math. Comp. 35,
     1980).  It has no pseudoprime below 2**64: Gilchrist checked it against
     Feitsma and Galway's list of every base-2 strong pseudoprime there.  A
-    cold 64-bit prime costs about 60 us, where Sinclair's seven
-    Miller-Rabin witnesses took about 100 us.  From 2**64 up to
+    cold 64-bit prime costs about 60 us.  From 2**64 up to
     psi_13 = 3317044064679887385961981 the thirteen prime bases 2..41
     decide, since Baillie-PSW is not proven there.  n >= psi_13 raises
     KernelRangeError: no test here is proven for it.

@@ -380,27 +380,25 @@ def _table_items(names: tuple[str, ...], grid: HarnessGrid) -> list[dict]:
 # Within one run_harness call: stream -> (its parameters, the index it yields
 # next, the stream itself), so that each block of a sweep resumes the stream
 # where the block before it stopped.  Forked workers inherit it; outside a
-# sweep it is None and every block starts its stream afresh.
+# sweep it is None, and only the blocks of one parameter item share a stream.
 _streams: dict | None = None
 
 
-def _stream_block(values: Callable[..., Iterator], args: tuple, lo: int, hi: int) -> list:
+def _stream_block(streams: dict, values: Callable[..., Iterator], args: tuple, lo: int, hi: int) -> list:
     """Elements lo..hi - 1 of the stream `values(*args)`.
 
-    Within a sweep the stream resumes at the index where the last block read
-    from it stopped, and restarts at 0 only when that index lies past `lo`.
-    A stream is taken out of `_streams` while it is read, so no two blocks
-    read one at once and a block that raises leaves none behind; one is kept
-    per stream function.
+    The stream resumes at the index where the last block read from it
+    through `streams` stopped, and restarts at 0 only when that index lies
+    past `lo`.  A stream is taken out of `streams` while it is read, so no
+    two blocks read one at once and a block that raises leaves none behind;
+    one is kept per stream function.
     """
-    streams = _streams
-    held = streams.pop(values, None) if streams is not None else None
+    held = streams.pop(values, None)
     if held is None or held[0] != args or held[1] > lo:
         held = (args, 0, values(*args))  # and the stream held before, if any, is let go
     _, start, stream = held
     block = list(islice(stream, lo - start, hi - start))
-    if streams is not None:
-        streams[values] = (args, hi, stream)
+    streams[values] = (args, hi, stream)
     return block
 
 
@@ -409,13 +407,22 @@ def _run_table(
 ) -> list[TheoremReport]:
     """Reports of the claims `names`, which share their parameters, for n_lo..n_hi (or 0..n_max).
 
+    n = 0..n_max runs as blocks of _BLOCK values of n, in order, which
+    resume one stream, so an item holds one block's values at a time.
+    """
+    streams = _streams if _streams is not None else {}
+    spans = _blocks(n_max) if n_max is not None else [(n_lo, n_hi)]
+    return [report for lo, hi in spans for report in _table_block(names, lo, hi, params, streams)]
+
+
+def _table_block(names: tuple[str, ...], n_lo: int, n_hi: int, params: dict, streams: dict) -> list[TheoremReport]:
+    """Reports of the claims `names` for n_lo..n_hi.
+
     Each claim reads its stream's values at the indices of n_lo..n_hi, by
     `_stream_block`; claims with the same stream build them once, and claims
     of the same shape share their predictor's answer at each index.  A prime
     base takes vp_int directly.
     """
-    if n_hi is None:
-        n_hi = n_max
     ns = range(n_lo, n_hi + 1)
     blocks: dict = {}
     predictions: dict = {}
@@ -428,7 +435,7 @@ def _run_table(
         lo = claim.index(n_lo, 0)
         key = (claim.values, claim.offset)
         if key not in blocks:
-            blocks[key] = _stream_block(claim.values, args, lo, claim.index(n_hi, 1) + 1)
+            blocks[key] = _stream_block(streams, claim.values, args, lo, claim.index(n_hi, 1) + 1)
         block = blocks[key]
         rs = sorted((0, 1), key=lambda r: claim.index(0, r) % 2)  # the even index first, as reports sort
         indices = [(n, claim.index(n, r)) for n in ns for r in rs]

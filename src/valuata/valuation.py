@@ -214,9 +214,8 @@ def factorize(x: int) -> Factorization:
     prime; any other is certified prime by is_prime (Baillie-PSW, exact
     below 2**64) or split by Pollard-Brent rho, and the parts are treated
     the same way.  A cold 64-bit prime costs about 65 us, nearly all of it
-    in is_prime (about 110 us before, with the 6k+-1 wheel and seven
-    Miller-Rabin witnesses); a semiprime of two 32-bit primes still spends
-    tens of milliseconds in rho.
+    in is_prime; a semiprime of two 32-bit primes still spends tens of
+    milliseconds in rho.
     """
     if x == 0:
         raise ZeroInputError("cannot factorize 0")

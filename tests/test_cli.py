@@ -822,6 +822,45 @@ class TestTopLevel:
         assert code == 0 and out == "omega_10(100000000000000000000000) = 23\n"
 
 
+class TestArgumentGrammar:
+    """Every integer argument, positional or option, may be negative and may use the shorthand."""
+
+    def test_a_negative_shorthand_weight(self, capsys):
+        expected = (0, "omega_3(trinomial(4, 1, -20)) = 0\n", "")
+        assert run(capsys, "omega", "3", "trinomial", "4", "1", "-2e1") == expected
+        assert run(capsys, "omega", "3", "trinomial", "4", "1", "-20") == expected
+
+    def test_a_negative_shorthand_base(self, capsys):
+        assert run(capsys, "omega", "-3e0", "delannoy", "5") == (0, "omega_-3(delannoy(5)) = 2\n", "")
+
+    def test_a_negative_shorthand_weight_of_vp(self, capsys):
+        assert run(capsys, "vp", "3", "B", "5", "2", "-1e0", "4") == (0, "omega_3(B(5,2,-1,4)) = 2\n", "")
+
+    def test_a_negative_shorthand_bench_option(self, capsys):
+        code, out, _ = run(capsys, "bench", "thm1", "--a", "-1e0", "--b", "3", "--n", "5")
+        assert code == 0 and out.startswith("scenario=thm1 n=5 a=-1 b=3\n") and out.count("| agree") == 2
+
+    def test_a_negative_shorthand_verify_option(self, capsys):
+        assert run(capsys, "verify", "thm1", "--n-max", "-1e0") == (2, "", "error: --n-max must be non-negative\n")
+
+    def test_jobs_and_digits_take_the_shorthand(self, capsys):
+        args = ("verify", "thm5", "--n-max", "3", "--ab-max", "3", "--format", "json")
+        assert run(capsys, *args, "--jobs", "2e0") == run(capsys, *args, "--jobs", "2")
+        assert run(capsys, "seq", "delannoy", "0..3", "--digits", "1e0") == run(
+            capsys, "seq", "delannoy", "0..3", "--digits", "1"
+        )
+        assert run(capsys, "verify", "thm3", "--n-max", "2", "--jobs", "x") == (2, "", "error: not an integer: 'x'\n")
+        assert run(capsys, "seq", "delannoy", "0..3", "--digits", "x") == (2, "", "error: not an integer: 'x'\n")
+
+    def test_omega_and_vp_have_the_same_arguments(self, capsys):
+        helps = []
+        for command in ("omega", "vp"):
+            with pytest.raises(SystemExit):
+                main([command, "-h"])
+            helps.append(capsys.readouterr().out.split("positional arguments:")[1])
+        assert helps[0] == helps[1] and "per-prime breakdown" in helps[0]
+
+
 _DIGITS = st.text("0123456789", min_size=1, max_size=40)
 _SIGNS = st.sampled_from(["", "+", "-"])
 _PLAIN = st.builds(
@@ -893,7 +932,9 @@ def _fresh_python(code: str) -> str:
 # built (literals, and indices on the fast route), because an oracle query
 # at a huge index has no bound on its cost.
 _SMALL = st.integers(-3, 30).map(str)
-_TOKEN = st.one_of(_SMALL, _SMALL, st.sampled_from(["x", "", "1e2", "-0", "007", "1.5", "2..1", "1_0"]))
+_TOKEN = st.one_of(
+    _SMALL, _SMALL, st.sampled_from(["x", "", "1e2", "-0", "007", "1.5", "2..1", "1_0", "-2e1", "-1.5e1", "-0e0"])
+)
 _WIDE = st.integers(-(2**80), 2**80).map(str)
 _ORDER = st.one_of(st.integers(-3, 4).map(str), _TOKEN)  # B/bsum order m, negatives included
 _FLAGS = st.lists(
@@ -1092,8 +1133,9 @@ class TestExitCodeContract:
         out, err = out.getvalue(), err.getvalue()
         assert code in (0, 1, 2)
         assert "Traceback" not in err
-        if argv[0] == "verify":  # every option drawn carries its value, even a list that starts negative
-            assert "expected one argument" not in err
+        # every option drawn carries its value, and every token that starts with `-` and a digit is a value
+        assert "expected one argument" not in err
+        assert not re.search(r"unrecognized arguments: (.* )?-[0-9]", err)
         if code == 1:
             assert re.search(r"violations=[1-9]", out + err) or err.startswith("DISAGREEMENT")
         if code == 0:

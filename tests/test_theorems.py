@@ -22,7 +22,6 @@ from valuata.harness import _fork_pays, json_lines
 from valuata.sequences import (
     IntegralityError,
     delannoy,
-    delannoy_values,
     eval_B,
     eval_M,
     eval_T,
@@ -311,18 +310,34 @@ class TestClaimTable:
         assert [r.verdict for r in reports] == ["exact"] * 8
         assert peak < 32 * size, (peak, size)
 
+    def test_a_parameter_item_holds_one_block_of_values_at_a_time(self):
+        # n <= 6000 reads T_0..T_12001 of (a, b) = (1, 5), up to 4.5 KB each;
+        # a list of all of them peaked at about 7 blocks of the largest.
+        size = sys.getsizeof(eval_T(12001, 1, 5))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            reports = RUNNERS["thm5"].run(a=1, b=5, n_max=6000)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == 12002 and {r.verdict for r in reports} == {"exact"}
+        assert peak < 3 * 1024 * size, (peak, size)
 
-def _counted_delannoy(monkeypatch, counts: Counter):
-    """Make thm3 read a Delannoy stream that counts its starts and the values it yields."""
+
+def _counted_stream(monkeypatch, counts: Counter, name: str = "thm3"):
+    """Make the claim `name` read a stream that counts its starts and the values it yields."""
     import valuata.theorems as theorems
 
-    def values():
+    real = CLAIMS[name].values
+
+    def values(*args):
         counts["starts"] += 1
-        for value in delannoy_values():
+        for value in real(*args):
             counts["values"] += 1
             yield value
 
-    monkeypatch.setitem(theorems.CLAIMS, "thm3", dataclasses.replace(CLAIMS["thm3"], values=values))
+    monkeypatch.setitem(theorems.CLAIMS, name, dataclasses.replace(CLAIMS[name], values=values))
 
 
 class TestResumedStreams:
@@ -332,7 +347,7 @@ class TestResumedStreams:
         import valuata.theorems as theorems
 
         counts = Counter()
-        _counted_delannoy(monkeypatch, counts)
+        _counted_stream(monkeypatch, counts)
         result = run_harness(["thm3"], HarnessGrid(n_max=5000))
         assert result.summary() == {"thm3": {"checked": 10002, "violations": 0}}
         assert counts["values"] <= 2 * 10002, counts
@@ -342,18 +357,31 @@ class TestResumedStreams:
         import valuata.theorems as theorems
 
         counts = Counter()
-        _counted_delannoy(monkeypatch, counts)
+        _counted_stream(monkeypatch, counts)
         blocks = RUNNERS["thm3"].run(n_lo=0, n_hi=3) + RUNNERS["thm3"].run(n_lo=4, n_hi=7)
         assert theorems._streams is None
         assert counts == {"starts": 2, "values": 8 + 16}
         assert blocks == RUNNERS["thm3"].run(n_lo=0, n_hi=7)
+
+    def test_a_parameter_item_resumes_its_stream_across_its_blocks(self, monkeypatch):
+        # n <= 2000 is four blocks that read T_0..T_4001 once between them;
+        # restarting every block at T_0 streamed about 2.5 times as many values.
+        import valuata.theorems as theorems
+
+        counts = Counter()
+        _counted_stream(monkeypatch, counts, "thm5")
+        reports = RUNNERS["thm5"].run(a=-2, b=5, n_max=2000)
+        assert [dict(r.instance)["n"] for r in reports] == [n for n in range(2001) for _ in "eo"]
+        assert {r.verdict for r in reports} == {"exact"}
+        assert counts == {"starts": 1, "values": 4002}
+        assert theorems._streams is None
 
     def test_a_stream_restarts_only_for_a_block_behind_it(self, monkeypatch):
         import valuata.theorems as theorems
 
         fresh = {lo: RUNNERS["thm3"].run(n_lo=lo, n_hi=lo + 3) for lo in (2, 6, 10)}
         counts = Counter()
-        _counted_delannoy(monkeypatch, counts)
+        _counted_stream(monkeypatch, counts)
         monkeypatch.setattr(theorems, "_streams", {})
         assert [RUNNERS["thm3"].run(n_lo=lo, n_hi=lo + 3) for lo in (10, 2, 6)] == [fresh[10], fresh[2], fresh[6]]
         # D_0..D_27 for n = 10..13, then D_0..D_11 and D_12..D_19: the last block resumes.
