@@ -115,10 +115,6 @@ def _format_value(value: int, digits: int | None) -> str:
     return f"{text[:digits]}...{text[-digits:]} ({len(text)} digits)"
 
 
-def _render_valuation(v) -> str:
-    return "inf" if v is INFINITE else str(v)
-
-
 # ---------------------------------------------------------------------------
 # Target expressions: literal | B n m a b | binom n k | <sequence> idx [params]
 # ---------------------------------------------------------------------------
@@ -248,8 +244,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
 
     if args.mode == "both" and fast_result != oracle_result:
         print(
-            f"DISAGREEMENT: fast={_render_valuation(fast_result)} "
-            f"oracle={_render_valuation(oracle_result)} for omega_{base}({target.label})",
+            f"DISAGREEMENT: fast={fast_result} oracle={oracle_result} for omega_{base}({target.label})",
             file=sys.stderr,
         )
         return 1
@@ -264,7 +259,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
         }
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
-        print(f"omega_{base}({target.label}) = {_render_valuation(result)}")
+        print(f"omega_{base}({target.label}) = {result}")
         if args.explain and result is not INFINITE:
             if value is not None:
                 lines = _explain_lines(base, lambda p: vp_int(value, p))
@@ -299,10 +294,10 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
         raise UsageError(f"range lo..hi needs lo <= hi, got {args.range}")
     if lo < entry.min_index:
         raise DomainError(f"{entry.name} starts at index {entry.min_index}, got {lo}")
-    p = _parse_int(args.valuation) if args.valuation else None
+    p = _parse_int(args.valuation) if args.valuation is not None else None
     if p is not None and not is_prime(p):
         raise UsageError(f"--valuation takes a prime, got {p}")
-    header = ["n", "value"] + ([f"v_{p}"] if p else [])
+    header = ["n", "value"] + ([f"v_{p}"] if p is not None else [])
     indices = range(lo, hi + 1)
     if entry.values is not None:
         values = list(islice(entry.values(*extra), lo, hi + 1))
@@ -311,7 +306,7 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     rows = []
     for n, value in zip(indices, values):
         row: list = [n, value]
-        if p:
+        if p is not None:
             row.append(vp_int(value, p))
         rows.append(row)
     return header, rows
@@ -322,7 +317,7 @@ def _write_csv(out, header: list[str], rows: list[list]) -> None:
 
     writer = csv.writer(out)
     writer.writerow(header)
-    writer.writerows([[_render_valuation(v) if v is INFINITE else v for v in row] for row in rows])
+    writer.writerows(rows)
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
@@ -338,23 +333,20 @@ def cmd_seq(args: argparse.Namespace) -> int:
         _write_csv(sys.stdout, header, rows)
     else:
         for row in rows:
-            cells = [str(row[0]), _format_value(row[1], digits)]
-            if len(row) > 2:
-                cells.append(_render_valuation(row[2]))
-            print("\t".join(cells))
+            print(row[0], _format_value(row[1], digits), *row[2:], sep="\t")
     return 0
 
 
 def cmd_table(args: argparse.Namespace) -> int:
     header, rows = _seq_rows(args)
     try:
-        out = open(args.output, "w", newline="") if args.output else sys.stdout
+        out = open(args.output, "w", newline="") if args.output is not None else sys.stdout
     except OSError as exc:
         raise UsageError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
     try:
         _write_csv(out, header, rows)
     finally:
-        if args.output:
+        if args.output is not None:
             out.close()
     return 0
 
@@ -378,17 +370,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
         grid_kwargs["n_max"] = _parse_int(args.n_max)
     if args.ab_max is not None:
         grid_kwargs["ab_max"] = _parse_int(args.ab_max)
-    if args.m_set:
+    if args.m_set is not None:
         grid_kwargs["m_values"] = _parse_int_set(args.m_set)
         if any(m < 2 for m in grid_kwargs["m_values"]):
             raise UsageError(f"--m-set takes orders m >= 2, got {args.m_set}")
-    if args.a_set:
+    if args.a_set is not None:
         grid_kwargs["a_values"] = _parse_int_set(args.a_set)
-    if args.b_set:
+    if args.b_set is not None:
         grid_kwargs["b_values"] = _parse_int_set(args.b_set)
-    if args.x_set:
+    if args.x_set is not None:
         grid_kwargs["x_values"] = _parse_int_set(args.x_set)
-    if args.primes:
+    if args.primes is not None:
         lo, hi = _parse_range(args.primes)
         if ".." in args.primes:
             if lo < 2 or lo > hi:
@@ -419,9 +411,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             for report in result.reports:
                 row = {"claim": report.claim, **dict(report.instance)}
                 row["predicted"] = report.predicted
-                row["oracle"] = _render_valuation(report.oracle)
+                row["oracle"] = report.oracle
                 row["verdict"] = report.verdict
-                row["slack"] = "" if report.slack is None else report.slack
+                row["slack"] = report.slack
                 writer.writerow(row)
         elif args.format == "json":
             sys.stdout.writelines(json_lines(result.reports))
@@ -431,7 +423,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 extra = "" if report.slack is None else f" slack={report.slack}"
                 print(
                     f"{report.claim}: {fields} predicted={report.predicted} "
-                    f"oracle={_render_valuation(report.oracle)} {report.verdict}{extra}"
+                    f"oracle={report.oracle} {report.verdict}{extra}"
                 )
 
     summary = result.summary()
@@ -467,13 +459,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     scenario = args.scenario.lower()
     if scenario not in _BENCH_OPTIONS:
         raise UsageError(f"unknown bench scenario {args.scenario!r}; use thm1 or vp-binom")
-    unread = [f"--{k}" for k in ("n", "k", "p", "a", "b") if k not in _BENCH_OPTIONS[scenario] and getattr(args, k)]
+    unread = [
+        f"--{k}" for k in ("n", "k", "p", "a", "b")
+        if k not in _BENCH_OPTIONS[scenario] and getattr(args, k) is not None
+    ]
     if unread:
         raise UsageError(f"bench {scenario} does not take {', '.join(unread)}")
     if scenario == "thm1":
-        n = _parse_int(args.n) if args.n else 2023
-        a = _parse_int(args.a) if args.a else 37
-        b = _parse_int(args.b) if args.b else 62
+        n = _parse_int(args.n) if args.n is not None else 2023
+        a = _parse_int(args.a) if args.a is not None else 37
+        b = _parse_int(args.b) if args.b is not None else 62
         rows = []
         for parity in ("even", "odd"):
             fast_t, fast_v = _time_best(lambda: predict_bsum_omega(n, parity, a, b))
@@ -491,7 +486,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for parity, fast_t, fast_v, oracle_t, oracle_v, verdict in rows:
             line = f"  {parity}: fast={fast_t * 1000:.3f}ms omega={fast_v}"
             if oracle_t is not None:
-                line += f" | oracle={oracle_t * 1000:.3f}ms omega={_render_valuation(oracle_v)} | {verdict}"
+                line += f" | oracle={oracle_t * 1000:.3f}ms omega={oracle_v} | {verdict}"
                 if verdict != "agree":
                     status = 1
             else:
@@ -499,9 +494,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(line)
         return status
     # vp-binom
-    n = _parse_int(args.n) if args.n else 10**18
-    k = _parse_int(args.k) if args.k else n // 2
-    p = _parse_int(args.p) if args.p else 3
+    n = _parse_int(args.n) if args.n is not None else 10**18
+    k = _parse_int(args.k) if args.k is not None else n // 2
+    p = _parse_int(args.p) if args.p is not None else 3
     if not is_prime(p):
         raise UsageError(f"--p must be prime, got {p}")
     fast_t, fast_v = _time_best(lambda: vp_binomial_fast(n, k, p))
@@ -517,7 +512,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     oracle_v = vp_int(comb(n, k), p)
     oracle_t = time.perf_counter() - start
     verdict = "agree" if oracle_v == fast_v else "DISAGREE"
-    print(f"  oracle={oracle_t * 1000:.3f}ms v_p={_render_valuation(oracle_v)} | {verdict}")
+    print(f"  oracle={oracle_t * 1000:.3f}ms v_p={oracle_v} | {verdict}")
     return 0 if verdict == "agree" else 1
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Union
 
 from .digits import U64_MAX, KernelRangeError, is_prime, kummer_carries, _require_prime, _require_u64
@@ -31,8 +31,9 @@ def _restore_infinite() -> "_InfiniteValuation":
     return INFINITE
 
 
+@total_ordering
 class _InfiniteValuation:
-    """Valuation of zero: compares above every integer.  Singleton."""
+    """Valuation of zero: compares above every integer and prints as `inf`.  Singleton."""
 
     __slots__ = ()
 
@@ -44,6 +45,9 @@ class _InfiniteValuation:
     def __repr__(self) -> str:
         return "INFINITE"
 
+    def __str__(self) -> str:
+        return "inf"
+
     def __eq__(self, other: object) -> bool:
         return other is self
 
@@ -53,25 +57,6 @@ class _InfiniteValuation:
     def __lt__(self, other: object) -> bool:
         if isinstance(other, int) or other is self:
             return False
-        return NotImplemented
-
-    def __le__(self, other: object) -> bool:
-        if other is self:
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
-
-    def __gt__(self, other: object) -> bool:
-        if other is self:
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other: object) -> bool:
-        if isinstance(other, int) or other is self:
-            return True
         return NotImplemented
 
 

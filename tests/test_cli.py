@@ -21,7 +21,7 @@ from valuata.cli import main
 from valuata.digits import kummer_carries
 from valuata.sequences import SEQUENCES
 from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
-from valuata.valuation import vp_int
+from valuata.valuation import INFINITE, vp_int
 
 
 def run(capsys, *argv):
@@ -458,6 +458,39 @@ class TestSeq:
         assert code == 0 and rows[0] == ["n", "value"] and rows[3] == ["2", "2"]
 
 
+class TestInfiniteValuationText:
+    """B(1,2,1,-1) = B(3,2,1,-1) = 0: their valuation prints as inf in every format."""
+
+    ARGS = ("bsum", "0..3", "2", "1", "-1", "--valuation", "3")
+    CSV = "n,value,v_3\r\n0,1,0\r\n1,0,inf\r\n2,-2,0\r\n3,0,inf\r\n"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (("seq", *ARGS), "0\t1\t0\n1\t0\tinf\n2\t-2\t0\n3\t0\tinf\n"),
+        (("seq", *ARGS, "--format", "csv"), CSV),
+        (("table", *ARGS), CSV),
+        (
+            ("seq", *ARGS, "--format", "json"),
+            '{"n":0,"v_3":0,"value":1}\n{"n":1,"v_3":"inf","value":0}\n'
+            '{"n":2,"v_3":0,"value":-2}\n{"n":3,"v_3":"inf","value":0}\n',
+        ),
+    ])
+    def test_rows(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
+    def test_verify_rows(self, capsys, monkeypatch):
+        import valuata.theorems as theorems
+
+        report = theorems.TheoremReport("thm3", (("n", 1), ("parity", "odd")), 2, INFINITE, theorems.KIND_LOWER)
+        runner = theorems.RUNNERS["thm3"]
+        monkeypatch.setitem(
+            theorems.RUNNERS, "thm3", dataclasses.replace(runner, items=lambda grid: [{}], run=lambda: [report])
+        )
+        code, out, _ = run(capsys, "verify", "thm3")
+        assert (code, out.splitlines()[0]) == (0, "thm3: n=1 parity=odd predicted=2 oracle=inf bound_holds")
+        code, out, _ = run(capsys, "verify", "thm3", "--format", "csv")
+        assert (code, out.splitlines()[1]) == (0, "thm3,1,odd,,,,,,2,inf,bound_holds,")
+
+
 class TestTable:
     def test_stdout_csv(self, capsys):
         code, out, _ = run(capsys, "table", "delannoy", "0..3", "--valuation", "3")
@@ -672,6 +705,30 @@ class TestGridValues:
     def test_a_runner_with_nothing_to_check_exits_2(self, capsys, argv, runner):
         code, out, err = run(capsys, "verify", *argv, "--n-max", "2")
         assert (code, out, err) == (2, "", f"error: the grid gives {runner} nothing to check\n")
+
+
+class TestEmptyValues:
+    """An option given with an empty value is read like any other value, and exits 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("verify", "thm2", "--n-max", "2", "--ab-max", "2", "--m-set="), "the grid gives thm2 nothing to check"),
+        (("verify", "thm5", "--n-max", "2", "--a-set="), "the grid gives thm5 nothing to check"),
+        (("verify", "thm5", "--n-max", "2", "--b-set="), "the grid gives thm5 nothing to check"),
+        (("verify", "cor3", "--n-max", "2", "--x-set="), "the grid gives cor3 nothing to check"),
+        (("verify", "lemma1", "--n-max", "2", "--primes="), "not an integer: ''"),
+        (("seq", "delannoy", "0..3", "--valuation="), "not an integer: ''"),
+        (("table", "delannoy", "0..3", "--valuation="), "not an integer: ''"),
+        (("table", "delannoy", "0..3", "--output="), "cannot write --output : No such file or directory"),
+        (("bench", "thm1", "--n=", "--fast-only"), "not an integer: ''"),
+        (("bench", "thm1", "--a=", "--fast-only"), "not an integer: ''"),
+        (("bench", "thm1", "--b=", "--fast-only"), "not an integer: ''"),
+        (("bench", "vp-binom", "--n="), "not an integer: ''"),
+        (("bench", "vp-binom", "--k="), "not an integer: ''"),
+        (("bench", "vp-binom", "--p="), "not an integer: ''"),
+        (("bench", "vp-binom", "--a="), "bench vp-binom does not take --a"),
+    ])
+    def test_exits_2(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 class TestOutOfMemory:
@@ -981,7 +1038,7 @@ _QUERIES = st.one_of(
 
 _RANGES = st.one_of(_TOKEN, st.tuples(_SMALL, _SMALL).map("..".join))
 _NAMES = st.one_of(st.sampled_from(sorted(SEQUENCES) + ["nope"]), st.just("bsum"))
-_VALUATION = st.sampled_from([[], ["--valuation", "3"], ["--valuation", "4"], ["--valuation", "x"]])
+_VALUATION = st.sampled_from([[], ["--valuation", "3"], ["--valuation", "4"], ["--valuation", "x"], ["--valuation="]])
 _SEQS = _NAMES.flatmap(
     lambda name: st.tuples(st.just(["seq", name]), _RANGES.map(lambda r: [r]), _params(name), _VALUATION, _FLAGS)
 ).map(lambda parts: sum(parts[:4], []) + sum(parts[4], []))
@@ -991,13 +1048,13 @@ _TABLES = _NAMES.flatmap(
         _RANGES.map(lambda r: [r]),
         _params(name),
         _VALUATION,
-        st.sampled_from([[], ["--output", os.devnull], ["--output", "/nonexistent/dir/x.csv"]]),
+        st.sampled_from([[], ["--output", os.devnull], ["--output", "/nonexistent/dir/x.csv"], ["--output="]]),
     )
 ).map(lambda parts: sum(parts, []))
-# Grid value sets with repeated, negative and unordered values, as one
-# `--option=values` token or as two arguments.
-_INT_SET = st.lists(st.integers(-6, 6), min_size=1, max_size=6).map(lambda vs: ",".join(map(str, vs)))
-_ORDER_SET = st.lists(st.integers(-1, 5), min_size=1, max_size=5).map(lambda vs: ",".join(map(str, vs)))
+# Grid value sets with repeated, negative and unordered values, and empty
+# ones, as one `--option=values` token or as two arguments.
+_INT_SET = st.lists(st.integers(-6, 6), max_size=6).map(lambda vs: ",".join(map(str, vs)))
+_ORDER_SET = st.lists(st.integers(-1, 5), max_size=5).map(lambda vs: ",".join(map(str, vs)))
 _GRID_SETS = st.tuples(
     st.one_of(
         st.tuples(st.just("--m-set"), _ORDER_SET),
@@ -1015,7 +1072,7 @@ _VERIFIES = st.tuples(
             st.sampled_from([
                 ["--m-set", "0"], ["--m-set", "3,0"], ["--m-set", "2,4"], ["--m-set", "x"],
                 ["--a-set", "0,1"], ["--b-set", "-2,0"], ["--x-set", "0,3"], ["--x-set", "2"],
-                ["--primes", "5..2"], ["--primes", "-1"], ["--exact-max", "-2"], ["--exact-max", "3"],
+                ["--primes", "5..2"], ["--primes", "-1"], ["--primes="], ["--exact-max", "-2"], ["--exact-max", "3"],
                 ["--jobs", "0"], ["--jobs", "x"], ["--fail-fast"], ["--summary-only"],
                 ["--format", "csv"], ["--format", "json"],
             ]),
@@ -1039,13 +1096,13 @@ def _distinct_grid_points(argv: list[str]) -> dict[str, int]:
         if token in ("--fail-fast", "--summary-only"):
             continue
         if token.startswith("--"):
-            key, _, value = token.partition("=")
-            options[key] = value or next(tokens)  # the last occurrence wins, as in argparse
+            key, sep, value = token.partition("=")
+            options[key] = value if sep else next(tokens)  # the last occurrence wins, as in argparse
         else:
             selectors.append(token)
 
     def values(option: str, default: tuple[int, ...]) -> set[int]:
-        return {int(v) for v in options[option].split(",")} if option in options else set(default)
+        return {int(v) for v in options[option].split(",") if v} if option in options else set(default)
 
     grid = HarnessGrid()
     rows, ab_max = int(options["--n-max"]) + 1, int(options["--ab-max"])
@@ -1119,6 +1176,8 @@ class TestExitCodeContract:
         "--m-set", "4,3,4", "--a-set=-2,1,-2,5", "--b-set=5,-3,5",
     ])
     @example(["verify", "cor3", "--n-max", "1", "--ab-max", "0", "--primes", "13", "--x-set=-3,5,-3,1,2"])
+    @example(["verify", "thm5", "--n-max", "2", "--ab-max", "3", "--primes", "13", "--a-set="])
+    @example(["verify", "thm3", "--n-max", "2", "--ab-max", "3", "--primes", "13", "--b-set", ""])
     @example([
         "verify", "thm5", "--n-max", "2", "--ab-max", "3", "--primes", "13",
         "--a-set", "-2,1", "--b-set", "-3,5,-3",

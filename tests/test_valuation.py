@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 
@@ -29,11 +30,21 @@ class TestInfinite:
         assert not INFINITE < 5 and not INFINITE <= 5
         assert 5 < INFINITE and 5 <= INFINITE
         assert not 5 >= INFINITE
+        for other in (1.5, "x"):
+            for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+                with pytest.raises(TypeError):
+                    compare(INFINITE, other)
+                with pytest.raises(TypeError):
+                    compare(other, INFINITE)
 
     def test_equality(self):
         assert INFINITE == INFINITE
         assert INFINITE != 7
         assert INFINITE <= INFINITE and INFINITE >= INFINITE
+
+    def test_prints_as_inf(self):
+        assert str(INFINITE) == f"{INFINITE}" == "inf"
+        assert repr(INFINITE) == "INFINITE"
 
     def test_pickle_preserves_identity(self):
         import pickle
