@@ -1,10 +1,13 @@
-"""Claim reports and the fan-out that runs sweep work items.
+"""Claim reports, their JSON lines and the fan-out that runs sweep work items.
 
 A work item is a pair (run, kwargs); `run(**kwargs)` returns the list of
-TheoremReport instances for one slice of a claim sweep.  `_run_adaptive`
-runs items in this process and forks workers for the rest once the
-remaining work outweighs a fork; workers claim items in index order from a
-shared counter, so the batches come back in work order at any job count.
+TheoremReport instances for one slice of a claim sweep.  `run_work` is the
+one entry point of the fan-out: it runs items in this process and forks
+workers for the rest once the remaining work outweighs a fork, cuts the
+sweep after the first violating item under fail-fast and sorts the
+reports.  Workers claim items in index order from a shared counter and
+inherit the items' arguments with the fork, so the batches come back in
+work order at any job count.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import functools
 import json
 import os
 import time
-from itertools import chain, groupby
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -102,26 +105,20 @@ _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 def json_lines(reports: Iterable[TheoremReport]) -> Iterator[str]:
     """`report.to_json_line() + "\\n"` for each report, in order.
 
-    The lines come from one printf-style template per claim and instance
-    shape (the keys of the instance, in order), filled column by column:
-    consecutive reports of one claim are formatted together.
+    Each run of consecutive reports of one claim is filled into one
+    printf-style template, column by column.  A run that does not fit one
+    falls back to `to_json_line` per report: its instances differ in shape
+    or have repeated or non-string keys, or a column holds something other
+    than all ints, all strings, or ints mixed with INFINITE and None.
     """
-    for claim, group in groupby(reports, _claim):
-        group = list(group)
-        lines = _shape_lines(claim, group)
-        if lines is None:  # the claim's instances have more than one shape
-            lines = chain.from_iterable(
-                _shape_lines(claim, list(run)) for _, run in groupby(group, _instance_keys)
-            )
-        yield from lines
+    for claim, run in groupby(reports, _claim):
+        run = list(run)
+        lines = _template_lines(claim, run)
+        yield from (report.to_json_line() + "\n" for report in run) if lines is None else lines
 
 
-def _instance_keys(report: TheoremReport) -> tuple:
-    return tuple(key for key, _ in report.instance)
-
-
-def _shape_lines(claim: str, reports: list[TheoremReport]) -> Iterable[str] | None:
-    """The JSON lines of reports of `claim`, or None if their instances differ in shape."""
+def _template_lines(claim, reports: list[TheoremReport]) -> Iterable[str] | None:
+    """The JSON lines of `reports`, all of `claim`, from one template; None if they do not fit one."""
     _, instances, predicted, oracle, _, verdict, slack = zip(*reports)
     if len(set(map(len, instances))) != 1:
         return None
@@ -132,20 +129,20 @@ def _shape_lines(claim: str, reports: list[TheoremReport]) -> Iterable[str] | No
             return None
         keys += column_keys
         values.append(tuple(map(_value, column)))
-    if not all(type(text) is str for text in [claim, *keys]):
-        return (report.to_json_line() + "\n" for report in reports)
-    # dict(instance) keeps the last value of a repeated key.
-    position = {key: i for i, key in enumerate(keys)}
-    order = sorted(position)
-    fields = ",".join(f"{_template_text(key)}:%s" for key in order)
+    if len(set(keys)) != len(keys) or not all(type(text) is str for text in [claim, *keys]):
+        return None
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    columns = [_json_column(values[i]) for i in order]
+    columns += [_json_column(oracle), _json_column(predicted), _json_column(slack)]
+    if None in columns:
+        return None
+    fields = ",".join(f"{_template_text(keys[i])}:%s" for i in order)
     # The verdict is one of the VERDICT_ words, which need no escaping.
     template = (
         f'{{"claim":{_template_text(claim)},"instance":{{{fields}}},'
         '"oracle":%s,"predicted":%s,"slack":%s,"verdict":"%s"}\n'
     )
-    columns = [_json_column(values[position[key]]) for key in order]
-    columns += [_json_column(oracle), _json_column(predicted), _json_column(slack), verdict]
-    return map(template.__mod__, zip(*columns))
+    return map(template.__mod__, zip(*columns, verdict))
 
 
 def _template_text(text: str) -> str:
@@ -164,8 +161,8 @@ _JSON_CONSTANTS = {INFINITE: '"inf"', None: "null"}
 _CONSTANT_TYPES = {int, type(INFINITE), type(None)}
 
 
-def _json_column(values: tuple) -> Iterable:
-    """`values` as text or ints that %s renders as their JSON."""
+def _json_column(values: tuple) -> Iterable | None:
+    """`values` as text or ints that %s renders as their JSON; None if they fit no template column."""
     types = set(map(type, values))
     if types == {int}:
         return values
@@ -173,11 +170,7 @@ def _json_column(values: tuple) -> Iterable:
         return map(_JSON_CONSTANTS.get, values, values)
     if types == {str}:
         return map(_json_str, values)
-    return map(_json_value, values)
-
-
-def _json_value(value) -> str:
-    return '"inf"' if value is INFINITE else _dumps(value)
+    return None
 
 
 # Within one claim every instance has the same keys and value types, so
@@ -308,18 +301,40 @@ def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremR
     return batches
 
 
-def _run_adaptive(work: list, jobs: int, cpus: int, fail_fast: bool):
+def _run_adaptive(work: list, processes: int, fail_fast: bool):
     """Yield the batches of `work` in work order, forking for the rest once it pays.
 
     Items run in this process, in order, until the time they took predicts
     that the remaining ones outweigh a fork; the remaining ones then go to
-    _run_forked with min(jobs, items left, cpus) - 1 workers.
+    _run_forked with min(processes, items left) - 1 workers.
     """
     start = time.perf_counter()
     for done, (run, kw) in enumerate(work, 1):
         yield run(**kw)
         left = len(work) - done
-        workers = min(jobs, left, cpus) - 1
+        workers = min(processes, left) - 1
         if workers >= 1 and _fork_pays(time.perf_counter() - start, done, left):
             yield from _run_forked(work[done:], workers, fail_fast)
             return
+
+
+def run_work(work: list, jobs: int, fail_fast: bool) -> list[TheoremReport]:
+    """The reports of the work items `work`, sorted by claim and instance.
+
+    Items run in this process, in work order, and are timed.  Once the
+    remaining ones, at the mean time per item so far, would take clearly
+    longer than starting a worker costs (_FORK_MIN_S), min(jobs, items
+    left, usable CPUs) - 1 workers are forked for them; this process works
+    too.  Short sweeps therefore never fork, and neither does any sweep
+    where os.fork is missing.  With fail_fast the reports end with those of
+    the first item, in work order, that reports a violation.  The sort
+    makes the result the same at any job count.
+    """
+    processes = min(jobs, _usable_cpus()) if hasattr(os, "fork") else 1
+    reports: list[TheoremReport] = []
+    for batch in _run_adaptive(work, processes, fail_fast):
+        reports += batch
+        if fail_fast and _violates(batch):
+            break
+    reports.sort(key=_report_order)
+    return reports

@@ -29,7 +29,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
@@ -65,7 +64,6 @@ from .harness import (
     KIND_UPPER,
     VERDICT_VIOLATION,
     TheoremReport,
-    _report_order,
 )
 from .valuation import factorize, omega, vp_int
 
@@ -360,8 +358,8 @@ def predict_motzkin_omega(n: int, parity: str, a: int, b: int) -> int:
 _BLOCK = 512
 
 
-def _blocks(n_max: int) -> list[tuple[int, int]]:
-    return [(lo, min(lo + _BLOCK - 1, n_max)) for lo in range(0, n_max + 1, _BLOCK)]
+def _blocks(n_lo: int, n_hi: int) -> list[tuple[int, int]]:
+    return [(lo, min(lo + _BLOCK - 1, n_hi)) for lo in range(n_lo, n_hi + 1, _BLOCK)]
 
 
 def _n_max(grid: HarnessGrid, default: int) -> int:
@@ -369,50 +367,47 @@ def _n_max(grid: HarnessGrid, default: int) -> int:
 
 
 def _table_items(names: tuple[str, ...], grid: HarnessGrid) -> list[dict]:
-    """One item per parameter tuple, or blocks of n for claims without parameters."""
+    """One item per parameter tuple, or, for claims without parameters, blocks of n that share one stream table.
+
+    Forked workers inherit the table with the items, so each process
+    resumes the streams where its own last block stopped.
+    """
     claim = CLAIMS[names[0]]
     n = _n_max(grid, claim.n_max)
     if claim.axis is None:
-        return [{"n_lo": lo, "n_hi": hi} for lo, hi in _blocks(n)]
-    return [{**dict(zip(claim.params, values)), "n_max": n} for values in claim.axis(grid)]
-
-
-# Within one run_harness call: stream -> (its parameters, the index it yields
-# next, the stream itself), so that each block of a sweep resumes the stream
-# where the block before it stopped.  Forked workers inherit it; outside a
-# sweep it is None, and only the blocks of one parameter item share a stream.
-_streams: dict | None = None
+        streams: dict = {}
+        return [{"n_lo": lo, "n_hi": hi, "streams": streams} for lo, hi in _blocks(0, n)]
+    return [{**dict(zip(claim.params, values)), "n_lo": 0, "n_hi": n} for values in claim.axis(grid)]
 
 
 def _stream_block(streams: dict, values: Callable[..., Iterator], args: tuple, lo: int, hi: int) -> list:
     """Elements lo..hi - 1 of the stream `values(*args)`.
 
-    The stream resumes at the index where the last block read from it
-    through `streams` stopped, and restarts at 0 only when that index lies
-    past `lo`.  A stream is taken out of `streams` while it is read, so no
-    two blocks read one at once and a block that raises leaves none behind;
-    one is kept per stream function.
+    `streams` maps a stream function to the index its stream yields next
+    and the stream itself; a stream it does not hold starts at 0.  One
+    table serves one parameter tuple and its blocks in increasing order,
+    so a block behind its stream raises ValueError.  A stream is taken out
+    of `streams` while it is read, so a block that raises leaves none behind.
     """
-    held = streams.pop(values, None)
-    if held is None or held[0] != args or held[1] > lo:
-        held = (args, 0, values(*args))  # and the stream held before, if any, is let go
-    _, start, stream = held
+    start, stream = streams.pop(values, None) or (0, values(*args))
+    if lo < start:
+        raise ValueError(f"a block at index {lo} lies behind its stream, at index {start}")
     block = list(islice(stream, lo - start, hi - start))
-    streams[values] = (args, hi, stream)
+    streams[values] = (hi, stream)
     return block
 
 
 def _run_table(
-    names: tuple[str, ...], n_lo: int = 0, n_hi: int | None = None, n_max: int | None = None, **params
+    names: tuple[str, ...], n_lo: int, n_hi: int, streams: dict | None = None, **params
 ) -> list[TheoremReport]:
-    """Reports of the claims `names`, which share their parameters, for n_lo..n_hi (or 0..n_max).
+    """Reports of the claims `names`, which share their parameters, for n = n_lo..n_hi.
 
-    n = 0..n_max runs as blocks of _BLOCK values of n, in order, which
-    resume one stream, so an item holds one block's values at a time.
+    The n run as blocks of _BLOCK values, in order, that resume their
+    streams from `streams` (a table of their own if None), so an item holds
+    one block's values at a time.
     """
-    streams = _streams if _streams is not None else {}
-    spans = _blocks(n_max) if n_max is not None else [(n_lo, n_hi)]
-    return [report for lo, hi in spans for report in _table_block(names, lo, hi, params, streams)]
+    streams = {} if streams is None else streams
+    return [report for lo, hi in _blocks(n_lo, n_hi) for report in _table_block(names, lo, hi, params, streams)]
 
 
 def _table_block(names: tuple[str, ...], n_lo: int, n_hi: int, params: dict, streams: dict) -> list[TheoremReport]:
@@ -462,7 +457,7 @@ def _table_block(names: tuple[str, ...], n_lo: int, n_hi: int, params: dict, str
 def _items_cor1(grid: HarnessGrid) -> list[dict]:
     n = _n_max(grid, 1000)
     return [
-        {"n_lo": lo, "n_hi": hi, "exact_max": grid.exact_max} for lo, hi in _blocks(n)
+        {"n_lo": lo, "n_hi": hi, "exact_max": grid.exact_max} for lo, hi in _blocks(0, n)
     ]
 
 
@@ -655,42 +650,27 @@ def run_harness(
 ) -> HarnessResult:
     """Sweep the selected claims over their grids and report every instance.
 
-    Deterministic: reports are sorted by claim and instance, so the output
-    is identical regardless of job count.  Violations are data in the
-    result, not exceptions.  With fail_fast the sweep keeps the work items
-    up to and including the first one, in work order, that reports a
-    violation, at any job count.
+    Lists the work items of each selected runner, in order, and runs them
+    with `harness.run_work`: reports come sorted by claim and instance, so
+    the output is identical at any job count, whether or not the sweep
+    forked; with fail_fast the sweep keeps the items up to and including
+    the first one, in work order, that reports a violation.  Violations are
+    data in the result, not exceptions; an exception raised by an item is
+    raised here.  Selectors that name no runner, or a selected runner
+    without work items, raise SelectionError.
 
-    jobs > 1 runs items in this process, in work order, and times them.
-    Once the remaining items, at the mean time per item so far, would take
-    clearly longer than starting a worker costs (harness._FORK_MIN_S), it forks
-    min(jobs, items left, usable CPUs) - 1 workers for them; this process
-    works too, and items are handed out in order from a shared counter.
-    Short sweeps therefore never fork, and neither does any sweep where
-    os.fork is missing.  An exception raised by an item is raised here, and
-    a selected runner without work items raises SelectionError.
-
-    The table runners' streams resume from block to block within the call
-    (see `_stream_block`) and are dropped when it returns.
+    The blocks of a claim without parameters share one stream table (see
+    `_stream_block`), which the sweep drops when it returns.
     """
+    names = resolve_selectors(selectors)
+    if not names:
+        raise SelectionError("no claim selected")
     grid = grid or HarnessGrid()
     work = []
-    for name in resolve_selectors(selectors):
+    for name in names:
         runner = RUNNERS[name]
         items = runner.items(grid)
         if not items:
             raise SelectionError(f"the grid gives {name} nothing to check")
         work += [(runner.run, kw) for kw in items]
-    jobs = jobs if hasattr(os, "fork") else 1
-    reports: list[TheoremReport] = []
-    global _streams
-    _streams = {}
-    try:
-        for batch in harness._run_adaptive(work, jobs, harness._usable_cpus(), fail_fast):
-            reports.extend(batch)
-            if fail_fast and harness._violates(batch):
-                break
-    finally:
-        _streams = None
-    reports.sort(key=_report_order)
-    return HarnessResult(reports)
+    return HarnessResult(harness.run_work(work, jobs, fail_fast))

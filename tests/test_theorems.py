@@ -18,7 +18,7 @@ import pytest
 import valuata.cli as cli
 import valuata.harness as harness
 from valuata.digits import kummer_carries
-from valuata.harness import _fork_pays, json_lines
+from valuata.harness import _fork_pays, _report_order, json_lines
 from valuata.sequences import (
     IntegralityError,
     delannoy,
@@ -39,7 +39,6 @@ from valuata.theorems import (
     SelectionError,
     TheoremReport,
     _FAST_N_MAX,
-    _report_order,
     coprime_pairs,
     predict_bsum_omega,
     predict_central_binomial_v2,
@@ -271,12 +270,15 @@ class TestClaimTable:
 
     def test_work_items(self):
         grid = HarnessGrid()
-        assert RUNNERS["thm3"].items(grid) == [{"n_lo": 0, "n_hi": 511}, {"n_lo": 512, "n_hi": 1000}]
-        assert RUNNERS["remarks"].items(grid) == [{"n_lo": 0, "n_hi": 300}]
-        assert RUNNERS["thm1"].items(grid) == [{"a": a, "b": b, "n_max": 200} for a, b in coprime_pairs(25)]
+        blocks = RUNNERS["thm3"].items(grid)
+        assert blocks == [{"n_lo": 0, "n_hi": 511, "streams": {}}, {"n_lo": 512, "n_hi": 1000, "streams": {}}]
+        assert blocks[0]["streams"] is blocks[1]["streams"]  # one table that the blocks resume
+        assert RUNNERS["thm3"].items(grid)[0]["streams"] is not blocks[0]["streams"]
+        assert RUNNERS["remarks"].items(grid) == [{"n_lo": 0, "n_hi": 300, "streams": {}}]
+        assert RUNNERS["thm1"].items(grid) == [{"a": a, "b": b, "n_lo": 0, "n_hi": 200} for a, b in coprime_pairs(25)]
         assert RUNNERS["cor3"].items(HarnessGrid(n_max=7, x_values=(3, 4, -1, -9))) == [
-            {"x": 3, "n_max": 7},
-            {"x": -9, "n_max": 7},
+            {"x": 3, "n_lo": 0, "n_hi": 7},
+            {"x": -9, "n_lo": 0, "n_hi": 7},
         ]
         assert [(kw["a"], kw["b"]) for kw in RUNNERS["thm6"].items(HarnessGrid(a_values=(1, 2), b_values=(2, 1, 3)))] == [
             (1, 2),
@@ -317,7 +319,7 @@ class TestClaimTable:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            reports = RUNNERS["thm5"].run(a=1, b=5, n_max=6000)
+            reports = RUNNERS["thm5"].run(a=1, b=5, n_lo=0, n_hi=6000)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -341,51 +343,57 @@ def _counted_stream(monkeypatch, counts: Counter, name: str = "thm3"):
 
 
 class TestResumedStreams:
-    def test_a_blocked_sweep_streams_each_value_about_once(self, monkeypatch):
+    def test_a_blocked_sweep_starts_its_stream_once(self, monkeypatch):
         # n <= 5000 checks D_0..D_10001 in ten blocks; restarting every block
         # at D_0 streamed about 5.6 times as many values.
         import valuata.theorems as theorems
 
+        module = dict(vars(theorems))
         counts = Counter()
         _counted_stream(monkeypatch, counts)
         result = run_harness(["thm3"], HarnessGrid(n_max=5000))
         assert result.summary() == {"thm3": {"checked": 10002, "violations": 0}}
-        assert counts["values"] <= 2 * 10002, counts
-        assert theorems._streams is None
+        assert counts == {"starts": 1, "values": 10002}
+        assert dict(vars(theorems)) == module
 
-    def test_a_runner_called_outside_run_harness_keeps_no_stream_state(self, monkeypatch):
-        import valuata.theorems as theorems
-
+    def test_each_sweep_starts_its_own_streams(self, monkeypatch):
         counts = Counter()
         _counted_stream(monkeypatch, counts)
-        blocks = RUNNERS["thm3"].run(n_lo=0, n_hi=3) + RUNNERS["thm3"].run(n_lo=4, n_hi=7)
-        assert theorems._streams is None
-        assert counts == {"starts": 2, "values": 8 + 16}
-        assert blocks == RUNNERS["thm3"].run(n_lo=0, n_hi=7)
+        grid = HarnessGrid(n_max=600)
+        assert run_harness(["thm3"], grid).reports == run_harness(["thm3"], grid).reports
+        assert counts == {"starts": 2, "values": 2 * 1202}
+
+    def test_a_runner_called_on_its_own_resumes_one_stream_across_its_blocks(self, monkeypatch):
+        counts = Counter()
+        _counted_stream(monkeypatch, counts)
+        reports = RUNNERS["thm3"].run(n_lo=0, n_hi=5000)
+        assert [dict(r.instance)["n"] for r in reports] == [n for n in range(5001) for _ in "eo"]
+        assert {r.verdict for r in reports} == {"exact"}
+        assert counts == {"starts": 1, "values": 10002}
 
     def test_a_parameter_item_resumes_its_stream_across_its_blocks(self, monkeypatch):
         # n <= 2000 is four blocks that read T_0..T_4001 once between them;
         # restarting every block at T_0 streamed about 2.5 times as many values.
-        import valuata.theorems as theorems
-
         counts = Counter()
         _counted_stream(monkeypatch, counts, "thm5")
-        reports = RUNNERS["thm5"].run(a=-2, b=5, n_max=2000)
+        reports = RUNNERS["thm5"].run(a=-2, b=5, n_lo=0, n_hi=2000)
         assert [dict(r.instance)["n"] for r in reports] == [n for n in range(2001) for _ in "eo"]
         assert {r.verdict for r in reports} == {"exact"}
         assert counts == {"starts": 1, "values": 4002}
-        assert theorems._streams is None
 
-    def test_a_stream_restarts_only_for_a_block_behind_it(self, monkeypatch):
-        import valuata.theorems as theorems
-
-        fresh = {lo: RUNNERS["thm3"].run(n_lo=lo, n_hi=lo + 3) for lo in (2, 6, 10)}
+    def test_a_block_behind_its_stream_raises(self, monkeypatch):
+        fresh = RUNNERS["thm3"].run(n_lo=2, n_hi=5)
         counts = Counter()
         _counted_stream(monkeypatch, counts)
-        monkeypatch.setattr(theorems, "_streams", {})
-        assert [RUNNERS["thm3"].run(n_lo=lo, n_hi=lo + 3) for lo in (10, 2, 6)] == [fresh[10], fresh[2], fresh[6]]
-        # D_0..D_27 for n = 10..13, then D_0..D_11 and D_12..D_19: the last block resumes.
-        assert counts == {"starts": 2, "values": 28 + 20}
+        streams = {}
+        RUNNERS["thm3"].run(n_lo=6, n_hi=9, streams=streams)
+        assert len(streams) == 1
+        with pytest.raises(ValueError, match="^a block at index 4 lies behind its stream, at index 20$"):
+            RUNNERS["thm3"].run(n_lo=2, n_hi=5, streams=streams)
+        assert streams == {}
+        assert RUNNERS["thm3"].run(n_lo=2, n_hi=5, streams=streams) == fresh
+        # D_0..D_19 for n = 6..9, then D_0..D_11 from a stream started again.
+        assert counts == {"starts": 2, "values": 20 + 12}
 
     def test_forked_workers_resume_the_inherited_streams(self, monkeypatch):
         grid = HarnessGrid(n_max=2100)
@@ -839,9 +847,10 @@ class TestHarness:
             resolve_selectors(["no-such-claim"])
         assert issubclass(SelectionError, ValueError)
 
-    def test_empty_claim_set_gives_empty_report(self):
-        result = run_harness([], self.GRID)
-        assert result.reports == [] and result.ok and result.summary() == {}
+    def test_empty_claim_set_is_a_selection_error(self):
+        for selectors in ([], ""):
+            with pytest.raises(SelectionError, match="^no claim selected$"):
+                run_harness(selectors, self.GRID)
 
     def test_fail_fast_stops_on_injected_violation(self, monkeypatch):
         bad = TheoremReport("thm1", (("n", 0), ("parity", "even")), 1, 0, KIND_EXACT)
