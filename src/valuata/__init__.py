@@ -30,6 +30,7 @@ from .sequences import (
     SEQUENCES,
     DomainError,
     IntegralityError,
+    binomial,
     bsum,
     bsum_values,
     catalan,

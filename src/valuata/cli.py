@@ -16,8 +16,6 @@ import re
 import sys
 import time
 from dataclasses import dataclass
-from itertools import islice
-from math import comb
 from typing import Callable
 
 from .digits import KernelRangeError, is_prime
@@ -26,8 +24,10 @@ from .sequences import (
     SEQUENCES,
     DomainError,
     IntegralityError,
+    binomial,
     bsum,
     eval_B,
+    stream_slice,
 )
 from .theorems import (
     CLAIMS,
@@ -58,14 +58,21 @@ class UsageError(ValueError):
 _DECIMAL = re.compile(r"([+-]?)(\d+)(?:\.(\d*))?(?:[eE]([+-]?\d+))?")
 _PLAIN_DECIMAL = re.compile(r"([+-]?)([0-9]+)")
 _MAX_EXPONENT = 4300  # Python's default limit on the digits of an int
+_SPLIT_DIGITS = 4096  # plain decimals longer than this are read in halves
 
 
 def _parse_int(text: str) -> int:
     """Integer literal, allowing 1e15-style scientific shorthand.
 
     Decimal forms are parsed exactly, so 1e23 is 10**23, and rejected
-    unless they name an integer: 1.5e1 is 15, 1.5e0 is an error.
+    unless they name an integer: 1.5e1 is 15, 1.5e0 is an error.  A long
+    run of ASCII digits is read by _parse_digits; every other text, with
+    underscores, spaces or other digits, goes to int().
     """
+    match = _PLAIN_DECIMAL.fullmatch(text) if len(text) > _SPLIT_DIGITS else None
+    if match is not None:
+        value = _parse_digits(match.group(2))
+        return -value if match.group(1) == "-" else value
     try:
         return int(text)
     except ValueError:
@@ -86,6 +93,25 @@ def _parse_int(text: str) -> int:
         if rest:
             raise UsageError(f"not an integer: {text!r}")
     return -value if sign == "-" else value
+
+
+def _parse_digits(digits: str) -> int:
+    """int(digits) for a run of ASCII digits, split in halves down to _SPLIT_DIGITS.
+
+    CPython 3.11's int(str) takes time quadratic in the length; the halves
+    are joined by multiplications by powers of ten, which grow slower.
+    """
+    powers: dict[int, int] = {}  # 10**width for the widths of one call
+
+    def parse(lo: int, hi: int) -> int:
+        if hi - lo <= _SPLIT_DIGITS:
+            return int(digits[lo:hi])
+        width = (hi - lo) // 2
+        if width not in powers:
+            powers[width] = 10**width
+        return parse(lo, hi - width) * powers[width] + parse(hi - width, hi)
+
+    return parse(0, len(digits))
 
 
 def _literal_label(text: str, value: int) -> str:
@@ -159,7 +185,7 @@ def _parse_target(tokens: list[str]) -> Target:
             raise UsageError("expected: binom <n> <k>")
         n, k = _parse_int(tokens[1]), _parse_int(tokens[2])
         check_binomial(n, k)
-        return Target(f"binom({n},{k})", lambda: comb(n, k), functools.partial(vp_binomial_fast, n, k))
+        return Target(f"binom({n},{k})", lambda: binomial(n, k), functools.partial(vp_binomial_fast, n, k))
     if head in SEQUENCES:
         entry = SEQUENCES[head]
         want = 1 + len(entry.params)
@@ -239,6 +265,12 @@ def cmd_omega(args: argparse.Namespace) -> int:
     oracle_result = None
     value = None
     if args.mode in ("oracle", "both"):
+        if target.claim is not None and target.index >= sys.maxsize:
+            # The oracle's value streams end where islice does; the fast route has no such limit.
+            raise DomainError(
+                f"{target.label} is past the oracle's reach: value streams end at sys.maxsize - 1; "
+                "use --mode fast"
+            )
         value = target.value_fn()
         oracle_result = omega(base, value)
 
@@ -300,7 +332,7 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     header = ["n", "value"] + ([f"v_{p}"] if p is not None else [])
     indices = range(lo, hi + 1)
     if entry.values is not None:
-        values = list(islice(entry.values(*extra), lo, hi + 1))
+        values = list(stream_slice(entry.values(*extra), lo, hi + 1))
     else:
         values = [entry.value(n, *extra) for n in indices]
     rows = []
@@ -509,7 +541,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             print(f"  oracle skipped: n > {oracle_reach}, fast path only")
         return 0
     start = time.perf_counter()
-    oracle_v = vp_int(comb(n, k), p)
+    oracle_v = vp_int(binomial(n, k), p)
     oracle_t = time.perf_counter() - start
     verdict = "agree" if oracle_v == fast_v else "DISAGREE"
     print(f"  oracle={oracle_t * 1000:.3f}ms v_p={oracle_v} | {verdict}")

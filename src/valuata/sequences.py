@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
-from itertools import accumulate, count, islice
+from itertools import accumulate, chain, compress, count, islice
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
@@ -39,6 +40,94 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if r:
         raise IntegralityError(f"{what}: {num} is not divisible by {den}")
     return q
+
+
+def _balanced_product(factors: list[int]) -> int:
+    """The product of `factors`, multiplied in a balanced tree.
+
+    Keeping the operands of similar size is much cheaper than growing one
+    product factor by factor.
+    """
+    while len(factors) > 1:
+        paired = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return math.prod(factors)
+
+
+# ---------------------------------------------------------------------------
+# Single binomial coefficients
+# ---------------------------------------------------------------------------
+
+
+def binomial(n: int, k: int) -> int:
+    """C(n, k), exactly: 0 for k > n, ValueError for negative n or k, as math.comb.
+
+    math.comb divides its partial products by schoolbook long division,
+    which grows as the square of min(k, n - k), while the prime-power
+    product (_binomial_by_primes) grows with n.  The two cost about the
+    same where min(k, n - k)**2 = 200 n on CPython 3.11 (the table in
+    CHANGES.md), so math.comb takes the pairs up to that line.
+    """
+    if n < 0 or k < 0 or k > n:
+        return comb(n, k)  # math.comb's ValueError, or 0
+    k = min(k, n - k)
+    if k > sys.maxsize:
+        raise DomainError(f"C({n}, {k}) is past the oracle's reach: min(k, n - k) exceeds sys.maxsize = {sys.maxsize}")
+    if k * k <= 200 * n:
+        return comb(n, k)
+    return _binomial_by_primes(n, k)
+
+
+def _binomial_by_primes(n: int, k: int) -> int:
+    """C(n, k) for 0 < k <= n/2 as the product of its prime powers (Goetgheluck,
+    "Computing binomial coefficients", Amer. Math. Monthly 94, 1987).
+
+    The exponent of p is Legendre's sum over q = p, p**2, ... <= n of
+    floor(n/q) - floor(k/q) - floor((n-k)/q).  Above sqrt(n) only q = p
+    counts, so the exponent is 0 or 1, and every prime in (n-k, n] has
+    exponent 1.  Every prime power is at most n, so the factors are folded
+    into chunks of a fixed count, about 2048 bits each, as they come; the
+    chunks are then multiplied in a balanced tree.  Only the sieve, n/2
+    bytes, and the chunks are held.
+    """
+    j = n - k
+    root = math.isqrt(n)
+    sieve = _odd_sieve(n)
+    small = (p**e for p in chain((2,), _odd_primes(sieve, 2, root)) if (e := _legendre_exponent(n, k, p)))
+    middle = (p for p in _odd_primes(sieve, root, j) if n // p - k // p - j // p)
+    factors = chain(small, middle, _odd_primes(sieve, j, n))
+    group = 2048 // n.bit_length()
+    # Every factor is at least 2, so only an empty group has product 1.
+    return _balanced_product(list(iter(lambda: math.prod(islice(factors, group)), 1)))
+
+
+def _odd_sieve(n: int) -> bytearray:
+    """Sieve of Eratosthenes over the odd numbers: entry i is 1 when 2i + 1 <= n is prime."""
+    sieve = bytearray([1]) * ((n + 1) // 2)
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return sieve
+
+
+def _odd_primes(sieve: bytearray, lo: int, hi: int) -> Iterator[int]:
+    """The odd primes in (lo, hi], read lazily off an odd-only sieve."""
+    start = (lo + 1) // 2
+    return compress(range(2 * start + 1, hi + 1, 2), memoryview(sieve)[start : (hi + 1) // 2])
+
+
+def _legendre_exponent(n: int, k: int, p: int) -> int:
+    """The exponent of p in C(n, k), by Legendre's formula."""
+    e, q = 0, p
+    while q <= n:
+        e += n // q - k // q - (n - k) // q
+        q *= p
+    return e
 
 
 def _powers(x: int, n: int) -> list[int]:
@@ -81,7 +170,7 @@ def eval_B(n: int, m: int, a: int, b: int) -> int:
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
     # C(n, n//2), then C(n, k - 1) = C(n, k) * k / (n - k + 1) down to C(n, 0).
-    row = accumulate(range(n // 2, 0, -1), lambda c, k: c * k // (n - k + 1), initial=comb(n, n // 2))
+    row = accumulate(range(n // 2, 0, -1), lambda c, k: c * k // (n - k + 1), initial=binomial(n, n // 2))
     return _paired_sum(n, m, row, a, b)
 
 
@@ -161,7 +250,7 @@ def central_binomial(n: int) -> int:
     """C(2n, n)."""
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    return comb(2 * n, n)
+    return binomial(2 * n, n)
 
 
 def catalan(n: int) -> int:
@@ -185,7 +274,7 @@ def fuss_catalan(n: int, k: int) -> int:
         raise DomainError(f"n must be non-negative, got {n}")
     if k < 2:
         raise DomainError(f"k must be at least 2, got {k}")
-    return _exact_div(comb(k * n, n), (k - 1) * n + 1, "fuss_catalan")
+    return _exact_div(binomial(k * n, n), (k - 1) * n + 1, "fuss_catalan")
 
 
 # ---------------------------------------------------------------------------
@@ -245,13 +334,13 @@ def schroder_large_values() -> Iterator[int | None]:
 def central_binomial_values(start: int = 0) -> Iterator[int]:
     """Central binomials C(2k, k) for k = start, start + 1, ... by
 
-    C(2k+2, k+1) = 2(2k+1) C(2k, k) / (k+1),   the first one from comb.
+    C(2k+2, k+1) = 2(2k+1) C(2k, k) / (k+1),   the first one from binomial.
     """
     if start < 0:
         raise DomainError(f"start must be non-negative, got {start}")
 
     def values() -> Iterator[int]:
-        cur = comb(2 * start, start)
+        cur = binomial(2 * start, start)
         for k in count(start):
             yield cur
             cur = _exact_div(2 * (2 * k + 1) * cur, k + 1, "central_binomial")
@@ -297,11 +386,18 @@ def schroder_little_values() -> Iterator[int | None]:
         yield _exact_div(s, 2, "schroder_little")
 
 
+def stream_slice(values: Iterator[int | None], lo: int, stop: int) -> Iterator[int | None]:
+    """Elements lo..stop-1 of a value stream; islice stops at sys.maxsize, so a later index is a DomainError."""
+    if stop > sys.maxsize:
+        raise DomainError(f"index {stop - 1} is past the oracle's reach: value streams end at sys.maxsize - 1")
+    return islice(values, lo, stop)
+
+
 def table_value(values: Callable[..., Iterator[int]], n: int, *params: int) -> int:
     """y_n, element n of the stream `values(*params)`; only two values are held at a time."""
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    return next(islice(values(*params), n, None))
+    return next(stream_slice(values(*params), n, n + 1))
 
 
 def delannoy(n: int) -> int:
@@ -313,7 +409,7 @@ def schroder_large(n: int) -> int:
     """Large Schroder number S_n = (-D_{n-1} + 6 D_n - D_{n+1}) / 2, n >= 1."""
     if n < 1:
         raise DomainError(f"large Schroder numbers start at index 1, got {n}")
-    d_prev, d, d_next = islice(delannoy_values(), n - 1, n + 2)
+    d_prev, d, d_next = stream_slice(delannoy_values(), n - 1, n + 2)
     return _exact_div(-d_prev + 6 * d - d_next, 2, "schroder_large")
 
 
@@ -339,15 +435,7 @@ def central_multinomial_product(n: int, p: int) -> int:
         raise DomainError(f"n must be non-negative, got {n}")
     if p < 2:
         raise DomainError(f"p must be at least 2, got {p}")
-    # Multiplying in a balanced tree keeps the operands of similar size,
-    # which is much cheaper than growing one product factor by factor.
-    factors = [comb(k * n, n) for k in range(2, p + 1)]
-    while len(factors) > 1:
-        paired = [factors[i] * factors[i + 1] for i in range(0, len(factors) - 1, 2)]
-        if len(factors) % 2:
-            paired.append(factors[-1])
-        factors = paired
-    return factors[0]
+    return _balanced_product([binomial(k * n, n) for k in range(2, p + 1)])
 
 
 def legendre(n: int, x: int) -> int:

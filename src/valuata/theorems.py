@@ -32,7 +32,6 @@ import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from math import comb
 from typing import Callable, Iterable, Iterator
 
 from .digits import (
@@ -499,7 +498,8 @@ def _items_lemma1(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
-    """lemma1's family for p at n = 0..n_max, from (pn)! / (n!)**p maintained incrementally.
+    """lemma1's family for p at n = 0..n_max, from (pn)! / (n!)**p maintained incrementally
+    and C(2n, n) read from its stream.
 
     Every step is an exact division, its remainder checked.  The product
     form is rebuilt only at n = 0, at each power of two and at n_max: a
@@ -510,7 +510,7 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
     checkpoints = {0, n_max, *(1 << k for k in range(n_max.bit_length()))}
     out = []
     multinomial = 1  # (pn)! / (n!)**p, maintained incrementally over n
-    for n in range(n_max + 1):
+    for n, central in zip(range(n_max + 1), central_binomial_values()):
         if n:
             block = 1
             for i in range(p * (n - 1) + 1, p * n + 1):
@@ -523,7 +523,6 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
             raise IntegralityError(
                 f"multinomial forms disagree at n={n}, p={p}"
             )
-        central = comb(2 * n, n)
         vp_multinomial = vp_int(multinomial, p)
         inst = (("n", n), ("p", p))
         out.append(TheoremReport("lemma1", inst, n, vp_int((2 * n + 1) * central, p), KIND_UPPER))
@@ -596,13 +595,15 @@ class SelectionError(ValueError):
     """A sweep request that names no runner, or gives a selected runner nothing to check."""
 
 
-def resolve_selectors(names: Iterable[str]) -> list[str]:
+def resolve_selectors(names: str | Iterable[str]) -> list[str]:
     """Runner names for user-facing claim selectors, in order of first mention.
 
     A selector is "all", a runner name, a claim that a runner reports or the
     sequence of a table claim, in any case.  Selecting a claim selects its
-    whole runner.
+    whole runner.  A single string is one selector, and the empty string none.
     """
+    if isinstance(names, str):
+        names = (names,) if names else ()
     out: list[str] = []
     for name in names:
         key = name.lower()
@@ -643,7 +644,7 @@ _claim_verdict = operator.itemgetter(0, 5)
 
 
 def run_harness(
-    selectors: Iterable[str] = ("all",),
+    selectors: str | Iterable[str] = ("all",),
     grid: HarnessGrid | None = None,
     jobs: int = 1,
     fail_fast: bool = False,

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -753,6 +754,30 @@ class TestOutOfMemory:
         assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
 
 
+class TestOracleReach:
+    """An oracle index past sys.maxsize exits 2 at once; a target with a fast route is pointed to it."""
+
+    HUGE = str(10**23)
+
+    def test_a_target_with_a_fast_route(self, capsys):
+        for target in (["delannoy", self.HUGE], ["schroder", self.HUGE], ["B", self.HUGE, "2", "1", "2"]):
+            code, out, err = run(capsys, "omega", "3", *target)
+            assert (code, out) == (2, "") and err.startswith("error: ") and err.endswith("; use --mode fast\n")
+            assert "value streams end at sys.maxsize - 1" in err
+
+    def test_a_target_without_one(self, capsys):
+        for target in (["catalan", self.HUGE], ["multinomial", self.HUGE, "3"], ["B", self.HUGE, "3", "1", "2"]):
+            code, out, err = run(capsys, "omega", "3", *target)
+            assert (code, out) == (2, "") and err.startswith("error: C(") and "--mode fast" not in err
+            assert f"min(k, n - k) exceeds sys.maxsize = {sys.maxsize}" in err
+        code, out, err = run(capsys, "seq", "delannoy", f"{self.HUGE}..{self.HUGE}")
+        assert (code, out) == (2, "")
+        assert err == f"error: index {self.HUGE} is past the oracle's reach: value streams end at sys.maxsize - 1\n"
+
+    def test_a_binomial_with_a_small_lower_index_still_answers(self, capsys):
+        assert run(capsys, "omega", "3", "binom", self.HUGE, "3") == (0, f"omega_3(binom({self.HUGE},3)) = 1\n", "")
+
+
 class TestPinnedVerifyOutput:
     """The stdout bytes of a small `verify all`, pinned per format and job count."""
 
@@ -873,6 +898,22 @@ class TestTopLevel:
         for text in ("1.5e0", "15e-1", "1e-3", "inf", "nan", "1e", "1e99999"):
             with pytest.raises(cli.UsageError):
                 cli._parse_int(text)
+
+    def test_long_decimals_read_in_halves(self):
+        rng = random.Random(7)
+        for digits in (cli._SPLIT_DIGITS, cli._SPLIT_DIGITS + 1, 3 * cli._SPLIT_DIGITS + 5, 60_000):
+            text = "".join(rng.choice("0123456789") for _ in range(digits))
+            value = 0  # Horner over 1000-digit chunks, each within int()'s default digit limit
+            for i in range(0, digits, 1000):
+                value = value * 10 ** len(text[i : i + 1000]) + int(text[i : i + 1000])
+            assert cli._parse_int(text) == cli._parse_int("+00" + text) == value
+            assert cli._parse_int("-" + text) == -value
+        # Underscores, spaces and other digits still go to int(), which accepts them.
+        long = "7" * (cli._SPLIT_DIGITS + 10)
+        for literal in (long + "_1", f" {long}\n", long + "\u0663"):
+            assert cli._parse_int(literal) == int(literal)
+        with pytest.raises(cli.UsageError):
+            cli._parse_int(long + "x")
 
     def test_exact_scientific_target(self, capsys):
         code, out, _ = run(capsys, "omega", "10", "1e23")
@@ -1182,6 +1223,12 @@ class TestExitCodeContract:
         "verify", "thm5", "--n-max", "2", "--ab-max", "3", "--primes", "13",
         "--a-set", "-2,1", "--b-set", "-3,5,-3",
     ])
+    @example(["omega", "3", "catalan", str(10**23)])
+    @example(["omega", "3", "multinomial", str(10**23), "3"])
+    @example(["omega", "3", "B", str(10**23), "3", "1", "2"])
+    @example(["omega", "3", "delannoy", str(10**23)])
+    @example(["omega", "3", "schroder", str(10**23)])
+    @example(["seq", "delannoy", f"{10**23}..{10**23}"])
     def test_exit_code_matches_the_outcome(self, argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,4 +1,6 @@
+import ast
 import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -9,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import valuata.sequences as sequences
 from valuata.sequences import (
     SEQUENCES,
     DomainError,
+    binomial,
     bsum,
     bsum_values,
     catalan,
@@ -472,6 +476,100 @@ class TestRegistryTables:
         for m in (2, 3):
             with pytest.raises(DomainError, match="n must be non-negative, got -1"):
                 bsum(-1, m, 1, 2)
+
+
+class TestBinomial:
+    """binomial(n, k) is math.comb(n, k) on both sides of its crossover to the prime-power product."""
+
+    @pytest.fixture
+    def prime_calls(self, monkeypatch):
+        calls = []
+        real = sequences._binomial_by_primes
+
+        def counted(n, k):
+            calls.append((n, k))
+            return real(n, k)
+
+        monkeypatch.setattr(sequences, "_binomial_by_primes", counted)
+        return calls
+
+    def test_small_pairs(self):
+        for n in range(300):
+            for k in range(n + 1):
+                assert binomial(n, k) == comb(n, k), (n, k)
+                if 0 < k <= n // 2:
+                    assert sequences._binomial_by_primes(n, k) == comb(n, k), (n, k)
+
+    def test_domain_follows_math_comb(self):
+        for n in (0, 5, 10**6, 10**30):
+            assert binomial(n, n + 1) == comb(n, n + 1) == 0
+        for n, k in ((5, -1), (-1, 2), (-1, -1), (10**6, -3)):
+            with pytest.raises(ValueError, match="must be a non-negative integer"):
+                comb(n, k)
+            with pytest.raises(ValueError, match="must be a non-negative integer"):
+                binomial(n, k)
+
+    def test_seeded_pairs_reach_both_routes(self, prime_calls):
+        rng = random.Random(2024)
+        pairs = []
+        for _ in range(2000):
+            n = int(math.exp(rng.uniform(0, math.log(100_000))))
+            # min(k, n - k) up to twice the crossover, sqrt(200 n), keeps math.comb quick.
+            k = rng.randint(0, min(n // 2, 2 * math.isqrt(200 * n)))
+            pairs.append((n, rng.choice((k, n - k))))
+        for n, k in pairs:
+            assert binomial(n, k) == comb(n, k), (n, k)
+        assert 200 < len(prime_calls) < 1800, len(prime_calls)
+
+    def test_pairs_at_the_crossover(self, prime_calls):
+        for n in (1000, 3001, 20_000, 72_000, 100_000):
+            edge = math.isqrt(200 * n) + 1  # the least k with k * k > 200 n
+            for k in (edge - 1, edge, n - edge, n - edge + 1):
+                assert binomial(n, k) == comb(n, k), (n, k)
+        assert len(prime_calls) == 10
+
+    def test_past_sys_maxsize(self):
+        huge = 10**23
+        for k in (5 * 10**22, huge - sys.maxsize - 1):
+            with pytest.raises(DomainError, match=r"^C\(100000000000000000000000, \d+\) is past the oracle's reach"):
+                binomial(huge, k)
+        assert binomial(huge, 3) == comb(huge, 3)
+        for route in (central_binomial, catalan, lambda n: fuss_catalan(n, 3), lambda n: central_multinomial_product(n, 3)):
+            with pytest.raises(DomainError, match="is past the oracle's reach"):
+                route(huge)
+
+    def test_imports_nothing_from_digits_or_valuation(self):
+        """The oracle computes Legendre's sums itself: it shares no code with the predictors' modules."""
+        tree = ast.parse(open(sequences.__file__).read())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add("." * node.level + (node.module or ""))
+                imported.update("." * node.level + alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not {name for name in imported if name.split(".")[-1] in ("digits", "valuation")}, imported
+
+
+class TestOracleReach:
+    """An index past what islice reads is a DomainError, not islice's ValueError."""
+
+    def test_streamed_values_past_sys_maxsize(self):
+        import valuata
+
+        with pytest.raises(DomainError, match="^index 10{30} is past the oracle's reach"):
+            valuata.delannoy(10**30)
+        for route in (
+            lambda n: table_value(trinomial_values, n, 1, 2),
+            lambda n: bsum(n, 2, 1, 2),
+            schroder_large,
+            schroder_little,
+            SEQUENCES["franel"].value,
+        ):
+            with pytest.raises(DomainError, match="is past the oracle's reach"):
+                route(10**30)
+        with pytest.raises(DomainError, match=f"^index {sys.maxsize} is past the oracle's reach"):
+            delannoy(sys.maxsize)
 
 
 class TestFussCatalan:

@@ -840,6 +840,13 @@ class TestHarness:
         grid = HarnessGrid(n_max=1, prime_min=50, prime_max=53)
         assert {dict(r.instance)["p"] for r in run_harness(["lemma1"], grid).reports} == {53}
 
+    def test_a_string_is_one_selector(self):
+        assert resolve_selectors("thm3") == resolve_selectors(["thm3"]) == ["thm3"]
+        grid = HarnessGrid(n_max=6)
+        assert run_harness("thm3", grid).reports == run_harness(["thm3"], grid).reports != []
+        with pytest.raises(SelectionError, match="^unknown claim selector 'no-such-claim'$"):
+            run_harness("no-such-claim")
+
     def test_selectors(self):
         assert resolve_selectors(["THM1", "delannoy"]) == ["thm1", "thm3"]
         assert resolve_selectors(["all"]) == list(RUNNERS)
