@@ -332,7 +332,7 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     header = ["n", "value"] + ([f"v_{p}"] if p is not None else [])
     indices = range(lo, hi + 1)
     if entry.values is not None:
-        values = list(stream_slice(entry.values(*extra), lo, hi + 1))
+        values = list(stream_slice(entry.values, lo, hi + 1, *extra))
     else:
         values = [entry.value(n, *extra) for n in indices]
     rows = []

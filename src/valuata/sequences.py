@@ -8,9 +8,10 @@ together with its relatives: central Delannoy and Schroder numbers,
 Franel numbers, Catalan and Fuss-Catalan numbers, generalized central
 trinomial coefficients, generalized Motzkin numbers, central multinomial
 coefficients and integer Legendre polynomial values.  Everything is
-computed in exact integer arithmetic; any division performed is checked
+computed in exact integer arithmetic; every division but one is checked
 to be exact and raises IntegralityError otherwise (which would signal an
-implementation bug, not a mathematical possibility).
+implementation bug, not a mathematical possibility).  The exception is
+the half row of binomials in eval_B, for speed (see there).
 """
 
 from __future__ import annotations
@@ -40,6 +41,15 @@ def _exact_div(num: int, den: int, what: str) -> int:
     if r:
         raise IntegralityError(f"{what}: {num} is not divisible by {den}")
     return q
+
+
+def _check_reach(n: int, what: str) -> None:
+    """A DomainError for an index from sys.maxsize on, where islice, and with it the value streams, stops.
+
+    The defining sums eval_T and eval_M keep the same reach.
+    """
+    if n >= sys.maxsize:
+        raise DomainError(f"index {n} is past the oracle's reach: {what} end at sys.maxsize - 1")
 
 
 def _balanced_product(factors: list[int]) -> int:
@@ -130,14 +140,6 @@ def _legendre_exponent(n: int, k: int, p: int) -> int:
     return e
 
 
-def _powers(x: int, n: int) -> list[int]:
-    """[x**0, x**1, ..., x**n] with the 0**0 = 1 convention."""
-    out = [1] * (n + 1)
-    for i in range(1, n + 1):
-        out[i] = out[i - 1] * x
-    return out
-
-
 def _paired_sum(n: int, m: int, coeffs: Iterable[int], a: int, b: int) -> int:
     """sum_k C(n, k)**m * a**(n-k) * b**k from the half row C(n, n//2), ..., C(n, 0), in that order.
 
@@ -163,7 +165,12 @@ def _paired_sum(n: int, m: int, coeffs: Iterable[int], a: int, b: int) -> int:
 def eval_B(n: int, m: int, a: int, b: int) -> int:
     """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k, for n >= 0 and m >= 0.
 
-    The defining sum, with its terms k and n - k summed in pairs (see _paired_sum).
+    The defining sum, with its terms k and n - k summed in pairs (see
+    _paired_sum).  Its half row divides with a bare //, the one unchecked
+    division in this module: each quotient is the binomial C(n, k - 1), so
+    every step is exact once the first value, C(n, n//2), is right.
+    Checking each step through _exact_div cost the m = 3..5 oracle queries
+    about 3% (an inline divmod, about 1.2%).
     """
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
@@ -209,41 +216,47 @@ def eval_T(n: int, a: int, b: int) -> int:
 
     sum_{k <= n/2} C(n, k) * C(n-k, k) * a**k * b**(n-2k),
 
-    the coefficient of x**n in (x**2 + b*x + a)**n.
+    the coefficient of x**n in (x**2 + b*x + a)**n.  b**(n-2k) is
+    b**(n%2) * (b**2)**(n//2 - k), so the sum runs in Horner form over
+    b**2, with a running power of a: only a few values are held at a time.
     """
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    bpow = _powers(b, n)
-    total = 0
+    _check_reach(n, "defining sums")
+    bb, total = b * b, 0
     apow = 1
     c_n2k = 1  # C(n, 2k), advanced two columns per step
     c_2kk = 1  # C(2k, k)
     for k in range(n // 2 + 1):
-        total += c_n2k * c_2kk * apow * bpow[n - 2 * k]
-        c_n2k = c_n2k * (n - 2 * k) // (2 * k + 1) * (n - 2 * k - 1) // (2 * k + 2)
-        c_2kk = c_2kk * (4 * k + 2) // (k + 1)
+        total = total * bb + c_n2k * c_2kk * apow
+        c_n2k = _exact_div(c_n2k * (n - 2 * k), 2 * k + 1, "eval_T")  # C(n, 2k+1)
+        c_n2k = _exact_div(c_n2k * (n - 2 * k - 1), 2 * k + 2, "eval_T")
+        c_2kk = _exact_div(c_2kk * (4 * k + 2), k + 1, "eval_T")
         apow *= a
-    return total
+    return total * b ** (n % 2)
 
 
 def eval_M(n: int, a: int, b: int) -> int:
     """Generalized Motzkin number:
 
-    sum_{k <= n/2} C(n, 2k) * Catalan(k) * a**k * b**(n-2k).
+    sum_{k <= n/2} C(n, 2k) * Catalan(k) * a**k * b**(n-2k),
+
+    in Horner form over b**2, as eval_T.
     """
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    bpow = _powers(b, n)
-    total = 0
+    _check_reach(n, "defining sums")
+    bb, total = b * b, 0
     apow = 1
     c_n2k = 1  # C(n, 2k)
     cat = 1  # Catalan(k)
     for k in range(n // 2 + 1):
-        total += c_n2k * cat * apow * bpow[n - 2 * k]
-        c_n2k = c_n2k * (n - 2 * k) // (2 * k + 1) * (n - 2 * k - 1) // (2 * k + 2)
-        cat = cat * (4 * k + 2) // (k + 2)
+        total = total * bb + c_n2k * cat * apow
+        c_n2k = _exact_div(c_n2k * (n - 2 * k), 2 * k + 1, "eval_M")  # C(n, 2k+1)
+        c_n2k = _exact_div(c_n2k * (n - 2 * k - 1), 2 * k + 2, "eval_M")
+        cat = _exact_div(cat * (4 * k + 2), k + 2, "eval_M")
         apow *= a
-    return total
+    return total * b ** (n % 2)
 
 
 def central_binomial(n: int) -> int:
@@ -263,11 +276,6 @@ def franel(n: int) -> int:
     return eval_B(n, 3, 1, 1)
 
 
-def hexagonal(n: int) -> int:
-    """Restricted hexagonal number: the generalized Motzkin value at (1, 3)."""
-    return eval_M(n, 1, 3)
-
-
 def fuss_catalan(n: int, k: int) -> int:
     """C(kn, n) / ((k-1)n + 1); an integer for every k >= 2."""
     if n < 0:
@@ -278,57 +286,136 @@ def fuss_catalan(n: int, k: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Value streams: y_0, y_1, ... of one recurrence, two values held at a time
+# Value streams: y_start, y_start+1, ... of one recurrence, two values held at a time
 # ---------------------------------------------------------------------------
 
+# A stream started at index _JUMP_FROM or later reaches it by chunks of
+# _JUMP steps; below it, plain steps are faster (the table in CHANGES.md).
+_JUMP = 64
+_JUMP_FROM = 1792
 
-def trinomial_values(a: int, b: int) -> Iterator[int]:
-    """T_0(a, b), T_1(a, b), ... by the recurrence
+_Step = Callable[[int], tuple[int, int, int]]
+
+
+def _started(
+    values: Callable[[int, int, int], Iterator[int]],
+    start: int,
+    initial: tuple[int, int, int],
+    step: _Step | None = None,
+    what: str = "",
+) -> Iterator[int | None]:
+    """The stream `values(*initial)` started at index `start`.
+
+    `values(j, y_{j-1}, y_j)` yields y_j, y_{j+1}, ..., one step of the
+    recurrence c(i) y_{i+1} = alpha(i) y_i + beta(i) y_{i-1} at a time,
+    and `step(i)` is (alpha(i), beta(i), c(i)).  From _JUMP_FROM on, a
+    stream with a `step` jumps to `start` (_jump); otherwise it steps from
+    j and drops the values before `start`.  An index below j is undefined
+    and yields None.
+    """
+    if start < 0:
+        raise DomainError(f"start must be non-negative, got {start}")
+    j, prev, cur = initial
+    if start < j:
+        return chain((None,) * (j - start), values(j, prev, cur))
+    if step is None or start < _JUMP_FROM:
+        return islice(values(j, prev, cur), start - j, None)
+    return values(start, *_jump(step, j, prev, cur, start, what))
+
+
+def _jump(step: _Step, j: int, prev: int, cur: int, start: int, what: str) -> tuple[int, int]:
+    """(y_{start-1}, y_start) from (y_{j-1}, y_j), by chunks of _JUMP steps.
+
+    The step at i is the integer matrix [[alpha(i), beta(i)], [c(i), 0]]
+    applied to (y_i, y_{i-1}): it gives c(i) * (y_{i+1}, y_i).  A chunk
+    multiplies its step matrices into one, whose entries stay short (about
+    a thousand bits at i = 8000), applies that to the state and divides
+    both components by the product of its c(i), each division checked
+    exact.  The product's bottom row is c(i) times its top row before the
+    last step, so the chunk keeps its last two top rows, (p, q) and
+    (p_, q_), which follow the recurrence itself.
+
+    A plain step divides a long value by a one-digit one at every index,
+    which costs several times multiplying it by that digit; a chunk
+    divides twice per _JUMP indices.
+    """
+    while j < start:
+        stop = min(j + _JUMP, start)
+        p, q, p_, q_, c_, den = 1, 0, 0, 1, 1, 1  # the identity, whose bottom row is c_ * (p_, q_)
+        for i in range(j, stop):
+            alpha, beta, c = step(i)
+            beta *= c_
+            p, q, p_, q_ = alpha * p + beta * p_, alpha * q + beta * q_, p, q
+            den *= c_
+            c_ = c
+        # den is the product of c(j), ..., c(stop-2): the last step's c(stop-1) cancels in y_{stop-1}.
+        prev, cur = _exact_div(p_ * cur + q_ * prev, den, what), _exact_div(p * cur + q * prev, den * c_, what)
+        j = stop
+    return prev, cur
+
+
+def trinomial_values(a: int, b: int, start: int = 0) -> Iterator[int]:
+    """T_start(a, b), T_start+1(a, b), ... by the recurrence
 
     (n+1) T_{n+1} = (2n+1) b T_n - n (b**2 - 4a) T_{n-1},   T_0 = 1, T_1 = b.
     """
     disc = b * b - 4 * a
-    prev, cur = 0, 1
-    for n in count():
-        yield cur
-        prev, cur = cur, _exact_div((2 * n + 1) * b * cur - n * disc * prev, n + 1, "trinomial")
+
+    def values(n: int, prev: int, cur: int) -> Iterator[int]:
+        for n in count(n):
+            yield cur
+            prev, cur = cur, _exact_div((2 * n + 1) * b * cur - n * disc * prev, n + 1, "trinomial")
+
+    return _started(values, start, (0, 0, 1), lambda n: ((2 * n + 1) * b, -n * disc, n + 1), "trinomial")
 
 
-def motzkin_values(a: int, b: int) -> Iterator[int]:
-    """M_0(a, b), M_1(a, b), ... by the recurrence
+def motzkin_values(a: int, b: int, start: int = 0) -> Iterator[int]:
+    """M_start(a, b), M_start+1(a, b), ... by the recurrence
 
     (n+3) M_{n+1} = (2n+3) b M_n + (4a - b**2) n M_{n-1},   M_0 = 1, M_1 = b.
     """
     disc = 4 * a - b * b
-    prev, cur = 0, 1
-    for n in count():
-        yield cur
-        prev, cur = cur, _exact_div((2 * n + 3) * b * cur + disc * n * prev, n + 3, "motzkin")
+
+    def values(n: int, prev: int, cur: int) -> Iterator[int]:
+        for n in count(n):
+            yield cur
+            prev, cur = cur, _exact_div((2 * n + 3) * b * cur + disc * n * prev, n + 3, "motzkin")
+
+    return _started(values, start, (0, 0, 1), lambda n: ((2 * n + 3) * b, disc * n, n + 3), "motzkin")
 
 
-def franel_values() -> Iterator[int]:
-    """Franel numbers f_0, f_1, ... by the recurrence
+def franel_values(start: int = 0) -> Iterator[int]:
+    """Franel numbers f_start, f_start+1, ... by the recurrence
 
     (n+1)**2 f_{n+1} = (7n**2 + 7n + 2) f_n + 8 n**2 f_{n-1},   f_0 = 1, f_1 = 2.
     """
-    prev, cur = 0, 1
-    for n in count():
-        yield cur
-        prev, cur = cur, _exact_div((7 * n * n + 7 * n + 2) * cur + 8 * n * n * prev, (n + 1) ** 2, "franel")
+
+    def values(n: int, prev: int, cur: int) -> Iterator[int]:
+        for n in count(n):
+            yield cur
+            prev, cur = cur, _exact_div((7 * n * n + 7 * n + 2) * cur + 8 * n * n * prev, (n + 1) ** 2, "franel")
+
+    # No jumps: the step divides by (n+1)**2, about twice the bits of the
+    # other streams' divisors, so a chunk's two long divisions and four
+    # long products cost what its 64 steps do (the table in CHANGES.md).
+    return _started(values, start, (0, 0, 1))
 
 
-def schroder_large_values() -> Iterator[int | None]:
-    """None, S_1, S_2, ... by the recurrence
+def schroder_large_values(start: int = 0) -> Iterator[int | None]:
+    """S_start, S_start+1, ... by the recurrence
 
     (n+1) S_n = 3(2n-1) S_{n-1} - (n-2) S_{n-2},   S_0 = 1, S_1 = 2;
 
-    index 0 is undefined.
+    index 0 is undefined and yields None.
     """
-    yield None
-    prev, cur = 1, 2
-    for n in count(2):
-        yield cur
-        prev, cur = cur, _exact_div(3 * (2 * n - 1) * cur - (n - 2) * prev, n + 1, "schroder_large")
+
+    def values(n: int, prev: int, cur: int) -> Iterator[int]:
+        # The step from S_{n-1} to S_n, as the recurrence reads.
+        for n in count(n + 1):
+            yield cur
+            prev, cur = cur, _exact_div(3 * (2 * n - 1) * cur - (n - 2) * prev, n + 1, "schroder_large")
+
+    return _started(values, start, (1, 1, 2), lambda n: (3 * (2 * n + 1), 1 - n, n + 2), "schroder_large")
 
 
 def central_binomial_values(start: int = 0) -> Iterator[int]:
@@ -356,48 +443,48 @@ def catalan_values() -> Iterator[int]:
         cur = _exact_div(2 * (2 * k + 1) * cur, k + 2, "catalan")
 
 
-def delannoy_values() -> Iterator[int]:
-    """Central Delannoy numbers D_0, D_1, ...: the trinomial stream at (ab, a+b) = (2, 3), so
+def delannoy_values(start: int = 0) -> Iterator[int]:
+    """Central Delannoy numbers D_start, D_start+1, ...: the trinomial stream at (ab, a+b) = (2, 3), so
 
     (n+1) D_{n+1} = 3(2n+1) D_n - n D_{n-1},   D_0 = 1, D_1 = 3.
     """
-    return trinomial_values(2, 3)
+    return trinomial_values(2, 3, start)
 
 
-def legendre_values(x: int) -> Iterator[int]:
-    """P_0(x), P_1(x), ... at odd x: the trinomial stream at (ab, a+b) for (a, b) = ((x-1)/2, (x+1)/2)."""
+def legendre_values(x: int, start: int = 0) -> Iterator[int]:
+    """P_start(x), P_start+1(x), ... at odd x: the trinomial stream at (ab, a+b) for (a, b) = ((x-1)/2, (x+1)/2)."""
     if x % 2 == 0:
         raise DomainError(f"x must be odd for an integer value, got {x}")
     a, b = (x - 1) // 2, (x + 1) // 2
-    return trinomial_values(a * b, a + b)
+    return trinomial_values(a * b, a + b, start)
 
 
-def hexagonal_values() -> Iterator[int]:
-    """Restricted hexagonal numbers: the Motzkin stream at (1, 3)."""
-    return motzkin_values(1, 3)
+def hexagonal_values(start: int = 0) -> Iterator[int]:
+    """Restricted hexagonal numbers from index start: the Motzkin stream at (1, 3)."""
+    return motzkin_values(1, 3, start)
 
 
-def schroder_little_values() -> Iterator[int | None]:
-    """None, s_1, s_2, ...: the large stream halved; index 0 is undefined."""
-    large = schroder_large_values()
-    next(large)
-    yield None
-    for s in large:
-        yield _exact_div(s, 2, "schroder_little")
+def schroder_little_values(start: int = 0) -> Iterator[int | None]:
+    """s_start, s_start+1, ...: the large stream halved; index 0 is undefined and yields None."""
+    return (s if s is None else _exact_div(s, 2, "schroder_little") for s in schroder_large_values(start))
 
 
-def stream_slice(values: Iterator[int | None], lo: int, stop: int) -> Iterator[int | None]:
-    """Elements lo..stop-1 of a value stream; islice stops at sys.maxsize, so a later index is a DomainError."""
-    if stop > sys.maxsize:
-        raise DomainError(f"index {stop - 1} is past the oracle's reach: value streams end at sys.maxsize - 1")
-    return islice(values, lo, stop)
+def stream_slice(
+    values: Callable[..., Iterator[int | None]], lo: int, stop: int, *params: int
+) -> Iterator[int | None]:
+    """Elements lo..stop-1 of the stream `values(*params)`, which starts at lo.
+
+    An index past the streams' reach is a DomainError, raised before the stream starts.
+    """
+    _check_reach(stop - 1, "value streams")
+    return islice(values(*params, start=lo), stop - lo)
 
 
 def table_value(values: Callable[..., Iterator[int]], n: int, *params: int) -> int:
-    """y_n, element n of the stream `values(*params)`; only two values are held at a time."""
+    """y_n, the first element of the stream `values(*params)` started at n; only a few values are held at a time."""
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    return next(stream_slice(values(*params), n, n + 1))
+    return next(stream_slice(values, n, n + 1, *params))
 
 
 def delannoy(n: int) -> int:
@@ -405,11 +492,16 @@ def delannoy(n: int) -> int:
     return table_value(delannoy_values, n)
 
 
+def hexagonal(n: int) -> int:
+    """Restricted hexagonal number: the generalized Motzkin value at (1, 3), read from its stream."""
+    return table_value(hexagonal_values, n)
+
+
 def schroder_large(n: int) -> int:
     """Large Schroder number S_n = (-D_{n-1} + 6 D_n - D_{n+1}) / 2, n >= 1."""
     if n < 1:
         raise DomainError(f"large Schroder numbers start at index 1, got {n}")
-    d_prev, d, d_next = stream_slice(delannoy_values(), n - 1, n + 2)
+    d_prev, d, d_next = stream_slice(delannoy_values, n - 1, n + 2)
     return _exact_div(-d_prev + 6 * d - d_next, 2, "schroder_large")
 
 
@@ -466,7 +558,7 @@ def legendre_rational(n: int, x: int) -> Fraction:
     c = 1
     for k in range(n + 1):
         total += c * c * (x + 1) ** k * (x - 1) ** (n - k)
-        c = c * (n - k) // (k + 1)
+        c = _exact_div(c * (n - k), k + 1, "legendre_rational")
     return Fraction(total, 2**n)
 
 

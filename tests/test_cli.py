@@ -406,6 +406,27 @@ class TestSeq:
         pointwise = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
         assert with_table == pointwise and all(code == 0 and out for code, out, _ in pointwise)
 
+    @pytest.mark.parametrize("name, params, lo", [
+        ("delannoy", (), 1600),
+        ("schroder", (), 1600),
+        ("little-schroder", (), 1540),
+        ("hexagonal", (), 1536),
+        ("trinomial", ("-3", "5"), 1700),
+        ("motzkin", ("2", "-4"), 1535),
+        ("legendre", ("-15",), 1600),
+        ("franel", (), 3072),
+        ("central-binomial", (), 700),
+    ])
+    def test_a_range_from_lo_gives_the_rows_of_a_range_from_0(self, capsys, name, params, lo):
+        # A range starts its stream at lo, by jumps past the crossover; the rows must not change.
+        hi = lo + 3
+        for extra in ((), ("--valuation", "3"), ("--format", "csv")):
+            code, out, err = run(capsys, "seq", name, f"{lo}..{hi}", *params, *extra)
+            full = run(capsys, "seq", name, f"{SEQUENCES[name].min_index}..{hi}", *params, *extra)[1]
+            lines, full_lines = out.splitlines(), full.splitlines()
+            header = ["n,value" + (",v_3" if "--valuation" in extra else "")] if "csv" in extra else []
+            assert (code, err) == (0, "") and lines == header + full_lines[-4:], (name, extra)
+
     def test_domain_error_exit_2(self, capsys):
         code, _, err = run(capsys, "seq", "schroder", "0..3")
         assert code == 2 and "index 1" in err

@@ -15,6 +15,7 @@ import valuata.sequences as sequences
 from valuata.sequences import (
     SEQUENCES,
     DomainError,
+    IntegralityError,
     binomial,
     bsum,
     bsum_values,
@@ -315,7 +316,7 @@ class TestRecurrenceTables:
     def test_named_tables_match_defining_sums(self):
         assert _first(franel_values(), self.N - 1) == [franel(n) for n in range(self.N)]
         assert _first(catalan_values(), self.N - 1) == [catalan(n) for n in range(self.N)]
-        assert _first(hexagonal_values(), self.N - 1) == [hexagonal(n) for n in range(self.N)]
+        assert _first(hexagonal_values(), self.N - 1) == [eval_M(n, 1, 3) for n in range(self.N)]
         for x in (3, -3, 5, -5, 9, -15):
             assert _first(legendre_values(x), self.N - 1) == [legendre(n, x) for n in range(self.N)]
 
@@ -570,6 +571,118 @@ class TestOracleReach:
                 route(10**30)
         with pytest.raises(DomainError, match=f"^index {sys.maxsize} is past the oracle's reach"):
             delannoy(sys.maxsize)
+
+    def test_single_values_and_defining_sums_past_sys_maxsize(self):
+        import valuata
+
+        for route, what in (
+            (valuata.hexagonal, "value streams"),
+            (lambda n: valuata.eval_T(n, 1, 2), "defining sums"),
+            (lambda n: valuata.eval_M(n, 1, 3), "defining sums"),
+        ):
+            with pytest.raises(DomainError, match=f"^index 10{{30}} is past the oracle's reach: {what} end"):
+                route(10**30)
+
+
+def _schroder_sum(n):
+    """S_n = sum_k C(n+k, 2k) * Catalan(k), which shares no code with the recurrences."""
+    return sum(comb(n + k, 2 * k) * comb(2 * k, k) // (k + 1) for k in range(n + 1))
+
+
+class TestJump:
+    """A stream started at n jumps there by chunks of step matrices (Franel's steps); it gives the stepped values."""
+
+    # name -> (stream, params, defining sum of y_n)
+    STREAMS = {
+        "delannoy": (delannoy_values, (), lambda n: eval_B(n, 2, 1, 2)),
+        "trinomial -3 5": (trinomial_values, (-3, 5), lambda n: eval_T(n, -3, 5)),
+        "trinomial 1 2": (trinomial_values, (1, 2), lambda n: eval_T(n, 1, 2)),  # b**2 - 4a = 0
+        "trinomial 0 4": (trinomial_values, (0, 4), lambda n: eval_T(n, 0, 4)),
+        "motzkin 2 -4": (motzkin_values, (2, -4), lambda n: eval_M(n, 2, -4)),
+        "motzkin 1 2": (motzkin_values, (1, 2), lambda n: eval_M(n, 1, 2)),  # 4a - b**2 = 0
+        "motzkin 0 3": (motzkin_values, (0, 3), lambda n: eval_M(n, 0, 3)),
+        "legendre -15": (legendre_values, (-15,), lambda n: legendre_rational(n, -15)),
+        "franel": (franel_values, (), lambda n: eval_B(n, 3, 1, 1)),
+        "hexagonal": (hexagonal_values, (), lambda n: eval_M(n, 1, 3)),
+        "schroder": (schroder_large_values, (), lambda n: _schroder_sum(n) if n else None),
+        "little-schroder": (schroder_little_values, (), lambda n: _schroder_sum(n) // 2 if n else None),
+        **{
+            f"bsum {a} {b}": (trinomial_values, (a * b, a + b), lambda n, a=a, b=b: eval_B(n, 2, a, b))
+            for a, b in SIGNED_PAIRS
+        },
+    }
+
+    @pytest.fixture
+    def jump_everywhere(self, monkeypatch):
+        monkeypatch.setattr(sequences, "_JUMP_FROM", 0)
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        calls = []
+        real = sequences._exact_div
+
+        def counted(num, den, what):
+            calls.append(what)
+            return real(num, den, what)
+
+        monkeypatch.setattr(sequences, "_exact_div", counted)
+        return calls
+
+    def test_every_start_up_to_200_and_at_the_chunk_edges(self, jump_everywhere):
+        starts = [*range(201), 255, 256, 257, 383, 384, 385]
+        for name, (values, params, defining_sum) in self.STREAMS.items():
+            stepped = _first(values(*params), max(starts) + 2)
+            for n in starts:
+                jumped = list(islice(values(*params, start=n), 2))
+                assert jumped == stepped[n : n + 2], (name, n)
+                assert jumped[0] == defining_sum(n), (name, n)
+
+    def test_both_sides_of_the_crossover(self, divisions):
+        edge = sequences._JUMP_FROM
+        for name, (values, params, defining_sum) in self.STREAMS.items():
+            stepped = _first(values(*params), edge + 2)
+            for n in (edge - 1, edge, edge + 1):
+                divisions.clear()
+                jumped = list(islice(values(*params, start=n), 2))
+                # Below the crossover the stream steps to n, and the Franel stream always does; from
+                # the crossover on the others jump, then step once (the little Schroder stream also
+                # halves both values).
+                if n < edge or name == "franel":
+                    assert len(divisions) >= n, (name, n, len(divisions))
+                else:
+                    assert len(divisions) <= 2 * math.ceil(n / sequences._JUMP) + 3, (name, n, len(divisions))
+                assert jumped == stepped[n : n + 2] and jumped[0] == defining_sum(n), (name, n)
+
+    def test_single_values_divide_about_twice_per_chunk(self, divisions):
+        n = 8000
+        chunks = math.ceil(n / sequences._JUMP)
+        routes = {
+            "delannoy": (lambda: delannoy(n), 0),
+            "schroder": (lambda: schroder_large(n), 3),  # two plain steps to D_{n+1}, and the halving
+            "hexagonal": (lambda: hexagonal(n), 0),
+            "bsum": (lambda: bsum(n, 2, -3, 5), 0),
+            "trinomial": (lambda: SEQUENCES["trinomial"].value(n, 3, 5), 0),
+            "legendre": (lambda: SEQUENCES["legendre"].value(n, 13), 0),
+        }
+        for name, (route, extra) in routes.items():
+            divisions.clear()
+            route()
+            assert len(divisions) <= 2 * chunks + extra, (name, len(divisions))
+
+    def test_a_corrupted_step_coefficient_raises(self):
+        def step(n):  # the Delannoy step, with alpha(70) off by one
+            return 3 * (2 * n + 1) + (n == 70), -n, n + 1
+
+        assert sequences._jump(step, 0, 0, 1, 70, "delannoy") == (delannoy(69), delannoy(70))
+        with pytest.raises(IntegralityError, match="^delannoy: "):
+            sequences._jump(step, 0, 0, 1, 128, "delannoy")
+
+    def test_start_domain(self):
+        for values, params in ((delannoy_values, ()), (franel_values, ()), (schroder_little_values, ())):
+            with pytest.raises(DomainError, match="^start must be non-negative, got -1$"):
+                values(*params, start=-1)
+        assert list(islice(schroder_large_values(start=0), 2)) == [None, 2]
+        assert list(islice(schroder_little_values(start=0), 2)) == [None, 1]
 
 
 class TestFussCatalan:
