@@ -28,6 +28,7 @@ from .sequences import (
     bsum,
     eval_B,
     stream_slice,
+    trinomial_values,
 )
 from .theorems import (
     CLAIMS,
@@ -333,6 +334,9 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     indices = range(lo, hi + 1)
     if entry.values is not None:
         values = list(stream_slice(entry.values, lo, hi + 1, *extra))
+    elif name == "bsum" and extra[0] == 2:  # the square sum: one trinomial stream at (ab, a + b)
+        _, a, b = extra
+        values = list(stream_slice(trinomial_values, lo, hi + 1, a * b, a + b))
     else:
         values = [entry.value(n, *extra) for n in indices]
     rows = []
@@ -448,7 +452,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 row["slack"] = report.slack
                 writer.writerow(row)
         elif args.format == "json":
-            sys.stdout.writelines(json_lines(result.reports))
+            sys.stdout.writelines(json_lines(result.batches))
         else:
             for report in result.reports:
                 fields = " ".join(f"{k}={v}" for k, v in report.instance)
@@ -458,10 +462,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     f"oracle={report.oracle} {report.verdict}{extra}"
                 )
 
-    summary = result.summary()
     stream = sys.stdout if args.format == "human" or args.summary_only else sys.stderr
-    for claim in sorted(summary):
-        counts = summary[claim]
+    for claim, counts in result.summary().items():  # in name order
         print(
             f"[{claim}] checked={counts['checked']} violations={counts['violations']}",
             file=stream,

@@ -1,25 +1,28 @@
-"""Claim reports, their JSON lines and the fan-out that runs sweep work items.
+"""Claim reports, their batches and JSON lines, and the fan-out that runs sweep work items.
 
-A work item is a pair (run, kwargs); `run(**kwargs)` returns the list of
-TheoremReport instances for one slice of a claim sweep.  `run_work` is the
-one entry point of the fan-out: it runs items in this process and forks
-workers for the rest once the remaining work outweighs a fork, cuts the
-sweep after the first violating item under fail-fast and sorts the
-reports.  Workers claim items in index order from a shared counter and
+A work item is a pair (run, kwargs); `run(**kwargs)` returns one
+ReportBatch per claim: one slice of a claim sweep, as columns.
+`run_work` is the one entry point of the fan-out: it runs items in this
+process and forks workers for the rest once the remaining work outweighs
+a fork, and cuts the sweep after the first violating item under
+fail-fast.  Workers claim items in index order from a shared counter and
 inherit the items' arguments with the fork, so the batches come back in
-work order at any job count.
+work order at any job count.  A HarnessResult folds them into counts per
+claim as they arrive; only its reports view and the JSON lines put
+them into report order.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import operator
 import os
 import time
-from itertools import groupby
+from itertools import chain, cycle, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .valuation import INFINITE, Valuation
 
@@ -32,6 +35,26 @@ KIND_LOWER = "lower"  # oracle >= predicted
 KIND_UPPER = "upper"  # oracle <= predicted
 
 _new_tuple = tuple.__new__
+
+# kind -> the comparison of (oracle, predicted) that the claim demands, and the verdict when it holds
+_CHECKS = {
+    KIND_EXACT: (operator.eq, VERDICT_EXACT),
+    KIND_LOWER: (operator.ge, VERDICT_BOUND),
+    KIND_UPPER: (operator.le, VERDICT_BOUND),
+}
+
+
+def _check(kind: str) -> tuple:
+    if kind not in _CHECKS:
+        raise ValueError(f"unknown claim kind {kind!r}")
+    return _CHECKS[kind]
+
+
+def _slack(kind: str, predicted: int, oracle: Valuation) -> int | None:
+    """Unused room in a bound claim; None for exact claims and infinite oracles."""
+    if kind == KIND_EXACT or oracle is INFINITE:
+        return None
+    return oracle - predicted if kind == KIND_LOWER else predicted - oracle
 
 
 class TheoremReport(tuple):
@@ -52,19 +75,9 @@ class TheoremReport(tuple):
         oracle: Valuation,
         kind: str = KIND_EXACT,
     ) -> TheoremReport:
-        slack = None
-        if kind == KIND_EXACT:
-            verdict = VERDICT_EXACT if oracle == predicted else VERDICT_VIOLATION
-        elif kind == KIND_LOWER:
-            verdict = VERDICT_BOUND if oracle >= predicted else VERDICT_VIOLATION
-            if oracle is not INFINITE:
-                slack = oracle - predicted
-        elif kind == KIND_UPPER:
-            verdict = VERDICT_BOUND if oracle <= predicted else VERDICT_VIOLATION
-            if oracle is not INFINITE:
-                slack = predicted - oracle
-        else:
-            raise ValueError(f"unknown claim kind {kind!r}")
+        compare, holds = _check(kind)
+        verdict = holds if compare(oracle, predicted) else VERDICT_VIOLATION
+        slack = _slack(kind, predicted, oracle)
         return _new_tuple(cls, (claim, instance, predicted, oracle, kind, verdict, slack))
 
     claim = property(itemgetter(0))
@@ -102,47 +115,68 @@ class TheoremReport(tuple):
 _dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
 
 
-def json_lines(reports: Iterable[TheoremReport]) -> Iterator[str]:
-    """`report.to_json_line() + "\\n"` for each report, in order.
+class ReportBatch(NamedTuple):
+    """One claim's reports from one work item, as columns.
 
-    Each run of consecutive reports of one claim is filled into one
-    printf-style template, column by column.  A run that does not fit one
-    falls back to `to_json_line` per report: its instances differ in shape
-    or have repeated or non-string keys, or a column holds something other
-    than all ints, all strings, or ints mixed with INFINITE and None.
+    Row j is the instance (("n", n), ("parity", parity)) + params of the
+    j-th pair of `ns` x `parities`, n-major, or (("n", n),) + params when
+    `parities` is empty.  `predicted[j]` and `oracle[j]` are its ints, the
+    oracle INFINITE for a valuation of 0; verdicts and slacks are derived
+    per column, as TheoremReport derives them.
     """
-    for claim, run in groupby(reports, _claim):
-        run = list(run)
-        lines = _template_lines(claim, run)
-        yield from (report.to_json_line() + "\n" for report in run) if lines is None else lines
+
+    claim: str
+    kind: str
+    params: tuple[tuple[str, object], ...]
+    ns: range
+    parities: tuple[str, ...]
+    predicted: list[int]
+    oracle: list[Valuation]
 
 
-def _template_lines(claim, reports: list[TheoremReport]) -> Iterable[str] | None:
-    """The JSON lines of `reports`, all of `claim`, from one template; None if they do not fit one."""
-    _, instances, predicted, oracle, _, verdict, slack = zip(*reports)
-    if len(set(map(len, instances))) != 1:
-        return None
-    keys, values = [], []
-    for column in zip(*instances):
-        column_keys = set(map(_key, column))
-        if len(column_keys) != 1:
-            return None
-        keys += column_keys
-        values.append(tuple(map(_value, column)))
-    if len(set(keys)) != len(keys) or not all(type(text) is str for text in [claim, *keys]):
-        return None
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    columns = [_json_column(values[i]) for i in order]
-    columns += [_json_column(oracle), _json_column(predicted), _json_column(slack)]
-    if None in columns:
-        return None
-    fields = ",".join(f"{_template_text(keys[i])}:%s" for i in order)
+def _verdicts(batch: ReportBatch) -> Iterator[str]:
+    compare, holds = _check(batch.kind)
+    return map((VERDICT_VIOLATION, holds).__getitem__, map(compare, batch.oracle, batch.predicted))
+
+
+def _violations(batch: ReportBatch) -> int:
+    """The number of violating rows of `batch`, once its columns are checked to cover its rows."""
+    rows = len(batch.ns) * (len(batch.parities) or 1)
+    if len(batch.predicted) != rows or len(batch.oracle) != rows:
+        raise ValueError(f"a {batch.claim} batch of {rows} rows has columns of other lengths")
+    return operator.countOf(_verdicts(batch), VERDICT_VIOLATION)
+
+
+def _reports(batch: ReportBatch) -> list[TheoremReport]:
+    claim, kind, params, ns, parities, predicted, oracle = batch
+    if parities:
+        instances = [(("n", n), ("parity", parity)) + params for n in ns for parity in parities]
+    else:
+        instances = [(("n", n),) + params for n in ns]
+    return list(map(TheoremReport, repeat(claim), instances, predicted, oracle, repeat(kind)))
+
+
+def _json_lines(batch: ReportBatch) -> Iterator[str]:
+    """The JSON lines of `batch`, from one printf-style template with its claim and parameters filled in."""
+    slacks = None if batch.kind == KIND_EXACT else list(map(_slack, repeat(batch.kind), batch.predicted, batch.oracle))
+    fields = {key: _dumps(value).replace("%", "%%") for key, value in batch.params}
+    fields["n"] = "%s"
+    columns: list = [batch.ns]
+    if batch.parities:
+        fields["parity"] = "%s"  # sorts after "n", as its column does
+        n_column = chain.from_iterable(zip(*(batch.ns,) * len(batch.parities)))
+        columns = [n_column, cycle(map(_json_str, batch.parities))]
+    instance = ",".join(f"{_template_text(key)}:{fields[key]}" for key in sorted(fields))
+    columns += [map(_JSON_CONSTANTS.get, batch.oracle, batch.oracle), batch.predicted]
+    if slacks is not None:
+        columns.append(map(_JSON_CONSTANTS.get, slacks, slacks))
+    columns.append(_verdicts(batch))
     # The verdict is one of the VERDICT_ words, which need no escaping.
     template = (
-        f'{{"claim":{_template_text(claim)},"instance":{{{fields}}},'
-        '"oracle":%s,"predicted":%s,"slack":%s,"verdict":"%s"}\n'
+        f'{{"claim":{_template_text(batch.claim)},"instance":{{{instance}}},"oracle":%s,"predicted":%s,'
+        f'"slack":{"null" if slacks is None else "%s"},"verdict":"%s"}}\n'
     )
-    return map(template.__mod__, zip(*columns, verdict))
+    return map(template.__mod__, zip(*columns))
 
 
 def _template_text(text: str) -> str:
@@ -150,36 +184,80 @@ def _template_text(text: str) -> str:
     return _json_str(text).replace("%", "%%")
 
 
-_claim = itemgetter(0)
-_key = itemgetter(0)
-_value = itemgetter(1)
-_verdict = itemgetter(5)
-
-# JSON text of the non-int values a report field takes; %s renders an int
-# (but not a bool) exactly as JSON does.
+# JSON text of the non-int values an oracle or slack takes; %s renders an
+# int exactly as JSON does.
 _JSON_CONSTANTS = {INFINITE: '"inf"', None: "null"}
-_CONSTANT_TYPES = {int, type(INFINITE), type(None)}
 
 
-def _json_column(values: tuple) -> Iterable | None:
-    """`values` as text or ints that %s renders as their JSON; None if they fit no template column."""
-    types = set(map(type, values))
-    if types == {int}:
-        return values
-    if types <= _CONSTANT_TYPES:
-        return map(_JSON_CONSTANTS.get, values, values)
-    if types == {str}:
-        return map(_json_str, values)
-    return None
+_params = itemgetter(2)
 
 
-# Within one claim every instance has the same keys and value types, so
-# the instance tuples compare field by field.
-_report_order = itemgetter(0, 1)
-# Workers send reports as plain tuples of their fields: pickling those and
-# rebuilding the reports takes about half the time that pickling the
-# reports does, which pickle through their Python-level __reduce__.
-_report_from_fields = functools.partial(_new_tuple, TheoremReport)
+def _in_order(batches: Iterable[ReportBatch], rows: Callable[[ReportBatch], Iterable]) -> Iterator:
+    """`rows(batch)` of every batch, chained row by row into report order: by claim, then instance.
+
+    Claims come in name order.  The blocks of a claim without parameters
+    cover consecutive n in work order, so they follow one another; the
+    parameter items of a claim share their rows, so they interleave row by
+    row, in the order of their parameter tuples.
+    """
+    by_claim: dict[str, list[ReportBatch]] = {}
+    for batch in batches:
+        by_claim.setdefault(batch.claim, []).append(batch)
+    runs = []
+    for claim in sorted(by_claim):
+        group = by_claim[claim]
+        if not any(batch.params for batch in group):
+            runs += map(rows, group)
+            continue
+        if len({(batch.ns, batch.parities) for batch in group}) != 1:
+            raise ValueError(f"the parameter items of {claim} do not share their rows")
+        group.sort(key=_params)
+        runs.append(chain.from_iterable(zip(*map(rows, group))))
+    return chain.from_iterable(runs)
+
+
+def json_lines(batches: Iterable[ReportBatch]) -> Iterator[str]:
+    """`report.to_json_line() + "\\n"` for each report of `batches`, in the order of HarnessResult.reports."""
+    return _in_order(batches, _json_lines)
+
+
+class HarnessResult:
+    """A sweep's report batches, in work order, with the reports checked and violations found per claim."""
+
+    def __init__(self, batches: Iterable[ReportBatch] = ()) -> None:
+        self.batches: list[ReportBatch] = []
+        self._counts: dict[str, list[int]] = {}  # claim -> [checked, violations]
+        self._add(list(batches))
+
+    def _add(self, batches: list[ReportBatch]) -> bool:
+        """Fold one work item's batches in; whether they report a violation."""
+        self.batches += batches
+        found = 0
+        for batch in batches:
+            violations = _violations(batch)
+            counts = self._counts.setdefault(batch.claim, [0, 0])
+            counts[0] += len(batch.oracle)
+            counts[1] += violations
+            found += violations
+        return found > 0
+
+    @functools.cached_property
+    def reports(self) -> list[TheoremReport]:
+        """Every report, sorted by claim and instance; built from the batches on first use."""
+        return list(_in_order(self.batches, _reports))
+
+    @property
+    def violations(self) -> list[TheoremReport]:
+        return [r for r in self.reports if r.verdict == VERDICT_VIOLATION]
+
+    @property
+    def ok(self) -> bool:
+        return not any(violations for _, violations in self._counts.values())
+
+    def summary(self) -> dict[str, dict[str, int]]:
+        """Reports checked and violations found per claim, claims in name order."""
+        counts = sorted(self._counts.items())
+        return {claim: {"checked": checked, "violations": found} for claim, (checked, found) in counts if checked}
 
 
 # The remaining work of a sweep must exceed this many seconds, estimated
@@ -199,17 +277,13 @@ def _fork_pays(elapsed: float, done: int, left: int) -> bool:
     return elapsed / done * left > _FORK_MIN_S
 
 
-def _violates(reports: Iterable[TheoremReport]) -> bool:
-    return VERDICT_VIOLATION in map(_verdict, reports)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _claim_items(work: list, counter, fail_fast: bool) -> list[tuple[int, list[TheoremReport]]]:
+def _claim_items(work: list, counter, fail_fast: bool) -> list[tuple[int, list[ReportBatch]]]:
     """Run items taken in index order from the shared counter until none are left."""
     done = []
     while True:
@@ -219,9 +293,9 @@ def _claim_items(work: list, counter, fail_fast: bool) -> list[tuple[int, list[T
         if i >= len(work):
             return done
         run, kwargs = work[i]
-        batch = run(**kwargs)
-        done.append((i, batch))
-        if fail_fast and _violates(batch):
+        batches = run(**kwargs)
+        done.append((i, batches))
+        if fail_fast and any(map(_violations, batches)):
             _stop_claims(counter, len(work))
 
 
@@ -232,8 +306,7 @@ def _stop_claims(counter, n_items: int) -> None:
 
 def _worker(work: list, counter, fail_fast: bool, conn) -> None:
     try:
-        done = _claim_items(work, counter, fail_fast)
-        result = [(i, list(map(tuple, batch))) for i, batch in done]
+        result = _claim_items(work, counter, fail_fast)
     except Exception as exc:
         _stop_claims(counter, len(work))
         result = exc
@@ -261,12 +334,13 @@ def _reap(proc, reader):
     return result
 
 
-def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremReport] | None]:
-    """Run `work` in this process and `workers` forked ones; batches in work order.
+def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[ReportBatch]]:
+    """Run `work` in this process and `workers` forked ones; the batches of the items run, in work order.
 
     Items are claimed in index order, so every item before a claimed one has
-    been claimed too and runs to completion.  Every worker is joined before
-    this returns or raises.
+    been claimed too and runs to completion: the items run are a prefix of
+    `work`, all of it unless fail_fast stopped the claims.  Every worker is
+    joined before this returns or raises.
     """
     import multiprocessing  # only a sweep that forks pays for the import
 
@@ -292,13 +366,10 @@ def _run_forked(work: list, workers: int, fail_fast: bool) -> list[list[TheoremR
         elif isinstance(result, BaseException):
             error = error or result
         else:
-            done.extend((i, list(map(_report_from_fields, batch))) for i, batch in result)
+            done.extend(result)
     if error is not None:
         raise error
-    batches: list[list[TheoremReport] | None] = [None] * len(work)
-    for i, batch in done:
-        batches[i] = batch
-    return batches
+    return [batches for _, batches in sorted(done, key=itemgetter(0))]
 
 
 def _run_adaptive(work: list, processes: int, fail_fast: bool):
@@ -318,23 +389,21 @@ def _run_adaptive(work: list, processes: int, fail_fast: bool):
             return
 
 
-def run_work(work: list, jobs: int, fail_fast: bool) -> list[TheoremReport]:
-    """The reports of the work items `work`, sorted by claim and instance.
+def run_work(work: list, jobs: int, fail_fast: bool) -> HarnessResult:
+    """The result of the work items `work`: their batches, in work order, and the counts they fold into.
 
     Items run in this process, in work order, and are timed.  Once the
     remaining ones, at the mean time per item so far, would take clearly
     longer than starting a worker costs (_FORK_MIN_S), min(jobs, items
     left, usable CPUs) - 1 workers are forked for them; this process works
     too.  Short sweeps therefore never fork, and neither does any sweep
-    where os.fork is missing.  With fail_fast the reports end with those of
-    the first item, in work order, that reports a violation.  The sort
+    where os.fork is missing.  With fail_fast the batches end with those of
+    the first item, in work order, that reports a violation.  Work order
     makes the result the same at any job count.
     """
     processes = min(jobs, _usable_cpus()) if hasattr(os, "fork") else 1
-    reports: list[TheoremReport] = []
-    for batch in _run_adaptive(work, processes, fail_fast):
-        reports += batch
-        if fail_fast and _violates(batch):
+    result = HarnessResult()
+    for batches in _run_adaptive(work, processes, fail_fast):
+        if result._add(batches) and fail_fast:
             break
-    reports.sort(key=_report_order)
-    return reports
+    return result

@@ -549,16 +549,18 @@ def legendre_rational(n: int, x: int) -> Fraction:
     (1 / 2**n) * sum_k C(n, k)**2 * (x+1)**k * (x-1)**(n-k),
 
     evaluated in exact rational arithmetic so that even x is testable.
+    The sum runs in Horner form over x + 1, from the term k = n down, with
+    (x-1)**(n-k) a running product; C(n, k) = C(n, n-k) runs up from k = n.
     """
     from fractions import Fraction  # imported here: it loads decimal too
 
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
-    total = 0
-    c = 1
-    for k in range(n + 1):
-        total += c * c * (x + 1) ** k * (x - 1) ** (n - k)
-        c = _exact_div(c * (n - k), k + 1, "legendre_rational")
+    total, c, low = 0, 1, 1  # and C(n, j), (x-1)**j for j = n - k
+    for j in range(n + 1):
+        total = total * (x + 1) + c * c * low
+        low *= x - 1
+        c = _exact_div(c * (n - j), j + 1, "legendre_rational")
     return Fraction(total, 2**n)
 
 

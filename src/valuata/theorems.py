@@ -28,10 +28,8 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
-from collections import Counter
-from dataclasses import dataclass, field
-from itertools import islice
+from dataclasses import dataclass
+from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator
 
 from .digits import (
@@ -61,7 +59,8 @@ from .harness import (
     KIND_EXACT,
     KIND_LOWER,
     KIND_UPPER,
-    VERDICT_VIOLATION,
+    HarnessResult,
+    ReportBatch,
     TheoremReport,
 )
 from .valuation import factorize, omega, vp_int
@@ -398,56 +397,50 @@ def _stream_block(streams: dict, values: Callable[..., Iterator], args: tuple, l
 
 def _run_table(
     names: tuple[str, ...], n_lo: int, n_hi: int, streams: dict | None = None, **params
-) -> list[TheoremReport]:
-    """Reports of the claims `names`, which share their parameters, for n = n_lo..n_hi.
+) -> list[ReportBatch]:
+    """One batch per claim of `names`, which share their parameters, for n = n_lo..n_hi.
 
     The n run as blocks of _BLOCK values, in order, that resume their
     streams from `streams` (a table of their own if None), so an item holds
-    one block's values at a time.
+    one block's values at a time.  In a block each claim reads its stream's
+    values at the indices of the block's n, the even index of each n first,
+    by `_stream_block`; claims with the same stream build them once, and
+    claims of the same shape share their predictor's answer at each index.
+    A prime base takes vp_int directly.
     """
     streams = {} if streams is None else streams
-    return [report for lo, hi in _blocks(n_lo, n_hi) for report in _table_block(names, lo, hi, params, streams)]
-
-
-def _table_block(names: tuple[str, ...], n_lo: int, n_hi: int, params: dict, streams: dict) -> list[TheoremReport]:
-    """Reports of the claims `names` for n_lo..n_hi.
-
-    Each claim reads its stream's values at the indices of n_lo..n_hi, by
-    `_stream_block`; claims with the same stream build them once, and claims
-    of the same shape share their predictor's answer at each index.  A prime
-    base takes vp_int directly.
-    """
+    columns = {name: ([], []) for name in names}
+    for block_lo, block_hi in _blocks(n_lo, n_hi):
+        ns = range(block_lo, block_hi + 1)
+        blocks: dict = {}
+        predictions: dict = {}
+        for name in names:
+            claim = CLAIMS[name]
+            args = tuple(params[k] for k in claim.params)
+            lo = claim.index(block_lo, 0)
+            key = (claim.values, claim.offset)
+            if key not in blocks:
+                blocks[key] = _stream_block(streams, claim.values, args, lo, claim.index(block_hi, 1) + 1)
+            rs = sorted((0, 1), key=lambda r: claim.index(0, r) % 2)  # the even index first
+            indices = [claim.index(n, r) for n in ns for r in rs]
+            ys = [blocks[key][i - lo] for i in indices]
+            if claim.divisor != 1:
+                for j, (i, y) in enumerate(zip(indices, ys)):
+                    ys[j], rem = divmod(y, claim.divisor)
+                    if rem:
+                        raise IntegralityError(f"{name} construction failed at index {i}")
+            x = claim.base(*args)
+            shape = (x, claim.catalan, claim.offset)
+            if shape not in predictions:
+                predictions[shape] = [claim.predict(n, PARITIES[r], *args) for n in ns for r in (0, 1)]
+            predicted, oracle = columns[name]
+            predicted += predictions[shape]
+            oracle += map(vp_int, ys, repeat(abs(x))) if is_prime(abs(x)) else map(omega, repeat(x), ys)
     ns = range(n_lo, n_hi + 1)
-    blocks: dict = {}
-    predictions: dict = {}
-    out = []
-    for name in names:
-        claim = CLAIMS[name]
-        args = tuple(params[k] for k in claim.params)
-        extra = tuple(zip(claim.params, args))
-        divisor, kind = claim.divisor, claim.kind
-        lo = claim.index(n_lo, 0)
-        key = (claim.values, claim.offset)
-        if key not in blocks:
-            blocks[key] = _stream_block(streams, claim.values, args, lo, claim.index(n_hi, 1) + 1)
-        block = blocks[key]
-        rs = sorted((0, 1), key=lambda r: claim.index(0, r) % 2)  # the even index first, as reports sort
-        indices = [(n, claim.index(n, r)) for n in ns for r in rs]
-        x = claim.base(*args)
-        shape = (x, claim.catalan, claim.offset)
-        if shape not in predictions:
-            predictions[shape] = [claim.predict(n, PARITIES[i % 2], *args) for n, i in indices]
-        p = abs(x) if is_prime(abs(x)) else None
-        for (n, i), predicted in zip(indices, predictions[shape]):
-            y = block[i - lo]
-            if divisor != 1:
-                y, rem = divmod(y, divisor)
-                if rem:
-                    raise IntegralityError(f"{name} construction failed at index {i}")
-            oracle = omega(x, y) if p is None else vp_int(y, p)
-            instance = (("n", n), ("parity", PARITIES[i % 2])) + extra
-            out.append(TheoremReport(name, instance, predicted, oracle, kind))
-    return out
+    return [
+        ReportBatch(name, CLAIMS[name].kind, tuple((k, params[k]) for k in CLAIMS[name].params), ns, PARITIES, *cols)
+        for name, cols in columns.items()
+    ]
 
 
 # --- cor1: powers of 2 in doubled central binomials, plus the popcount form
@@ -460,33 +453,21 @@ def _items_cor1(grid: HarnessGrid) -> list[dict]:
     ]
 
 
-def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[TheoremReport]:
+def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[ReportBatch]:
     """Up to exact_max the oracle is v_2 of C(2h, h) from its stream: h = 2n, 2n + 1 for cor1, h = n for popcount."""
     doubled, single = central_binomial_values(2 * n_lo), central_binomial_values(n_lo)
-    out = []
-    for n in range(n_lo, n_hi + 1):
+    ns = range(n_lo, n_hi + 1)
+    predicted, oracle, popcounts, central_vp = [], [], [], []
+    for n in ns:
         for half, parity in zip((2 * n, 2 * n + 1), PARITIES):
-            predicted = predict_central_binomial_v2(n, parity)
-            if half <= exact_max:
-                oracle = vp_int(next(doubled), 2)
-            else:
-                oracle = kummer_carries(half, half, 2)
-            out.append(
-                TheoremReport(
-                    "cor1",
-                    (("n", n), ("parity", parity)),
-                    predicted,
-                    oracle,
-                    KIND_EXACT,
-                )
-            )
-        predicted = popcount_valuation(n)
-        if n <= exact_max:
-            oracle = vp_int(next(single), 2)
-        else:
-            oracle = kummer_carries(n, n, 2)
-        out.append(TheoremReport("popcount", (("n", n),), predicted, oracle, KIND_EXACT))
-    return out
+            predicted.append(predict_central_binomial_v2(n, parity))
+            oracle.append(vp_int(next(doubled), 2) if half <= exact_max else kummer_carries(half, half, 2))
+        popcounts.append(popcount_valuation(n))
+        central_vp.append(vp_int(next(single), 2) if n <= exact_max else kummer_carries(n, n, 2))
+    return [
+        ReportBatch("cor1", KIND_EXACT, (), ns, PARITIES, predicted, oracle),
+        ReportBatch("popcount", KIND_EXACT, (), ns, (), popcounts, central_vp),
+    ]
 
 
 # --- lemma1 family: factor bounds and central multinomial valuations
@@ -497,7 +478,7 @@ def _items_lemma1(grid: HarnessGrid) -> list[dict]:
     return [{"p": p, "n_max": n} for p in range(grid.prime_min, grid.prime_max + 1) if is_prime(p)]
 
 
-def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
+def _run_lemma1(p: int, n_max: int) -> list[ReportBatch]:
     """lemma1's family for p at n = 0..n_max, from (pn)! / (n!)**p maintained incrementally
     and C(2n, n) read from its stream.
 
@@ -508,9 +489,10 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
     identity: the product form's ratio telescopes to the incremental step.)
     """
     checkpoints = {0, n_max, *(1 << k for k in range(n_max.bit_length()))}
-    out = []
+    ns = range(n_max + 1)
+    central_vp, digit_sums, multinomial_vp, shifted_vp = [], [], [], []
     multinomial = 1  # (pn)! / (n!)**p, maintained incrementally over n
-    for n, central in zip(range(n_max + 1), central_binomial_values()):
+    for n, central in zip(ns, central_binomial_values()):
         if n:
             block = 1
             for i in range(p * (n - 1) + 1, p * n + 1):
@@ -523,17 +505,22 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
             raise IntegralityError(
                 f"multinomial forms disagree at n={n}, p={p}"
             )
-        vp_multinomial = vp_int(multinomial, p)
-        inst = (("n", n), ("p", p))
-        out.append(TheoremReport("lemma1", inst, n, vp_int((2 * n + 1) * central, p), KIND_UPPER))
-        out.append(TheoremReport("multinomial-valuation", inst, digit_sum(n, p), vp_multinomial, KIND_EXACT))
-        out.append(TheoremReport("multinomial-bound", inst, n, vp_multinomial, KIND_UPPER))
+        central_vp.append(vp_int((2 * n + 1) * central, p))
+        digit_sums.append(digit_sum(n, p))
+        multinomial_vp.append(vp_int(multinomial, p))
         if p > 2:
             shifted = 1
             for k in range(2, p):
                 shifted *= k * n + 1
-            vp_shifted = vp_int(shifted * central, p)
-            out.append(TheoremReport("shifted-product-bound", inst, n, vp_shifted, KIND_UPPER))
+            shifted_vp.append(vp_int(shifted * central, p))
+    params = (("p", p),)
+    out = [
+        ReportBatch("lemma1", KIND_UPPER, params, ns, (), list(ns), central_vp),
+        ReportBatch("multinomial-valuation", KIND_EXACT, params, ns, (), digit_sums, multinomial_vp),
+        ReportBatch("multinomial-bound", KIND_UPPER, params, ns, (), list(ns), multinomial_vp),
+    ]
+    if p > 2:
+        out.append(ReportBatch("shifted-product-bound", KIND_UPPER, params, ns, (), list(ns), shifted_vp))
     return out
 
 
@@ -544,11 +531,11 @@ def _run_lemma1(p: int, n_max: int) -> list[TheoremReport]:
 
 @dataclass(frozen=True)
 class ClaimRunner:
-    """Sweeps `claims`: `items(grid)` lists work items, `run(**item)` returns their reports."""
+    """Sweeps `claims`: `items(grid)` lists work items, `run(**item)` returns one ReportBatch per claim."""
 
     claims: tuple[str, ...]
     items: Callable[[HarnessGrid], list[dict]]
-    run: Callable[..., list[TheoremReport]]
+    run: Callable[..., list[ReportBatch]]
 
 
 def _table_runner(*claims: str) -> ClaimRunner:
@@ -617,32 +604,6 @@ def resolve_selectors(names: str | Iterable[str]) -> list[str]:
     return out
 
 
-@dataclass
-class HarnessResult:
-    reports: list[TheoremReport] = field(default_factory=list)
-
-    @property
-    def violations(self) -> list[TheoremReport]:
-        return [r for r in self.reports if r.verdict == VERDICT_VIOLATION]
-
-    @property
-    def ok(self) -> bool:
-        return not harness._violates(self.reports)
-
-    def summary(self) -> dict[str, dict[str, int]]:
-        """Reports checked and violations found per claim, claims in order of first report."""
-        out: dict[str, dict[str, int]] = {}
-        for (claim, verdict), count in Counter(map(_claim_verdict, self.reports)).items():
-            bucket = out.setdefault(claim, {"checked": 0, "violations": 0})
-            bucket["checked"] += count
-            if verdict == VERDICT_VIOLATION:
-                bucket["violations"] += count
-        return out
-
-
-_claim_verdict = operator.itemgetter(0, 5)
-
-
 def run_harness(
     selectors: str | Iterable[str] = ("all",),
     grid: HarnessGrid | None = None,
@@ -652,9 +613,9 @@ def run_harness(
     """Sweep the selected claims over their grids and report every instance.
 
     Lists the work items of each selected runner, in order, and runs them
-    with `harness.run_work`: reports come sorted by claim and instance, so
-    the output is identical at any job count, whether or not the sweep
-    forked; with fail_fast the sweep keeps the items up to and including
+    with `harness.run_work`: the result's reports come sorted by claim and
+    instance, so the output is identical at any job count, whether or not
+    the sweep forked; with fail_fast the sweep keeps the items up to and including
     the first one, in work order, that reports a violation.  Violations are
     data in the result, not exceptions; an exception raised by an item is
     raised here.  Selectors that name no runner, or a selected runner
@@ -674,4 +635,4 @@ def run_harness(
         if not items:
             raise SelectionError(f"the grid gives {name} nothing to check")
         work += [(runner.run, kw) for kw in items]
-    return HarnessResult(harness.run_work(work, jobs, fail_fast))
+    return harness.run_work(work, jobs, fail_fast)

@@ -20,7 +20,7 @@ import valuata.cli as cli
 import valuata.harness as harness
 from valuata.cli import main
 from valuata.digits import kummer_carries
-from valuata.sequences import SEQUENCES
+from valuata.sequences import SEQUENCES, eval_B
 from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
 from valuata.valuation import INFINITE, vp_int
 
@@ -397,6 +397,20 @@ class TestSeq:
         rows = [line.split("\t") for line in out.strip().splitlines()]
         assert code == 0 and [r[1] for r in rows] == ["1", "1", "3", "7", "19"]
 
+    @pytest.mark.parametrize("a, b", [(3, -7), (-3, 5), (0, 4), (2, 0), (0, 0), (-2, -5)])
+    def test_square_sum_range_gives_the_defining_sums_bytes(self, capsys, a, b):
+        # m = 2 reads one trinomial stream at (ab, a + b) for the whole range.
+        for fmt in ("human", "json", "csv"):
+            per_n = [run(capsys, "seq", "bsum", f"{n}..{n}", "2", str(a), str(b), "--valuation", "3",
+                         "--format", fmt) for n in range(3, 41)]
+            assert all(code == 0 and err == "" for code, _, err in per_n)
+            rows = "".join(out.split("\n", 1)[1] if fmt == "csv" else out for _, out, _ in per_n)
+            header = "n,value,v_3\r\n" if fmt == "csv" else ""
+            assert run(capsys, "seq", "bsum", "3..40", "2", str(a), str(b), "--valuation", "3",
+                       "--format", fmt) == (0, header + rows, "")
+        code, out, _ = run(capsys, "seq", "bsum", "0..40", "2", str(a), str(b))
+        assert code == 0 and out == "".join(f"{n}\t{eval_B(n, 2, a, b)}\n" for n in range(41))
+
     @pytest.mark.parametrize("name", ["schroder", "little-schroder"])
     def test_schroder_table_gives_pointwise_bytes(self, capsys, monkeypatch, name):
         formats = [("--format", fmt) for fmt in ("human", "json", "csv")] + [("--valuation", "3")]
@@ -502,10 +516,10 @@ class TestInfiniteValuationText:
     def test_verify_rows(self, capsys, monkeypatch):
         import valuata.theorems as theorems
 
-        report = theorems.TheoremReport("thm3", (("n", 1), ("parity", "odd")), 2, INFINITE, theorems.KIND_LOWER)
+        batch = harness.ReportBatch("thm3", theorems.KIND_LOWER, (), range(1, 2), ("odd",), [2], [INFINITE])
         runner = theorems.RUNNERS["thm3"]
         monkeypatch.setitem(
-            theorems.RUNNERS, "thm3", dataclasses.replace(runner, items=lambda grid: [{}], run=lambda: [report])
+            theorems.RUNNERS, "thm3", dataclasses.replace(runner, items=lambda grid: [{}], run=lambda: [batch])
         )
         code, out, _ = run(capsys, "verify", "thm3")
         assert (code, out.splitlines()[0]) == (0, "thm3: n=1 parity=odd predicted=2 oracle=inf bound_holds")
@@ -584,9 +598,7 @@ class TestVerify:
     def test_injected_violation_exit_1(self, capsys, monkeypatch):
         import valuata.theorems as theorems
 
-        bad = theorems.TheoremReport(
-            "thm3", (("n", 0), ("parity", "even")), 1, 0, theorems.KIND_EXACT
-        )
+        bad = harness.ReportBatch("thm3", theorems.KIND_EXACT, (), range(0, 1), ("even",), [1], [0])
         runner = theorems.RUNNERS["thm3"]
         monkeypatch.setitem(
             theorems.RUNNERS, "thm3", dataclasses.replace(runner, items=lambda grid: [{}], run=lambda: [bad])
@@ -642,12 +654,14 @@ class TestVerify:
         # an injected violation in the fourth thm5 item stops both at the same report
         runner = theorems.RUNNERS["thm5"]
         items = runner.items(theorems.HarnessGrid(n_max=8, ab_max=6, prime_max=7))
-        bad = theorems.TheoremReport("thm5", (("n", -1),), 1, 0, theorems.KIND_EXACT)
-        monkeypatch.setitem(
-            theorems.RUNNERS,
-            "thm5",
-            dataclasses.replace(runner, run=lambda **kw: runner.run(**kw) + ([bad] if kw == items[3] else [])),
-        )
+
+        def violating_run(**kw):
+            batches = runner.run(**kw)
+            if kw == items[3]:
+                batches[0].predicted[0] += 1  # n = 0, even: one above the oracle's 0
+            return batches
+
+        monkeypatch.setitem(theorems.RUNNERS, "thm5", dataclasses.replace(runner, run=violating_run))
         serial = run(capsys, *args, "--fail-fast", "--jobs", "1")
         summary = serial[1] + serial[2]
         assert serial[0] == 1 and "[thm5]" in summary and "[thm6]" not in summary

@@ -12,13 +12,17 @@ import time
 import tracemalloc
 from collections import Counter
 from math import comb
+from operator import itemgetter
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import valuata.cli as cli
 import valuata.harness as harness
 from valuata.digits import kummer_carries
-from valuata.harness import _fork_pays, _report_order, json_lines
+from valuata.harness import HarnessResult, ReportBatch, _fork_pays, json_lines
 from valuata.sequences import (
     IntegralityError,
     delannoy,
@@ -30,6 +34,7 @@ from valuata.sequences import (
 )
 from valuata.theorems import (
     CLAIMS,
+    PARITIES,
     KIND_EXACT,
     KIND_LOWER,
     KIND_UPPER,
@@ -305,7 +310,7 @@ class TestClaimTable:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            reports = RUNNERS["thm3"].run(n_lo=5000, n_hi=5003)
+            reports = _reports(RUNNERS["thm3"].run(n_lo=5000, n_hi=5003))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -319,12 +324,17 @@ class TestClaimTable:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            reports = RUNNERS["thm5"].run(a=1, b=5, n_lo=0, n_hi=6000)
+            reports = _reports(RUNNERS["thm5"].run(a=1, b=5, n_lo=0, n_hi=6000))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert len(reports) == 12002 and {r.verdict for r in reports} == {"exact"}
         assert peak < 3 * 1024 * size, (peak, size)
+
+
+def _reports(batches):
+    """The reports of one work item's batches."""
+    return HarnessResult(batches).reports
 
 
 def _counted_stream(monkeypatch, counts: Counter, name: str = "thm3"):
@@ -366,7 +376,7 @@ class TestResumedStreams:
     def test_a_runner_called_on_its_own_resumes_one_stream_across_its_blocks(self, monkeypatch):
         counts = Counter()
         _counted_stream(monkeypatch, counts)
-        reports = RUNNERS["thm3"].run(n_lo=0, n_hi=5000)
+        reports = _reports(RUNNERS["thm3"].run(n_lo=0, n_hi=5000))
         assert [dict(r.instance)["n"] for r in reports] == [n for n in range(5001) for _ in "eo"]
         assert {r.verdict for r in reports} == {"exact"}
         assert counts == {"starts": 1, "values": 10002}
@@ -376,7 +386,7 @@ class TestResumedStreams:
         # restarting every block at T_0 streamed about 2.5 times as many values.
         counts = Counter()
         _counted_stream(monkeypatch, counts, "thm5")
-        reports = RUNNERS["thm5"].run(a=-2, b=5, n_lo=0, n_hi=2000)
+        reports = _reports(RUNNERS["thm5"].run(a=-2, b=5, n_lo=0, n_hi=2000))
         assert [dict(r.instance)["n"] for r in reports] == [n for n in range(2001) for _ in "eo"]
         assert {r.verdict for r in reports} == {"exact"}
         assert counts == {"starts": 1, "values": 4002}
@@ -447,7 +457,7 @@ class TestCor1Stream:
     @pytest.mark.parametrize("exact_max", [-1, 0, 7, 13, 40])
     @pytest.mark.parametrize("n_lo, n_hi", [(0, 10), (5, 12), (30, 31)])
     def test_the_oracle_reads_the_central_binomial_of_each_instance(self, n_lo, n_hi, exact_max):
-        reports = RUNNERS["cor1"].run(n_lo=n_lo, n_hi=n_hi, exact_max=exact_max)
+        reports = _reports(RUNNERS["cor1"].run(n_lo=n_lo, n_hi=n_hi, exact_max=exact_max))
         halves = []
         for report in reports:
             inst = dict(report.instance)
@@ -458,7 +468,7 @@ class TestCor1Stream:
 
     def test_a_block_past_exact_max_streams_nothing(self):
         with _time_limit(10):
-            reports = RUNNERS["cor1"].run(n_lo=10**8, n_hi=10**8 + 1, exact_max=3000)
+            reports = _reports(RUNNERS["cor1"].run(n_lo=10**8, n_hi=10**8 + 1, exact_max=3000))
         assert [r.verdict for r in reports] == ["exact"] * 6
 
 
@@ -597,10 +607,11 @@ class TestReportPath:
     GRID = HarnessGrid(n_max=6, ab_max=5, prime_max=7, exact_max=5)
 
     @pytest.fixture(scope="class")
-    def reports(self):
-        return run_harness(["all"], self.GRID).reports
+    def result(self):
+        return run_harness(["all"], self.GRID)
 
-    def test_json_line_matches_json_dumps(self, reports):
+    def test_json_line_matches_json_dumps(self, result):
+        reports = result.reports
         extra = [
             TheoremReport("demo", (("n", 1), ("parity", "odd")), 2, INFINITE, KIND_LOWER),
             TheoremReport("demo", (("n", 1),), 3, INFINITE, KIND_EXACT),
@@ -610,72 +621,201 @@ class TestReportPath:
         for report in reports + extra:
             expected = json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
             assert report.to_json_line() == expected
-        assert list(json_lines(reports)) == [_dumps_line(r) for r in reports]
+        assert list(json_lines(result.batches)) == [_dumps_line(r) for r in reports]
         assert {r.claim for r in reports} == {
             claim for runner in RUNNERS.values() for claim in runner.claims
         }
         assert any(r.slack is None for r in reports) and any(r.slack is not None for r in reports)
 
     @pytest.mark.parametrize(
-        "batch",
+        "batches",
         [
             pytest.param(
                 [
-                    TheoremReport("demo", (("n", 1), ("parity", "odd")), 2, 2, KIND_EXACT),
-                    TheoremReport("demo", (("n", 2), ("parity", "even")), 2, 3, KIND_LOWER),
-                    TheoremReport("demo", (("n", 3),), 2, 1, KIND_UPPER),
-                    TheoremReport("demo", (("parity", "odd"), ("n", 4)), 2, 2, KIND_EXACT),
-                    TheoremReport("demo", (("n", 5), ("parity", 5)), 2, 2, KIND_EXACT),
-                    TheoremReport("demo", (), 0, INFINITE, KIND_EXACT),
-                    TheoremReport("demo", (("n", 6), ("parity", "odd")), 2, 2, KIND_EXACT),
-                    TheoremReport("swap", (("n", 1), ("p", 2)), 2, 2, KIND_EXACT),
-                    TheoremReport("swap", (("p", 3), ("n", 4)), 2, 2, KIND_EXACT),
+                    ReportBatch("demo", KIND_EXACT, (), range(1, 2), ("odd",), [2], [2]),
+                    ReportBatch("demo", KIND_LOWER, (), range(2, 4), ("even", "odd"), [2, 2, 2, 2], [3, 1, 2, 5]),
+                    ReportBatch("one", KIND_UPPER, (), range(3, 6), (), [2, 2, 2], [1, 2, 3]),
+                    ReportBatch("swap", KIND_EXACT, (("p", 2),), range(1, 2), (), [2], [2]),
+                    ReportBatch("swap", KIND_EXACT, (("p", 3),), range(1, 2), (), [2], [3]),
+                    ReportBatch(
+                        "keys", KIND_LOWER, (("x", -3), ("a", 1), ("m", 4)),
+                        range(0, 2), PARITIES, [0] * 4, [1] * 4,
+                    ),
                 ],
                 id="shapes-within-one-claim",
             ),
             pytest.param(
                 [
-                    TheoremReport('q"u\\ote{%s}', (('k"\\{}%', 1), ("\u00e9\u6f22", "\u00e9\"}{%d\\")), 1, 1),
-                    TheoremReport("caf\u00e9 {0} %%", (("x{", -9), ("y}", "\U0001f600")), -1, 0, KIND_LOWER),
-                    TheoremReport("caf\u00e9 {0} %%", (("x{", 3), ("y}", "\n\t")), -1, -2, KIND_UPPER),
+                    ReportBatch(
+                        'q"u\\ote{%s}', KIND_EXACT, (('k"\\{}%', 1), ("\u00e9\u6f22", "\u00e9\"}{%d\\")),
+                        range(1, 2), (), [1], [1],
+                    ),
+                    ReportBatch(
+                        "caf\u00e9 {0} %%", KIND_LOWER, (("x{", -9), ("y}", "\U0001f600")),
+                        range(0, 2), ("odd",), [-1, -1], [0, -3],
+                    ),
+                    ReportBatch(
+                        "caf\u00e9 {0} %%", KIND_LOWER, (("x{", 3), ("y}", "\n\t")),
+                        range(0, 2), ("odd",), [-1, -1], [-2, 5],
+                    ),
                 ],
                 id="escapes-and-non-ascii",
             ),
             pytest.param(
                 [
-                    TheoremReport("signs", (("a", -3), ("b", True), ("c", False)), -2, -5, KIND_LOWER),
-                    TheoremReport("signs", (("a", -4), ("b", False), ("c", 0)), -2, -1, KIND_UPPER),
-                    TheoremReport("signs", (("a", True), ("b", None), ("c", -1)), True, 1, KIND_EXACT),
-                    TheoremReport("signs", (("a", 1.5), ("b", [1, "x"]), ("c", {"z": 1, "y": 2})), False, 0),
+                    ReportBatch(
+                        "signs", KIND_LOWER, (("a", -3), ("b", True), ("c", False)),
+                        range(-2, 0), (), [-2, -3], [-5, -1],
+                    ),
+                    ReportBatch(
+                        "signs", KIND_UPPER, (("a", -4), ("b", False), ("c", 0)),
+                        range(-2, 0), (), [-2, 7], [-1, 7],
+                    ),
+                    ReportBatch(
+                        "lists", KIND_EXACT, (("a", 1.5), ("b", [1, "x"]), ("c", {"z": 1, "y": 2})),
+                        range(-2, 0), (), [0, 0], [0, 1],
+                    ),
+                    ReportBatch(
+                        "nulls", KIND_EXACT, (("a", None), ("b", None), ("c", -1)),
+                        range(-2, 0), (), [1, 1], [1, 1],
+                    ),
                 ],
-                id="negative-and-bool-values",
+                id="negative-and-non-int-parameters",
             ),
             pytest.param(
                 [
-                    TheoremReport("inf", (("n", 0),), 3, INFINITE, KIND_EXACT),
-                    TheoremReport("inf", (("n", 1),), 3, INFINITE, KIND_LOWER),
-                    TheoremReport("inf", (("n", 2),), 3, INFINITE, KIND_UPPER),
-                    TheoremReport("inf", (("n", 3),), 3, 7, KIND_LOWER),
-                    TheoremReport("inf", (("n", 4), ("n", 5)), 3, 3, KIND_EXACT),
-                    TheoremReport("inf", ((1, 4),), 3, 3, KIND_EXACT),
+                    ReportBatch("inf", KIND_EXACT, (), range(0, 1), (), [3], [INFINITE]),
+                    ReportBatch("inf", KIND_LOWER, (), range(1, 2), ("even", "odd"), [3, 3], [INFINITE, 7]),
+                    ReportBatch("inf", KIND_UPPER, (), range(2, 4), (), [3, 3], [INFINITE, 2]),
+                    ReportBatch("none", KIND_LOWER, (), range(0, 0), ("even",), [], []),
                 ],
-                id="infinite-oracle-none-slack-and-odd-keys",
+                id="infinite-oracle-none-slack-and-no-rows",
             ),
         ],
     )
-    def test_json_lines_match_json_dumps(self, batch):
-        assert list(json_lines(batch)) == [_dumps_line(r) for r in batch]
-        for report in batch:
-            assert list(json_lines([report])) == [_dumps_line(report)]
+    def test_json_lines_match_json_dumps(self, batches):
+        assert list(json_lines(batches)) == [_dumps_line(r) for r in HarnessResult(batches).reports]
+        for batch in batches:
+            assert list(json_lines([batch])) == [_dumps_line(r) for r in _reports([batch])]
 
-    def test_sort_order_matches_typed_instance_key(self, reports):
+    def test_sort_order_matches_typed_instance_key(self, result):
         def typed_key(report):
             return (report.claim, tuple((k, isinstance(v, str), v) for k, v in report.instance))
 
+        reports = result.reports
         shuffled = list(reports)
         random.Random(3).shuffle(shuffled)
-        assert sorted(shuffled, key=_report_order) == sorted(shuffled, key=typed_key)
+        assert sorted(shuffled, key=itemgetter(0, 1)) == sorted(shuffled, key=typed_key)
         assert reports == sorted(reports, key=typed_key)
+
+    @pytest.mark.parametrize("batches, message", [
+        (
+            [
+                ReportBatch("thm5", KIND_EXACT, (("a", 1), ("b", 3)), range(0, 3), PARITIES, [0] * 6, [0] * 6),
+                ReportBatch("thm5", KIND_EXACT, (("a", 2), ("b", 3)), range(0, 2), PARITIES, [0] * 4, [0] * 4),
+            ],
+            "^the parameter items of thm5 do not share their rows$",
+        ),
+        ([ReportBatch("thm3", KIND_EXACT, (), range(0, 3), PARITIES, [0] * 6, [0] * 5)],
+         "^a thm3 batch of 6 rows has columns of other lengths$"),
+        ([ReportBatch("thm3", "sideways", (), range(0, 1), (), [0], [0])], "^unknown claim kind 'sideways'$"),
+    ])
+    def test_malformed_batches_raise(self, batches, message):
+        with pytest.raises(ValueError, match=message):
+            HarnessResult(batches).reports
+
+
+_grid_values = st.lists(st.integers(-9, 9), max_size=4).map(tuple)
+
+
+def _item_key(kwargs: dict) -> list:
+    """A work item's arguments without its stream table, which the sweep fills as it runs."""
+    return sorted((k, v) for k, v in kwargs.items() if k != "streams")
+
+
+class TestReportOrder:
+    """Batches merge into the reports a sort by claim and instance gives, at any job count and under fail-fast."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        selection=st.lists(st.sampled_from(sorted(RUNNERS)), min_size=1, max_size=3),
+        n_max=st.integers(0, 9),
+        ab_max=st.integers(1, 4),
+        m_values=st.lists(st.integers(2, 4), min_size=1, max_size=3).map(tuple),
+        a_values=_grid_values,
+        b_values=_grid_values,
+        x_values=_grid_values,
+        prime_max=st.integers(2, 11),
+        exact_max=st.integers(-1, 12),
+        jobs=st.sampled_from([1, 2]),
+        fail_fast=st.booleans(),
+        violate=st.none() | st.integers(0, 60),
+    )
+    # Blocks of claims without parameters that follow one another.
+    @example(
+        selection=["thm4", "cor1", "remarks"], n_max=515, ab_max=1, m_values=(3,), a_values=(), b_values=(),
+        x_values=(), prime_max=2, exact_max=7, jobs=2, fail_fast=False, violate=None,
+    )
+    @example(
+        selection=["thm3", "cor2"], n_max=520, ab_max=1, m_values=(3,), a_values=(), b_values=(),
+        x_values=(), prime_max=2, exact_max=7, jobs=1, fail_fast=True, violate=1,
+    )
+    def test_reports_come_in_sorted_order(
+        self, selection, n_max, ab_max, m_values, a_values, b_values, x_values, prime_max, exact_max,
+        jobs, fail_fast, violate,
+    ):
+        import valuata.theorems as theorems
+
+        grid = HarnessGrid(
+            n_max=n_max, ab_max=ab_max, m_values=m_values, a_values=a_values, b_values=b_values,
+            x_values=x_values, prime_max=prime_max, exact_max=exact_max,
+        )
+        names = resolve_selectors(selection)
+        work = [(name, kw) for name in names for kw in RUNNERS[name].items(grid)]
+        if any(not RUNNERS[name].items(grid) for name in names):
+            with pytest.raises(SelectionError, match="nothing to check$"):
+                run_harness(selection, grid)
+            return
+        with contextlib.ExitStack() as patches:
+            if violate is not None:
+                # The first row of the first batch of one item gets an oracle on the wrong side of its prediction.
+                target, target_kw = work[violate % len(work)]
+                runner = RUNNERS[target]
+
+                def violating_run(**kwargs):
+                    batches = runner.run(**kwargs)
+                    if _item_key(kwargs) == _item_key(target_kw):
+                        batch = batches[0]
+                        batch.oracle[0] = batch.predicted[0] + (-1 if batch.kind == KIND_LOWER else 1)
+                    return batches
+
+                patches.enter_context(
+                    mock.patch.dict(theorems.RUNNERS, {target: dataclasses.replace(runner, run=violating_run)})
+                )
+            if jobs == 2:
+                patches.enter_context(mock.patch.object(harness, "_FORK_MIN_S", 0))
+                patches.enter_context(mock.patch.object(harness, "_usable_cpus", lambda: 2))
+            result = run_harness(selection, grid, jobs=jobs, fail_fast=fail_fast)
+            # The reference: every item run in work order, up to the first violating one under
+            # fail-fast, each batch's reports on their own, then sorted.
+            batches = []
+            for name, kw in work:
+                item = theorems.RUNNERS[name].run(**kw)
+                batches += item
+                if fail_fast and not HarnessResult(item).ok:
+                    break
+        reference = sorted((r for batch in batches for r in _reports([batch])), key=itemgetter(0, 1))
+        assert result.reports == reference
+        assert result.reports == sorted(result.reports, key=itemgetter(0, 1))
+        assert list(json_lines(result.batches)) == [r.to_json_line() + "\n" for r in result.reports]
+        violations = [r for r in reference if r.verdict == "violation"]
+        assert result.violations == violations
+        assert bool(violations) == (violate is not None) and result.ok == (not violations)
+        checked = Counter(r.claim for r in reference)
+        assert result.summary() == {
+            claim: {"checked": checked[claim], "violations": sum(r.claim == claim for r in violations)}
+            for claim in sorted(checked)
+        }
 
 
 def _dumps_line(report):
@@ -860,7 +1000,7 @@ class TestHarness:
                 run_harness(selectors, self.GRID)
 
     def test_fail_fast_stops_on_injected_violation(self, monkeypatch):
-        bad = TheoremReport("thm1", (("n", 0), ("parity", "even")), 1, 0, KIND_EXACT)
+        bad = ReportBatch("thm1", KIND_EXACT, (), range(0, 1), ("even",), [1], [0])
         calls = []
 
         def fake_run(**kwargs):
@@ -878,19 +1018,21 @@ class TestHarness:
         runner = RUNNERS["thm1"]
         items = runner.items(self.GRID)
         assert len(items) == 10
-        bad = TheoremReport("thm1", (("n", -1), ("parity", "even")), 1, 0, KIND_EXACT)
 
         def violating_run(**kwargs):
-            reports = runner.run(**kwargs)
-            return reports + [bad] if kwargs == items[k] else reports
+            batches = runner.run(**kwargs)
+            if kwargs == items[k]:
+                batches[0].predicted[0] += 1  # n = 0, even: one above the oracle's 0
+            return batches
 
         _patch_runner(monkeypatch, "thm1", violating_run)
         monkeypatch.setattr(harness, "_usable_cpus", lambda: 3)
         _fork_at_once(monkeypatch)
         serial = run_harness(["thm1"], self.GRID, jobs=1, fail_fast=True)
         expected = sorted(
-            [r for kw in items[: k + 1] for r in runner.run(**kw)] + [bad], key=_report_order
+            [r for kw in items[: k + 1] for r in _reports(violating_run(**kw))], key=itemgetter(0, 1)
         )
+        assert [r.verdict for r in expected].count("violation") == 1
         assert serial.reports == expected
         for jobs in (2, 3, 2):
             assert run_harness(["thm1"], self.GRID, jobs=jobs, fail_fast=True).reports == expected
