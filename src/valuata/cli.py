@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .digits import KernelRangeError, is_prime
-from .harness import json_lines
+from .harness import CSV_COLUMNS, text_lines
 from .sequences import (
     SEQUENCES,
     DomainError,
@@ -391,11 +391,6 @@ def cmd_table(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-_CSV_COLUMNS = [
-    "claim", "n", "parity", "m", "a", "b", "x", "p", "predicted", "oracle", "verdict", "slack",
-]
-
-
 def _parse_int_set(text: str) -> tuple[int, ...]:
     return tuple(_parse_int(part) for part in text.split(",") if part)
 
@@ -440,27 +435,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if not args.summary_only:
         if args.format == "csv":
-            import csv
-
-            writer = csv.DictWriter(sys.stdout, fieldnames=_CSV_COLUMNS, extrasaction="ignore")
-            writer.writeheader()
-            for report in result.reports:
-                row = {"claim": report.claim, **dict(report.instance)}
-                row["predicted"] = report.predicted
-                row["oracle"] = report.oracle
-                row["verdict"] = report.verdict
-                row["slack"] = report.slack
-                writer.writerow(row)
-        elif args.format == "json":
-            sys.stdout.writelines(json_lines(result.batches))
-        else:
-            for report in result.reports:
-                fields = " ".join(f"{k}={v}" for k, v in report.instance)
-                extra = "" if report.slack is None else f" slack={report.slack}"
-                print(
-                    f"{report.claim}: {fields} predicted={report.predicted} "
-                    f"oracle={report.oracle} {report.verdict}{extra}"
-                )
+            sys.stdout.write(",".join(CSV_COLUMNS) + "\r\n")
+        sys.stdout.writelines(text_lines(result.batches, args.format))
 
     stream = sys.stdout if args.format == "human" or args.summary_only else sys.stderr
     for claim, counts in result.summary().items():  # in name order

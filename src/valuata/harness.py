@@ -1,4 +1,4 @@
-"""Claim reports, their batches and JSON lines, and the fan-out that runs sweep work items.
+"""Claim reports, their batches and output lines, and the fan-out that runs sweep work items.
 
 A work item is a pair (run, kwargs); `run(**kwargs)` returns one
 ReportBatch per claim: one slice of a claim sweep, as columns.
@@ -8,8 +8,8 @@ a fork, and cuts the sweep after the first violating item under
 fail-fast.  Workers claim items in index order from a shared counter and
 inherit the items' arguments with the fork, so the batches come back in
 work order at any job count.  A HarnessResult folds them into counts per
-claim as they arrive; only its reports view and the JSON lines put
-them into report order.
+claim as they arrive; only its reports view and the text lines of each
+output format put them into report order.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class TheoremReport(tuple):
         return _dumps(self.to_json_obj())
 
 
-_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # json.dumps with these options
 
 
 class ReportBatch(NamedTuple):
@@ -139,54 +139,77 @@ def _verdicts(batch: ReportBatch) -> Iterator[str]:
     return map((VERDICT_VIOLATION, holds).__getitem__, map(compare, batch.oracle, batch.predicted))
 
 
+def _layout(batch: ReportBatch, text: Callable[[str], str] = str) -> tuple[int, tuple[str, ...], list]:
+    """The row count of `batch`, and the keys and columns of its per-row instance fields: n, any parity as `text`."""
+    ns, parities = batch.ns, batch.parities
+    if not parities:
+        return len(ns), ("n",), [ns]
+    n_column = chain.from_iterable(zip(*(ns,) * len(parities)))
+    return len(ns) * len(parities), ("n", "parity"), [n_column, cycle(map(text, parities))]
+
+
 def _violations(batch: ReportBatch) -> int:
     """The number of violating rows of `batch`, once its columns are checked to cover its rows."""
-    rows = len(batch.ns) * (len(batch.parities) or 1)
+    rows = _layout(batch)[0]
     if len(batch.predicted) != rows or len(batch.oracle) != rows:
         raise ValueError(f"a {batch.claim} batch of {rows} rows has columns of other lengths")
     return operator.countOf(_verdicts(batch), VERDICT_VIOLATION)
 
 
 def _reports(batch: ReportBatch) -> list[TheoremReport]:
-    claim, kind, params, ns, parities, predicted, oracle = batch
-    if parities:
-        instances = [(("n", n), ("parity", parity)) + params for n in ns for parity in parities]
-    else:
-        instances = [(("n", n),) + params for n in ns]
-    return list(map(TheoremReport, repeat(claim), instances, predicted, oracle, repeat(kind)))
+    _, keys, columns = _layout(batch)
+    instances = map(operator.add, zip(*map(zip, map(repeat, keys), columns)), repeat(batch.params))  # pairs + params
+    return list(map(TheoremReport, repeat(batch.claim), instances, batch.predicted, batch.oracle, repeat(batch.kind)))
 
 
-def _json_lines(batch: ReportBatch) -> Iterator[str]:
-    """The JSON lines of `batch`, from one printf-style template with its claim and parameters filled in."""
-    slacks = None if batch.kind == KIND_EXACT else list(map(_slack, repeat(batch.kind), batch.predicted, batch.oracle))
-    fields = {key: _dumps(value).replace("%", "%%") for key, value in batch.params}
-    fields["n"] = "%s"
-    columns: list = [batch.ns]
-    if batch.parities:
-        fields["parity"] = "%s"  # sorts after "n", as its column does
-        n_column = chain.from_iterable(zip(*(batch.ns,) * len(batch.parities)))
-        columns = [n_column, cycle(map(_json_str, batch.parities))]
-    instance = ",".join(f"{_template_text(key)}:{fields[key]}" for key in sorted(fields))
-    columns += [map(_JSON_CONSTANTS.get, batch.oracle, batch.oracle), batch.predicted]
-    if slacks is not None:
-        columns.append(map(_JSON_CONSTANTS.get, slacks, slacks))
-    columns.append(_verdicts(batch))
+CSV_COLUMNS = ("claim", "n", "parity", "m", "a", "b", "x", "p", "predicted", "oracle", "verdict", "slack")
+
+
+def _csv_cell(value: object) -> str:
+    """`value` as csv.writer writes it: None as empty, quoted if it holds a comma, a quote or a line break."""
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
+_escaped = operator.methodcaller("replace", "%", "%%")  # text written into a printf-style template
+
+# format -> the text of a claim, parity or parameter value, of an infinite oracle, of a slack and of no slack
+_FORMATS = {
+    "json": (_dumps, '"inf"', "%s", "null"),
+    "csv": (_csv_cell, "inf", "%s", ""),
+    "human": (str, "inf", " slack=%s", ""),
+}
+
+
+def _lines(batch: ReportBatch, fmt: str) -> Iterator[str]:
+    """The `fmt` lines of `batch`, from one printf-style template with its claim and parameters written in."""
+    text, inf, slack, no_slack = _FORMATS[fmt]
+    _, keys, columns = _layout(batch, text)
+    fields = dict.fromkeys(keys, "%s")
+    fields.update((key, _escaped(text(value))) for key, value in batch.params)
+    claim = _escaped(text(batch.claim))
+    oracle = map({INFINITE: inf}.get, batch.oracle, batch.oracle)
+    slack_cell, slack_column = no_slack, []
+    if batch.kind != KIND_EXACT:
+        slacks = list(map(_slack, repeat(batch.kind), batch.predicted, batch.oracle))
+        texts = slacks if slack == "%s" else map(slack.__mod__, slacks)  # %s writes an int as every format does
+        slack_cell, slack_column = "%s", [map({None: no_slack}.get, slacks, texts)]
     # The verdict is one of the VERDICT_ words, which need no escaping.
-    template = (
-        f'{{"claim":{_template_text(batch.claim)},"instance":{{{instance}}},"oracle":%s,"predicted":%s,'
-        f'"slack":{"null" if slacks is None else "%s"},"verdict":"%s"}}\n'
-    )
-    return map(template.__mod__, zip(*columns))
-
-
-def _template_text(text: str) -> str:
-    """`text` as a JSON string inside a printf-style template."""
-    return _json_str(text).replace("%", "%%")
-
-
-# JSON text of the non-int values an oracle or slack takes; %s renders an
-# int exactly as JSON does.
-_JSON_CONSTANTS = {INFINITE: '"inf"', None: "null"}
+    if fmt == "json":
+        # "n" sorts before "parity", as its column comes first.
+        instance = ",".join(f"{_escaped(_json_str(key))}:{fields[key]}" for key in sorted(fields))
+        template = (
+            f'{{"claim":{claim},"instance":{{{instance}}},"oracle":%s,"predicted":%s,'
+            f'"slack":{slack_cell},"verdict":"%s"}}\n'
+        )
+        return map(template.__mod__, zip(*columns, oracle, batch.predicted, *slack_column, _verdicts(batch)))
+    if fmt == "csv":
+        cells = (fields.get(key, "") for key in CSV_COLUMNS[1:-4])
+        template = ",".join([claim, *cells, "%s,%s,%s", slack_cell]) + "\r\n"
+    else:
+        instance = " ".join(f"{_escaped(key)}={value}" for key, value in fields.items())
+        template = f"{claim}: {instance} predicted=%s oracle=%s %s{slack_cell}\n"
+    return map(template.__mod__, zip(*columns, batch.predicted, oracle, _verdicts(batch), *slack_column))
 
 
 _params = itemgetter(2)
@@ -216,9 +239,9 @@ def _in_order(batches: Iterable[ReportBatch], rows: Callable[[ReportBatch], Iter
     return chain.from_iterable(runs)
 
 
-def json_lines(batches: Iterable[ReportBatch]) -> Iterator[str]:
-    """`report.to_json_line() + "\\n"` for each report of `batches`, in the order of HarnessResult.reports."""
-    return _in_order(batches, _json_lines)
+def text_lines(batches: Iterable[ReportBatch], fmt: str) -> Iterator[str]:
+    """The `fmt` ("json", "csv" or "human") lines of the reports of `batches`, in the order of HarnessResult.reports."""
+    return _in_order(batches, functools.partial(_lines, fmt=fmt))
 
 
 class HarnessResult:

@@ -435,12 +435,21 @@ def central_binomial_values(start: int = 0) -> Iterator[int]:
     return values()
 
 
-def catalan_values() -> Iterator[int]:
-    """Catalan numbers C_0, C_1, ... by C_{k+1} = 2(2k+1) C_k / (k+2)."""
-    cur = 1
-    for k in count():
-        yield cur
-        cur = _exact_div(2 * (2 * k + 1) * cur, k + 2, "catalan")
+def catalan_values(start: int = 0) -> Iterator[int]:
+    """Catalan numbers C_k for k = start, start + 1, ... by
+
+    C_{k+1} = 2(2k+1) C_k / (k+2),   the first one from binomial.
+    """
+    if start < 0:
+        raise DomainError(f"start must be non-negative, got {start}")
+
+    def values() -> Iterator[int]:
+        cur = _exact_div(binomial(2 * start, start), start + 1, "catalan")
+        for k in count(start):
+            yield cur
+            cur = _exact_div(2 * (2 * k + 1) * cur, k + 2, "catalan")
+
+    return values()
 
 
 def delannoy_values(start: int = 0) -> Iterator[int]:
@@ -634,7 +643,7 @@ SEQUENCES: dict[str, SequenceDef] = {
         SequenceDef("delannoy", (), 0, values=delannoy_values),
         SequenceDef("schroder", (), 1, schroder_large, schroder_large_values),
         SequenceDef("little-schroder", (), 1, schroder_little, schroder_little_values),
-        SequenceDef("catalan", (), 0, catalan),
+        SequenceDef("catalan", (), 0, catalan, catalan_values),
         SequenceDef("central-binomial", (), 0, central_binomial, central_binomial_values),
         SequenceDef("franel", (), 0, values=franel_values),
         SequenceDef("hexagonal", (), 0, values=hexagonal_values),

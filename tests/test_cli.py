@@ -830,6 +830,16 @@ class TestPinnedVerifyOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[fmt]
 
+    @pytest.mark.parametrize("fmt", ["json", "csv", "human"])
+    def test_rows_come_from_the_columns(self, capsys, monkeypatch, fmt):
+        def no_view(result):
+            raise AssertionError("verify read HarnessResult.reports")
+
+        monkeypatch.setattr(harness.HarnessResult, "reports", property(no_view))
+        code, out, _ = run(capsys, *self.ARGS, "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[fmt]
+
 
 class TestPinnedThm2Output:
     """The stdout bytes of a thm2 sweep over three orders, pinned per format."""

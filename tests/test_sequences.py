@@ -300,6 +300,18 @@ class TestNamedSequences:
         with pytest.raises(DomainError, match="^start must be non-negative, got -1$"):
             central_binomial_values(-1)
 
+    def test_catalan_stream(self, monkeypatch):
+        for start in (0, 1, 2, 1000):
+            assert _first(catalan_values(start), 5) == [comb(2 * k, k) // (k + 1) for k in range(start, start + 6)]
+        with pytest.raises(DomainError, match="^start must be non-negative, got -1$"):
+            catalan_values(-1)
+        # The first value comes from binomial, built on the first next(), not when the stream is made.
+        calls = []
+        monkeypatch.setattr(sequences, "binomial", lambda n, k: calls.append((n, k)) or comb(n, k))
+        stream = catalan_values(40)
+        assert calls == []
+        assert next(stream) == comb(80, 40) // 41 and calls == [(80, 40)]
+
 
 class TestRecurrenceTables:
     N = 40
@@ -357,6 +369,7 @@ class TestRegistryTables:
             "schroder": schroder_large_values,
             "little-schroder": schroder_little_values,
             "central-binomial": central_binomial_values,
+            "catalan": catalan_values,
         }
         fns = {name: spec.fn for name, spec in SEQUENCES.items() if spec.fn is not None}
         assert fns == {
@@ -402,6 +415,7 @@ class TestRegistryTables:
             "motzkin": ((2, -4), motzkin_values),
             "legendre": ((-15,), legendre_values),
             "central-binomial": ((), central_binomial_values),
+            "catalan": ((), catalan_values),
         }
         assert set(tables) == {name for name, spec in SEQUENCES.items() if spec.values is not None}
         for name, (params, values) in tables.items():

@@ -1,5 +1,7 @@
 import contextlib
+import csv
 import dataclasses
+import io
 import json
 import math
 import multiprocessing
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 import valuata.cli as cli
 import valuata.harness as harness
 from valuata.digits import kummer_carries
-from valuata.harness import HarnessResult, ReportBatch, _fork_pays, json_lines
+from valuata.harness import CSV_COLUMNS, HarnessResult, ReportBatch, _fork_pays, text_lines
 from valuata.sequences import (
     IntegralityError,
     delannoy,
@@ -56,6 +58,8 @@ from valuata.theorems import (
     run_harness,
 )
 from valuata.valuation import INFINITE, factorize, omega, vp_int
+
+FORMATS = ("json", "csv", "human")
 
 
 class TestPredictBsum:
@@ -621,7 +625,7 @@ class TestReportPath:
         for report in reports + extra:
             expected = json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
             assert report.to_json_line() == expected
-        assert list(json_lines(result.batches)) == [_dumps_line(r) for r in reports]
+        assert list(text_lines(result.batches, "json")) == [_dumps_line(r) for r in reports]
         assert {r.claim for r in reports} == {
             claim for runner in RUNNERS.values() for claim in runner.claims
         }
@@ -691,12 +695,37 @@ class TestReportPath:
                 ],
                 id="infinite-oracle-none-slack-and-no-rows",
             ),
+            pytest.param(
+                [
+                    ReportBatch(
+                        "bounds", KIND_LOWER, (("m", 3), ("a", 1), ("b", -2)),
+                        range(0, 2), PARITIES, [1, 2, 3, 4], [INFINITE, 2, 5, INFINITE],
+                    ),
+                    ReportBatch("upper", KIND_UPPER, (("x", 5), ("p", 7)), range(0, 2), (), [4, 4], [INFINITE, 1]),
+                    ReportBatch(
+                        'csv,"cells"', KIND_UPPER, (("a", "1,2"), ("b", 'say "hi"'), ("m", None), ("p", "\r\n")),
+                        range(0, 1), (), [3], [INFINITE],
+                    ),
+                ],
+                id="bound-rows-in-every-csv-column",
+            ),
         ],
     )
-    def test_json_lines_match_json_dumps(self, batches):
-        assert list(json_lines(batches)) == [_dumps_line(r) for r in HarnessResult(batches).reports]
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_text_lines_match_the_reference_writers(self, batches, fmt):
+        assert list(text_lines(batches, fmt)) == _reference_lines(HarnessResult(batches).reports, fmt)
         for batch in batches:
-            assert list(json_lines([batch])) == [_dumps_line(r) for r in _reports([batch])]
+            assert list(text_lines([batch], fmt)) == _reference_lines(_reports([batch]), fmt)
+
+    def test_csv_reads_back_to_the_report_cells(self, result):
+        rows = list(csv.reader(io.StringIO("".join(text_lines(result.batches, "csv")))))
+        cells = []
+        for r in result.reports:
+            fields = {"claim": r.claim, **dict(r.instance), "predicted": r.predicted, "oracle": r.oracle}
+            fields.update(verdict=r.verdict, slack=r.slack)
+            cells.append(["" if fields.get(key) is None else str(fields[key]) for key in CSV_COLUMNS])
+        assert rows == cells
+        assert {row[0] for row in rows} == {claim for runner in RUNNERS.values() for claim in runner.claims}
 
     def test_sort_order_matches_typed_instance_key(self, result):
         def typed_key(report):
@@ -807,7 +836,8 @@ class TestReportOrder:
         reference = sorted((r for batch in batches for r in _reports([batch])), key=itemgetter(0, 1))
         assert result.reports == reference
         assert result.reports == sorted(result.reports, key=itemgetter(0, 1))
-        assert list(json_lines(result.batches)) == [r.to_json_line() + "\n" for r in result.reports]
+        for fmt in FORMATS:
+            assert list(text_lines(result.batches, fmt)) == _reference_lines(result.reports, fmt)
         violations = [r for r in reference if r.verdict == "violation"]
         assert result.violations == violations
         assert bool(violations) == (violate is not None) and result.ok == (not violations)
@@ -820,6 +850,32 @@ class TestReportOrder:
 
 def _dumps_line(report):
     return json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _reference_lines(reports, fmt):
+    """The line of each report in `fmt`, as json.dumps, csv.DictWriter and print render it from the report."""
+    lines = []
+    for report in reports:
+        out = io.StringIO()
+        if fmt == "json":
+            out.write(_dumps_line(report))
+        elif fmt == "csv":
+            row = {"claim": report.claim, **dict(report.instance)}
+            row["predicted"] = report.predicted
+            row["oracle"] = report.oracle
+            row["verdict"] = report.verdict
+            row["slack"] = report.slack
+            csv.DictWriter(out, fieldnames=CSV_COLUMNS, extrasaction="ignore").writerow(row)
+        else:
+            fields = " ".join(f"{k}={v}" for k, v in report.instance)
+            extra = "" if report.slack is None else f" slack={report.slack}"
+            print(
+                f"{report.claim}: {fields} predicted={report.predicted} "
+                f"oracle={report.oracle} {report.verdict}{extra}",
+                file=out,
+            )
+        lines.append(out.getvalue())
+    return lines
 
 
 def _patch_runner(monkeypatch, name, run):
