@@ -50,6 +50,7 @@ from .sequences import (
     franel,
     franel_values,
     fuss_catalan,
+    fuss_catalan_values,
     hexagonal,
     hexagonal_values,
     legendre,

@@ -452,6 +452,29 @@ def catalan_values(start: int = 0) -> Iterator[int]:
     return values()
 
 
+def fuss_catalan_values(k: int, start: int = 0) -> Iterator[int]:
+    """Fuss-Catalan numbers F_j = C(kj, j) / ((k-1)j + 1) for j = start, start + 1, ... by
+
+    F_{j+1} = k (kj+1)...(kj+k-1) F_j / (((k-1)j+2)...((k-1)j+k)),   the first one from fuss_catalan.
+    """
+    if start < 0:
+        raise DomainError(f"start must be non-negative, got {start}")
+    if k < 2:
+        raise DomainError(f"k must be at least 2, got {k}")
+
+    def values() -> Iterator[int]:
+        cur = fuss_catalan(start, k)
+        for j in count(start):
+            yield cur
+            num, den = k, 1
+            for i in range(1, k):
+                num *= k * j + i
+                den *= (k - 1) * j + i + 1
+            cur = _exact_div(cur * num, den, "fuss_catalan")
+
+    return values()
+
+
 def delannoy_values(start: int = 0) -> Iterator[int]:
     """Central Delannoy numbers D_start, D_start+1, ...: the trinomial stream at (ab, a+b) = (2, 3), so
 
@@ -647,7 +670,7 @@ SEQUENCES: dict[str, SequenceDef] = {
         SequenceDef("central-binomial", (), 0, central_binomial, central_binomial_values),
         SequenceDef("franel", (), 0, values=franel_values),
         SequenceDef("hexagonal", (), 0, values=hexagonal_values),
-        SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan),
+        SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan, fuss_catalan_values),
         SequenceDef("multinomial", ("p",), 0, central_multinomial_product),
         SequenceDef("trinomial", ("a", "b"), 0, values=trinomial_values),
         SequenceDef("motzkin", ("a", "b"), 0, values=motzkin_values),

@@ -161,6 +161,49 @@ def _shape_predictor(claim: Claim) -> Callable[..., int]:
     return predict
 
 
+def _shape_column(claim: Claim) -> Callable[..., list[int]]:
+    """The predicted column of `claim` for n = n_lo..n_hi, both parities of each n, even parity first.
+
+    Equal to `[claim.predict(n, parity, *params) for n in range(n_lo, n_hi
+    + 1) for parity in PARITIES]`, errors included: the checks of n_lo, then
+    of the base, then of the first n past the kernels, if any, stand in for
+    the per-call checks.  One carry scan per n and prime answers both
+    parities: r = 1 adds v_p(2n + 1).
+    """
+    even_r = claim.index(0, 0) % 2  # the r of the even index of each n
+    base, catalan = claim.base, claim.catalan
+
+    def column(n_lo, n_hi, *params):
+        ns = range(n_lo, n_hi + 1)
+        if not ns:
+            return []
+        _check_instance(n_lo, PARITIES[0])
+        x = base(*params)
+        _check_instance(min(n_hi, _FAST_N_MAX + 1), PARITIES[0])  # n_hi, or the first n past the kernels
+        r0 = r1 = None  # min over the primes so far of v_p(core(n)) // e and of v_p((2n+1) core(n)) // e
+        for p, e in factorize(abs(x)).factors:
+            v0, v1 = [], []
+            for n in ns:
+                if p == 2:
+                    v = w = n.bit_count()  # the carries of n + n; and 2n + 1 is odd
+                else:
+                    v = _doubling_carries(n, p)
+                    w = v + _vp_machine(2 * n + 1, p)
+                if catalan:
+                    c = _vp_machine(n + 1, p)
+                    v, w = v - c, w - c
+                v0.append(v // e)
+                v1.append(w // e)
+            r0 = v0 if r0 is None else list(map(min, r0, v0))
+            r1 = v1 if r1 is None else list(map(min, r1, v1))
+        r1 = [v + 1 for v in r1]
+        out = [0] * (2 * len(ns))
+        out[even_r::2], out[1 - even_r::2] = r0, r1
+        return out
+
+    return column
+
+
 # ---------------------------------------------------------------------------
 # The claim table
 # ---------------------------------------------------------------------------
@@ -220,7 +263,9 @@ class Claim:
     claim without parameters has a fixed prime base); `catalan` says whether
     core(n) is Catalan(n) rather than C(2n, n), and `offset` places the
     index.  `predict(n, parity, *params)`, where parity is that of i, is the
-    predictor built from those fields at construction.  `values(*params)`
+    predictor built from those fields at construction, and `column(n_lo,
+    n_hi, *params)` its answers for a block of n, in batch row order (see
+    `_shape_column`).  `values(*params)`
     is the oracle: the stream Y_0, Y_1, ... of exact integers, divided by
     `divisor`.  `axis(grid)` lists the parameter tuples a sweep covers;
     claims without parameters sweep n in blocks instead.  `sequence` names
@@ -241,6 +286,7 @@ class Claim:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "predict", _shape_predictor(self))
+        object.__setattr__(self, "column", _shape_column(self))
 
     def index(self, n: int, r: int) -> int:
         """The index i = 2n + r + offset of the sequence value at (n, r)."""
@@ -395,6 +441,15 @@ def _stream_block(streams: dict, values: Callable[..., Iterator], args: tuple, l
     return block
 
 
+def _even_first(values: list, odd_start: bool) -> list:
+    """`values`, an even count of them at consecutive indices, with each pair swapped if the first index is odd."""
+    if not odd_start:
+        return values
+    out = values[:]
+    out[::2], out[1::2] = values[1::2], values[::2]
+    return out
+
+
 def _run_table(
     names: tuple[str, ...], n_lo: int, n_hi: int, streams: dict | None = None, **params
 ) -> list[ReportBatch]:
@@ -403,36 +458,36 @@ def _run_table(
     The n run as blocks of _BLOCK values, in order, that resume their
     streams from `streams` (a table of their own if None), so an item holds
     one block's values at a time.  In a block each claim reads its stream's
-    values at the indices of the block's n, the even index of each n first,
-    by `_stream_block`; claims with the same stream build them once, and
-    claims of the same shape share their predictor's answer at each index.
-    A prime base takes vp_int directly.
+    values at the indices of the block's n by `_stream_block`, the even
+    index of each n first; claims with the same stream build them once, and
+    claims of the same shape share one predicted column.  A prime base
+    takes vp_int directly.
     """
     streams = {} if streams is None else streams
     columns = {name: ([], []) for name in names}
     for block_lo, block_hi in _blocks(n_lo, n_hi):
-        ns = range(block_lo, block_hi + 1)
         blocks: dict = {}
         predictions: dict = {}
         for name in names:
             claim = CLAIMS[name]
             args = tuple(params[k] for k in claim.params)
-            lo = claim.index(block_lo, 0)
+            lo, stop = claim.index(block_lo, 0), claim.index(block_hi, 1) + 1
             key = (claim.values, claim.offset)
             if key not in blocks:
-                blocks[key] = _stream_block(streams, claim.values, args, lo, claim.index(block_hi, 1) + 1)
-            rs = sorted((0, 1), key=lambda r: claim.index(0, r) % 2)  # the even index first
-            indices = [claim.index(n, r) for n in ns for r in rs]
-            ys = [blocks[key][i - lo] for i in indices]
+                blocks[key] = _stream_block(streams, claim.values, args, lo, stop)
+            ys = _even_first(blocks[key], lo % 2)
             if claim.divisor != 1:
-                for j, (i, y) in enumerate(zip(indices, ys)):
-                    ys[j], rem = divmod(y, claim.divisor)
+                quotients = []
+                for i, y in zip(_even_first(list(range(lo, stop)), lo % 2), ys):
+                    q, rem = divmod(y, claim.divisor)
                     if rem:
                         raise IntegralityError(f"{name} construction failed at index {i}")
+                    quotients.append(q)
+                ys = quotients
             x = claim.base(*args)
             shape = (x, claim.catalan, claim.offset)
             if shape not in predictions:
-                predictions[shape] = [claim.predict(n, PARITIES[r], *args) for n in ns for r in (0, 1)]
+                predictions[shape] = claim.column(block_lo, block_hi, *args)
             predicted, oracle = columns[name]
             predicted += predictions[shape]
             oracle += map(vp_int, ys, repeat(abs(x))) if is_prime(abs(x)) else map(omega, repeat(x), ys)
@@ -454,13 +509,16 @@ def _items_cor1(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[ReportBatch]:
-    """Up to exact_max the oracle is v_2 of C(2h, h) from its stream: h = 2n, 2n + 1 for cor1, h = n for popcount."""
+    """Up to exact_max the oracle is v_2 of C(2h, h) from its stream: h = 2n, 2n + 1 for cor1, h = n for popcount.
+
+    cor1's predicted column is cor2's: both claims predict v_2 of C(4n, 2n) and C(4n + 2, 2n + 1).
+    """
+    predicted = CLAIMS["cor2"].column(n_lo, n_hi)
     doubled, single = central_binomial_values(2 * n_lo), central_binomial_values(n_lo)
     ns = range(n_lo, n_hi + 1)
-    predicted, oracle, popcounts, central_vp = [], [], [], []
+    oracle, popcounts, central_vp = [], [], []
     for n in ns:
-        for half, parity in zip((2 * n, 2 * n + 1), PARITIES):
-            predicted.append(predict_central_binomial_v2(n, parity))
+        for half in (2 * n, 2 * n + 1):
             oracle.append(vp_int(next(doubled), 2) if half <= exact_max else kummer_carries(half, half, 2))
         popcounts.append(popcount_valuation(n))
         central_vp.append(vp_int(next(single), 2) if n <= exact_max else kummer_carries(n, n, 2))

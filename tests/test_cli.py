@@ -420,6 +420,20 @@ class TestSeq:
         pointwise = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
         assert with_table == pointwise and all(code == 0 and out for code, out, _ in pointwise)
 
+    @pytest.mark.parametrize("k", ["2", "3", "7"])
+    def test_fuss_catalan_stream_gives_pointwise_bytes(self, capsys, monkeypatch, k):
+        runs = [("seq", "fuss-catalan", span, k, *extra) for span in ("0..60", "45..80")
+                for extra in ((), ("--format", "json"), ("--format", "csv"), ("--valuation", "3"))]
+        runs.append(("table", "fuss-catalan", "0..30", k))
+        with_stream = [run(capsys, *argv) for argv in runs]
+        assert cli.SEQUENCES["fuss-catalan"].values is not None
+        pointwise_entry = dataclasses.replace(cli.SEQUENCES["fuss-catalan"], values=None)
+        monkeypatch.setitem(cli.SEQUENCES, "fuss-catalan", pointwise_entry)
+        pointwise = [run(capsys, *argv) for argv in runs]
+        assert with_stream == pointwise and all(code == 0 and out for code, out, _ in pointwise)
+        for command in ("seq", "table"):
+            assert run(capsys, command, "fuss-catalan", "0..3", "1") == (2, "", "error: k must be at least 2, got 1\n")
+
     @pytest.mark.parametrize("name, params, lo", [
         ("delannoy", (), 1600),
         ("schroder", (), 1600),

@@ -36,6 +36,7 @@ from valuata.sequences import (
     franel,
     franel_values,
     fuss_catalan,
+    fuss_catalan_values,
     hexagonal,
     hexagonal_values,
     legendre,
@@ -370,6 +371,7 @@ class TestRegistryTables:
             "little-schroder": schroder_little_values,
             "central-binomial": central_binomial_values,
             "catalan": catalan_values,
+            "fuss-catalan": fuss_catalan_values,
         }
         fns = {name: spec.fn for name, spec in SEQUENCES.items() if spec.fn is not None}
         assert fns == {
@@ -416,6 +418,7 @@ class TestRegistryTables:
             "legendre": ((-15,), legendre_values),
             "central-binomial": ((), central_binomial_values),
             "catalan": ((), catalan_values),
+            "fuss-catalan": ((3,), fuss_catalan_values),
         }
         assert set(tables) == {name for name, spec in SEQUENCES.items() if spec.values is not None}
         for name, (params, values) in tables.items():
@@ -446,7 +449,7 @@ class TestRegistryTables:
             "franel": lambda: franel(n),
             "legendre": lambda: legendre(n, -15),
         }
-        params = {"trinomial": (2, 5), "motzkin": (3, -4), "legendre": (-15,)}
+        params = {"trinomial": (2, 5), "motzkin": (3, -4), "legendre": (-15,), "fuss-catalan": (3,)}
         for name, spec in SEQUENCES.items():
             if spec.values is not None:
                 extra = params.get(name, ())
@@ -721,6 +724,30 @@ class TestFussCatalan:
     def test_domain(self):
         with pytest.raises(DomainError):
             fuss_catalan(3, 1)
+
+    def test_stream(self):
+        for k in range(2, 7):
+            assert _first(fuss_catalan_values(k), 120) == [fuss_catalan(n, k) for n in range(121)], k
+            for start in (1, 2, 17, 300, 2000):
+                assert _first(fuss_catalan_values(k, start), 6) == [fuss_catalan(n, k) for n in range(start, start + 7)]
+        assert _first(fuss_catalan_values(2), 300) == _first(catalan_values(), 300)
+
+    def test_stream_checks_before_building(self, monkeypatch):
+        calls = []
+        real = sequences.fuss_catalan
+        monkeypatch.setattr(sequences, "fuss_catalan", lambda n, k: calls.append((n, k)) or real(n, k))
+        for k, start, message in (
+            (1, 0, "^k must be at least 2, got 1$"),
+            (-4, 7, "^k must be at least 2, got -4$"),
+            (3, -1, "^start must be non-negative, got -1$"),
+            (1, -2, "^start must be non-negative, got -2$"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                fuss_catalan_values(k, start)
+        # The first value comes from fuss_catalan, built on the first next(), not when the stream is made.
+        stream = fuss_catalan_values(3, 40)
+        assert calls == []
+        assert next(stream) == comb(120, 40) // 81 and calls == [(40, 3)]
 
 
 class TestCentralMultinomial:

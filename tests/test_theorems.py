@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import pickle
 import random
+import re
 import signal
 import sys
 import time
@@ -15,6 +16,7 @@ import tracemalloc
 from collections import Counter
 from math import comb
 from operator import itemgetter
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -500,6 +502,7 @@ class TestPredictorFastPath:
         "hexagonal": (True, 0), "catalan-shift": (True, 1),
     }
     BASES = (2, 3, 6, 8, 9, 12, 2 * 3 * 97, 2**61 - 1)
+    BAD_PARAMS = {"thm1": (2, 4), "thm2": (3, 2, 4), "cor3": (4,), "thm5": (2, 4), "thm6": (2, 4)}
 
     @staticmethod
     def ns() -> list[int]:
@@ -507,8 +510,8 @@ class TestPredictorFastPath:
         edges = [0, 1, 2, 3, 7, 8, 26, 27, 80, 81, 2023, 3**39 - 1, 3**39, _FAST_N_MAX - 1, _FAST_N_MAX]
         return edges + [rng.getrandbits(rng.randint(1, 63)) for _ in range(60)]
 
-    def params(self, name: str) -> list[tuple]:
-        signed = [s * x for x in self.BASES for s in (1, -1)]
+    def params(self, name: str, bases: tuple[int, ...] = BASES) -> list[tuple]:
+        signed = [s * x for x in bases for s in (1, -1)]
         if name == "thm1":
             return [(a, x - a) for x in signed for a in (1, -1, 5) if math.gcd(a, x - a) == 1]
         if name == "thm2":  # the order m does not enter the bound
@@ -565,7 +568,7 @@ class TestPredictorFastPath:
         with pytest.raises(ValueError, match="parity"):
             claim.predict(3, "banana", *args)
         # n and the parity are checked before the hypotheses on the parameters
-        bad = {"thm1": (2, 4), "thm2": (3, 2, 4), "cor3": (4,), "thm5": (2, 4), "thm6": (2, 4)}.get(name)
+        bad = self.BAD_PARAMS.get(name)
         if bad:
             with pytest.raises(HypothesisViolation, match="^n must be non-negative, got -1$"):
                 claim.predict(-1, "odd", *bad)
@@ -573,6 +576,33 @@ class TestPredictorFastPath:
                 claim.predict(3, "banana", *bad)
             with pytest.raises(HypothesisViolation, match="^(a and b must be coprime, got 2, 4|x must be odd, got 4)$"):
                 claim.predict(3, "odd", *bad)
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_column_matches_the_predictor(self, name):
+        # Bases with a squared prime (+-4, +-8, +-9, +-12) and several primes
+        # (+-582 = 2 * 3 * 97); blocks from 0, past it, and around p**k - 1, p**k.
+        claim = CLAIMS[name]
+        powers = (4, 2**10, 9, 3**5, 3**39, 97, 97**2)
+        blocks = [(0, 12), (5, 40), *((q - 3, q + 2) for q in powers), (_FAST_N_MAX - 4, _FAST_N_MAX)]
+        for args in self.params(name, (2, 3, 4, 8, 9, 12, 2 * 3 * 97)):
+            for lo, hi in blocks:
+                expected = [claim.predict(n, parity, *args) for n in range(lo, hi + 1) for parity in PARITIES]
+                assert claim.column(lo, hi, *args) == expected, (name, args, lo, hi)
+
+    @pytest.mark.parametrize("name", sorted(CLAIMS))
+    def test_column_raises_what_the_predictor_raises(self, name):
+        claim = CLAIMS[name]
+        args, bad = self.params(name)[0], self.BAD_PARAMS.get(name)
+        cases = [(-3, 2, args), (-1, _FAST_N_MAX + 1, args), (_FAST_N_MAX - 1, _FAST_N_MAX + 2, args),
+                 (_FAST_N_MAX + 5, _FAST_N_MAX + 9, args)]
+        if bad:
+            cases += [(0, 5, bad), (-1, 5, bad), (_FAST_N_MAX - 1, _FAST_N_MAX + 1, bad)]
+        for lo, hi, params in cases:
+            with pytest.raises(HypothesisViolation) as per_call:
+                [claim.predict(n, parity, *params) for n in range(lo, hi + 1) for parity in PARITIES]
+            with pytest.raises(HypothesisViolation, match=f"^{re.escape(str(per_call.value))}$"):
+                claim.column(lo, hi, *params)
+        assert claim.column(5, 4, *args) == []
 
     @pytest.mark.parametrize("name", sorted(CLAIMS))
     def test_core_checks_its_inputs(self, name):
@@ -591,15 +621,20 @@ class TestPredictorFastPath:
                 cli._core_lines(target, claim.base(*args))
 
     @pytest.mark.parametrize("target, claim", [
-        ("predict_central_binomial_v2", "cor1"),
+        ("cor2.column", "cor1"),
         ("popcount_valuation", "popcount"),
     ])
     def test_cor1_catches_an_off_by_one_predictor_past_exact_max(self, monkeypatch, target, claim):
         # Past exact_max the oracle is kummer_carries(., ., 2), a digit scan, not a popcount.
         import valuata.theorems as theorems
 
-        original = getattr(theorems, target)
-        monkeypatch.setattr(theorems, target, lambda *args: original(*args) + 1)
+        if target == "cor2.column":  # cor1 predicts with cor2's column
+            column = CLAIMS["cor2"].column
+            off_by_one = SimpleNamespace(column=lambda *args: [v + 1 for v in column(*args)])
+            monkeypatch.setitem(theorems.CLAIMS, "cor2", off_by_one)
+        else:
+            original = getattr(theorems, target)
+            monkeypatch.setattr(theorems, target, lambda *args: original(*args) + 1)
         reports = run_harness(["cor1"], HarnessGrid(n_max=40, exact_max=0)).reports
         hit = [r for r in reports if r.claim == claim]
         assert len(hit) == (2 if claim == "cor1" else 1) * 41
