@@ -32,6 +32,7 @@ from .sequences import (
     IntegralityError,
     binomial,
     bsum,
+    bsum_range_values,
     bsum_values,
     catalan,
     catalan_values,
@@ -39,6 +40,7 @@ from .sequences import (
     central_binomial_values,
     central_multinomial,
     central_multinomial_product,
+    central_multinomial_values,
     check_congruence,
     delannoy,
     delannoy_values,
@@ -61,6 +63,7 @@ from .sequences import (
     schroder_large_values,
     schroder_little,
     schroder_little_values,
+    square_sum_values,
     table_value,
     trinomial_values,
 )

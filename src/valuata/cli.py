@@ -3,7 +3,7 @@
 Single divisibility queries (`omega`, `vp`), sequence tables (`seq`,
 `table`), claim verification sweeps (`verify`) and fast-vs-oracle timing
 (`bench`).  Exit codes are a stable contract: 0 success, 1 mathematical
-violation or path disagreement, 2 usage or domain error.
+violation or path disagreement, 2 usage, domain or output error.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 import time
@@ -28,7 +29,6 @@ from .sequences import (
     bsum,
     eval_B,
     stream_slice,
-    trinomial_values,
 )
 from .theorems import (
     CLAIMS,
@@ -331,29 +331,28 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if p is not None and not is_prime(p):
         raise UsageError(f"--valuation takes a prime, got {p}")
     header = ["n", "value"] + ([f"v_{p}"] if p is not None else [])
-    indices = range(lo, hi + 1)
-    if entry.values is not None:
-        values = list(stream_slice(entry.values, lo, hi + 1, *extra))
-    elif name == "bsum" and extra[0] == 2:  # the square sum: one trinomial stream at (ab, a + b)
-        _, a, b = extra
-        values = list(stream_slice(trinomial_values, lo, hi + 1, a * b, a + b))
-    else:
-        values = [entry.value(n, *extra) for n in indices]
     rows = []
-    for n, value in zip(indices, values):
-        row: list = [n, value]
-        if p is not None:
-            row.append(vp_int(value, p))
-        rows.append(row)
+    for n, value in zip(range(lo, hi + 1), stream_slice(entry.values, lo, hi + 1, *extra)):
+        rows.append([n, value] + ([vp_int(value, p)] if p is not None else []))
     return header, rows
 
 
-def _write_csv(out, header: list[str], rows: list[list]) -> None:
+def _write_csv(output: str | None, header: list[str], rows: list[list]) -> None:
+    """The rows as CSV on stdout, or in the file `output`: one that cannot be written is a UsageError."""
     import csv
 
-    writer = csv.writer(out)
-    writer.writerow(header)
-    writer.writerows(rows)
+    def write(out) -> None:
+        writer = csv.writer(out)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+    if output is None:
+        return write(sys.stdout)
+    try:
+        with open(output, "w", newline="") as out:
+            write(out)
+    except OSError as exc:
+        raise UsageError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
@@ -366,24 +365,10 @@ def cmd_seq(args: argparse.Namespace) -> int:
             obj = dict(zip(header, ["inf" if v is INFINITE else v for v in row]))
             print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     elif args.format == "csv":
-        _write_csv(sys.stdout, header, rows)
+        _write_csv(args.output, header, rows)
     else:
         for row in rows:
             print(row[0], _format_value(row[1], digits), *row[2:], sep="\t")
-    return 0
-
-
-def cmd_table(args: argparse.Namespace) -> int:
-    header, rows = _seq_rows(args)
-    try:
-        out = open(args.output, "w", newline="") if args.output is not None else sys.stdout
-    except OSError as exc:
-        raise UsageError(f"cannot write --output {args.output}: {exc.strerror or exc}") from exc
-    try:
-        _write_csv(out, header, rows)
-    finally:
-        if args.output is not None:
-            out.close()
     return 0
 
 
@@ -563,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_seq.add_argument("--valuation", metavar="P", help="add a v_P column")
     p_seq.add_argument("--digits", help="abbreviate long values to this many leading/trailing digits")
     add_format(p_seq, "json", "csv")
-    p_seq.set_defaults(func=cmd_seq)
+    p_seq.set_defaults(func=cmd_seq, output=None)
 
     p_table = sub.add_parser("table", help="export sequence values as CSV")
     p_table.add_argument("name")
@@ -571,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("params", nargs="*")
     p_table.add_argument("--valuation", metavar="P")
     p_table.add_argument("-o", "--output", help="write to a file instead of stdout")
-    p_table.set_defaults(func=cmd_table)
+    p_table.set_defaults(func=cmd_seq, format="csv", digits=None)
 
     p_verify = sub.add_parser("verify", help="sweep claims against the big-integer oracle")
     p_verify.add_argument(
@@ -626,7 +611,9 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the handlers, so that a failing last write is caught too
+        return code
     except (
         UsageError,
         DomainError,
@@ -640,6 +627,12 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory; ask for a smaller range, index or grid", file=sys.stderr)
+        return 2
+    except OSError as exc:  # such as stdout on a full device or a closed pipe
+        if isinstance(exc, BrokenPipeError):
+            # The reader is gone: the interpreter's exit flush goes to devnull instead of failing again.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except IntegralityError as exc:
         print(f"internal arithmetic failure: {exc}", file=sys.stderr)

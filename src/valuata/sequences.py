@@ -39,7 +39,9 @@ class IntegralityError(ArithmeticError):
 def _exact_div(num: int, den: int, what: str) -> int:
     q, r = divmod(num, den)
     if r:
-        raise IntegralityError(f"{what}: {num} is not divisible by {den}")
+        # Sizes, not digits: a value may be millions of digits long, past int-to-str's limit.
+        bits = num.bit_length(), den.bit_length()
+        raise IntegralityError(f"{what}: a {bits[0]}-bit number is not divisible by a {bits[1]}-bit one")
     return q
 
 
@@ -456,6 +458,10 @@ def fuss_catalan_values(k: int, start: int = 0) -> Iterator[int]:
     """Fuss-Catalan numbers F_j = C(kj, j) / ((k-1)j + 1) for j = start, start + 1, ... by
 
     F_{j+1} = k (kj+1)...(kj+k-1) F_j / (((k-1)j+2)...((k-1)j+k)),   the first one from fuss_catalan.
+
+    For 1 <= j < k the two runs share the factors kj+1..(k-1)j+k, which
+    cancel, so a step multiplies at most min(j, k - 1) factors of each run;
+    F_1 = F_0 = 1.
     """
     if start < 0:
         raise DomainError(f"start must be non-negative, got {start}")
@@ -466,11 +472,10 @@ def fuss_catalan_values(k: int, start: int = 0) -> Iterator[int]:
         cur = fuss_catalan(start, k)
         for j in count(start):
             yield cur
-            num, den = k, 1
-            for i in range(1, k):
-                num *= k * j + i
-                den *= (k - 1) * j + i + 1
-            cur = _exact_div(cur * num, den, "fuss_catalan")
+            if j:
+                num = k * math.prod(range(max(k * j + 1, (k - 1) * j + k + 1), k * j + k))
+                den = math.prod(range((k - 1) * j + 2, min((k - 1) * j + k + 1, k * j + 1)))
+                cur = _exact_div(cur * num, den, "fuss_catalan")
 
     return values()
 
@@ -483,12 +488,16 @@ def delannoy_values(start: int = 0) -> Iterator[int]:
     return trinomial_values(2, 3, start)
 
 
+def square_sum_values(a: int, b: int, start: int = 0) -> Iterator[int]:
+    """B(start, 2, a, b), B(start+1, 2, a, b), ...: as B(n, 2, a, b) = T_n(ab, a+b), the trinomial stream there."""
+    return trinomial_values(a * b, a + b, start)
+
+
 def legendre_values(x: int, start: int = 0) -> Iterator[int]:
-    """P_start(x), P_start+1(x), ... at odd x: the trinomial stream at (ab, a+b) for (a, b) = ((x-1)/2, (x+1)/2)."""
+    """P_start(x), P_start+1(x), ... at odd x: the square-sum stream at ((x-1)/2, (x+1)/2)."""
     if x % 2 == 0:
         raise DomainError(f"x must be odd for an integer value, got {x}")
-    a, b = (x - 1) // 2, (x + 1) // 2
-    return trinomial_values(a * b, a + b, start)
+    return square_sum_values((x - 1) // 2, (x + 1) // 2, start)
 
 
 def hexagonal_values(start: int = 0) -> Iterator[int]:
@@ -562,6 +571,18 @@ def central_multinomial_product(n: int, p: int) -> int:
     return _balanced_product([binomial(k * n, n) for k in range(2, p + 1)])
 
 
+def central_multinomial_values(p: int, start: int = 0) -> Iterator[int]:
+    """Central multinomials M_n = (pn)! / (n!)**p for n = start, start + 1, ... by
+
+    M_{n+1} = (pn+1)...(pn+p) M_n / (n+1)**p,   the first one, and the checks of start and p, from
+    central_multinomial_product on the first next.
+    """
+    cur = central_multinomial_product(start, p)
+    for n in count(start):
+        yield cur
+        cur = _exact_div(math.perm(p * n + p, p) * cur, (n + 1) ** p, "central_multinomial")
+
+
 def legendre(n: int, x: int) -> int:
     """Integer Legendre polynomial value P_n(x) for odd x.
 
@@ -598,9 +619,12 @@ def legendre_rational(n: int, x: int) -> Fraction:
 
 def bsum(n: int, m: int, a: int, b: int) -> int:
     """B(n, m, a, b); the square sum (m = 2) is read from its recurrence stream."""
-    if m != 2:
-        return eval_B(n, m, a, b)
-    return table_value(trinomial_values, n, a * b, a + b)
+    return eval_B(n, m, a, b) if m != 2 else table_value(square_sum_values, n, a, b)
+
+
+def bsum_range_values(m: int, a: int, b: int, start: int = 0) -> Iterator[int]:
+    """B(start, m, a, b), B(start+1, m, a, b), ...: the square-sum stream at m = 2, eval_B at each index otherwise."""
+    return square_sum_values(a, b, start) if m == 2 else (eval_B(n, m, a, b) for n in count(start))
 
 
 def bsum_values(m: int, a: int, b: int) -> Iterator[int]:
@@ -642,16 +666,16 @@ def check_congruence(n: int, m: int, a: int, b: int) -> bool:
 class SequenceDef:
     """A named integer sequence: the CLI-facing registry entry.
 
-    `fn(n, *params)` computes one value; `values(*params)` streams y_0,
-    y_1, ... by a recurrence, for sequences that have one, with None below
-    `min_index`.  An entry has at least one of the two.
+    `values(*params, start=0)` streams y_start, y_start+1, ..., with None
+    below `min_index`; `fn(n, *params)`, where an entry has one, computes
+    a single value by another construction than starting the stream at n.
     """
 
     name: str
     params: tuple[str, ...]
     min_index: int
+    values: Callable[..., Iterator[int | None]]
     fn: Callable[..., int] | None = None
-    values: Callable[..., Iterator[int | None]] | None = None
 
     def value(self, n: int, *params: int) -> int:
         """y_n by `fn` when the entry has one, else element n of its stream."""
@@ -663,18 +687,18 @@ class SequenceDef:
 SEQUENCES: dict[str, SequenceDef] = {
     s.name: s
     for s in (
-        SequenceDef("delannoy", (), 0, values=delannoy_values),
-        SequenceDef("schroder", (), 1, schroder_large, schroder_large_values),
-        SequenceDef("little-schroder", (), 1, schroder_little, schroder_little_values),
-        SequenceDef("catalan", (), 0, catalan, catalan_values),
-        SequenceDef("central-binomial", (), 0, central_binomial, central_binomial_values),
-        SequenceDef("franel", (), 0, values=franel_values),
-        SequenceDef("hexagonal", (), 0, values=hexagonal_values),
-        SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan, fuss_catalan_values),
-        SequenceDef("multinomial", ("p",), 0, central_multinomial_product),
-        SequenceDef("trinomial", ("a", "b"), 0, values=trinomial_values),
-        SequenceDef("motzkin", ("a", "b"), 0, values=motzkin_values),
-        SequenceDef("legendre", ("x",), 0, values=legendre_values),
-        SequenceDef("bsum", ("m", "a", "b"), 0, bsum),
+        SequenceDef("delannoy", (), 0, delannoy_values),
+        SequenceDef("schroder", (), 1, schroder_large_values, schroder_large),
+        SequenceDef("little-schroder", (), 1, schroder_little_values, schroder_little),
+        SequenceDef("catalan", (), 0, catalan_values, catalan),
+        SequenceDef("central-binomial", (), 0, central_binomial_values, central_binomial),
+        SequenceDef("franel", (), 0, franel_values),
+        SequenceDef("hexagonal", (), 0, hexagonal_values),
+        SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan_values, fuss_catalan),
+        SequenceDef("multinomial", ("p",), 0, central_multinomial_values, central_multinomial_product),
+        SequenceDef("trinomial", ("a", "b"), 0, trinomial_values),
+        SequenceDef("motzkin", ("a", "b"), 0, motzkin_values),
+        SequenceDef("legendre", ("x",), 0, legendre_values),
+        SequenceDef("bsum", ("m", "a", "b"), 0, bsum_range_values, bsum),
     )
 }

@@ -45,12 +45,14 @@ from .sequences import (
     catalan_values,
     central_binomial_values,
     central_multinomial_product,
+    central_multinomial_values,
     delannoy_values,
     franel_values,
     hexagonal_values,
     legendre_values,
     motzkin_values,
     schroder_large_values,
+    square_sum_values,
     trinomial_values,
     IntegralityError,
 )
@@ -306,7 +308,7 @@ CLAIMS: dict[str, Claim] = {
     c.name: c
     for c in (
         # name, sequence, values, params, base, catalan, offset, kind, axis, n_max
-        Claim("thm1", "bsum", lambda a, b: trinomial_values(a * b, a + b), ("a", "b"),
+        Claim("thm1", "bsum", square_sum_values, ("a", "b"),
               lambda a, b: _check_weights(a, b, "a + b", a + b), False, 0, KIND_EXACT,
               lambda grid: coprime_pairs(grid.ab_max), 200),
         Claim("thm2", None, bsum_values, ("m", "a", "b"), lambda m, a, b: _check_weights(a, b, "a + b", a + b), False,
@@ -537,28 +539,19 @@ def _items_lemma1(grid: HarnessGrid) -> list[dict]:
 
 
 def _run_lemma1(p: int, n_max: int) -> list[ReportBatch]:
-    """lemma1's family for p at n = 0..n_max, from (pn)! / (n!)**p maintained incrementally
-    and C(2n, n) read from its stream.
+    """lemma1's family for p at n = 0..n_max, from the streams of (pn)! / (n!)**p and C(2n, n).
 
-    Every step is an exact division, its remainder checked.  The product
-    form is rebuilt only at n = 0, at each power of two and at n_max: a
-    value gone wrong at some n stays wrong at n_max unless a later step
-    cancels the error.  (Comparing the two forms' step ratios would check an
-    identity: the product form's ratio telescopes to the incremental step.)
+    Every step of the multinomial stream is an exact division, its
+    remainder checked.  The product form is rebuilt only at n = 0, at each
+    power of two and at n_max: a value gone wrong at some n stays wrong at
+    n_max unless a later step cancels the error.  (Comparing the two forms'
+    step ratios would check an identity: the product form's ratio
+    telescopes to the stream's step.)
     """
     checkpoints = {0, n_max, *(1 << k for k in range(n_max.bit_length()))}
     ns = range(n_max + 1)
     central_vp, digit_sums, multinomial_vp, shifted_vp = [], [], [], []
-    multinomial = 1  # (pn)! / (n!)**p, maintained incrementally over n
-    for n, central in zip(ns, central_binomial_values()):
-        if n:
-            block = 1
-            for i in range(p * (n - 1) + 1, p * n + 1):
-                block *= i
-            q, r = divmod(multinomial * block, n**p)
-            if r:
-                raise IntegralityError(f"multinomial update failed at n={n}, p={p}")
-            multinomial = q
+    for n, central, multinomial in zip(ns, central_binomial_values(), central_multinomial_values(p)):
         if n in checkpoints and central_multinomial_product(n, p) != multinomial:
             raise IntegralityError(
                 f"multinomial forms disagree at n={n}, p={p}"

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ import valuata.cli as cli
 import valuata.harness as harness
 from valuata.cli import main
 from valuata.digits import kummer_carries
-from valuata.sequences import SEQUENCES, eval_B
+from valuata.sequences import SEQUENCES, eval_B, fuss_catalan, schroder_large, schroder_little
 from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
 from valuata.valuation import INFINITE, vp_int
 
@@ -29,6 +30,26 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def seq_bytes(fmt, values, p=None):
+    """What `seq --format fmt`, or `table` for fmt "table", prints for the values {n: y_n}, with a v_p column for p."""
+    header = ["n", "value"] + ([f"v_{p}"] if p else [])
+    rows = [[n, y] + ([vp_int(y, p)] if p else []) for n, y in values.items()]
+    if fmt == "json":
+        return "".join(json.dumps(dict(zip(header, row)), sort_keys=True, separators=(",", ":")) + "\n" for row in rows)
+    if fmt in ("csv", "table"):
+        return "".join(",".join(map(str, row)) + "\r\n" for row in [header, *rows])
+    return "".join("\t".join(map(str, row)) + "\n" for row in rows)
+
+
+def seq_argv(fmt, name, lo, hi, params, p=None):
+    """The `seq` (or, for fmt "table", `table`) argument vector whose output seq_bytes gives."""
+    command = ("table",) if fmt == "table" else ("seq", "--format", fmt)
+    return [command[0], name, f"{lo}..{hi}", *map(str, params), *command[1:], *(("--valuation", str(p)) if p else ())]
+
+
+FORMATS = [("human", None), ("json", None), ("csv", None), ("table", None), ("human", 3), ("json", 5), ("table", 3)]
 
 
 def run_or_exit(capsys, *argv):
@@ -411,28 +432,35 @@ class TestSeq:
         code, out, _ = run(capsys, "seq", "bsum", "0..40", "2", str(a), str(b))
         assert code == 0 and out == "".join(f"{n}\t{eval_B(n, 2, a, b)}\n" for n in range(41))
 
-    @pytest.mark.parametrize("name", ["schroder", "little-schroder"])
-    def test_schroder_table_gives_pointwise_bytes(self, capsys, monkeypatch, name):
-        formats = [("--format", fmt) for fmt in ("human", "json", "csv")] + [("--valuation", "3")]
-        with_table = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
-        assert cli.SEQUENCES[name].values is not None
-        monkeypatch.setitem(cli.SEQUENCES, name, dataclasses.replace(cli.SEQUENCES[name], values=None))
-        pointwise = [run(capsys, "seq", name, "1..60", *extra) for extra in formats]
-        assert with_table == pointwise and all(code == 0 and out for code, out, _ in pointwise)
+    @pytest.mark.parametrize("name, single", [("schroder", schroder_large), ("little-schroder", schroder_little)])
+    def test_schroder_table_gives_pointwise_bytes(self, capsys, name, single):
+        values = {n: single(n) for n in range(1, 61)}
+        for fmt, p in FORMATS:
+            assert run(capsys, *seq_argv(fmt, name, 1, 60, (), p)) == (0, seq_bytes(fmt, values, p), "")
 
-    @pytest.mark.parametrize("k", ["2", "3", "7"])
-    def test_fuss_catalan_stream_gives_pointwise_bytes(self, capsys, monkeypatch, k):
-        runs = [("seq", "fuss-catalan", span, k, *extra) for span in ("0..60", "45..80")
-                for extra in ((), ("--format", "json"), ("--format", "csv"), ("--valuation", "3"))]
-        runs.append(("table", "fuss-catalan", "0..30", k))
-        with_stream = [run(capsys, *argv) for argv in runs]
-        assert cli.SEQUENCES["fuss-catalan"].values is not None
-        pointwise_entry = dataclasses.replace(cli.SEQUENCES["fuss-catalan"], values=None)
-        monkeypatch.setitem(cli.SEQUENCES, "fuss-catalan", pointwise_entry)
-        pointwise = [run(capsys, *argv) for argv in runs]
-        assert with_stream == pointwise and all(code == 0 and out for code, out, _ in pointwise)
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_fuss_catalan_stream_gives_pointwise_bytes(self, capsys, k):
+        for lo, hi in ((0, 60), (45, 80)):
+            values = {n: fuss_catalan(n, k) for n in range(lo, hi + 1)}
+            for fmt, p in FORMATS:
+                argv = seq_argv(fmt, "fuss-catalan", lo, hi, (k,), p)
+                assert run(capsys, *argv) == (0, seq_bytes(fmt, values, p), "")
         for command in ("seq", "table"):
             assert run(capsys, command, "fuss-catalan", "0..3", "1") == (2, "", "error: k must be at least 2, got 1\n")
+
+    def test_fuss_catalan_at_a_large_k_answers_at_once(self, capsys):
+        # The first steps share all but a few factors of their runs, which cancel.
+        assert run(capsys, "seq", "fuss-catalan", "0..2", "10000000") == (0, "0\t1\n1\t1\n2\t10000000\n", "")
+
+    @pytest.mark.parametrize("name, params", [
+        ("multinomial", (2,)), ("multinomial", (3,)), ("multinomial", (7,)), ("bsum", (2, -3, 5)), ("bsum", (3, 2, 7)),
+    ])
+    def test_stream_ranges_give_the_single_values_bytes(self, capsys, name, params):
+        # A range reads the entry's stream; each single value takes `fn`.
+        for lo, hi in ((0, 40), (17, 60)):
+            values = {n: SEQUENCES[name].value(n, *params) for n in range(lo, hi + 1)}
+            for fmt, p in FORMATS:
+                assert run(capsys, *seq_argv(fmt, name, lo, hi, params, p)) == (0, seq_bytes(fmt, values, p), "")
 
     @pytest.mark.parametrize("name, params, lo", [
         ("delannoy", (), 1600),
@@ -562,6 +590,44 @@ class TestTable:
             code, out, err = run(capsys, "table", "catalan", "0..3", "--output", str(target))
             assert (code, out) == (2, "") and err.startswith(f"error: cannot write --output {target}: ")
         assert not missing.parent.exists()
+
+
+def _valuata(*argv: str, **kwargs) -> subprocess.Popen:
+    """`python -m valuata *argv` started in a new interpreter that imports this checkout's package."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.Popen([sys.executable, "-m", "valuata", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+class TestOutputFailures:
+    """A write that fails, to a full device or a closed pipe, exits 2 with one error line and no traceback."""
+
+    full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+
+    @full
+    @pytest.mark.parametrize(
+        "argv", [("omega", "3", "5"), ("seq", "delannoy", "0..300"), ("verify", "thm3", "--n-max", "300")]
+    )
+    def test_a_full_stdout(self, argv):
+        with open("/dev/full", "w") as full, _valuata(*argv, stdout=full) as proc:
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err.decode()) == (2, f"error: {os.strerror(errno.ENOSPC)}\n")
+
+    @full
+    def test_a_full_output_file(self):
+        with _valuata("table", "delannoy", "0..200", "-o", "/dev/full", stdout=subprocess.PIPE) as proc:
+            out, err = proc.communicate(timeout=120)
+        expected = f"error: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}\n"
+        assert (proc.returncode, out, err.decode()) == (2, b"", expected)
+
+    def test_a_closed_pipe(self):
+        # The rows fill the pipe long before the range ends, so a write meets the closed pipe.
+        with _valuata("seq", "delannoy", "0..3000", stdout=subprocess.PIPE) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=120)
+        assert (proc.returncode, first, err.decode()) == (2, b"0\t1\n", f"error: {os.strerror(errno.EPIPE)}\n")
 
 
 class TestVerify:

@@ -18,6 +18,7 @@ from valuata.sequences import (
     IntegralityError,
     binomial,
     bsum,
+    bsum_range_values,
     bsum_values,
     catalan,
     catalan_values,
@@ -25,6 +26,7 @@ from valuata.sequences import (
     central_binomial_values,
     central_multinomial,
     central_multinomial_product,
+    central_multinomial_values,
     check_congruence,
     delannoy,
     delannoy_values,
@@ -47,6 +49,7 @@ from valuata.sequences import (
     schroder_large_values,
     schroder_little,
     schroder_little_values,
+    square_sum_values,
     table_value,
     trinomial_values,
 )
@@ -340,6 +343,15 @@ class TestRecurrenceTables:
         assert _first(franel_values(), 300)[300] == franel(300)
         assert _first(motzkin_values(-4, 5), 301)[301] == eval_M(301, -4, 5)
 
+    def test_square_sum_stream(self):
+        # B(n, 2, a, b) = T_n(ab, a + b): one stream for the paper's identity and for P_n at odd x.
+        for a, b in SIGNED_PAIRS:
+            for start in (0, 1, 17):
+                expected = [eval_B(n, 2, a, b) for n in range(start, start + 6)]
+                assert _first(square_sum_values(a, b, start), 5) == expected
+        for x in (3, -15):
+            assert _first(legendre_values(x, 30), 3) == _first(square_sum_values((x - 1) // 2, (x + 1) // 2, 30), 3)
+
     def test_short_tables(self):
         for values in (franel_values, catalan_values, hexagonal_values):
             assert _first(values(), 0) == [1]
@@ -359,7 +371,8 @@ class TestRegistryTables:
     WEIGHTS = TestRecurrenceTables.WEIGHTS
 
     def test_registry_wiring(self):
-        streams = {name: spec.values for name, spec in SEQUENCES.items() if spec.values is not None}
+        # Every entry reads its ranges from a stream; `fn` is an optional route for single values.
+        streams = {name: spec.values for name, spec in SEQUENCES.items()}
         assert streams == {
             "delannoy": delannoy_values,
             "franel": franel_values,
@@ -372,6 +385,8 @@ class TestRegistryTables:
             "central-binomial": central_binomial_values,
             "catalan": catalan_values,
             "fuss-catalan": fuss_catalan_values,
+            "multinomial": central_multinomial_values,
+            "bsum": bsum_range_values,
         }
         fns = {name: spec.fn for name, spec in SEQUENCES.items() if spec.fn is not None}
         assert fns == {
@@ -383,7 +398,6 @@ class TestRegistryTables:
             "multinomial": central_multinomial_product,
             "bsum": bsum,
         }
-        assert set(streams) | set(fns) == set(SEQUENCES)
 
     def test_value_matches_the_defining_sums(self):
         # The entries without `fn` read their streams; the sums share no code with them.
@@ -419,8 +433,10 @@ class TestRegistryTables:
             "central-binomial": ((), central_binomial_values),
             "catalan": ((), catalan_values),
             "fuss-catalan": ((3,), fuss_catalan_values),
+            "multinomial": ((3,), central_multinomial_values),
+            "bsum": ((2, -3, 5), bsum_range_values),
         }
-        assert set(tables) == {name for name, spec in SEQUENCES.items() if spec.values is not None}
+        assert set(tables) == set(SEQUENCES)
         for name, (params, values) in tables.items():
             spec, table = SEQUENCES[name], _first(values(*params), n_max)
             assert len(table) == n_max + 1 and table[: spec.min_index] == [None] * spec.min_index
@@ -435,6 +451,9 @@ class TestRegistryTables:
                 assert bsum(n, 2, a, b) == table[n], (n, a, b)
             if n:
                 assert schroder_large(n) == large[n] and schroder_little(n) == little[n]
+        # Any other order reads eval_B at each index.
+        for m, a, b in ((0, 1, 2), (1, -3, 5), (3, 2, -7), (5, -1, 4)):
+            assert _first(bsum_range_values(m, a, b, 7), n_max - 7) == [eval_B(n, m, a, b) for n in range(7, n_max + 1)]
 
     def test_single_values_hold_only_a_few_values(self):
         # A single value at n = 3000 is about 1 KB.  Its route may hold a few
@@ -449,12 +468,14 @@ class TestRegistryTables:
             "franel": lambda: franel(n),
             "legendre": lambda: legendre(n, -15),
         }
-        params = {"trinomial": (2, 5), "motzkin": (3, -4), "legendre": (-15,), "fuss-catalan": (3,)}
+        params = {
+            "trinomial": (2, 5), "motzkin": (3, -4), "legendre": (-15,), "fuss-catalan": (3,), "multinomial": (3,),
+            "bsum": (2, 3, 7),
+        }
         for name, spec in SEQUENCES.items():
-            if spec.values is not None:
-                extra = params.get(name, ())
-                routes[name] = lambda spec=spec, extra=extra: spec.value(n, *extra)
-                routes[f"{name} stream"] = lambda spec=spec, extra=extra: table_value(spec.values, n, *extra)
+            extra = params.get(name, ())
+            routes[name] = lambda spec=spec, extra=extra: spec.value(n, *extra)
+            routes[f"{name} stream"] = lambda spec=spec, extra=extra: table_value(spec.values, n, *extra)
         for name, route in routes.items():
             peak, value = _traced_peak(route)
             assert peak < 16 * sys.getsizeof(value), (name, peak, sys.getsizeof(value))
@@ -464,7 +485,7 @@ class TestRegistryTables:
     def test_value_domain(self):
         # Every single-value route gives the message it gave when it read a table.
         for spec in SEQUENCES.values():
-            if spec.values is not None and spec.min_index == 0:
+            if spec.min_index == 0:
                 params = (3,) * len(spec.params)
                 with pytest.raises(DomainError, match="^n must be non-negative, got -3$"):
                     spec.value(-3, *params)
@@ -702,6 +723,20 @@ class TestJump:
         assert list(islice(schroder_little_values(start=0), 2)) == [None, 1]
 
 
+class TestExactDiv:
+    def test_a_remainder_names_sizes_not_digits(self):
+        # Under the int-to-str limit, formatting the numerator would raise ValueError instead.
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if limit is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(IntegralityError, match="^demo: a 16610-bit number is not divisible by a 4-bit one$"):
+                sequences._exact_div(10**5000 + 1, 10, "demo")
+        finally:
+            if limit is not None:
+                sys.set_int_max_str_digits(limit)
+
+
 class TestFussCatalan:
     def test_reduces_to_catalan(self):
         for n in range(40):
@@ -731,6 +766,13 @@ class TestFussCatalan:
             for start in (1, 2, 17, 300, 2000):
                 assert _first(fuss_catalan_values(k, start), 6) == [fuss_catalan(n, k) for n in range(start, start + 7)]
         assert _first(fuss_catalan_values(2), 300) == _first(catalan_values(), 300)
+
+    def test_stream_cancels_the_shared_factors(self):
+        # For 1 <= j < k the runs kj+1..kj+k-1 and (k-1)j+2..(k-1)j+k share kj+1..(k-1)j+k.
+        for k in (2, 3, 5, 7, 100, 10**4):
+            for start in (0, 1, 5, 150):
+                assert _first(fuss_catalan_values(k, start), 4) == [fuss_catalan(n, k) for n in range(start, start + 5)]
+        assert _first(fuss_catalan_values(10**7), 2) == [1, 1, 10**7]
 
     def test_stream_checks_before_building(self, monkeypatch):
         calls = []
@@ -763,6 +805,19 @@ class TestCentralMultinomial:
     def test_domain(self):
         with pytest.raises(DomainError):
             central_multinomial(3, 1)
+
+    @pytest.mark.parametrize("p", range(2, 8))
+    def test_stream(self, p):
+        for start in (0, 1, 17, 300):
+            assert _first(central_multinomial_values(p, start), 4) == [
+                central_multinomial(n, p) for n in range(start, start + 5)
+            ]
+
+    def test_stream_checks_on_its_first_value(self):
+        for p, start, message in ((1, 0, "^p must be at least 2, got 1$"), (3, -1, "^n must be non-negative, got -1$")):
+            stream = central_multinomial_values(p, start)
+            with pytest.raises(DomainError, match=message):
+                next(stream)
 
     def test_registry_builds_from_binomials(self):
         spec = SEQUENCES["multinomial"]
