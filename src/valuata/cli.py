@@ -629,8 +629,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: out of memory; ask for a smaller range, index or grid", file=sys.stderr)
         return 2
     except OSError as exc:  # such as stdout on a full device or a closed pipe
-        if isinstance(exc, BrokenPipeError):
-            # The reader is gone: the interpreter's exit flush goes to devnull instead of failing again.
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout failed and keeps its unwritten bytes: they, and the interpreter's exit flush, go to devnull.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc.strerror or exc}", file=sys.stderr)
         return 2

@@ -39,10 +39,13 @@ class IntegralityError(ArithmeticError):
 def _exact_div(num: int, den: int, what: str) -> int:
     q, r = divmod(num, den)
     if r:
-        # Sizes, not digits: a value may be millions of digits long, past int-to-str's limit.
-        bits = num.bit_length(), den.bit_length()
-        raise IntegralityError(f"{what}: a {bits[0]}-bit number is not divisible by a {bits[1]}-bit one")
+        raise IntegralityError(f"{what}: {_operand(num)} is not divisible by {_operand(den)}")
     return q
+
+
+def _operand(x: int) -> str:
+    """x itself when short, else its size: a value may be millions of digits long, past int-to-str's limit."""
+    return str(x) if x.bit_length() <= 256 else f"a {x.bit_length()}-bit number"
 
 
 def _check_reach(n: int, what: str) -> None:
@@ -580,7 +583,7 @@ def central_multinomial_values(p: int, start: int = 0) -> Iterator[int]:
     cur = central_multinomial_product(start, p)
     for n in count(start):
         yield cur
-        cur = _exact_div(math.perm(p * n + p, p) * cur, (n + 1) ** p, "central_multinomial")
+        cur = _exact_div(math.perm(p * n + p, p) * cur, (n + 1) ** p, f"central_multinomial at n={n + 1}, p={p}")
 
 
 def legendre(n: int, x: int) -> int:

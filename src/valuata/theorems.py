@@ -542,13 +542,13 @@ def _run_lemma1(p: int, n_max: int) -> list[ReportBatch]:
     """lemma1's family for p at n = 0..n_max, from the streams of (pn)! / (n!)**p and C(2n, n).
 
     Every step of the multinomial stream is an exact division, its
-    remainder checked.  The product form is rebuilt only at n = 0, at each
-    power of two and at n_max: a value gone wrong at some n stays wrong at
-    n_max unless a later step cancels the error.  (Comparing the two forms'
-    step ratios would check an identity: the product form's ratio
-    telescopes to the stream's step.)
+    remainder checked.  The stream starts from the product form, which is
+    rebuilt only at each power of two and at n_max: a value gone wrong at
+    some n stays wrong at n_max unless a later step cancels the error.
+    (Comparing the two forms' step ratios would check an identity: the
+    product form's ratio telescopes to the stream's step.)
     """
-    checkpoints = {0, n_max, *(1 << k for k in range(n_max.bit_length()))}
+    checkpoints = {n_max, *(1 << k for k in range(n_max.bit_length()))}
     ns = range(n_max + 1)
     central_vp, digit_sums, multinomial_vp, shifted_vp = [], [], [], []
     for n, central, multinomial in zip(ns, central_binomial_values(), central_multinomial_values(p)):

@@ -592,10 +592,13 @@ class TestTable:
         assert not missing.parent.exists()
 
 
-def _valuata(*argv: str, **kwargs) -> subprocess.Popen:
-    """`python -m valuata *argv` started in a new interpreter that imports this checkout's package."""
+def _valuata(*argv: str, unbuffered: bool = False, **kwargs) -> subprocess.Popen:
+    """`python -m valuata *argv` started in a new interpreter that imports this checkout's package.
+
+    Its stdout is block-buffered, as by default, unless `unbuffered`, whatever PYTHONUNBUFFERED says here.
+    """
     src = Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1" if unbuffered else ""}
     return subprocess.Popen([sys.executable, "-m", "valuata", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
 
 
@@ -605,11 +608,13 @@ class TestOutputFailures:
     full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
 
     @full
+    @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize(
         "argv", [("omega", "3", "5"), ("seq", "delannoy", "0..300"), ("verify", "thm3", "--n-max", "300")]
     )
-    def test_a_full_stdout(self, argv):
-        with open("/dev/full", "w") as full, _valuata(*argv, stdout=full) as proc:
+    def test_a_full_stdout(self, argv, unbuffered):
+        # Block-buffered, a short answer meets the full device only at the last flush, which keeps its bytes.
+        with open("/dev/full", "w") as full, _valuata(*argv, unbuffered=unbuffered, stdout=full) as proc:
             _, err = proc.communicate(timeout=120)
         assert (proc.returncode, err.decode()) == (2, f"error: {os.strerror(errno.ENOSPC)}\n")
 
@@ -620,9 +625,10 @@ class TestOutputFailures:
         expected = f"error: cannot write --output /dev/full: {os.strerror(errno.ENOSPC)}\n"
         assert (proc.returncode, out, err.decode()) == (2, b"", expected)
 
-    def test_a_closed_pipe(self):
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_closed_pipe(self, unbuffered):
         # The rows fill the pipe long before the range ends, so a write meets the closed pipe.
-        with _valuata("seq", "delannoy", "0..3000", stdout=subprocess.PIPE) as proc:
+        with _valuata("seq", "delannoy", "0..3000", unbuffered=unbuffered, stdout=subprocess.PIPE) as proc:
             first = proc.stdout.readline()
             proc.stdout.close()
             err = proc.stderr.read()

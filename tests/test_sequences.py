@@ -724,13 +724,17 @@ class TestJump:
 
 
 class TestExactDiv:
-    def test_a_remainder_names_sizes_not_digits(self):
+    def test_a_remainder_names_short_operands(self):
+        with pytest.raises(IntegralityError, match="^demo: 7 is not divisible by 2$"):
+            sequences._exact_div(7, 2, "demo")
+
+    def test_a_remainder_names_the_size_of_a_long_operand(self):
         # Under the int-to-str limit, formatting the numerator would raise ValueError instead.
         limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
         if limit is not None:
             sys.set_int_max_str_digits(4300)
         try:
-            with pytest.raises(IntegralityError, match="^demo: a 16610-bit number is not divisible by a 4-bit one$"):
+            with pytest.raises(IntegralityError, match="^demo: a 16610-bit number is not divisible by 10$"):
                 sequences._exact_div(10**5000 + 1, 10, "demo")
         finally:
             if limit is not None:
@@ -818,6 +822,14 @@ class TestCentralMultinomial:
             stream = central_multinomial_values(p, start)
             with pytest.raises(DomainError, match=message):
                 next(stream)
+
+    def test_a_failed_step_names_n_and_p(self, monkeypatch):
+        # A wrong first value, M_2 = 1 for 6, leaves the step to n = 3 the remainder 30 mod 3**2.
+        monkeypatch.setattr(sequences, "central_multinomial_product", lambda n, p: 1)
+        stream = central_multinomial_values(2, 2)
+        assert next(stream) == 1
+        with pytest.raises(IntegralityError, match="^central_multinomial at n=3, p=2: 30 is not divisible by 9$"):
+            next(stream)
 
     def test_registry_builds_from_binomials(self):
         spec = SEQUENCES["multinomial"]
