@@ -27,7 +27,6 @@ from .sequences import (
     IntegralityError,
     binomial,
     bsum,
-    eval_B,
     stream_slice,
 )
 from .theorems import (
@@ -180,7 +179,8 @@ def _parse_target(tokens: list[str]) -> Target:
             raise UsageError("expected: B <n> <m> <a> <b>")
         n, m, a, b = (_parse_int(t) for t in tokens[1:])
         claim = _ROUTES["bsum"] if m == 2 else None
-        return Target(f"B({n},{m},{a},{b})", lambda: bsum(n, m, a, b), claim=claim, index=n, params=(a, b))
+        value_fn = functools.partial(SEQUENCES["bsum"].value, n, m, a, b)
+        return Target(f"B({n},{m},{a},{b})", value_fn, claim=claim, index=n, params=(a, b))
     if head == "binom":
         if len(tokens) != 3:
             raise UsageError("expected: binom <n> <k>")
@@ -208,8 +208,7 @@ def _route_omega(target: Target, base: int) -> int:
     An index outside the sequence's domain gets the oracle route's error.
     """
     claim = CLAIMS[target.claim]
-    if target.index < SEQUENCES[claim.sequence].min_index:
-        target.value_fn()  # raises the sequence's own DomainError before building anything
+    SEQUENCES[claim.sequence].check_index(target.index)
     n, _ = claim.locate(target.index)
     x = claim.base(*target.params)
     if abs(base) != abs(x):
@@ -325,8 +324,7 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     lo, hi = _parse_range(args.range)
     if lo > hi:
         raise UsageError(f"range lo..hi needs lo <= hi, got {args.range}")
-    if lo < entry.min_index:
-        raise DomainError(f"{entry.name} starts at index {entry.min_index}, got {lo}")
+    entry.check_index(lo)
     p = _parse_int(args.valuation) if args.valuation is not None else None
     if p is not None and not is_prime(p):
         raise UsageError(f"--valuation takes a prime, got {p}")
@@ -472,7 +470,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 continue
             idx = 2 * n if parity == "even" else 2 * n + 1
             start = time.perf_counter()
-            oracle_v = omega(a + b, eval_B(idx, 2, a, b))
+            oracle_v = omega(a + b, bsum(idx, 2, a, b))
             oracle_t = time.perf_counter() - start
             verdict = "agree" if oracle_v == fast_v else "DISAGREE"
             rows.append((parity, fast_t, fast_v, oracle_t, oracle_v, verdict))

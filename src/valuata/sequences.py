@@ -120,7 +120,7 @@ def _binomial_by_primes(n: int, k: int) -> int:
 
 def _odd_sieve(n: int) -> bytearray:
     """Sieve of Eratosthenes over the odd numbers: entry i is 1 when 2i + 1 <= n is prime."""
-    sieve = bytearray([1]) * ((n + 1) // 2)
+    sieve = bytearray(b"\x01" * ((n + 1) // 2))  # not bytearray([1]) * m: failing, it can print a SystemError
     sieve[0] = 0
     for i in range(1, (math.isqrt(n) + 1) // 2):
         if sieve[i]:
@@ -621,8 +621,8 @@ def legendre_rational(n: int, x: int) -> Fraction:
 
 
 def bsum(n: int, m: int, a: int, b: int) -> int:
-    """B(n, m, a, b); the square sum (m = 2) is read from its recurrence stream."""
-    return eval_B(n, m, a, b) if m != 2 else table_value(square_sum_values, n, a, b)
+    """B(n, m, a, b): element n of bsum_range_values."""
+    return table_value(bsum_range_values, n, m, a, b)
 
 
 def bsum_range_values(m: int, a: int, b: int, start: int = 0) -> Iterator[int]:
@@ -655,7 +655,7 @@ def check_congruence(n: int, m: int, a: int, b: int) -> bool:
     """Whether B(n, m, a, b) is congruent to a**n * B(n, m, 1, -1) mod (a+b).
 
     Requires coprime a, b with a + b nonzero; the congruence is a theorem,
-    so the harness asserts this is always True.
+    so this is always True, as tier-1 criterion 9 asserts.
     """
     if math.gcd(a, b) != 1:
         raise DomainError(f"a and b must be coprime, got {a}, {b}")
@@ -670,20 +670,22 @@ class SequenceDef:
     """A named integer sequence: the CLI-facing registry entry.
 
     `values(*params, start=0)` streams y_start, y_start+1, ..., with None
-    below `min_index`; `fn(n, *params)`, where an entry has one, computes
-    a single value by another construction than starting the stream at n.
+    below `min_index`; ranges and single values alike read it.
     """
 
     name: str
     params: tuple[str, ...]
     min_index: int
     values: Callable[..., Iterator[int | None]]
-    fn: Callable[..., int] | None = None
+
+    def check_index(self, n: int) -> None:
+        """The DomainError that `seq` and `omega` give an index below min_index."""
+        if n < self.min_index:
+            raise DomainError(f"{self.name} starts at index {self.min_index}, got {n}")
 
     def value(self, n: int, *params: int) -> int:
-        """y_n by `fn` when the entry has one, else element n of its stream."""
-        if self.fn is not None:
-            return self.fn(n, *params)
+        """y_n, element n of the stream."""
+        self.check_index(n)
         return table_value(self.values, n, *params)
 
 
@@ -691,17 +693,17 @@ SEQUENCES: dict[str, SequenceDef] = {
     s.name: s
     for s in (
         SequenceDef("delannoy", (), 0, delannoy_values),
-        SequenceDef("schroder", (), 1, schroder_large_values, schroder_large),
-        SequenceDef("little-schroder", (), 1, schroder_little_values, schroder_little),
-        SequenceDef("catalan", (), 0, catalan_values, catalan),
-        SequenceDef("central-binomial", (), 0, central_binomial_values, central_binomial),
+        SequenceDef("schroder", (), 1, schroder_large_values),
+        SequenceDef("little-schroder", (), 1, schroder_little_values),
+        SequenceDef("catalan", (), 0, catalan_values),
+        SequenceDef("central-binomial", (), 0, central_binomial_values),
         SequenceDef("franel", (), 0, franel_values),
         SequenceDef("hexagonal", (), 0, hexagonal_values),
-        SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan_values, fuss_catalan),
-        SequenceDef("multinomial", ("p",), 0, central_multinomial_values, central_multinomial_product),
+        SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan_values),
+        SequenceDef("multinomial", ("p",), 0, central_multinomial_values),
         SequenceDef("trinomial", ("a", "b"), 0, trinomial_values),
         SequenceDef("motzkin", ("a", "b"), 0, motzkin_values),
         SequenceDef("legendre", ("x",), 0, legendre_values),
-        SequenceDef("bsum", ("m", "a", "b"), 0, bsum_range_values, bsum),
+        SequenceDef("bsum", ("m", "a", "b"), 0, bsum_range_values),
     )
 }

@@ -21,7 +21,7 @@ import valuata.cli as cli
 import valuata.harness as harness
 from valuata.cli import main
 from valuata.digits import kummer_carries
-from valuata.sequences import SEQUENCES, eval_B, fuss_catalan, schroder_large, schroder_little
+from valuata.sequences import SEQUENCES, DomainError, eval_B, fuss_catalan, schroder_large, schroder_little
 from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
 from valuata.valuation import INFINITE, vp_int
 
@@ -155,8 +155,10 @@ class TestOmega:
         assert code == 0 and "= 2" in out
 
     def test_negative_sequence_index_exits_2(self, capsys):
+        # The message `seq` gives a range that starts there.
         code, out, err = run(capsys, "omega", "6", "delannoy", "-3")
-        assert (code, out, err) == (2, "", "error: n must be non-negative, got -3\n")
+        assert (code, out, err) == (2, "", "error: delannoy starts at index 0, got -3\n")
+        assert run(capsys, "seq", "delannoy", "-3..0")[2] == err
 
 
 def _reference_core(n: int, r: int, p: int, catalan: bool) -> int:
@@ -220,10 +222,13 @@ class TestFastRoutes:
 
     @pytest.mark.parametrize("name, size", [("schroder", "large"), ("little-schroder", "little")])
     def test_out_of_domain_index_names_the_sequence_asked_for(self, capsys, name, size):
+        # Every mode gives seq's message; the library function keeps its own.
         for index in ("0", "-5"):
-            expected = (2, "", f"error: {size} Schroder numbers start at index 1, got {index}\n")
+            expected = (2, "", f"error: {name} starts at index 1, got {index}\n")
             for mode in ("oracle", "fast", "both"):
                 assert run(capsys, "omega", "3", name, index, "--mode", mode) == expected
+            with pytest.raises(DomainError, match=f"^{size} Schroder numbers start at index 1, got {index}$"):
+                {"large": schroder_large, "little": schroder_little}[size](int(index))
         assert run(capsys, "seq", name, "0..3") == (2, "", f"error: {name} starts at index 1, got 0\n")
 
     def test_index_past_the_fast_range_is_reported_as_given(self, capsys):
@@ -854,7 +859,9 @@ class TestEmptyValues:
 
 
 class TestOutOfMemory:
-    def test_memory_exhaustion_exits_2(self):
+    @staticmethod
+    def _run_limited(*argv):
+        """`python -m valuata *argv` in a child whose address space is limited to 400 MB."""
         import resource
 
         limit = 400 * 2**20
@@ -863,16 +870,28 @@ class TestOutOfMemory:
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
         src = Path(cli.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "valuata", "seq", "delannoy", "0..1000000", "--valuation", "3"],
+        return subprocess.run(
+            [sys.executable, "-m", "valuata", *argv],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True,
             text=True,
             preexec_fn=lower_address_space,
             timeout=300,
         )
+
+    def test_memory_exhaustion_exits_2(self):
+        done = self._run_limited("seq", "delannoy", "0..1000000", "--valuation", "3")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "target", [("B", "9223372036854775806", "3", "1", "1"), ("binom", "9223372036854775806", "4611686018427387903")]
+    )
+    def test_a_sieve_too_large_to_allocate_prints_one_line(self, target):
+        # The prime sieve of a binomial with n = sys.maxsize - 1 asks for 2**62 bytes, and the allocation fails at once.
+        done = self._run_limited("omega", "3", *target)
+        expected = "error: out of memory; ask for a smaller range, index or grid\n"
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", expected)
 
 
 class TestOracleReach:
@@ -887,13 +906,21 @@ class TestOracleReach:
             assert "value streams end at sys.maxsize - 1" in err
 
     def test_a_target_without_one(self, capsys):
-        for target in (["catalan", self.HUGE], ["multinomial", self.HUGE, "3"], ["B", self.HUGE, "3", "1", "2"]):
-            code, out, err = run(capsys, "omega", "3", *target)
-            assert (code, out) == (2, "") and err.startswith("error: C(") and "--mode fast" not in err
-            assert f"min(k, n - k) exceeds sys.maxsize = {sys.maxsize}" in err
-        code, out, err = run(capsys, "seq", "delannoy", f"{self.HUGE}..{self.HUGE}")
-        assert (code, out) == (2, "")
-        assert err == f"error: index {self.HUGE} is past the oracle's reach: value streams end at sys.maxsize - 1\n"
+        # A sequence target reads the stream that seq reads, and gets its reach message.
+        reach = f"error: index {self.HUGE} is past the oracle's reach: value streams end at sys.maxsize - 1\n"
+        for target in (
+            ["catalan", self.HUGE],
+            ["central-binomial", self.HUGE],
+            ["fuss-catalan", self.HUGE, "3"],
+            ["multinomial", self.HUGE, "3"],
+            ["B", self.HUGE, "3", "1", "2"],
+            ["bsum", self.HUGE, "0", "1", "2"],
+        ):
+            assert run(capsys, "omega", "3", *target) == (2, "", reach), target
+        assert run(capsys, "seq", "delannoy", f"{self.HUGE}..{self.HUGE}") == (2, "", reach)
+        code, out, err = run(capsys, "omega", "3", "binom", self.HUGE, str(10**23 // 2))
+        assert (code, out) == (2, "") and err.startswith("error: C(") and "--mode fast" not in err
+        assert f"min(k, n - k) exceeds sys.maxsize = {sys.maxsize}" in err
 
     def test_a_binomial_with_a_small_lower_index_still_answers(self, capsys):
         assert run(capsys, "omega", "3", "binom", self.HUGE, "3") == (0, f"omega_3(binom({self.HUGE},3)) = 1\n", "")

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import math
 import random
 import sys
@@ -16,6 +17,7 @@ from valuata.sequences import (
     SEQUENCES,
     DomainError,
     IntegralityError,
+    SequenceDef,
     binomial,
     bsum,
     bsum_range_values,
@@ -371,7 +373,8 @@ class TestRegistryTables:
     WEIGHTS = TestRecurrenceTables.WEIGHTS
 
     def test_registry_wiring(self):
-        # Every entry reads its ranges from a stream; `fn` is an optional route for single values.
+        # Every entry reads its ranges and its single values from one stream.
+        assert list(inspect.signature(SequenceDef).parameters) == ["name", "params", "min_index", "values"]
         streams = {name: spec.values for name, spec in SEQUENCES.items()}
         assert streams == {
             "delannoy": delannoy_values,
@@ -388,36 +391,45 @@ class TestRegistryTables:
             "multinomial": central_multinomial_values,
             "bsum": bsum_range_values,
         }
-        fns = {name: spec.fn for name, spec in SEQUENCES.items() if spec.fn is not None}
-        assert fns == {
-            "schroder": schroder_large,
-            "little-schroder": schroder_little,
-            "catalan": catalan,
-            "central-binomial": central_binomial,
-            "fuss-catalan": fuss_catalan,
-            "multinomial": central_multinomial_product,
-            "bsum": bsum,
-        }
 
     def test_value_matches_the_defining_sums(self):
-        # The entries without `fn` read their streams; the sums share no code with them.
-        sums = {
-            "delannoy": ((), lambda n: eval_B(n, 2, 1, 2)),
-            "franel": ((), lambda n: eval_B(n, 3, 1, 1)),
-            "hexagonal": ((), lambda n: eval_M(n, 1, 3)),
-            "trinomial": ((-3, 5), lambda n: eval_T(n, -3, 5)),
-            "motzkin": ((2, -4), lambda n: eval_M(n, 2, -4)),
-            "legendre": ((-15,), lambda n: eval_B(n, 2, -8, -7)),
-        }
-        assert set(sums) == {name for name, spec in SEQUENCES.items() if spec.fn is None}
-        for name, (params, defining_sum) in sums.items():
-            for n in (0, 1, 2, 17, self.N - 1):
-                assert SEQUENCES[name].value(n, *params) == defining_sum(n), (name, n)
-        for n in (0, 1, 2, 17, self.N - 1):
-            assert SEQUENCES["catalan"].value(n) == catalan(n)
-        for spec in (SEQUENCES["schroder"], SEQUENCES["little-schroder"]):
-            for n in (1, 2, 17, self.N - 1):
-                assert spec.value(n) == spec.fn(n) == table_value(spec.values, n)
+        # Each entry's single value against other constructions, called as
+        # form(n, *params).  The streams of catalan, central-binomial and
+        # fuss-catalan take their first value from `binomial`, as the library
+        # functions do, and bsum's at m != 2 is eval_B, so math.comb and the
+        # term-by-term sum give those a construction that shares no code with
+        # the stream.
+        def comb_fuss_catalan(n, k):
+            return comb(k * n, n) // ((k - 1) * n + 1)
+
+        forms = [
+            ("delannoy", (), lambda n: eval_B(n, 2, 1, 2)),
+            ("schroder", (), schroder_large),  # the Delannoy form
+            ("little-schroder", (), schroder_little),
+            ("catalan", (), catalan),
+            ("catalan", (), lambda n: comb(2 * n, n) // (n + 1)),
+            ("central-binomial", (), central_binomial),
+            ("central-binomial", (), lambda n: comb(2 * n, n)),
+            ("franel", (), lambda n: eval_B(n, 3, 1, 1)),
+            ("hexagonal", (), lambda n: eval_M(n, 1, 3)),
+            ("fuss-catalan", (3,), fuss_catalan),
+            ("fuss-catalan", (3,), comb_fuss_catalan),
+            ("fuss-catalan", (2,), comb_fuss_catalan),
+            ("multinomial", (3,), central_multinomial),  # the factorial form
+            ("multinomial", (5,), central_multinomial),
+            ("trinomial", (-3, 5), eval_T),
+            ("motzkin", (2, -4), eval_M),
+            ("legendre", (-15,), legendre_rational),
+            ("bsum", (2, -3, 5), eval_B),
+        ]
+        for params in ((0, 1, 2), (1, -3, 5), (3, 2, -7), (5, -1, 4)):
+            forms += [("bsum", params, eval_B), ("bsum", params, _eval_B_reference)]
+        assert {name for name, _, _ in forms} == set(SEQUENCES)
+        edge = sequences._JUMP_FROM
+        for name, params, form in forms:
+            spec = SEQUENCES[name]
+            for n in (spec.min_index, 1, 2, 17, edge - 1, edge, edge + 37):
+                assert spec.value(n, *params) == form(n, *params), (name, params, n)
 
     def test_single_values_match_their_tables(self):
         n_max = 59
@@ -483,26 +495,34 @@ class TestRegistryTables:
         assert peak > 1000 * sys.getsizeof(table[n])  # the measurement tells a table from a value
 
     def test_value_domain(self):
-        # Every single-value route gives the message it gave when it read a table.
+        # An index below an entry's domain gets the message seq gives; the library functions keep theirs.
         for spec in SEQUENCES.values():
-            if spec.min_index == 0:
-                params = (3,) * len(spec.params)
-                with pytest.raises(DomainError, match="^n must be non-negative, got -3$"):
-                    spec.value(-3, *params)
-        for route in (delannoy, lambda n: bsum(n, 2, 1, 2), lambda n: table_value(trinomial_values, n, 1, 2)):
+            params = (3,) * len(spec.params)
+            for n in (spec.min_index - 1, -3):
+                with pytest.raises(DomainError, match=f"^{spec.name} starts at index {spec.min_index}, got {n}$"):
+                    spec.value(n, *params)
+        for route in (
+            delannoy,
+            lambda n: bsum(n, 2, 1, 2),
+            lambda n: bsum(n, 3, 1, 2),
+            lambda n: table_value(trinomial_values, n, 1, 2),
+        ):
             with pytest.raises(DomainError, match="^n must be non-negative, got -3$"):
                 route(-3)
-        for size, routes in (
-            ("large", (schroder_large, SEQUENCES["schroder"].value)),
-            ("little", (schroder_little, SEQUENCES["little-schroder"].value)),
-        ):
-            for route in routes:
-                for n in (0, -3):
-                    with pytest.raises(DomainError, match=f"^{size} Schroder numbers start at index 1, got {n}$"):
-                        route(n)
+        for size, route in (("large", schroder_large), ("little", schroder_little)):
+            for n in (0, -3):
+                with pytest.raises(DomainError, match=f"^{size} Schroder numbers start at index 1, got {n}$"):
+                    route(n)
         for route in (SEQUENCES["legendre"].value, legendre, lambda n, x: _first(legendre_values(x), n)):
             with pytest.raises(DomainError, match="^x must be odd for an integer value, got 4$"):
                 route(3, 4)
+        for name, params, message in (
+            ("fuss-catalan", (1,), "^k must be at least 2, got 1$"),
+            ("multinomial", (1,), "^p must be at least 2, got 1$"),
+            ("bsum", (-1, 1, 2), "^m must be non-negative, got -1$"),
+        ):
+            with pytest.raises(DomainError, match=message):
+                SEQUENCES[name].value(3, *params)
 
     def test_bsum_matches_eval_B(self):
         for a in self.WEIGHTS:
@@ -831,18 +851,19 @@ class TestCentralMultinomial:
         with pytest.raises(IntegralityError, match="^central_multinomial at n=3, p=2: 30 is not divisible by 9$"):
             next(stream)
 
-    def test_registry_builds_from_binomials(self):
+    def test_registry_builds_from_binomials(self, monkeypatch):
+        # A single value is the stream's first one, the product of binomials.
         spec = SEQUENCES["multinomial"]
-        assert spec.fn is central_multinomial_product
         for p in range(2, 8):
             for n in range(60):
                 assert spec.value(n, p) == central_multinomial(n, p)
-        for n, p in ((-1, 3), (3, 1)):
-            with pytest.raises(DomainError) as old:
-                central_multinomial(n, p)
-            with pytest.raises(DomainError) as new:
-                spec.value(n, p)
-            assert str(new.value) == str(old.value)
+        with pytest.raises(DomainError, match="^multinomial starts at index 0, got -1$"):
+            spec.value(-1, 3)
+        with pytest.raises(DomainError, match="^p must be at least 2, got 1$"):
+            spec.value(3, 1)
+        calls = []
+        monkeypatch.setattr(sequences, "central_multinomial_product", lambda n, p: calls.append((n, p)) or 7)
+        assert spec.value(40, 3) == 7 and calls == [(40, 3)]
 
 
 class TestLegendre:
