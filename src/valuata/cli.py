@@ -594,19 +594,37 @@ def build_parser() -> argparse.ArgumentParser:
     # too: every command reads a token that starts with `-` and a digit as a value.
     for p in sub.choices.values():
         p._negative_number_matcher = _NEGATIVE
+    parser._commands = sub.choices  # command name -> its parser, for _parse
     return parser
 
 
 _NEGATIVE = re.compile(r"-[0-9]")
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`argv` parsed as the top parser parses it, in one pass: the parser of the command argv[0] names reads the rest.
+
+    No arguments, an option such as -h and an unknown command go through
+    the top parser, and arguments that the command's parser leaves over
+    get the top parser's error, as they do in its own pass.
+    """
+    parser = build_parser()
+    command = parser._commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not getattr(args, "command", None):
-        parser.print_help()
+    args = _parse(sys.argv[1:] if argv is None else argv)
+    if not args.command:
+        build_parser().print_help()
         return 2
     try:
         code = args.func(args)

@@ -19,7 +19,7 @@ import json
 import operator
 import os
 import time
-from itertools import chain, cycle, repeat
+from itertools import chain, cycle, islice, repeat
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -134,32 +134,27 @@ class ReportBatch(NamedTuple):
     oracle: list[Valuation]
 
 
-def _verdicts(batch: ReportBatch) -> Iterator[str]:
-    compare, holds = _check(batch.kind)
-    return map((VERDICT_VIOLATION, holds).__getitem__, map(compare, batch.oracle, batch.predicted))
-
-
-def _layout(batch: ReportBatch, text: Callable[[str], str] = str) -> tuple[int, tuple[str, ...], list]:
-    """The row count of `batch`, and the keys and columns of its per-row instance fields: n, any parity as `text`."""
-    ns, parities = batch.ns, batch.parities
-    if not parities:
-        return len(ns), ("n",), [ns]
-    n_column = chain.from_iterable(zip(*(ns,) * len(parities)))
-    return len(ns) * len(parities), ("n", "parity"), [n_column, cycle(map(text, parities))]
-
-
 def _violations(batch: ReportBatch) -> int:
     """The number of violating rows of `batch`, once its columns are checked to cover its rows."""
-    rows = _layout(batch)[0]
+    rows = len(batch.ns) * (len(batch.parities) or 1)
     if len(batch.predicted) != rows or len(batch.oracle) != rows:
         raise ValueError(f"a {batch.claim} batch of {rows} rows has columns of other lengths")
-    return operator.countOf(_verdicts(batch), VERDICT_VIOLATION)
+    return operator.countOf(map(_check(batch.kind)[0], batch.oracle, batch.predicted), False)
 
 
 def _reports(batch: ReportBatch) -> list[TheoremReport]:
-    _, keys, columns = _layout(batch)
+    ns, parities = batch.ns, batch.parities
+    if parities:
+        keys, columns = ("n", "parity"), [chain.from_iterable(zip(*(ns,) * len(parities))), cycle(parities)]
+    else:
+        keys, columns = ("n",), [ns]
     instances = map(operator.add, zip(*map(zip, map(repeat, keys), columns)), repeat(batch.params))  # pairs + params
     return list(map(TheoremReport, repeat(batch.claim), instances, batch.predicted, batch.oracle, repeat(batch.kind)))
+
+
+def _group_reports(group: list[ReportBatch]) -> Iterator[TheoremReport]:
+    """The reports of `group`, its batches interleaved row by row."""
+    return chain.from_iterable(zip(*map(_reports, group)))
 
 
 CSV_COLUMNS = ("claim", "n", "parity", "m", "a", "b", "x", "p", "predicted", "oracle", "verdict", "slack")
@@ -180,48 +175,102 @@ _FORMATS = {
     "human": (str, "inf", " slack=%s", ""),
 }
 
+_CHUNK_ROWS = 16  # about this many rows of output per format call
 
-def _lines(batch: ReportBatch, fmt: str) -> Iterator[str]:
-    """The `fmt` lines of `batch`, from one printf-style template with its claim and parameters written in."""
-    text, inf, slack, no_slack = _FORMATS[fmt]
-    _, keys, columns = _layout(batch, text)
-    fields = dict.fromkeys(keys, "%s")
-    fields.update((key, _escaped(text(value))) for key, value in batch.params)
+
+def _row_parts(batch: ReportBatch, fmt: str) -> tuple[list[str], list[list[Iterator]]]:
+    """The `fmt` template of a row of `batch` at each of its parities, and the cell columns of those rows.
+
+    Every per-batch constant is written into the template: the claim, the
+    parameters and the parity, the verdict when no row violates the claim,
+    the slack of an exact claim, and a bound claim's slack text when no
+    oracle is infinite.  The cell columns of a parity, in template order,
+    iterate over its rows, one per n.
+    """
+    text, inf, slack_text, no_slack = _FORMATS[fmt]
+    kind, predicted, oracle = batch.kind, batch.predicted, batch.oracle
+    compare, holds = _check(kind)
+    step = len(batch.parities) or 1
+    violations = _violations(batch)
+    finite = {INFINITE}.isdisjoint(oracle)
     claim = _escaped(text(batch.claim))
-    oracle = map({INFINITE: inf}.get, batch.oracle, batch.oracle)
-    slack_cell, slack_column = no_slack, []
-    if batch.kind != KIND_EXACT:
-        slacks = list(map(_slack, repeat(batch.kind), batch.predicted, batch.oracle))
-        texts = slacks if slack == "%s" else map(slack.__mod__, slacks)  # %s writes an int as every format does
-        slack_cell, slack_column = "%s", [map({None: no_slack}.get, slacks, texts)]
+    params = [(key, _escaped(text(value))) for key, value in batch.params]
     # The verdict is one of the VERDICT_ words, which need no escaping.
-    if fmt == "json":
-        # "n" sorts before "parity", as its column comes first.
-        instance = ",".join(f"{_escaped(_json_str(key))}:{fields[key]}" for key in sorted(fields))
-        template = (
-            f'{{"claim":{claim},"instance":{{{instance}}},"oracle":%s,"predicted":%s,'
-            f'"slack":{slack_cell},"verdict":"%s"}}\n'
-        )
-        return map(template.__mod__, zip(*columns, oracle, batch.predicted, *slack_column, _verdicts(batch)))
-    if fmt == "csv":
-        cells = (fields.get(key, "") for key in CSV_COLUMNS[1:-4])
-        template = ",".join([claim, *cells, "%s,%s,%s", slack_cell]) + "\r\n"
-    else:
-        instance = " ".join(f"{_escaped(key)}={value}" for key, value in fields.items())
-        template = f"{claim}: {instance} predicted=%s oracle=%s %s{slack_cell}\n"
-    return map(template.__mod__, zip(*columns, batch.predicted, oracle, _verdicts(batch), *slack_column))
+    verdict = "%s" if violations else holds
+    slack = no_slack if kind == KIND_EXACT else slack_text if finite else "%s"
+
+    def slack_cell(predicted_value: int, oracle_value: Valuation) -> object:
+        slack = _slack(kind, predicted_value, oracle_value)
+        return no_slack if slack is None else slack if slack_text == "%s" else slack_text % slack
+
+    templates, columns = [], []
+    for q, parity in enumerate(batch.parities or (None,)):
+        fields = {"n": "%s"} if parity is None else {"n": "%s", "parity": _escaped(text(parity))}
+        fields.update(params)
+        if fmt == "json":
+            # "n" sorts before "parity", as its column comes first.
+            instance = ",".join(f"{_escaped(_json_str(key))}:{fields[key]}" for key in sorted(fields))
+            templates.append(
+                f'{{"claim":{claim},"instance":{{{instance}}},"oracle":%s,"predicted":%s,'
+                f'"slack":{slack},"verdict":"{verdict}"}}\n'
+            )
+        elif fmt == "csv":
+            instance = (fields.get(key, "") for key in CSV_COLUMNS[1:-4])
+            templates.append(",".join([claim, *instance, f"%s,%s,{verdict}", slack]) + "\r\n")
+        else:
+            instance = " ".join(f"{_escaped(key)}={value}" for key, value in fields.items())
+            templates.append(f"{claim}: {instance} predicted=%s oracle=%s {verdict}{slack}\n")
+
+        def rows(column: list, q: int = q) -> Iterator:
+            return islice(column, q, None, step)
+
+        oracles = rows(oracle) if finite else map({INFINITE: inf}.get, rows(oracle), rows(oracle))
+        cells = [iter(batch.ns), *((oracles, rows(predicted)) if fmt == "json" else (rows(predicted), oracles))]
+        if violations:
+            cells.append(map((VERDICT_VIOLATION, holds).__getitem__, map(compare, rows(oracle), rows(predicted))))
+        if kind != KIND_EXACT:
+            if not finite:
+                slacks = map(slack_cell, rows(predicted), rows(oracle))
+            elif kind == KIND_LOWER:
+                slacks = map(operator.sub, rows(oracle), rows(predicted))
+            else:
+                slacks = map(operator.sub, rows(predicted), rows(oracle))
+            cells.insert(3 if fmt == "json" else len(cells), slacks)
+        columns.append(cells)
+    return templates, columns
+
+
+def _chunks(group: list[ReportBatch], fmt: str) -> Iterator[str]:
+    """The `fmt` text of the rows of `group`, batches whose rows interleave row by row, in chunks of whole n.
+
+    A chunk holds about _CHUNK_ROWS rows, and at least one n of every
+    batch, and is written by one format call: its template repeats the
+    rows of one n, and its cells come off the cell columns of the group,
+    zipped into one flat stream in template order.
+    """
+    parts = [_row_parts(batch, fmt) for batch in group]
+    ns, step = group[0].ns, len(group[0].parities) or 1
+    unit = "".join(templates[q] for q in range(step) for templates, _ in parts)
+    columns = [column for q in range(step) for _, cells in parts for column in cells[q]]
+    flat = chain.from_iterable(zip(*columns))
+    per_chunk = max(1, _CHUNK_ROWS // (step * len(group)))
+    full = unit * per_chunk
+    for lo in range(0, len(ns), per_chunk):
+        count = min(per_chunk, len(ns) - lo)
+        yield (full if count == per_chunk else unit * count) % tuple(islice(flat, count * len(columns)))
 
 
 _params = itemgetter(2)
 
 
-def _in_order(batches: Iterable[ReportBatch], rows: Callable[[ReportBatch], Iterable]) -> Iterator:
-    """`rows(batch)` of every batch, chained row by row into report order: by claim, then instance.
+def _in_order(batches: Iterable[ReportBatch], emit: Callable[[list[ReportBatch]], Iterable]) -> Iterator:
+    """`emit(group)` of every group of batches, chained into report order: by claim, then instance.
 
     Claims come in name order.  The blocks of a claim without parameters
-    cover consecutive n in work order, so they follow one another; the
-    parameter items of a claim share their rows, so they interleave row by
-    row, in the order of their parameter tuples.
+    cover consecutive n in work order, so each is a group of its own and
+    they follow one another; the parameter items of a claim share their
+    rows, so they form one group, in the order of their parameter tuples,
+    whose rows `emit` interleaves row by row.
     """
     by_claim: dict[str, list[ReportBatch]] = {}
     for batch in batches:
@@ -230,18 +279,21 @@ def _in_order(batches: Iterable[ReportBatch], rows: Callable[[ReportBatch], Iter
     for claim in sorted(by_claim):
         group = by_claim[claim]
         if not any(batch.params for batch in group):
-            runs += map(rows, group)
+            runs += (emit([batch]) for batch in group)
             continue
         if len({(batch.ns, batch.parities) for batch in group}) != 1:
             raise ValueError(f"the parameter items of {claim} do not share their rows")
         group.sort(key=_params)
-        runs.append(chain.from_iterable(zip(*map(rows, group))))
+        runs.append(emit(group))
     return chain.from_iterable(runs)
 
 
 def text_lines(batches: Iterable[ReportBatch], fmt: str) -> Iterator[str]:
-    """The `fmt` ("json", "csv" or "human") lines of the reports of `batches`, in the order of HarnessResult.reports."""
-    return _in_order(batches, functools.partial(_lines, fmt=fmt))
+    """The `fmt` ("json", "csv" or "human") text of the reports of `batches`, in the order of HarnessResult.reports.
+
+    The text comes in chunks of whole lines, about _CHUNK_ROWS lines each.
+    """
+    return _in_order(batches, functools.partial(_chunks, fmt=fmt))
 
 
 class HarnessResult:
@@ -267,7 +319,7 @@ class HarnessResult:
     @functools.cached_property
     def reports(self) -> list[TheoremReport]:
         """Every report, sorted by claim and instance; built from the batches on first use."""
-        return list(_in_order(self.batches, _reports))
+        return list(_in_order(self.batches, _group_reports))
 
     @property
     def violations(self) -> list[TheoremReport]:

@@ -92,6 +92,11 @@ def binomial(n: int, k: int) -> int:
         raise DomainError(f"C({n}, {k}) is past the oracle's reach: min(k, n - k) exceeds sys.maxsize = {sys.maxsize}")
     if k * k <= 200 * n:
         return comb(n, k)
+    if n > 2 * sys.maxsize:
+        raise DomainError(
+            f"C({n}, {k}) is past the oracle's reach: its prime sieve of (n + 1) // 2 bytes cannot be sized "
+            f"past sys.maxsize = {sys.maxsize}"
+        )
     return _binomial_by_primes(n, k)
 
 
@@ -630,25 +635,26 @@ def bsum_range_values(m: int, a: int, b: int, start: int = 0) -> Iterator[int]:
     return square_sum_values(a, b, start) if m == 2 else (eval_B(n, m, a, b) for n in count(start))
 
 
+def half_rows() -> Iterator[list[int]]:
+    """The half rows C(n, 0..n//2) of Pascal's triangle for n = 0, 1, 2, ..., each built by addition from the last."""
+    row = [1]
+    for n in count():
+        if n:
+            # The half row of n - 1, extended by C(n-1, n/2) = C(n-1, n/2 - 1) when n is even.
+            prev = row + row[-1:] if n % 2 == 0 else row
+            row = [1, *map(operator.add, prev, prev[1:])]
+        yield row
+
+
 def bsum_values(m: int, a: int, b: int) -> Iterator[int]:
     """B(0, m, a, b), B(1, m, a, b), ..., each by its defining sum (no recurrence covers every m).
 
-    Each sum is _paired_sum, the one eval_B takes; the half rows
-    C(n, 0..n/2) are built by addition.
+    Each sum is _paired_sum, the one eval_B takes, over the half rows of
+    Pascal's triangle.
     """
     if m < 0:
         raise DomainError(f"m must be non-negative, got {m}")
-
-    def values() -> Iterator[int]:
-        row = [1]  # C(n, k) for k = 0..n//2
-        for n in count():
-            if n:
-                # The half row of n - 1, extended by C(n-1, n/2) = C(n-1, n/2 - 1) when n is even.
-                prev = row + row[-1:] if n % 2 == 0 else row
-                row = [1] + list(map(operator.add, prev, prev[1:]))
-            yield _paired_sum(n, m, reversed(row), a, b)
-
-    return values()
+    return (_paired_sum(n, m, reversed(row), a, b) for n, row in enumerate(half_rows()))
 
 
 def check_congruence(n: int, m: int, a: int, b: int) -> bool:

@@ -14,10 +14,11 @@ Most claims share one shape: at index i = 2n + r + offset (r = 0 or 1),
 with core(n) = C(2n, n) or Catalan(n), or at least that for a lower-bound
 claim.  `CLAIMS` lists them, each with its shape as data: every entry
 builds its predictor from it, one generic runner sweeps them and the CLI
-derives its fast routes from them.  cor1 and lemma1 keep their own
-runners: past `exact_max` the cor1 oracle is a digit kernel, not a
-sequence value, and lemma1 compares two constructions of the central
-multinomial coefficient at checkpoints.
+derives its fast routes from them.  thm2, cor1 and lemma1 keep their own
+runners: thm2 sums B(i, m, a, b) for all its orders at once from rows
+shared across the sweep, past `exact_max` the cor1 oracle is a digit
+kernel, not a sequence value, and lemma1 compares two constructions of
+the central multinomial coefficient at checkpoints.
 
 Hypothesis checking lives in the predictors: called outside its
 hypotheses a predictor raises HypothesisViolation instead of returning a
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from itertools import islice, repeat
 from typing import Callable, Iterable, Iterator
@@ -48,6 +50,7 @@ from .sequences import (
     central_multinomial_values,
     delannoy_values,
     franel_values,
+    half_rows,
     hexagonal_values,
     legendre_values,
     motzkin_values,
@@ -248,10 +251,6 @@ def _signed_pairs(grid: HarnessGrid) -> list[tuple[int, int]]:
     ]
 
 
-def _orders_and_pairs(grid: HarnessGrid) -> list[tuple[int, int, int]]:
-    return [(m, a, b) for a, b in coprime_pairs(grid.ab_max) for m in dict.fromkeys(grid.m_values)]
-
-
 def _odd_points(grid: HarnessGrid) -> list[tuple[int]]:
     return [(x,) for x in dict.fromkeys(grid.x_values) if x % 2 and x not in (1, -1)]
 
@@ -269,8 +268,9 @@ class Claim:
     n_hi, *params)` its answers for a block of n, in batch row order (see
     `_shape_column`).  `values(*params)`
     is the oracle: the stream Y_0, Y_1, ... of exact integers, divided by
-    `divisor`.  `axis(grid)` lists the parameter tuples a sweep covers;
-    claims without parameters sweep n in blocks instead.  `sequence` names
+    `divisor`.  `axis(grid)` lists the parameter tuples a table sweep
+    covers; claims without parameters sweep n in blocks instead, and thm2,
+    which has a runner of its own, has none.  `sequence` names
     the `omega` target that the claim answers on the CLI fast route.
     """
 
@@ -312,7 +312,7 @@ CLAIMS: dict[str, Claim] = {
               lambda a, b: _check_weights(a, b, "a + b", a + b), False, 0, KIND_EXACT,
               lambda grid: coprime_pairs(grid.ab_max), 200),
         Claim("thm2", None, bsum_values, ("m", "a", "b"), lambda m, a, b: _check_weights(a, b, "a + b", a + b), False,
-              0, KIND_LOWER, _orders_and_pairs, 60),
+              0, KIND_LOWER, None, 60),
         Claim("cor2", None, franel_values, (), lambda: 2, False, 0, KIND_LOWER, None, 300),
         Claim("thm3", "delannoy", delannoy_values, (), lambda: 3, False, 0, KIND_EXACT, None, 1000),
         Claim("thm4", "schroder", schroder_large_values, (), lambda: 3, True, 1, KIND_EXACT, None, 1000),
@@ -500,6 +500,77 @@ def _run_table(
     ]
 
 
+# --- thm2: B(i, m, a, b) for every order m, one item per (a, b)
+
+# The powered half rows that the items of one thm2 sweep share stop joining
+# their table at this many bits; each item builds the rows past it for
+# itself, one row at a time.  The default grid's table takes 0.76 MB of int
+# objects, and --n-max 200 --m-set 3,4,5,6 fills the cap with 17.4 MB.
+_ROW_TABLE_BITS = 1 << 27
+
+
+def _items_thm2(grid: HarnessGrid) -> list[dict]:
+    """One item per coprime pair (a, b), for all orders of the grid; the items share one table of powered rows."""
+    orders = tuple(dict.fromkeys(grid.m_values))
+    if not orders:
+        return []
+    n, rows = _n_max(grid, CLAIMS["thm2"].n_max), {}
+    return [{"a": a, "b": b, "orders": orders, "n_hi": n, "rows": rows} for a, b in coprime_pairs(grid.ab_max)]
+
+
+def _powered_rows(table: dict, orders: tuple[int, ...], stop: int) -> Iterator[tuple[list[int], ...]]:
+    """For i = 0..stop - 1, the half row C(i, 0..i//2) raised to each order of `orders`.
+
+    `table` keeps, per tuple of orders, the rows built so far and their
+    size in bits (an upper bound).  A row past the table joins it while the
+    table stays under _ROW_TABLE_BITS.
+    """
+    entry = table.setdefault(orders, [[], 0])
+    shared = entry[0]
+    yield from islice(shared, stop)
+    for i, row in enumerate(islice(half_rows(), len(shared), stop), len(shared)):
+        powered = tuple([c**m for c in row] for m in orders)
+        if len(shared) == i and entry[1] < _ROW_TABLE_BITS:
+            shared.append(powered)
+            entry[1] += len(row) * sum(r[-1].bit_length() for r in powered)  # the middle term is the largest
+        yield powered
+
+
+def _run_thm2(a: int, b: int, orders: tuple[int, ...], n_hi: int, rows: dict | None = None) -> list[ReportBatch]:
+    """One thm2 batch per order m of `orders` at (a, b), for n = 0..n_hi, that is for indices i = 0..2 n_hi + 1.
+
+    Each value is the defining sum, term by term: B(i, m, a, b) =
+    sum_k C(i, k)**m * w_k over k = 0..i//2, with the paired weights
+    w_k = (ab)**k * (a**(i-2k) + b**(i-2k)), and (ab)**(i/2) alone for the
+    middle term of an even i.  The weights do not depend on m: each index
+    builds them once, as a**i + b**i followed by ab times those of index
+    i - 2.  The powered rows depend on neither a nor b: they come from
+    `rows`, a table that the items of one sweep share (a table of their own
+    if None; see `_powered_rows`).  The predicted column, the square-sum
+    prediction, does not depend on m either and is built once.
+    """
+    claim, rows = CLAIMS["thm2"], {} if rows is None else rows
+    x = abs(claim.base(orders[0], a, b))
+    predicted = claim.column(0, n_hi, orders[0], a, b)
+    prime, mul = is_prime(x), operator.mul
+    oracles = [[] for _ in orders]
+    ab, apow, bpow = a * b, a, b
+    weights = [[1], [a + b]]  # those of the last even and the last odd index
+    for i, powered in enumerate(_powered_rows(rows, orders, 2 * n_hi + 2)):
+        if i > 1:
+            apow, bpow = apow * a, bpow * b
+            weights[i % 2] = [apow + bpow, *map(ab.__mul__, weights[i % 2])]
+        w = weights[i % 2]
+        for oracle, row in zip(oracles, powered):
+            y = sum(map(mul, row, w))
+            oracle.append(vp_int(y, x) if prime else omega(x, y))
+    ns = range(n_hi + 1)
+    return [
+        ReportBatch("thm2", KIND_LOWER, (("m", m), ("a", a), ("b", b)), ns, PARITIES, predicted, oracle)
+        for m, oracle in zip(orders, oracles)
+    ]
+
+
 # --- cor1: powers of 2 in doubled central binomials, plus the popcount form
 
 
@@ -596,7 +667,7 @@ def _table_runner(*claims: str) -> ClaimRunner:
 
 RUNNERS: dict[str, ClaimRunner] = {
     "thm1": _table_runner("thm1"),
-    "thm2": _table_runner("thm2"),
+    "thm2": ClaimRunner(("thm2",), _items_thm2, _run_thm2),
     "cor1": ClaimRunner(("cor1", "popcount"), _items_cor1, _run_cor1),
     "cor2": _table_runner("cor2"),
     "thm3": _table_runner("thm3"),

@@ -922,6 +922,16 @@ class TestOracleReach:
         assert (code, out) == (2, "") and err.startswith("error: C(") and "--mode fast" not in err
         assert f"min(k, n - k) exceeds sys.maxsize = {sys.maxsize}" in err
 
+    def test_a_binomial_whose_prime_sieve_cannot_be_sized(self, capsys):
+        # C(n, k) past math.comb's share needs a sieve of (n + 1) // 2 bytes, which cannot be sized past sys.maxsize.
+        for target in (
+            ["binom", "20000000000000000000", "100000000000"],
+            ["fuss-catalan", str(sys.maxsize - 1), "3"],  # C(3n, n)
+        ):
+            code, out, err = run(capsys, "omega", "3", *target)
+            assert (code, out) == (2, "") and err.startswith("error: C(") and err.count("\n") == 1, target
+            assert f"prime sieve of (n + 1) // 2 bytes cannot be sized past sys.maxsize = {sys.maxsize}" in err
+
     def test_a_binomial_with_a_small_lower_index_still_answers(self, capsys):
         assert run(capsys, "omega", "3", "binom", self.HUGE, "3") == (0, f"omega_3(binom({self.HUGE},3)) = 1\n", "")
 
@@ -1407,3 +1417,40 @@ class TestExitCodeContract:
         if code == 0 and argv[0] == "verify":
             checked = {m.group(1): int(m.group(2)) for m in map(_SUMMARY_LINE.fullmatch, (out + err).splitlines()) if m}
             assert checked == _distinct_grid_points(argv)
+
+
+def _parse_outcome(parse, argv: list[str]):
+    """The namespace that `parse` gives argv, or its exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestOneParsePass:
+    """main parses an argv in one pass of its command's parser, with the outcome of the top parser's pass."""
+
+    ERRORS = [
+        [], ["-h"], ["--help"], ["-x"], ["--version"], ["bogus"], ["bogus", "1"], ["ome", "3", "5"], ["Omega", "3", "5"],
+        ["omega"], ["omega", "3"], ["omega", "-h"], ["omega", "3", "5", "--bogus"], ["omega", "3", "5", "--bogus=1"],
+        ["omega", "3", "5", "--mode", "nope"], ["omega", "3", "5", "--mo", "fast"], ["omega", "3", "5", "--mode=fast"],
+        ["omega", "--", "3", "5"], ["omega", "3", "5", "--", "--mode"], ["omega", "3", "5", "-"], ["omega", "-h", "-x"],
+        ["omega", "--format", "json"], ["vp", "4", "delannoy", "8"], ["seq"], ["seq", "delannoy"],
+        ["seq", "delannoy", "0..3", "--bogus", "x"], ["seq", "little-schroder", "-5..3"],
+        ["seq", "delannoy", "0..2", "--output", "x"], ["table", "delannoy", "0..3", "-o"], ["table", "-h"],
+        ["verify", "--bogus"], ["verify", "thm3", "--n-max"], ["verify", "thm3", "--n-max", "3", "--format", "xml"],
+        ["verify", "thm5", "--n-max", "2", "--a-set", "-2,1"], ["verify", "thm3", "--n-max", "2", "-1", "-q"],
+        ["verify", "-h"], ["bench"], ["bench", "thm1", "--zz"], ["bench", "thm1", "extra"], ["bench", "-2e1"],
+    ]
+
+    @pytest.mark.parametrize("argv", ERRORS, ids=" ".join)
+    def test_error_argvs(self, argv):
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli.build_parser().parse_args, argv)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_QUERIES, _SEQS, _TABLES, _VERIFIES))
+    def test_generated_argvs(self, argv):
+        assert _parse_outcome(cli._parse, argv) == _parse_outcome(cli.build_parser().parse_args, argv)

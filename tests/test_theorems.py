@@ -14,6 +14,7 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
+from itertools import islice
 from math import comb
 from operator import itemgetter
 from types import SimpleNamespace
@@ -29,6 +30,7 @@ from valuata.digits import kummer_carries
 from valuata.harness import CSV_COLUMNS, HarnessResult, ReportBatch, _fork_pays, text_lines
 from valuata.sequences import (
     IntegralityError,
+    bsum_values,
     delannoy,
     eval_B,
     eval_M,
@@ -428,6 +430,100 @@ class TestResumedStreams:
         assert starts == [1]
 
 
+class TestThm2Runner:
+    """thm2 runs one item per (a, b) that sums B(i, m, a, b) for every order m from rows the sweep shares."""
+
+    ORDERS = (2, 3, 4, 5, 7)
+
+    def test_values_are_the_defining_sums(self, monkeypatch):
+        import valuata.theorems as theorems
+        from test_sequences import _eval_B_reference
+
+        # The runner writes each value B(i, m, a, b) itself into its oracle column, not its valuation.
+        monkeypatch.setattr(theorems, "vp_int", lambda y, p: y)
+        monkeypatch.setattr(theorems, "omega", lambda x, y: y)
+        items = RUNNERS["thm2"].items(HarnessGrid(n_max=130, ab_max=8, m_values=self.ORDERS))
+        assert [(kw["a"], kw["b"]) for kw in items] == coprime_pairs(8)
+        sampled = (0, 1, 2, 3, 4, 63, 64, 129, 130, 258, 259, 260, 261)
+        for kw in items:
+            a, b = kw["a"], kw["b"]
+            batches = RUNNERS["thm2"].run(**kw)
+            assert [batch.params for batch in batches] == [(("m", m), ("a", a), ("b", b)) for m in self.ORDERS]
+            for m, batch in zip(self.ORDERS, batches):
+                assert batch.ns == range(131) and batch.parities == PARITIES
+                assert batch.oracle == list(islice(bsum_values(m, a, b), 262)), (m, a, b)
+                assert [batch.oracle[i] for i in sampled] == [_eval_B_reference(i, m, a, b) for i in sampled]
+
+    def test_an_item_alone_gives_the_batches_of_a_shared_table(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        items = RUNNERS["thm2"].items(HarnessGrid(n_max=50, ab_max=5, m_values=(3, 5, 4, 3)))
+        assert len({id(kw["rows"]) for kw in items}) == 1 and items[0]["orders"] == (3, 5, 4)
+        shared = [RUNNERS["thm2"].run(**items[0])]
+        (table, _), = items[0]["rows"].values()
+        built = list(map(id, table))
+        assert len(built) == 102 and all(len(powered) == 3 for powered in table)
+        shared += [RUNNERS["thm2"].run(**kw) for kw in items[1:]]
+        assert list(map(id, table)) == built  # the later items read the rows the first one built
+        alone = [RUNNERS["thm2"].run(a=kw["a"], b=kw["b"], orders=kw["orders"], n_hi=kw["n_hi"]) for kw in items]
+        assert alone == shared
+        # A table that stops growing part of the way: each item builds the rows past it.
+        monkeypatch.setattr(theorems, "_ROW_TABLE_BITS", 20_000)
+        rows = {}
+        assert [RUNNERS["thm2"].run(**{**kw, "rows": rows}) for kw in items] == shared
+        (table, bits), = rows.values()
+        assert 0 < len(table) < 102 and bits >= 20_000
+
+    def test_the_predicted_column_is_built_once_per_item(self, monkeypatch):
+        import valuata.theorems as theorems
+
+        calls = []
+        column = CLAIMS["thm2"].column
+
+        def counted(*args):
+            calls.append(args)
+            return column(*args)
+
+        monkeypatch.setitem(theorems.CLAIMS, "thm2", dataclasses.replace(CLAIMS["thm2"]))
+        object.__setattr__(theorems.CLAIMS["thm2"], "column", counted)
+        result = run_harness(["thm2"], HarnessGrid(n_max=9, ab_max=3, m_values=(3, 4, 5)))
+        assert result.summary() == {"thm2": {"checked": 4 * 3 * 20, "violations": 0}}
+        assert calls == [(0, 9, 3, a, b) for a, b in coprime_pairs(3)]
+
+    def test_fail_fast_stops_after_the_violating_pair(self, capsys, monkeypatch):
+        runner = RUNNERS["thm2"]
+
+        def violating_run(**item):
+            batches = runner.run(**item)
+            if (item["a"], item["b"]) == (2, 3):
+                batch = batches[1]  # m = 4
+                batch.oracle[3] = batch.predicted[3] - 1  # n = 1, odd
+            return batches
+
+        _patch_runner(monkeypatch, "thm2", violating_run)
+        monkeypatch.setattr(harness, "_FORK_MIN_S", 0)
+        monkeypatch.setattr(harness, "_usable_cpus", lambda: 2)
+        outcomes = []
+        for jobs in ("1", "2"):
+            argv = ["verify", "thm2", "--n-max", "6", "--ab-max", "5", "--m-set", "3,4,5", "--fail-fast"]
+            code = cli.main(argv + ["--format", "json", "--jobs", jobs])
+            outcomes.append((code, *capsys.readouterr()))
+        assert outcomes[0] == outcomes[1]
+        code, out, err = outcomes[0]
+        # The items up to and including (2, 3), each with all three orders: 4 items of 3 batches of 14 rows.
+        assert (code, err) == (1, "[thm2] checked=168 violations=1\n")
+        rows = [json.loads(line) for line in out.splitlines()]
+        assert {(r["instance"]["a"], r["instance"]["b"]) for r in rows} == {(1, 1), (1, 2), (1, 3), (2, 3)}
+        assert {r["instance"]["m"] for r in rows} == {3, 4, 5}
+        violations = [r["instance"] for r in rows if r["verdict"] == "violation"]
+        assert violations == [{"a": 2, "b": 3, "m": 4, "n": 1, "parity": "odd"}]
+
+    def test_no_orders_is_nothing_to_check(self):
+        assert RUNNERS["thm2"].items(HarnessGrid(m_values=())) == []
+        with pytest.raises(SelectionError, match="^the grid gives thm2 nothing to check$"):
+            run_harness(["thm2"], HarnessGrid(m_values=()))
+
+
 class TestLemma1Checkpoints:
     """lemma1 rebuilds the product form of (pn)! / (n!)**p at n = 0, the powers of two and n_max."""
 
@@ -660,7 +756,7 @@ class TestReportPath:
         for report in reports + extra:
             expected = json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
             assert report.to_json_line() == expected
-        assert list(text_lines(result.batches, "json")) == [_dumps_line(r) for r in reports]
+        assert "".join(text_lines(result.batches, "json")) == "".join(map(_dumps_line, reports))
         assert {r.claim for r in reports} == {
             claim for runner in RUNNERS.values() for claim in runner.claims
         }
@@ -744,13 +840,67 @@ class TestReportPath:
                 ],
                 id="bound-rows-in-every-csv-column",
             ),
+            pytest.param(
+                [
+                    ReportBatch(
+                        "mixed", KIND_LOWER, (("m", 4), ("a", 1)), range(3, 6), PARITIES,
+                        [1, 2, 1, 2, 1, 2], [0, INFINITE, 2, 5, 1, 1],
+                    ),
+                    ReportBatch(
+                        "mixed", KIND_LOWER, (("m", 3), ("a", 1)), range(3, 6), PARITIES,
+                        [1, 2, 1, 2, 1, 2], [1, 2, INFINITE, INFINITE, 4, 2],
+                    ),
+                    ReportBatch("mixed-up", KIND_UPPER, (("p", 3),), range(0, 3), (), [2, 2, 2], [1, 2, 3]),
+                    ReportBatch("mixed-up", KIND_UPPER, (("p", 2),), range(0, 3), (), [2, 2, 2], [INFINITE, 0, 1]),
+                ],
+                id="one-item-violates-and-one-holds-with-infinite-oracles",
+            ),
+            pytest.param(
+                [
+                    ReportBatch(
+                        '50% "of" %s', KIND_LOWER, (("m", "%d%%"), ("a", '"%(n)s"'), ("b", "100%")),
+                        range(0, 2), PARITIES, [1, 1, 1, 1], [1, 0, INFINITE, 3],
+                    ),
+                    ReportBatch(
+                        '50% "of" %s', KIND_LOWER, (("m", "%d%%"), ("a", '"%(n)s"'), ("b", "%")),
+                        range(0, 2), PARITIES, [1, 1, 1, 1], [2, 2, 2, 2],
+                    ),
+                    ReportBatch("%", KIND_EXACT, (("%s", '%"'),), range(0, 2), ("odd",), [0, 1], [0, 0]),
+                ],
+                id="percent-and-quote-escapes",
+            ),
         ],
     )
     @pytest.mark.parametrize("fmt", FORMATS)
     def test_text_lines_match_the_reference_writers(self, batches, fmt):
-        assert list(text_lines(batches, fmt)) == _reference_lines(HarnessResult(batches).reports, fmt)
+        assert "".join(text_lines(batches, fmt)) == "".join(_reference_lines(HarnessResult(batches).reports, fmt))
         for batch in batches:
-            assert list(text_lines([batch], fmt)) == _reference_lines(_reports([batch]), fmt)
+            assert "".join(text_lines([batch], fmt)) == "".join(_reference_lines(_reports([batch]), fmt))
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("parities", [(), ("odd",), PARITIES], ids=["no-parity", "one-parity", "two-parities"])
+    @pytest.mark.parametrize("items", [1, 3])
+    def test_chunks_hold_whole_n_around_the_chunk_size(self, fmt, parities, items):
+        rows_per_n = (len(parities) or 1) * items
+        per_chunk = max(1, harness._CHUNK_ROWS // rows_per_n)  # n per chunk
+        rng = random.Random(rows_per_n)
+        for count in sorted({max(1, per_chunk - 1), per_chunk, per_chunk + 1, 2 * per_chunk + 1}):
+            ns, rows = range(5, 5 + count), count * (len(parities) or 1)
+            batches = [
+                ReportBatch(
+                    "chunked", KIND_LOWER, (("a", k),), ns, parities, [rng.randint(0, 3) for _ in range(rows)],
+                    [rng.choice([INFINITE, 0, 1, 2, 3, 4]) for _ in range(rows)],
+                )
+                for k in range(items)
+            ]
+            chunks = list(text_lines(batches, fmt))
+            assert "".join(chunks) == "".join(_reference_lines(HarnessResult(batches).reports, fmt)), count
+            end = "\r\n" if fmt == "csv" else "\n"
+            sizes = [chunk.count(end) for chunk in chunks]
+            assert all(chunk.endswith(end) for chunk in chunks)
+            assert sizes == [per_chunk * rows_per_n] * (count // per_chunk) + [count % per_chunk * rows_per_n] * (
+                count % per_chunk > 0
+            ), count
 
     def test_csv_reads_back_to_the_report_cells(self, result):
         rows = list(csv.reader(io.StringIO("".join(text_lines(result.batches, "csv")))))
@@ -793,8 +943,8 @@ _grid_values = st.lists(st.integers(-9, 9), max_size=4).map(tuple)
 
 
 def _item_key(kwargs: dict) -> list:
-    """A work item's arguments without its stream table, which the sweep fills as it runs."""
-    return sorted((k, v) for k, v in kwargs.items() if k != "streams")
+    """A work item's arguments without its stream or row table, which the sweep fills as it runs."""
+    return sorted((k, v) for k, v in kwargs.items() if k not in ("streams", "rows"))
 
 
 class TestReportOrder:
@@ -872,7 +1022,7 @@ class TestReportOrder:
         assert result.reports == reference
         assert result.reports == sorted(result.reports, key=itemgetter(0, 1))
         for fmt in FORMATS:
-            assert list(text_lines(result.batches, fmt)) == _reference_lines(result.reports, fmt)
+            assert "".join(text_lines(result.batches, fmt)) == "".join(_reference_lines(result.reports, fmt))
         violations = [r for r in reference if r.verdict == "violation"]
         assert result.violations == violations
         assert bool(violations) == (violate is not None) and result.ok == (not violations)
