@@ -16,8 +16,8 @@ import os
 import re
 import sys
 import time
-from dataclasses import dataclass
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterator, NamedTuple
 
 from .digits import KernelRangeError, is_prime
 from .harness import CSV_COLUMNS, text_lines
@@ -26,17 +26,17 @@ from .sequences import (
     DomainError,
     IntegralityError,
     binomial,
-    bsum,
     stream_slice,
 )
 from .theorems import (
     CLAIMS,
+    PARITIES,
     RUNNERS,
     HarnessGrid,
     HypothesisViolation,
     SelectionError,
+    _check_instance,
     _core_vp,
-    predict_bsum_omega,
     run_harness,
 )
 from .valuation import (
@@ -146,21 +146,18 @@ def _format_value(value: int, digits: int | None) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Target:
-    """A query target: a label, a big-integer route and an optional fast route.
+class Target(NamedTuple):
+    """A query target: a label, its oracle route and, where it has them, its fast route and that route's breakdown.
 
-    The fast route is either `fast_vp`, which maps a prime p to v_p of the
-    target without building it, or the claim of CLAIMS named `claim`, which
-    answers for sequence index `index` at parameters `params`.
+    `value()` builds the target.  `fast(base)` is omega_base of the target
+    without building it, and `explain(base)` the lines that --explain
+    prints under a fast answer.
     """
 
     label: str
-    value_fn: Callable[[], int]
-    fast_vp: Callable[[int], int] | None = None
-    claim: str | None = None
-    index: int = 0
-    params: tuple[int, ...] = ()
+    value: Callable[[], int]
+    fast: Callable[[int], int] | None = None
+    explain: Callable[[int], list[str]] | None = None
 
 
 # sequence name -> the claim that answers its omega queries on the fast route
@@ -177,55 +174,77 @@ def _parse_target(tokens: list[str]) -> Target:
     if head in ("b", "bsum"):
         if len(tokens) != 5:
             raise UsageError("expected: B <n> <m> <a> <b>")
-        n, m, a, b = (_parse_int(t) for t in tokens[1:])
-        claim = _ROUTES["bsum"] if m == 2 else None
-        value_fn = functools.partial(SEQUENCES["bsum"].value, n, m, a, b)
-        return Target(f"B({n},{m},{a},{b})", value_fn, claim=claim, index=n, params=(a, b))
+        return _bsum_target(*(_parse_int(t) for t in tokens[1:]))
     if head == "binom":
         if len(tokens) != 3:
             raise UsageError("expected: binom <n> <k>")
-        n, k = _parse_int(tokens[1]), _parse_int(tokens[2])
-        check_binomial(n, k)
-        return Target(f"binom({n},{k})", lambda: binomial(n, k), functools.partial(vp_binomial_fast, n, k))
+        return _binom_target(_parse_int(tokens[1]), _parse_int(tokens[2]))
     if head in SEQUENCES:
         entry = SEQUENCES[head]
-        want = 1 + len(entry.params)
-        if len(tokens) != 1 + want:
+        if len(tokens) != 2 + len(entry.params):
             params = " ".join(f"<{p}>" for p in entry.params)
             raise UsageError(f"expected: {entry.name} <n> {params}".rstrip())
-        values = [_parse_int(t) for t in tokens[1:]]
-        n, extra = values[0], values[1:]
-        label = f"{entry.name}({', '.join(str(v) for v in values)})"
-        return Target(
-            label, lambda: entry.value(n, *extra), claim=_ROUTES.get(entry.name), index=n, params=tuple(extra)
-        )
+        n, *extra = (_parse_int(t) for t in tokens[1:])
+        label = f"{entry.name}({', '.join(str(v) for v in (n, *extra))})"
+        value = functools.partial(entry.value, n, *extra)
+        return _sequence_target(label, value, _ROUTES.get(entry.name), n, tuple(extra))
     raise UsageError(f"unrecognized target {tokens[0]!r}")
 
 
-def _route_omega(target: Target, base: int) -> int:
-    """omega_base of a target on its claim's fast route: the claim's predictor at the target's index.
+def _binom_target(n: int, k: int) -> Target:
+    """C(n, k), whose fast route counts the carries of k + (n - k) for each prime of the base."""
+    check_binomial(n, k)
+    vp = functools.partial(vp_binomial_fast, n, k)
+    return Target(
+        f"binom({n},{k})",
+        lambda: binomial(n, k),
+        lambda base: min(vp(p) // e for p, e in factorize(abs(base)).factors),
+        lambda base: _explain_lines(base, vp),
+    )
 
-    An index outside the sequence's domain gets the oracle route's error.
+
+def _bsum_target(n: int, m: int, a: int, b: int) -> Target:
+    """B(n, m, a, b), on the route of the square-sum claim at m = 2."""
+    value = functools.partial(SEQUENCES["bsum"].value, n, m, a, b)
+    return _sequence_target(f"B({n},{m},{a},{b})", value, _ROUTES["bsum"] if m == 2 else None, n, (a, b))
+
+
+def _sequence_target(
+    label: str, value: Callable[[], int], claim_name: str | None, i: int, params: tuple[int, ...]
+) -> Target:
+    """Sequence element i, built by `value`, on the fast route of CLAIMS[claim_name] at `params`, if one is named.
+
+    The fast route answers with the claim's predictor; an index outside the
+    sequence's domain gets the oracle route's error.
     """
-    claim = CLAIMS[target.claim]
-    SEQUENCES[claim.sequence].check_index(target.index)
-    n, _ = claim.locate(target.index)
-    x = claim.base(*target.params)
-    if abs(base) != abs(x):
-        raise HypothesisViolation(f"the fast path computes the power of {x}, not of {base}")
-    return claim.predict(n, "odd" if target.index % 2 else "even", *target.params)
+    if claim_name is None:
+        return Target(label, value)
+    claim = CLAIMS[claim_name]
 
+    def oracle() -> int:
+        if i >= sys.maxsize:
+            # The oracle's value streams end where islice does; the fast route has no such limit.
+            reach = "value streams end at sys.maxsize - 1; use --mode fast"
+            raise DomainError(f"{label} is past the oracle's reach: {reach}")
+        return value()
 
-def _core_lines(target: Target, base: int) -> list[str]:
-    """The core that a fast-route answer reduces to, then its per-prime breakdown."""
-    claim = CLAIMS[target.claim]
-    n, r = claim.locate(target.index)
-    core = f"Catalan({n})" if claim.catalan else f"C({2 * n},{n})"
-    if r:
-        core = f"{2 * n + 1}*{core}"
-    shift = "1 + " if r else ""
-    lines = [f"  core: {core}; omega_{base}({target.label}) = {shift}omega_{base}(core)"]
-    return lines + _explain_lines(base, lambda p: _core_vp(n, r, p, claim.catalan), "core")
+    def fast(base: int) -> int:
+        SEQUENCES[claim.sequence].check_index(i)
+        n, _ = claim.locate(i)
+        x = claim.base(*params)
+        if abs(base) != abs(x):
+            raise HypothesisViolation(f"the fast path computes the power of {x}, not of {base}")
+        return claim.predict(n, PARITIES[i % 2], *params)
+
+    def explain(base: int) -> list[str]:
+        """The core that the fast answer reduces to, then its per-prime breakdown."""
+        n, r = claim.locate(i)
+        core = f"Catalan({n})" if claim.catalan else f"C({2 * n},{n})"
+        core, shift = (f"{2 * n + 1}*{core}", "1 + ") if r else (core, "")
+        line = f"  core: {core}; omega_{base}({label}) = {shift}omega_{base}(core)"
+        return [line, *_explain_lines(base, lambda p: _core_vp(n, r, p, claim.catalan), "core")]
+
+    return Target(label, oracle, fast, explain)
 
 
 def _explain_lines(base: int, vp_of_y: Callable[[int], int], what: str = "target") -> list[str]:
@@ -249,58 +268,26 @@ def cmd_omega(args: argparse.Namespace) -> int:
         raise InvalidBaseError(f"base must not be 0 or a unit, got {base}")
     target = _parse_target(args.target)
 
-    fast_result = None
+    result = value = None
     if args.mode in ("fast", "both"):
-        if target.fast_vp is not None:
-            fast_result = min(
-                target.fast_vp(p) // e for p, e in factorize(abs(base)).factors
-            )
-        elif target.claim is not None:
-            fast_result = _route_omega(target, base)
-        else:
-            raise HypothesisViolation(
-                f"no fast path for target {target.label}; use --mode oracle"
-            )
-
-    oracle_result = None
-    value = None
+        if target.fast is None:
+            raise HypothesisViolation(f"no fast path for target {target.label}; use --mode oracle")
+        result = target.fast(base)
     if args.mode in ("oracle", "both"):
-        if target.claim is not None and target.index >= sys.maxsize:
-            # The oracle's value streams end where islice does; the fast route has no such limit.
-            raise DomainError(
-                f"{target.label} is past the oracle's reach: value streams end at sys.maxsize - 1; "
-                "use --mode fast"
-            )
-        value = target.value_fn()
+        value = target.value()
         oracle_result = omega(base, value)
+        if args.mode == "both" and oracle_result != result:
+            return _fail(f"DISAGREEMENT: fast={result} oracle={oracle_result} for omega_{base}({target.label})", 1)
+        result = oracle_result
 
-    if args.mode == "both" and fast_result != oracle_result:
-        print(
-            f"DISAGREEMENT: fast={fast_result} oracle={oracle_result} for omega_{base}({target.label})",
-            file=sys.stderr,
-        )
-        return 1
-
-    result = oracle_result if oracle_result is not None else fast_result
     if args.format == "json":
-        obj = {
-            "base": base,
-            "target": target.label,
-            "mode": args.mode,
-            "omega": "inf" if result is INFINITE else result,
-        }
+        obj = dict(base=base, target=target.label, mode=args.mode, omega="inf" if result is INFINITE else result)
         print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
     else:
         print(f"omega_{base}({target.label}) = {result}")
         if args.explain and result is not INFINITE:
-            if value is not None:
-                lines = _explain_lines(base, lambda p: vp_int(value, p))
-            elif target.fast_vp is not None:
-                lines = _explain_lines(base, target.fast_vp)
-            else:
-                lines = _core_lines(target, base)
-            for line in lines:
-                print(line)
+            lines = target.explain(base) if value is None else _explain_lines(base, lambda p: vp_int(value, p))
+            print(*lines, sep="\n")
     return 0
 
 
@@ -309,7 +296,8 @@ def cmd_omega(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
+def _seq_rows(args: argparse.Namespace) -> tuple[list[str], Iterator[list]]:
+    """The header and the streamed rows of a range, the first row built at once so that its errors come first."""
     name = args.name.lower()
     if name not in SEQUENCES:
         raise UsageError(
@@ -329,20 +317,19 @@ def _seq_rows(args: argparse.Namespace) -> tuple[list[str], list[list]]:
     if p is not None and not is_prime(p):
         raise UsageError(f"--valuation takes a prime, got {p}")
     header = ["n", "value"] + ([f"v_{p}"] if p is not None else [])
-    rows = []
-    for n, value in zip(range(lo, hi + 1), stream_slice(entry.values, lo, hi + 1, *extra)):
-        rows.append([n, value] + ([vp_int(value, p)] if p is not None else []))
-    return header, rows
+    rows = (
+        [n, value] + ([vp_int(value, p)] if p is not None else [])
+        for n, value in zip(range(lo, hi + 1), stream_slice(entry.values, lo, hi + 1, *extra))
+    )
+    return header, chain([next(rows)], rows)
 
 
-def _write_csv(output: str | None, header: list[str], rows: list[list]) -> None:
+def _write_csv(output: str | None, header: list[str], rows: Iterator[list]) -> None:
     """The rows as CSV on stdout, or in the file `output`: one that cannot be written is a UsageError."""
     import csv
 
     def write(out) -> None:
-        writer = csv.writer(out)
-        writer.writerow(header)
-        writer.writerows(rows)
+        csv.writer(out).writerows(chain([header], rows))
 
     if output is None:
         return write(sys.stdout)
@@ -354,6 +341,8 @@ def _write_csv(output: str | None, header: list[str], rows: list[list]) -> None:
 
 
 def cmd_seq(args: argparse.Namespace) -> int:
+    if args.digits is not None and args.format != "human":
+        raise UsageError("--digits takes --format human")
     digits = _parse_int(args.digits) if args.digits is not None else None
     if digits is not None and digits < 1:
         raise UsageError(f"--digits must be at least 1, got {digits}")
@@ -462,51 +451,37 @@ def cmd_bench(args: argparse.Namespace) -> int:
         n = _parse_int(args.n) if args.n is not None else 2023
         a = _parse_int(args.a) if args.a is not None else 37
         b = _parse_int(args.b) if args.b is not None else 62
-        rows = []
-        for parity in ("even", "odd"):
-            fast_t, fast_v = _time_best(lambda: predict_bsum_omega(n, parity, a, b))
-            if args.fast_only:
-                rows.append((parity, fast_t, fast_v, None, None, "fast-only"))
-                continue
-            idx = 2 * n if parity == "even" else 2 * n + 1
-            start = time.perf_counter()
-            oracle_v = omega(a + b, bsum(idx, 2, a, b))
-            oracle_t = time.perf_counter() - start
+        _check_instance(n, "even")  # so that an error names this n, not the index 2n + r
+        header, base, word, join = f"scenario=thm1 n={n} a={a} b={b}", a + b, "omega", " | "
+        cases = [(f"{parity}: ", _bsum_target(2 * n + r, 2, a, b)) for r, parity in enumerate(PARITIES)]
+        skip = "fast-only" if args.fast_only else None
+    else:
+        n = _parse_int(args.n) if args.n is not None else 10**18
+        k = _parse_int(args.k) if args.k is not None else n // 2
+        p = _parse_int(args.p) if args.p is not None else 3
+        if not is_prime(p):
+            raise UsageError(f"--p must be prime, got {p}")
+        header, base, word, join = f"scenario=vp-binom n={n} k={k} p={p}", p, "v_p", "\n  "
+        cases = [("", _binom_target(n, k))]
+        oracle_reach = 200_000  # beyond this the binomial itself is too large to be worth building
+        skip = f"oracle skipped: n > {oracle_reach}, fast path only" if n > oracle_reach else None
+        skip = "" if args.fast_only else skip
+    # Every answer is in before the first line, so that an error leaves stdout empty.  A `skip` other than None
+    # stands in for the oracle: a note, or nothing.
+    status, lines = 0, [header]
+    for label, target in cases:
+        fast_t, fast_v = _time_best(lambda: target.fast(base))
+        parts = [f"  {label}fast={fast_t * 1000:.3f}ms {word}={fast_v}"]
+        if skip is None:
+            oracle_t, oracle_v = _time_best(lambda: omega(base, target.value()), repeats=1)
             verdict = "agree" if oracle_v == fast_v else "DISAGREE"
-            rows.append((parity, fast_t, fast_v, oracle_t, oracle_v, verdict))
-        status = 0
-        print(f"scenario=thm1 n={n} a={a} b={b}")
-        for parity, fast_t, fast_v, oracle_t, oracle_v, verdict in rows:
-            line = f"  {parity}: fast={fast_t * 1000:.3f}ms omega={fast_v}"
-            if oracle_t is not None:
-                line += f" | oracle={oracle_t * 1000:.3f}ms omega={oracle_v} | {verdict}"
-                if verdict != "agree":
-                    status = 1
-            else:
-                line += " | fast-only"
-            print(line)
-        return status
-    # vp-binom
-    n = _parse_int(args.n) if args.n is not None else 10**18
-    k = _parse_int(args.k) if args.k is not None else n // 2
-    p = _parse_int(args.p) if args.p is not None else 3
-    if not is_prime(p):
-        raise UsageError(f"--p must be prime, got {p}")
-    fast_t, fast_v = _time_best(lambda: vp_binomial_fast(n, k, p))
-    print(f"scenario=vp-binom n={n} k={k} p={p}")
-    print(f"  fast={fast_t * 1000:.3f}ms v_p={fast_v}")
-    # Beyond this the binomial itself is too large to be worth building.
-    oracle_reach = 200_000
-    if args.fast_only or n > oracle_reach:
-        if not args.fast_only:
-            print(f"  oracle skipped: n > {oracle_reach}, fast path only")
-        return 0
-    start = time.perf_counter()
-    oracle_v = vp_int(binomial(n, k), p)
-    oracle_t = time.perf_counter() - start
-    verdict = "agree" if oracle_v == fast_v else "DISAGREE"
-    print(f"  oracle={oracle_t * 1000:.3f}ms v_p={oracle_v} | {verdict}")
-    return 0 if verdict == "agree" else 1
+            status |= verdict != "agree"
+            parts.append(f"oracle={oracle_t * 1000:.3f}ms {word}={oracle_v} | {verdict}")
+        elif skip:
+            parts.append(skip)
+        lines.append(join.join(parts))
+    print(*lines, sep="\n")
+    return status
 
 
 # ---------------------------------------------------------------------------
@@ -639,22 +614,27 @@ def main(argv: list[str] | None = None) -> int:
         KernelRangeError,
         SelectionError,
     ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc}")
     except MemoryError:
-        print("error: out of memory; ask for a smaller range, index or grid", file=sys.stderr)
-        return 2
+        return _fail("error: out of memory; ask for a smaller range, index or grid")
     except OSError as exc:  # such as stdout on a full device or a closed pipe
         try:
             sys.stdout.flush()
         except OSError:
             # stdout failed and keeps its unwritten bytes: they, and the interpreter's exit flush, go to devnull.
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: {exc.strerror or exc}", file=sys.stderr)
-        return 2
+        return _fail(f"error: {exc.strerror or exc}")
     except IntegralityError as exc:
-        print(f"internal arithmetic failure: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"internal arithmetic failure: {exc}", 1)
+
+
+def _fail(line: str, code: int = 2) -> int:
+    """`code`, once the error line `line` is on stderr, or stderr has failed and points at os.devnull as stdout does."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -21,7 +22,9 @@ import valuata.cli as cli
 import valuata.harness as harness
 from valuata.cli import main
 from valuata.digits import kummer_carries
-from valuata.sequences import SEQUENCES, DomainError, eval_B, fuss_catalan, schroder_large, schroder_little
+from valuata.sequences import (
+    SEQUENCES, DomainError, delannoy, eval_B, fuss_catalan, schroder_large, schroder_little,
+)
 from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
 from valuata.valuation import INFINITE, vp_int
 
@@ -146,7 +149,8 @@ class TestOmega:
         assert code == 2
 
     def test_disagreement_exits_1(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_route_omega", lambda target, base: 99)
+        claim_target = cli._sequence_target
+        monkeypatch.setattr(cli, "_sequence_target", lambda *args: claim_target(*args)._replace(fast=lambda base: 99))
         code, _, err = run(capsys, "omega", "99", "B", "10", "2", "37", "62", "--mode", "both")
         assert code == 1 and "DISAGREEMENT" in err
 
@@ -159,6 +163,59 @@ class TestOmega:
         code, out, err = run(capsys, "omega", "6", "delannoy", "-3")
         assert (code, out, err) == (2, "", "error: delannoy starts at index 0, got -3\n")
         assert run(capsys, "seq", "delannoy", "-3..0")[2] == err
+
+
+# One query per kind of target, its base on the target's fast route where it has one: a literal, B at m = 2 and
+# m != 2, bsum, binom and each sequence, with a base off the route and an index past the oracle's reach.
+_CORPUS_QUERIES = [
+    ("omega", "12", "720"),
+    ("omega", "7", "0"),
+    ("omega", "99", "B", "40", "2", "37", "62"),
+    ("omega", "-99", "B", "41", "2", "37", "62"),
+    ("omega", "6", "B", "12", "3", "1", "2"),
+    ("omega", "3", "bsum", "11", "2", "1", "2"),
+    ("omega", "6", "binom", "40", "17"),
+    ("vp", "3", "binom", "4046", "2023"),
+    ("omega", "3", "delannoy", "11"),
+    ("vp", "3", "schroder", "8"),
+    ("omega", "-3", "little-schroder", "9"),
+    ("omega", "2", "catalan", "14"),
+    ("omega", "6", "central-binomial", "10"),
+    ("omega", "2", "franel", "12"),
+    ("omega", "3", "hexagonal", "10"),
+    ("omega", "5", "fuss-catalan", "6", "3"),
+    ("omega", "3", "multinomial", "7", "3"),
+    ("omega", "3", "trinomial", "10", "2", "3"),
+    ("omega", "-6", "motzkin", "12", "5", "6"),
+    ("omega", "5", "legendre", "10", "5"),
+    ("omega", "3", "bsum", "9", "3", "1", "2"),
+    ("omega", "5", "delannoy", "10"),
+    ("omega", "3", "delannoy", "1e23"),
+]
+_CORPUS_OPTIONS = [(), ("--explain",), ("--format", "json"), ("--explain", "--format", "json")]
+
+
+def _corpus_argvs(query: tuple[str, ...]) -> list[list[str]]:
+    return [[*query, "--mode", mode, *options] for mode in ("fast", "oracle", "both") for options in _CORPUS_OPTIONS]
+
+
+class TestQueryCorpus:
+    """omega/vp over every kind of target, mode, format and --explain give the recorded exit code, stdout and stderr.
+
+    tests/data/query_corpus.json holds the outcomes of the CLI from before
+    each target carried its own fast and oracle routes, keyed by argv.
+    """
+
+    RECORDED = json.loads((Path(__file__).parent / "data" / "query_corpus.json").read_text())
+
+    def test_every_target_kind_is_covered(self):
+        assert {query[2] for query in _CORPUS_QUERIES} >= {*SEQUENCES, "B", "binom"}
+        assert list(self.RECORDED) == [" ".join(argv) for query in _CORPUS_QUERIES for argv in _corpus_argvs(query)]
+
+    @pytest.mark.parametrize("query", _CORPUS_QUERIES, ids=" ".join)
+    def test_outcomes(self, capsys, query):
+        for argv in _corpus_argvs(query):
+            assert list(run(capsys, *argv)) == self.RECORDED[" ".join(argv)], argv
 
 
 def _reference_core(n: int, r: int, p: int, catalan: bool) -> int:
@@ -597,6 +654,43 @@ class TestTable:
         assert not missing.parent.exists()
 
 
+class TestStreamedRows:
+    """seq and table write a range as its stream gives the rows."""
+
+    @pytest.mark.parametrize(
+        "command, options",
+        [
+            ("seq", ()),
+            ("seq", ("--format", "json")),
+            ("seq", ("--format", "csv", "--valuation", "3")),
+            ("table", ("-o", os.devnull)),
+        ],
+    )
+    def test_the_peak_does_not_grow_with_the_range(self, command, options):
+        def peak(hi):
+            argv = [command, "delannoy", f"0..{hi}", *options]
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                assert main(argv) == 0  # builds the parser and imports what the format needs
+                tracemalloc.start()
+                try:
+                    assert main(argv) == 0
+                    return tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+
+        # The values of 0..3000 take 3.4 MB as decimals, the last one 2.3 kB; building every row first
+        # raised the peak by about 2 MB.
+        assert peak(3000) - peak(300) < 4 * len(str(delannoy(3000)))
+
+    def test_a_failing_first_value_writes_nothing(self, capsys, tmp_path):
+        expected = (2, "", "error: p must be at least 2, got 1\n")
+        assert run(capsys, "seq", "multinomial", "0..3", "1", "--format", "csv") == expected
+        target = tmp_path / "out.csv"
+        target.write_text("kept\n")
+        assert run(capsys, "table", "multinomial", "0..3", "1", "-o", str(target)) == expected
+        assert target.read_text() == "kept\n"
+
+
 def _valuata(*argv: str, unbuffered: bool = False, **kwargs) -> subprocess.Popen:
     """`python -m valuata *argv` started in a new interpreter that imports this checkout's package.
 
@@ -604,7 +698,7 @@ def _valuata(*argv: str, unbuffered: bool = False, **kwargs) -> subprocess.Popen
     """
     src = Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(src), "PYTHONUNBUFFERED": "1" if unbuffered else ""}
-    return subprocess.Popen([sys.executable, "-m", "valuata", *argv], env=env, stderr=subprocess.PIPE, **kwargs)
+    return subprocess.Popen([sys.executable, "-m", "valuata", *argv], env=env, **{"stderr": subprocess.PIPE, **kwargs})
 
 
 class TestOutputFailures:
@@ -639,6 +733,58 @@ class TestOutputFailures:
             err = proc.stderr.read()
             proc.wait(timeout=120)
         assert (proc.returncode, first, err.decode()) == (2, b"0\t1\n", f"error: {os.strerror(errno.EPIPE)}\n")
+
+
+class TestErrorLineFailures:
+    """An error line that cannot be written to stderr leaves the exit code as it is: 2, or 1 for a disagreement."""
+
+    full = TestOutputFailures.full
+
+    @full
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv, stdout", [(("omega", "3", "x"), os.devnull), (("omega", "3", "5"), "/dev/full")])
+    def test_a_full_stderr(self, argv, stdout, unbuffered):
+        with open("/dev/full", "w") as full, open(stdout, "w") as out:
+            with _valuata(*argv, unbuffered=unbuffered, stdout=out, stderr=full) as proc:
+                proc.wait(timeout=120)
+        assert proc.returncode == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stdout_and_stderr_on_a_closed_pipe(self, unbuffered):
+        # `verify thm3 --n-max 3 2>&1 | true`, with the reader gone before the first write
+        read, write = os.pipe()
+        os.close(read)
+        with _valuata("verify", "thm3", "--n-max", "3", unbuffered=unbuffered, stdout=write, stderr=write) as proc:
+            os.close(write)
+            proc.wait(timeout=120)
+        assert proc.returncode == 2
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_rows_and_error_line_on_one_pipe(self, unbuffered):
+        # `seq delannoy 0..3000 2>&1 | head -1`
+        argv = ("seq", "delannoy", "0..3000")
+        with _valuata(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE, stderr=subprocess.STDOUT) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            proc.wait(timeout=120)
+        assert (proc.returncode, first) == (2, b"0\t1\n")
+
+    @full
+    def test_a_disagreement_on_a_full_stderr(self):
+        program = (
+            "import sys, valuata.cli as cli\n"
+            "claim_target = cli._sequence_target\n"
+            "cli._sequence_target = lambda *args: claim_target(*args)._replace(fast=lambda base: 99)\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ("omega", "99", "B", "10", "2", "37", "62", "--mode", "both")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        command = [sys.executable, "-c", program, *argv]
+        done = subprocess.run(command, env=env, capture_output=True, timeout=120)
+        assert (done.returncode, done.stdout) == (1, b"") and done.stderr.startswith(b"DISAGREEMENT: fast=99 ")
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(command, env=env, stdout=subprocess.PIPE, stderr=full, timeout=120)
+        assert (done.returncode, done.stdout) == (1, b"")
 
 
 class TestVerify:
@@ -880,7 +1026,8 @@ class TestOutOfMemory:
         )
 
     def test_memory_exhaustion_exits_2(self):
-        done = self._run_limited("seq", "delannoy", "0..1000000", "--valuation", "3")
+        # seq streams its rows, so a range runs out of memory only on a value: here C(3n, n)'s prime sieve.
+        done = self._run_limited("seq", "fuss-catalan", "1000000000..1000000000", "3")
         assert (done.returncode, done.stdout) == (2, "")
         assert done.stderr.startswith("error: out of memory") and "Traceback" not in done.stderr
 
@@ -993,6 +1140,8 @@ class TestOutputOptions:
         ("verify", "thm3", "--n-max", "2", "--digits", "2"),
         ("table", "delannoy", "0..3", "--digits", "2"),
         ("table", "delannoy", "0..3", "--format", "json"),
+        ("seq", "delannoy", "0..3", "--digits", "2", "--format", "json"),
+        ("seq", "delannoy", "0..3", "--digits", "2", "--format", "csv"),
     ])
     def test_unread_options_exit_2(self, capsys, argv):
         code, out, err = run_or_exit(capsys, *argv)

@@ -712,9 +712,9 @@ class TestPredictorFastPath:
         for i in (claim.offset - 1, claim.offset - 2, -5, claim.index(past, 0), claim.index(past, 1), 2**70):
             with pytest.raises(HypothesisViolation):
                 claim.locate(i)
-            target = cli.Target("y", lambda: 0, claim=name, index=i, params=args)
+            target = cli._sequence_target("y", lambda: 0, name, i, args)
             with pytest.raises(HypothesisViolation):
-                cli._core_lines(target, claim.base(*args))
+                target.explain(claim.base(*args))
 
     @pytest.mark.parametrize("target, claim", [
         ("cor2.column", "cor1"),
