@@ -31,9 +31,7 @@ from .sequences import (
     DomainError,
     IntegralityError,
     binomial,
-    bsum,
     bsum_range_values,
-    bsum_values,
     catalan,
     catalan_values,
     central_binomial,
@@ -42,7 +40,6 @@ from .sequences import (
     central_multinomial_product,
     central_multinomial_values,
     check_congruence,
-    delannoy,
     delannoy_values,
     eval_B,
     eval_B_via_macmahon,
@@ -53,7 +50,6 @@ from .sequences import (
     franel_values,
     fuss_catalan,
     fuss_catalan_values,
-    hexagonal,
     hexagonal_values,
     legendre,
     legendre_rational,
@@ -64,7 +60,6 @@ from .sequences import (
     schroder_little,
     schroder_little_values,
     square_sum_values,
-    table_value,
     trinomial_values,
 )
 from .theorems import (

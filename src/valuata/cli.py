@@ -452,6 +452,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         a = _parse_int(args.a) if args.a is not None else 37
         b = _parse_int(args.b) if args.b is not None else 62
         _check_instance(n, "even")  # so that an error names this n, not the index 2n + r
+        if 2 * n + 1 >= sys.maxsize and not args.fast_only:
+            reach = "value streams end at index sys.maxsize - 1, before 2n + 1; use --fast-only"
+            raise DomainError(f"--n {n} is past the oracle's reach: {reach}")
         header, base, word, join = f"scenario=thm1 n={n} a={a} b={b}", a + b, "omega", " | "
         cases = [(f"{parity}: ", _bsum_target(2 * n + r, 2, a, b)) for r, parity in enumerate(PARITIES)]
         skip = "fast-only" if args.fast_only else None
@@ -489,10 +492,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help and error messages raise OSError when their stream fails, as every other write does.
+
+    argparse's own writer drops the error, and leaves a buffered message to
+    the interpreter's exit flush, which exits 120 when it fails; this flush
+    fails inside main's handlers instead.
+    """
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message:
+            file = file or sys.stderr
+            file.write(message)
+            file.flush()
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="valuata",
         description="Exact combinatorial sequences and highest-power-dividing queries, "
         "answered by a digit-arithmetic fast path and a big-integer oracle.",
@@ -597,11 +615,11 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    args = _parse(sys.argv[1:] if argv is None else argv)
-    if not args.command:
-        build_parser().print_help()
-        return 2
     try:
+        args = _parse(sys.argv[1:] if argv is None else argv)
+        if not args.command:
+            build_parser().print_help()
+            return 2
         code = args.func(args)
         sys.stdout.flush()  # inside the handlers, so that a failing last write is caught too
         return code

@@ -22,7 +22,7 @@ import sys
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, count, islice
 from math import comb
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -150,37 +150,21 @@ def _legendre_exponent(n: int, k: int, p: int) -> int:
     return e
 
 
-def _paired_sum(n: int, m: int, coeffs: Iterable[int], a: int, b: int) -> int:
-    """sum_k C(n, k)**m * a**(n-k) * b**k from the half row C(n, n//2), ..., C(n, 0), in that order.
+def eval_B(n: int, m: int, a: int, b: int) -> int:
+    """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k, for n >= 0 and m >= 0.
 
     The terms k and n - k pair up: for k < n/2 they add up to
     C(n, k)**m * (ab)**k * (a**(n-2k) + b**(n-2k)), and an even n adds the
     middle term C(n, n/2)**m * (ab)**(n/2).  The sum runs in Horner form
-    over ab, with one large product per pair; a**(n-2k) and b**(n-2k) are
-    running products, so only a few values are held at a time.
-    """
-    coeffs = iter(coeffs)
-    ab, aa, bb = a * b, a * a, b * b
-    if n % 2:
-        apow, bpow, total = a, b, 0
-    else:
-        apow, bpow, total = aa, bb, next(coeffs) ** m
-    for c in coeffs:
-        total = total * ab + c**m * (apow + bpow)
-        apow *= aa
-        bpow *= bb
-    return total
+    over ab, from the middle of the half row down, with one large product
+    per pair; a**(n-2k) and b**(n-2k) are running products, so only a few
+    values are held at a time.
 
-
-def eval_B(n: int, m: int, a: int, b: int) -> int:
-    """Exact value of sum_k C(n, k)**m * a**(n-k) * b**k, for n >= 0 and m >= 0.
-
-    The defining sum, with its terms k and n - k summed in pairs (see
-    _paired_sum).  Its half row divides with a bare //, the one unchecked
-    division in this module: each quotient is the binomial C(n, k - 1), so
-    every step is exact once the first value, C(n, n//2), is right.
-    Checking each step through _exact_div cost the m = 3..5 oracle queries
-    about 3% (an inline divmod, about 1.2%).
+    The half row divides with a bare //, the one unchecked division in
+    this module: each quotient is the binomial C(n, k - 1), so every step
+    is exact once the first value, C(n, n//2), is right.  Checking each
+    step through _exact_div cost the m = 3..5 oracle queries about 3% (an
+    inline divmod, about 1.2%).
     """
     if n < 0:
         raise DomainError(f"n must be non-negative, got {n}")
@@ -188,7 +172,16 @@ def eval_B(n: int, m: int, a: int, b: int) -> int:
         raise DomainError(f"m must be non-negative, got {m}")
     # C(n, n//2), then C(n, k - 1) = C(n, k) * k / (n - k + 1) down to C(n, 0).
     row = accumulate(range(n // 2, 0, -1), lambda c, k: c * k // (n - k + 1), initial=binomial(n, n // 2))
-    return _paired_sum(n, m, row, a, b)
+    ab, aa, bb = a * b, a * a, b * b
+    if n % 2:
+        apow, bpow, total = a, b, 0
+    else:
+        apow, bpow, total = aa, bb, next(row) ** m
+    for c in row:
+        total = total * ab + c**m * (apow + bpow)
+        apow *= aa
+        bpow *= bb
+    return total
 
 
 def eval_B_via_trinomial(n: int, a: int, b: int) -> int:
@@ -529,23 +522,6 @@ def stream_slice(
     return islice(values(*params, start=lo), stop - lo)
 
 
-def table_value(values: Callable[..., Iterator[int]], n: int, *params: int) -> int:
-    """y_n, the first element of the stream `values(*params)` started at n; only a few values are held at a time."""
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    return next(stream_slice(values, n, n + 1, *params))
-
-
-def delannoy(n: int) -> int:
-    """Central Delannoy number D_n."""
-    return table_value(delannoy_values, n)
-
-
-def hexagonal(n: int) -> int:
-    """Restricted hexagonal number: the generalized Motzkin value at (1, 3), read from its stream."""
-    return table_value(hexagonal_values, n)
-
-
 def schroder_large(n: int) -> int:
     """Large Schroder number S_n = (-D_{n-1} + 6 D_n - D_{n+1}) / 2, n >= 1."""
     if n < 1:
@@ -625,11 +601,6 @@ def legendre_rational(n: int, x: int) -> Fraction:
     return Fraction(total, 2**n)
 
 
-def bsum(n: int, m: int, a: int, b: int) -> int:
-    """B(n, m, a, b): element n of bsum_range_values."""
-    return table_value(bsum_range_values, n, m, a, b)
-
-
 def bsum_range_values(m: int, a: int, b: int, start: int = 0) -> Iterator[int]:
     """B(start, m, a, b), B(start+1, m, a, b), ...: the square-sum stream at m = 2, eval_B at each index otherwise."""
     return square_sum_values(a, b, start) if m == 2 else (eval_B(n, m, a, b) for n in count(start))
@@ -644,17 +615,6 @@ def half_rows() -> Iterator[list[int]]:
             prev = row + row[-1:] if n % 2 == 0 else row
             row = [1, *map(operator.add, prev, prev[1:])]
         yield row
-
-
-def bsum_values(m: int, a: int, b: int) -> Iterator[int]:
-    """B(0, m, a, b), B(1, m, a, b), ..., each by its defining sum (no recurrence covers every m).
-
-    Each sum is _paired_sum, the one eval_B takes, over the half rows of
-    Pascal's triangle.
-    """
-    if m < 0:
-        raise DomainError(f"m must be non-negative, got {m}")
-    return (_paired_sum(n, m, reversed(row), a, b) for n, row in enumerate(half_rows()))
 
 
 def check_congruence(n: int, m: int, a: int, b: int) -> bool:
@@ -690,9 +650,9 @@ class SequenceDef:
             raise DomainError(f"{self.name} starts at index {self.min_index}, got {n}")
 
     def value(self, n: int, *params: int) -> int:
-        """y_n, element n of the stream."""
+        """y_n, the first element of the stream started at n; only a few values are held at a time."""
         self.check_index(n)
-        return table_value(self.values, n, *params)
+        return next(stream_slice(self.values, n, n + 1, *params))
 
 
 SEQUENCES: dict[str, SequenceDef] = {

@@ -16,9 +16,10 @@ claim.  `CLAIMS` lists them, each with its shape as data: every entry
 builds its predictor from it, one generic runner sweeps them and the CLI
 derives its fast routes from them.  thm2, cor1 and lemma1 keep their own
 runners: thm2 sums B(i, m, a, b) for all its orders at once from rows
-shared across the sweep, past `exact_max` the cor1 oracle is a digit
-kernel, not a sequence value, and lemma1 compares two constructions of
-the central multinomial coefficient at checkpoints.
+shared across the sweep and bounds each with thm1's prediction, past
+`exact_max` the cor1 oracle is a digit kernel, not a sequence value, and
+lemma1 compares two constructions of the central multinomial coefficient
+at checkpoints.
 
 Hypothesis checking lives in the predictors: called outside its
 hypotheses a predictor raises HypothesisViolation instead of returning a
@@ -43,7 +44,6 @@ from .digits import (
     popcount_valuation,
 )
 from .sequences import (
-    bsum_values,
     catalan_values,
     central_binomial_values,
     central_multinomial_product,
@@ -266,12 +266,11 @@ class Claim:
     index.  `predict(n, parity, *params)`, where parity is that of i, is the
     predictor built from those fields at construction, and `column(n_lo,
     n_hi, *params)` its answers for a block of n, in batch row order (see
-    `_shape_column`).  `values(*params)`
-    is the oracle: the stream Y_0, Y_1, ... of exact integers, divided by
-    `divisor`.  `axis(grid)` lists the parameter tuples a table sweep
-    covers; claims without parameters sweep n in blocks instead, and thm2,
-    which has a runner of its own, has none.  `sequence` names
-    the `omega` target that the claim answers on the CLI fast route.
+    `_shape_column`).  `values(*params)` is the oracle: the stream Y_0, Y_1,
+    ... of exact integers, divided by `divisor`.  `axis(grid)` lists the
+    parameter tuples a table sweep covers; claims without parameters sweep
+    n in blocks instead.  `sequence` names the `omega` target that the claim
+    answers on the CLI fast route.
     """
 
     name: str
@@ -311,8 +310,6 @@ CLAIMS: dict[str, Claim] = {
         Claim("thm1", "bsum", square_sum_values, ("a", "b"),
               lambda a, b: _check_weights(a, b, "a + b", a + b), False, 0, KIND_EXACT,
               lambda grid: coprime_pairs(grid.ab_max), 200),
-        Claim("thm2", None, bsum_values, ("m", "a", "b"), lambda m, a, b: _check_weights(a, b, "a + b", a + b), False,
-              0, KIND_LOWER, None, 60),
         Claim("cor2", None, franel_values, (), lambda: 2, False, 0, KIND_LOWER, None, 300),
         Claim("thm3", "delannoy", delannoy_values, (), lambda: 3, False, 0, KIND_EXACT, None, 1000),
         Claim("thm4", "schroder", schroder_large_values, (), lambda: 3, True, 1, KIND_EXACT, None, 1000),
@@ -514,7 +511,7 @@ def _items_thm2(grid: HarnessGrid) -> list[dict]:
     orders = tuple(dict.fromkeys(grid.m_values))
     if not orders:
         return []
-    n, rows = _n_max(grid, CLAIMS["thm2"].n_max), {}
+    n, rows = _n_max(grid, 60), {}
     return [{"a": a, "b": b, "orders": orders, "n_hi": n, "rows": rows} for a, b in coprime_pairs(grid.ab_max)]
 
 
@@ -546,12 +543,12 @@ def _run_thm2(a: int, b: int, orders: tuple[int, ...], n_hi: int, rows: dict | N
     builds them once, as a**i + b**i followed by ab times those of index
     i - 2.  The powered rows depend on neither a nor b: they come from
     `rows`, a table that the items of one sweep share (a table of their own
-    if None; see `_powered_rows`).  The predicted column, the square-sum
-    prediction, does not depend on m either and is built once.
+    if None; see `_powered_rows`).  The predicted column is thm1's
+    square-sum prediction: it does not depend on m either and is built once.
     """
-    claim, rows = CLAIMS["thm2"], {} if rows is None else rows
-    x = abs(claim.base(orders[0], a, b))
-    predicted = claim.column(0, n_hi, orders[0], a, b)
+    claim, rows = CLAIMS["thm1"], {} if rows is None else rows
+    x = abs(claim.base(a, b))
+    predicted = claim.column(0, n_hi, a, b)
     prime, mul = is_prime(x), operator.mul
     oracles = [[] for _ in orders]
     ab, apow, bpow = a * b, a, b

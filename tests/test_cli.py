@@ -23,7 +23,7 @@ import valuata.harness as harness
 from valuata.cli import main
 from valuata.digits import kummer_carries
 from valuata.sequences import (
-    SEQUENCES, DomainError, delannoy, eval_B, fuss_catalan, schroder_large, schroder_little,
+    SEQUENCES, DomainError, eval_B, fuss_catalan, schroder_large, schroder_little,
 )
 from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
 from valuata.valuation import INFINITE, vp_int
@@ -680,7 +680,7 @@ class TestStreamedRows:
 
         # The values of 0..3000 take 3.4 MB as decimals, the last one 2.3 kB; building every row first
         # raised the peak by about 2 MB.
-        assert peak(3000) - peak(300) < 4 * len(str(delannoy(3000)))
+        assert peak(3000) - peak(300) < 4 * len(str(SEQUENCES["delannoy"].value(3000)))
 
     def test_a_failing_first_value_writes_nothing(self, capsys, tmp_path):
         expected = (2, "", "error: p must be at least 2, got 1\n")
@@ -709,7 +709,12 @@ class TestOutputFailures:
     @full
     @pytest.mark.parametrize("unbuffered", [False, True])
     @pytest.mark.parametrize(
-        "argv", [("omega", "3", "5"), ("seq", "delannoy", "0..300"), ("verify", "thm3", "--n-max", "300")]
+        "argv",
+        [
+            ("omega", "3", "5"), ("seq", "delannoy", "0..300"), ("verify", "thm3", "--n-max", "300"),
+            # Help, which argparse writes itself, and the help of no command at all.
+            ("-h",), ("omega", "-h"), (),
+        ],
     )
     def test_a_full_stdout(self, argv, unbuffered):
         # Block-buffered, a short answer meets the full device only at the last flush, which keeps its bytes.
@@ -1149,6 +1154,14 @@ class TestOutputOptions:
 
 
 class TestBench:
+    def test_thm1_past_the_oracle_reach_names_fast_only(self, capsys):
+        # From n = 2**62 - 1 on, the odd index 2n + 1 is past the value streams' reach; omega keeps its own hint.
+        for text, n in (("5e18", 5 * 10**18), (str(2**62 - 1), 2**62 - 1)):
+            code, out, err = run(capsys, "bench", "thm1", "--n", text)
+            assert (code, out) == (2, "") and err.startswith(f"error: --n {n} is past the oracle's reach")
+            assert err.endswith("; use --fast-only\n") and err.count("\n") == 1
+        assert run(capsys, "omega", "99", "B", "1e19", "2", "37", "62")[2].endswith("; use --mode fast\n")
+
     def test_thm1_with_oracle(self, capsys):
         code, out, _ = run(capsys, "bench", "thm1", "--n", "30", "--a", "1", "--b", "2")
         assert code == 0 and out.count("agree") == 2

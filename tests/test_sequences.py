@@ -19,9 +19,7 @@ from valuata.sequences import (
     IntegralityError,
     SequenceDef,
     binomial,
-    bsum,
     bsum_range_values,
-    bsum_values,
     catalan,
     catalan_values,
     central_binomial,
@@ -30,7 +28,6 @@ from valuata.sequences import (
     central_multinomial_product,
     central_multinomial_values,
     check_congruence,
-    delannoy,
     delannoy_values,
     eval_B,
     eval_B_via_macmahon,
@@ -41,7 +38,6 @@ from valuata.sequences import (
     franel_values,
     fuss_catalan,
     fuss_catalan_values,
-    hexagonal,
     hexagonal_values,
     legendre,
     legendre_rational,
@@ -52,7 +48,6 @@ from valuata.sequences import (
     schroder_little,
     schroder_little_values,
     square_sum_values,
-    table_value,
     trinomial_values,
 )
 
@@ -114,7 +109,7 @@ class TestEvalB:
 
     def test_negative_order_rejected(self):
         # C(n, k)**m with m < 0 is a float, not a term of the sum.
-        for fn in (eval_B, bsum):
+        for fn in (eval_B, SEQUENCES["bsum"].value):
             for n in (0, 4):
                 with pytest.raises(DomainError, match="^m must be non-negative, got -2$"):
                     fn(n, -2, 3, 5)
@@ -123,8 +118,8 @@ class TestEvalB:
 
     def test_orders_zero_and_one(self):
         # m = 0: sum of a**(n-k) b**k; m = 1: the binomial theorem.
-        assert eval_B(4, 0, 3, 5) == bsum(4, 0, 3, 5) == sum(3 ** (4 - k) * 5**k for k in range(5))
-        assert eval_B(4, 1, 3, 5) == bsum(4, 1, 3, 5) == 8**4
+        assert eval_B(4, 0, 3, 5) == SEQUENCES["bsum"].value(4, 0, 3, 5) == sum(3 ** (4 - k) * 5**k for k in range(5))
+        assert eval_B(4, 1, 3, 5) == SEQUENCES["bsum"].value(4, 1, 3, 5) == 8**4
         assert check_congruence(4, 0, 1, 2) and check_congruence(4, 1, 1, 2)
 
     @given(st.integers(0, 60), st.integers(0, 5), small_int, small_int)
@@ -141,12 +136,12 @@ class TestEvalB:
 class TestBsumTable:
     def test_matches_the_pointwise_sum(self):
         for m, a, b in SUM_GRID:
-            assert _first(bsum_values(m, a, b), 59) == [_eval_B_reference(n, m, a, b) for n in range(60)], (m, a, b)
+            assert _first(bsum_range_values(m, a, b), 59) == [_eval_B_reference(n, m, a, b) for n in range(60)], (m, a, b)
 
     def test_domain(self):
-        assert _first(bsum_values(3, 2, 5), 0) == [1]
+        assert _first(bsum_range_values(3, 2, 5), 0) == [1]
         with pytest.raises(DomainError, match="^m must be non-negative, got -1$"):
-            bsum_values(-1, 1, 2)
+            _first(bsum_range_values(-1, 1, 2), 0)
 
 
 class TestFoldedForms:
@@ -244,16 +239,16 @@ class TestMotzkin:
 class TestNamedSequences:
     def test_delannoy_values(self):
         assert _first(delannoy_values(), 5) == [1, 3, 13, 63, 321, 1683]
-        assert delannoy(3) == 63
+        assert SEQUENCES["delannoy"].value(3) == 63
 
     def test_delannoy_equals_square_sum(self):
         for n in range(151):
-            assert delannoy(n) == eval_B(n, 2, 1, 2)
+            assert SEQUENCES["delannoy"].value(n) == eval_B(n, 2, 1, 2)
 
     @given(st.integers(0, 2000))
     @settings(max_examples=15, deadline=None)
     def test_delannoy_recurrence_vs_direct_sampled(self, n):
-        assert delannoy(n) == eval_B(n, 2, 1, 2)
+        assert SEQUENCES["delannoy"].value(n) == eval_B(n, 2, 1, 2)
 
     def test_schroder_values(self):
         assert [schroder_large(n) for n in (1, 2, 3, 4)] == [2, 6, 22, 90]
@@ -288,7 +283,7 @@ class TestNamedSequences:
         assert [franel(n) for n in range(4)] == [1, 2, 10, 56]
 
     def test_hexagonal(self):
-        assert [hexagonal(n) for n in range(5)] == [1, 3, 10, 36, 137]
+        assert [SEQUENCES["hexagonal"].value(n) for n in range(5)] == [1, 3, 10, 36, 137]
 
     def test_catalan(self):
         assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
@@ -453,14 +448,14 @@ class TestRegistryTables:
             spec, table = SEQUENCES[name], _first(values(*params), n_max)
             assert len(table) == n_max + 1 and table[: spec.min_index] == [None] * spec.min_index
             for n in range(spec.min_index, n_max + 1):
-                assert spec.value(n, *params) == table_value(spec.values, n, *params) == table[n], (name, n)
+                assert spec.value(n, *params) == table[n], (name, n)
         delannoys = _first(delannoy_values(), n_max)
         large, little = _first(schroder_large_values(), n_max), _first(schroder_little_values(), n_max)
         square_sums = {(a, b): _first(trinomial_values(a * b, a + b), n_max) for a, b in SIGNED_PAIRS}
         for n in range(n_max + 1):
-            assert delannoy(n) == delannoys[n]
+            assert SEQUENCES["delannoy"].value(n) == delannoys[n]
             for (a, b), table in square_sums.items():
-                assert bsum(n, 2, a, b) == table[n], (n, a, b)
+                assert SEQUENCES["bsum"].value(n, 2, a, b) == table[n], (n, a, b)
             if n:
                 assert schroder_large(n) == large[n] and schroder_little(n) == little[n]
         # Any other order reads eval_B at each index.
@@ -472,10 +467,8 @@ class TestRegistryTables:
         # values of its size at a time; a whole table up to n holds about 1500.
         n = 3000
         routes = {
-            "delannoy": lambda: delannoy(n),
             "schroder_large": lambda: schroder_large(n),
             "schroder_little": lambda: schroder_little(n),
-            "bsum": lambda: bsum(n, 2, 3, 7),
             "eval_B": lambda: eval_B(n, 3, 7, 2),
             "franel": lambda: franel(n),
             "legendre": lambda: legendre(n, -15),
@@ -487,7 +480,6 @@ class TestRegistryTables:
         for name, spec in SEQUENCES.items():
             extra = params.get(name, ())
             routes[name] = lambda spec=spec, extra=extra: spec.value(n, *extra)
-            routes[f"{name} stream"] = lambda spec=spec, extra=extra: table_value(spec.values, n, *extra)
         for name, route in routes.items():
             peak, value = _traced_peak(route)
             assert peak < 16 * sys.getsizeof(value), (name, peak, sys.getsizeof(value))
@@ -495,20 +487,10 @@ class TestRegistryTables:
         assert peak > 1000 * sys.getsizeof(table[n])  # the measurement tells a table from a value
 
     def test_value_domain(self):
-        # An index below an entry's domain gets the message seq gives; the library functions keep theirs.
-        for spec in SEQUENCES.values():
-            params = (3,) * len(spec.params)
-            for n in (spec.min_index - 1, -3):
-                with pytest.raises(DomainError, match=f"^{spec.name} starts at index {spec.min_index}, got {n}$"):
-                    spec.value(n, *params)
-        for route in (
-            delannoy,
-            lambda n: bsum(n, 2, 1, 2),
-            lambda n: bsum(n, 3, 1, 2),
-            lambda n: table_value(trinomial_values, n, 1, 2),
-        ):
-            with pytest.raises(DomainError, match="^n must be non-negative, got -3$"):
-                route(-3)
+        # TestRegistry checks each entry's first index; here bsum at both of its streams, and the library functions.
+        for name, params in (("delannoy", ()), ("bsum", (2, 1, 2)), ("bsum", (3, 1, 2)), ("trinomial", (1, 2))):
+            with pytest.raises(DomainError, match=f"^{name} starts at index 0, got -3$"):
+                SEQUENCES[name].value(-3, *params)
         for size, route in (("large", schroder_large), ("little", schroder_little)):
             for n in (0, -3):
                 with pytest.raises(DomainError, match=f"^{size} Schroder numbers start at index 1, got {n}$"):
@@ -528,13 +510,13 @@ class TestRegistryTables:
         for a in self.WEIGHTS:
             for b in self.WEIGHTS:
                 for n in range(self.N):
-                    assert bsum(n, 2, a, b) == eval_B(n, 2, a, b)
-        assert bsum(12, 3, 2, -5) == eval_B(12, 3, 2, -5)
+                    assert SEQUENCES["bsum"].value(n, 2, a, b) == eval_B(n, 2, a, b)
+        assert SEQUENCES["bsum"].value(12, 3, 2, -5) == eval_B(12, 3, 2, -5)
 
     def test_bsum_domain(self):
         for m in (2, 3):
-            with pytest.raises(DomainError, match="n must be non-negative, got -1"):
-                bsum(-1, m, 1, 2)
+            with pytest.raises(DomainError, match="^bsum starts at index 0, got -1$"):
+                SEQUENCES["bsum"].value(-1, m, 1, 2)
 
 
 class TestBinomial:
@@ -617,10 +599,10 @@ class TestOracleReach:
         import valuata
 
         with pytest.raises(DomainError, match="^index 10{30} is past the oracle's reach"):
-            valuata.delannoy(10**30)
+            valuata.SEQUENCES["delannoy"].value(10**30)
         for route in (
-            lambda n: table_value(trinomial_values, n, 1, 2),
-            lambda n: bsum(n, 2, 1, 2),
+            lambda n: SEQUENCES["trinomial"].value(n, 1, 2),
+            lambda n: SEQUENCES["bsum"].value(n, 2, 1, 2),
             schroder_large,
             schroder_little,
             SEQUENCES["franel"].value,
@@ -628,13 +610,13 @@ class TestOracleReach:
             with pytest.raises(DomainError, match="is past the oracle's reach"):
                 route(10**30)
         with pytest.raises(DomainError, match=f"^index {sys.maxsize} is past the oracle's reach"):
-            delannoy(sys.maxsize)
+            SEQUENCES["delannoy"].value(sys.maxsize)
 
     def test_single_values_and_defining_sums_past_sys_maxsize(self):
         import valuata
 
         for route, what in (
-            (valuata.hexagonal, "value streams"),
+            (valuata.SEQUENCES["hexagonal"].value, "value streams"),
             (lambda n: valuata.eval_T(n, 1, 2), "defining sums"),
             (lambda n: valuata.eval_M(n, 1, 3), "defining sums"),
         ):
@@ -715,10 +697,10 @@ class TestJump:
         n = 8000
         chunks = math.ceil(n / sequences._JUMP)
         routes = {
-            "delannoy": (lambda: delannoy(n), 0),
+            "delannoy": (lambda: SEQUENCES["delannoy"].value(n), 0),
             "schroder": (lambda: schroder_large(n), 3),  # two plain steps to D_{n+1}, and the halving
-            "hexagonal": (lambda: hexagonal(n), 0),
-            "bsum": (lambda: bsum(n, 2, -3, 5), 0),
+            "hexagonal": (lambda: SEQUENCES["hexagonal"].value(n), 0),
+            "bsum": (lambda: SEQUENCES["bsum"].value(n, 2, -3, 5), 0),
             "trinomial": (lambda: SEQUENCES["trinomial"].value(n, 3, 5), 0),
             "legendre": (lambda: SEQUENCES["legendre"].value(n, 13), 0),
         }
@@ -731,7 +713,7 @@ class TestJump:
         def step(n):  # the Delannoy step, with alpha(70) off by one
             return 3 * (2 * n + 1) + (n == 70), -n, n + 1
 
-        assert sequences._jump(step, 0, 0, 1, 70, "delannoy") == (delannoy(69), delannoy(70))
+        assert sequences._jump(step, 0, 0, 1, 70, "delannoy") == (SEQUENCES["delannoy"].value(69), SEQUENCES["delannoy"].value(70))
         with pytest.raises(IntegralityError, match="^delannoy: "):
             sequences._jump(step, 0, 0, 1, 128, "delannoy")
 
@@ -871,7 +853,7 @@ class TestLegendre:
         assert legendre(2, 3) == 13
         assert legendre(3, 3) == 63
         for n in range(101):
-            assert legendre(n, 3) == delannoy(n)
+            assert legendre(n, 3) == SEQUENCES["delannoy"].value(n)
 
     def test_degree_zero(self):
         for x in (-9, -3, 3, 17):
@@ -929,12 +911,25 @@ class TestCongruence:
 
 
 class TestRegistry:
+    DEFAULTS = {"k": 2, "p": 3, "a": 1, "b": 2, "x": 3, "m": 2}
+
     def test_entries_callable_at_min_index(self):
-        defaults = {"k": 2, "p": 3, "a": 1, "b": 2, "x": 3, "m": 2}
         for spec in SEQUENCES.values():
-            extra = [defaults[p] for p in spec.params]
+            extra = [self.DEFAULTS[p] for p in spec.params]
             value = spec.value(spec.min_index, *extra)
             assert isinstance(value, int)
+
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_value_checks_its_index_at_both_ends(self, name):
+        # SequenceDef.value's own checks, with no other route's in front of them: the
+        # entry's first index, and the reach of the stream that it reads.
+        spec = SEQUENCES[name]
+        extra = [self.DEFAULTS[p] for p in spec.params]
+        for n in (spec.min_index - 1, -1, -3):
+            with pytest.raises(DomainError, match=f"^{name} starts at index {spec.min_index}, got {n}$"):
+                spec.value(n, *extra)
+        with pytest.raises(DomainError, match=f"^index {sys.maxsize} is past the oracle's reach: value streams end"):
+            spec.value(sys.maxsize, *extra)
 
     def test_known_names(self):
         assert {"delannoy", "schroder", "little-schroder", "catalan", "franel",

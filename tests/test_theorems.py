@@ -14,7 +14,6 @@ import sys
 import time
 import tracemalloc
 from collections import Counter
-from itertools import islice
 from math import comb
 from operator import itemgetter
 from types import SimpleNamespace
@@ -29,9 +28,8 @@ import valuata.harness as harness
 from valuata.digits import kummer_carries
 from valuata.harness import CSV_COLUMNS, HarnessResult, ReportBatch, _fork_pays, text_lines
 from valuata.sequences import (
+    SEQUENCES,
     IntegralityError,
-    bsum_values,
-    delannoy,
     eval_B,
     eval_M,
     eval_T,
@@ -143,9 +141,9 @@ class TestPredictFranel:
 
 class TestPredictDelannoy:
     def test_examples(self):
-        assert predict_delannoy_v3(1, "odd") == 2 and vp_int(delannoy(3), 3) == 2
-        assert predict_delannoy_v3(1, "even") == 0 and vp_int(delannoy(2), 3) == 0
-        assert predict_delannoy_v3(0, "odd") == 1 and vp_int(delannoy(1), 3) == 1
+        assert predict_delannoy_v3(1, "odd") == 2 and vp_int(SEQUENCES["delannoy"].value(3), 3) == 2
+        assert predict_delannoy_v3(1, "even") == 0 and vp_int(SEQUENCES["delannoy"].value(2), 3) == 0
+        assert predict_delannoy_v3(0, "odd") == 1 and vp_int(SEQUENCES["delannoy"].value(1), 3) == 1
 
 
 class TestPredictSchroder:
@@ -314,7 +312,7 @@ class TestClaimTable:
     def test_a_high_block_holds_only_its_own_values(self):
         # n = 5000..5003 reads D_10000..D_10007, about 3.4 KB each; a list of
         # every value from D_0 would hold about 5000 times that.
-        size = sys.getsizeof(delannoy(10007))
+        size = sys.getsizeof(SEQUENCES["delannoy"].value(10007))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -451,7 +449,7 @@ class TestThm2Runner:
             assert [batch.params for batch in batches] == [(("m", m), ("a", a), ("b", b)) for m in self.ORDERS]
             for m, batch in zip(self.ORDERS, batches):
                 assert batch.ns == range(131) and batch.parities == PARITIES
-                assert batch.oracle == list(islice(bsum_values(m, a, b), 262)), (m, a, b)
+                assert batch.oracle == [eval_B(i, m, a, b) for i in range(262)], (m, a, b)
                 assert [batch.oracle[i] for i in sampled] == [_eval_B_reference(i, m, a, b) for i in sampled]
 
     def test_an_item_alone_gives_the_batches_of_a_shared_table(self, monkeypatch):
@@ -478,17 +476,17 @@ class TestThm2Runner:
         import valuata.theorems as theorems
 
         calls = []
-        column = CLAIMS["thm2"].column
+        column = CLAIMS["thm1"].column  # thm2 bounds every order m with thm1's prediction
 
         def counted(*args):
             calls.append(args)
             return column(*args)
 
-        monkeypatch.setitem(theorems.CLAIMS, "thm2", dataclasses.replace(CLAIMS["thm2"]))
-        object.__setattr__(theorems.CLAIMS["thm2"], "column", counted)
+        monkeypatch.setitem(theorems.CLAIMS, "thm1", dataclasses.replace(CLAIMS["thm1"]))
+        object.__setattr__(theorems.CLAIMS["thm1"], "column", counted)
         result = run_harness(["thm2"], HarnessGrid(n_max=9, ab_max=3, m_values=(3, 4, 5)))
         assert result.summary() == {"thm2": {"checked": 4 * 3 * 20, "violations": 0}}
-        assert calls == [(0, 9, 3, a, b) for a, b in coprime_pairs(3)]
+        assert calls == [(0, 9, a, b) for a, b in coprime_pairs(3)]
 
     def test_fail_fast_stops_after_the_violating_pair(self, capsys, monkeypatch):
         runner = RUNNERS["thm2"]
@@ -593,12 +591,12 @@ class TestPredictorFastPath:
 
     # claim: (core is Catalan(n), index offset); the base comes from the claim's parameters
     SHAPES = {
-        "thm1": (False, 0), "thm2": (False, 0), "cor2": (False, 0), "thm3": (False, 0), "thm4": (True, 1),
+        "thm1": (False, 0), "cor2": (False, 0), "thm3": (False, 0), "thm4": (True, 1),
         "little-schroder": (True, 1), "cor3": (False, 0), "thm5": (False, 0), "thm6": (True, 0),
         "hexagonal": (True, 0), "catalan-shift": (True, 1),
     }
     BASES = (2, 3, 6, 8, 9, 12, 2 * 3 * 97, 2**61 - 1)
-    BAD_PARAMS = {"thm1": (2, 4), "thm2": (3, 2, 4), "cor3": (4,), "thm5": (2, 4), "thm6": (2, 4)}
+    BAD_PARAMS = {"thm1": (2, 4), "cor3": (4,), "thm5": (2, 4), "thm6": (2, 4)}
 
     @staticmethod
     def ns() -> list[int]:
@@ -610,8 +608,6 @@ class TestPredictorFastPath:
         signed = [s * x for x in bases for s in (1, -1)]
         if name == "thm1":
             return [(a, x - a) for x in signed for a in (1, -1, 5) if math.gcd(a, x - a) == 1]
-        if name == "thm2":  # the order m does not enter the bound
-            return [(m, a, x - a) for x in signed for a in (1, -1, 5) for m in (3, 7) if math.gcd(a, x - a) == 1]
         if name == "cor3":
             return [(x,) for x in signed if x % 2]
         if name in ("thm5", "thm6"):
