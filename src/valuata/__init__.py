@@ -33,9 +33,7 @@ from .sequences import (
     binomial,
     bsum_range_values,
     catalan,
-    catalan_values,
     central_binomial,
-    central_binomial_values,
     central_multinomial,
     central_multinomial_product,
     central_multinomial_values,

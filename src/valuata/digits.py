@@ -249,7 +249,7 @@ def kummer_carries(a: int, b: int, p: int) -> int:
 
 
 def _doubling_carries(n: int, p: int) -> int:
-    """Carries of n + n in base p, so v_p(C(2n, n)); the predictors' unchecked kernel.
+    """Carries of n + n in base p, so v_p(C(2n, n)); unchecked, for the odd-prime predictors and the cor1 oracle.
 
     One division step per base-p digit of n and no range or primality
     check: the caller guarantees n >= 0 and a prime p (the predictors keep

@@ -20,6 +20,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate, chain, compress, count, islice
 from math import comb
 from typing import TYPE_CHECKING, Callable, Iterator
@@ -421,40 +422,6 @@ def schroder_large_values(start: int = 0) -> Iterator[int | None]:
     return _started(values, start, (1, 1, 2), lambda n: (3 * (2 * n + 1), 1 - n, n + 2), "schroder_large")
 
 
-def central_binomial_values(start: int = 0) -> Iterator[int]:
-    """Central binomials C(2k, k) for k = start, start + 1, ... by
-
-    C(2k+2, k+1) = 2(2k+1) C(2k, k) / (k+1),   the first one from binomial.
-    """
-    if start < 0:
-        raise DomainError(f"start must be non-negative, got {start}")
-
-    def values() -> Iterator[int]:
-        cur = binomial(2 * start, start)
-        for k in count(start):
-            yield cur
-            cur = _exact_div(2 * (2 * k + 1) * cur, k + 1, "central_binomial")
-
-    return values()
-
-
-def catalan_values(start: int = 0) -> Iterator[int]:
-    """Catalan numbers C_k for k = start, start + 1, ... by
-
-    C_{k+1} = 2(2k+1) C_k / (k+2),   the first one from binomial.
-    """
-    if start < 0:
-        raise DomainError(f"start must be non-negative, got {start}")
-
-    def values() -> Iterator[int]:
-        cur = _exact_div(binomial(2 * start, start), start + 1, "catalan")
-        for k in count(start):
-            yield cur
-            cur = _exact_div(2 * (2 * k + 1) * cur, k + 2, "catalan")
-
-    return values()
-
-
 def fuss_catalan_values(k: int, start: int = 0) -> Iterator[int]:
     """Fuss-Catalan numbers F_j = C(kj, j) / ((k-1)j + 1) for j = start, start + 1, ... by
 
@@ -462,7 +429,7 @@ def fuss_catalan_values(k: int, start: int = 0) -> Iterator[int]:
 
     For 1 <= j < k the two runs share the factors kj+1..(k-1)j+k, which
     cancel, so a step multiplies at most min(j, k - 1) factors of each run;
-    F_1 = F_0 = 1.
+    F_1 = F_0 = 1.  At k = 2 these are the Catalan numbers.
     """
     if start < 0:
         raise DomainError(f"start must be non-negative, got {start}")
@@ -559,12 +526,15 @@ def central_multinomial_values(p: int, start: int = 0) -> Iterator[int]:
     """Central multinomials M_n = (pn)! / (n!)**p for n = start, start + 1, ... by
 
     M_{n+1} = (pn+1)...(pn+p) M_n / (n+1)**p,   the first one, and the checks of start and p, from
-    central_multinomial_product on the first next.
+    central_multinomial_product on the first next.  At p = 2 these are the central binomials C(2n, n).
     """
     cur = central_multinomial_product(start, p)
     for n in count(start):
         yield cur
-        cur = _exact_div(math.perm(p * n + p, p) * cur, (n + 1) ** p, f"central_multinomial at n={n + 1}, p={p}")
+        num, den = math.perm(p * n + p, p) * cur, (n + 1) ** p
+        cur, rem = divmod(num, den)
+        if rem:  # the failure text is built only here, so a step costs one divmod
+            _exact_div(num, den, f"central_multinomial at n={n + 1}, p={p}")
 
 
 def legendre(n: int, x: int) -> int:
@@ -661,8 +631,8 @@ SEQUENCES: dict[str, SequenceDef] = {
         SequenceDef("delannoy", (), 0, delannoy_values),
         SequenceDef("schroder", (), 1, schroder_large_values),
         SequenceDef("little-schroder", (), 1, schroder_little_values),
-        SequenceDef("catalan", (), 0, catalan_values),
-        SequenceDef("central-binomial", (), 0, central_binomial_values),
+        SequenceDef("catalan", (), 0, partial(fuss_catalan_values, 2)),
+        SequenceDef("central-binomial", (), 0, partial(central_multinomial_values, 2)),
         SequenceDef("franel", (), 0, franel_values),
         SequenceDef("hexagonal", (), 0, hexagonal_values),
         SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan_values),

@@ -40,16 +40,14 @@ from .digits import (
     _doubling_carries,
     digit_sum,
     is_prime,
-    kummer_carries,
     popcount_valuation,
 )
 from .sequences import (
-    catalan_values,
-    central_binomial_values,
     central_multinomial_product,
     central_multinomial_values,
     delannoy_values,
     franel_values,
+    fuss_catalan_values,
     half_rows,
     hexagonal_values,
     legendre_values,
@@ -321,7 +319,8 @@ CLAIMS: dict[str, Claim] = {
         Claim("thm6", "motzkin", motzkin_values, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), True, 0,
               KIND_EXACT, _signed_pairs, 300),
         Claim("hexagonal", "hexagonal", hexagonal_values, (), lambda: 3, True, 0, KIND_EXACT, None, 300),
-        Claim("catalan-shift", None, catalan_values, (), lambda: 2, True, 1, KIND_EXACT, None, 300),
+        Claim("catalan-shift", None, functools.partial(fuss_catalan_values, 2), (), lambda: 2, True, 1, KIND_EXACT,
+              None, 300),
     )
 }
 
@@ -581,17 +580,18 @@ def _items_cor1(grid: HarnessGrid) -> list[dict]:
 def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[ReportBatch]:
     """Up to exact_max the oracle is v_2 of C(2h, h) from its stream: h = 2n, 2n + 1 for cor1, h = n for popcount.
 
-    cor1's predicted column is cor2's: both claims predict v_2 of C(4n, 2n) and C(4n + 2, 2n + 1).
+    Past exact_max it is the carries of h + h, unchecked.  cor1's predicted column is cor2's: both claims predict
+    v_2 of C(4n, 2n) and C(4n + 2, 2n + 1).
     """
     predicted = CLAIMS["cor2"].column(n_lo, n_hi)
-    doubled, single = central_binomial_values(2 * n_lo), central_binomial_values(n_lo)
+    doubled, single = central_multinomial_values(2, 2 * n_lo), central_multinomial_values(2, n_lo)
     ns = range(n_lo, n_hi + 1)
     oracle, popcounts, central_vp = [], [], []
     for n in ns:
         for half in (2 * n, 2 * n + 1):
-            oracle.append(vp_int(next(doubled), 2) if half <= exact_max else kummer_carries(half, half, 2))
+            oracle.append(vp_int(next(doubled), 2) if half <= exact_max else _doubling_carries(half, 2))
         popcounts.append(popcount_valuation(n))
-        central_vp.append(vp_int(next(single), 2) if n <= exact_max else kummer_carries(n, n, 2))
+        central_vp.append(vp_int(next(single), 2) if n <= exact_max else _doubling_carries(n, 2))
     return [
         ReportBatch("cor1", KIND_EXACT, (), ns, PARITIES, predicted, oracle),
         ReportBatch("popcount", KIND_EXACT, (), ns, (), popcounts, central_vp),
@@ -619,7 +619,7 @@ def _run_lemma1(p: int, n_max: int) -> list[ReportBatch]:
     checkpoints = {n_max, *(1 << k for k in range(n_max.bit_length()))}
     ns = range(n_max + 1)
     central_vp, digit_sums, multinomial_vp, shifted_vp = [], [], [], []
-    for n, central, multinomial in zip(ns, central_binomial_values(), central_multinomial_values(p)):
+    for n, central, multinomial in zip(ns, central_multinomial_values(2), central_multinomial_values(p)):
         if n in checkpoints and central_multinomial_product(n, p) != multinomial:
             raise IntegralityError(
                 f"multinomial forms disagree at n={n}, p={p}"

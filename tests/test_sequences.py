@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 from math import comb
 
@@ -21,9 +22,7 @@ from valuata.sequences import (
     binomial,
     bsum_range_values,
     catalan,
-    catalan_values,
     central_binomial,
-    central_binomial_values,
     central_multinomial,
     central_multinomial_product,
     central_multinomial_values,
@@ -294,22 +293,26 @@ class TestNamedSequences:
         assert central_binomial(5) == 252
 
     def test_central_binomial_stream(self):
-        # k <= 3000 is the range in which cor1 reads the stream at the default --exact-max.
-        assert _first(central_binomial_values(), 3000) == [comb(2 * k, k) for k in range(3001)]
+        # The central binomials are the central multinomials at p = 2.  k <= 3000
+        # is the range in which cor1 reads the stream at the default --exact-max.
+        assert _first(central_multinomial_values(2), 3000) == [comb(2 * k, k) for k in range(3001)]
         for start in (1, 2, 1000):
-            assert _first(central_binomial_values(start), 5) == [comb(2 * k, k) for k in range(start, start + 6)]
-        with pytest.raises(DomainError, match="^start must be non-negative, got -1$"):
-            central_binomial_values(-1)
+            assert _first(central_multinomial_values(2, start), 5) == [comb(2 * k, k) for k in range(start, start + 6)]
+        stream = central_multinomial_values(2, -1)  # checked on the first next()
+        with pytest.raises(DomainError, match="^n must be non-negative, got -1$"):
+            next(stream)
 
     def test_catalan_stream(self, monkeypatch):
+        # The Catalan numbers are the Fuss-Catalan numbers at k = 2.
         for start in (0, 1, 2, 1000):
-            assert _first(catalan_values(start), 5) == [comb(2 * k, k) // (k + 1) for k in range(start, start + 6)]
+            expected = [comb(2 * k, k) // (k + 1) for k in range(start, start + 6)]
+            assert _first(fuss_catalan_values(2, start), 5) == expected
         with pytest.raises(DomainError, match="^start must be non-negative, got -1$"):
-            catalan_values(-1)
+            fuss_catalan_values(2, -1)
         # The first value comes from binomial, built on the first next(), not when the stream is made.
         calls = []
         monkeypatch.setattr(sequences, "binomial", lambda n, k: calls.append((n, k)) or comb(n, k))
-        stream = catalan_values(40)
+        stream = fuss_catalan_values(2, 40)
         assert calls == []
         assert next(stream) == comb(80, 40) // 41 and calls == [(80, 40)]
 
@@ -328,7 +331,7 @@ class TestRecurrenceTables:
 
     def test_named_tables_match_defining_sums(self):
         assert _first(franel_values(), self.N - 1) == [franel(n) for n in range(self.N)]
-        assert _first(catalan_values(), self.N - 1) == [catalan(n) for n in range(self.N)]
+        assert _first(fuss_catalan_values(2), self.N - 1) == [catalan(n) for n in range(self.N)]
         assert _first(hexagonal_values(), self.N - 1) == [eval_M(n, 1, 3) for n in range(self.N)]
         for x in (3, -3, 5, -5, 9, -15):
             assert _first(legendre_values(x), self.N - 1) == [legendre(n, x) for n in range(self.N)]
@@ -350,7 +353,7 @@ class TestRecurrenceTables:
             assert _first(legendre_values(x, 30), 3) == _first(square_sum_values((x - 1) // 2, (x + 1) // 2, 30), 3)
 
     def test_short_tables(self):
-        for values in (franel_values, catalan_values, hexagonal_values):
+        for values in (franel_values, partial(fuss_catalan_values, 2), hexagonal_values):
             assert _first(values(), 0) == [1]
             assert len(_first(values(), 1)) == 2
         assert _first(trinomial_values(6, 5), 0) == [1] and _first(trinomial_values(6, 5), 1) == [1, 5]
@@ -370,7 +373,12 @@ class TestRegistryTables:
     def test_registry_wiring(self):
         # Every entry reads its ranges and its single values from one stream.
         assert list(inspect.signature(SequenceDef).parameters) == ["name", "params", "min_index", "values"]
-        streams = {name: spec.values for name, spec in SEQUENCES.items()}
+        # catalan and central-binomial read their families' streams at k = 2 and p = 2.
+        streams = {
+            name: (spec.values.func, spec.values.args, spec.values.keywords) if isinstance(spec.values, partial)
+            else spec.values
+            for name, spec in SEQUENCES.items()
+        }
         assert streams == {
             "delannoy": delannoy_values,
             "franel": franel_values,
@@ -380,8 +388,8 @@ class TestRegistryTables:
             "legendre": legendre_values,
             "schroder": schroder_large_values,
             "little-schroder": schroder_little_values,
-            "central-binomial": central_binomial_values,
-            "catalan": catalan_values,
+            "central-binomial": (central_multinomial_values, (2,), {}),
+            "catalan": (fuss_catalan_values, (2,), {}),
             "fuss-catalan": fuss_catalan_values,
             "multinomial": central_multinomial_values,
             "bsum": bsum_range_values,
@@ -437,8 +445,8 @@ class TestRegistryTables:
             "trinomial": ((-3, 5), trinomial_values),
             "motzkin": ((2, -4), motzkin_values),
             "legendre": ((-15,), legendre_values),
-            "central-binomial": ((), central_binomial_values),
-            "catalan": ((), catalan_values),
+            "central-binomial": ((), lambda: central_multinomial_values(2)),
+            "catalan": ((), lambda: fuss_catalan_values(2)),
             "fuss-catalan": ((3,), fuss_catalan_values),
             "multinomial": ((3,), central_multinomial_values),
             "bsum": ((2, -3, 5), bsum_range_values),
@@ -771,7 +779,7 @@ class TestFussCatalan:
             assert _first(fuss_catalan_values(k), 120) == [fuss_catalan(n, k) for n in range(121)], k
             for start in (1, 2, 17, 300, 2000):
                 assert _first(fuss_catalan_values(k, start), 6) == [fuss_catalan(n, k) for n in range(start, start + 7)]
-        assert _first(fuss_catalan_values(2), 300) == _first(catalan_values(), 300)
+        assert _first(fuss_catalan_values(2), 300) == [catalan(n) for n in range(301)]
 
     def test_stream_cancels_the_shared_factors(self):
         # For 1 <= j < k the runs kj+1..kj+k-1 and (k-1)j+2..(k-1)j+k share kj+1..(k-1)j+k.
@@ -832,6 +840,14 @@ class TestCentralMultinomial:
         assert next(stream) == 1
         with pytest.raises(IntegralityError, match="^central_multinomial at n=3, p=2: 30 is not divisible by 9$"):
             next(stream)
+
+    def test_a_step_that_succeeds_builds_no_failure_text(self, monkeypatch):
+        texts = []
+        real = sequences._exact_div
+        monkeypatch.setattr(sequences, "_exact_div", lambda num, den, what: texts.append(what) or real(num, den, what))
+        for p in range(2, 8):
+            assert _first(central_multinomial_values(p), 60) == [central_multinomial(n, p) for n in range(61)]
+        assert not [text for text in texts if text.startswith("central_multinomial at")]
 
     def test_registry_builds_from_binomials(self, monkeypatch):
         # A single value is the stream's first one, the product of binomials.

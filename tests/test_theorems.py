@@ -712,12 +712,22 @@ class TestPredictorFastPath:
             with pytest.raises(HypothesisViolation):
                 target.explain(claim.base(*args))
 
+    def test_cor1_oracle_past_exact_max_skips_the_kernel_checks(self, monkeypatch):
+        # The runner builds every h >= 0 itself, so the oracle's carries of h + h go unchecked.
+        import valuata.digits as digits
+
+        calls = []
+        monkeypatch.setattr(digits, "_require_u64", lambda *args: calls.append(args))
+        batches = RUNNERS["cor1"].run(n_lo=0, n_hi=40, exact_max=0)
+        assert [b.claim for b in batches] == ["cor1", "popcount"]
+        assert calls == []
+
     @pytest.mark.parametrize("target, claim", [
         ("cor2.column", "cor1"),
         ("popcount_valuation", "popcount"),
     ])
     def test_cor1_catches_an_off_by_one_predictor_past_exact_max(self, monkeypatch, target, claim):
-        # Past exact_max the oracle is kummer_carries(., ., 2), a digit scan, not a popcount.
+        # Past exact_max the oracle is the carries of h + h, a digit scan, not a popcount.
         import valuata.theorems as theorems
 
         if target == "cor2.column":  # cor1 predicts with cor2's column
