@@ -214,8 +214,9 @@ def _sequence_target(
 ) -> Target:
     """Sequence element i, built by `value`, on the fast route of CLAIMS[claim_name] at `params`, if one is named.
 
-    The fast route answers with the claim's predictor; an index outside the
-    sequence's domain gets the oracle route's error.
+    The fast route answers with the claim's predictor, and a claim with a
+    fixed prime base p answers each power p**k too, as floor(v_p / k); an
+    index outside the sequence's domain gets the oracle route's error.
     """
     if claim_name is None:
         return Target(label, value)
@@ -228,21 +229,35 @@ def _sequence_target(
             raise DomainError(f"{label} is past the oracle's reach: {reach}")
         return value()
 
+    def power(base: int) -> int:
+        """k with |base| = |x|**k for the claim's base x: 1, or any k >= 1 when x is a fixed prime."""
+        x = claim.base(*params)
+        if abs(base) == abs(x):
+            return 1
+        factors = () if params else factorize(abs(base)).factors
+        if len(factors) != 1 or factors[0][0] != x:
+            raise HypothesisViolation(f"the fast path computes the power of {x}, not of {base}")
+        return factors[0][1]
+
     def fast(base: int) -> int:
         SEQUENCES[claim.sequence].check_index(i)
         n, _ = claim.locate(i)
-        x = claim.base(*params)
-        if abs(base) != abs(x):
-            raise HypothesisViolation(f"the fast path computes the power of {x}, not of {base}")
-        return claim.predict(n, PARITIES[i % 2], *params)
+        k = power(base)
+        return claim.predict(n, PARITIES[i % 2], *params) // k
 
     def explain(base: int) -> list[str]:
-        """The core that the fast answer reduces to, then its per-prime breakdown."""
+        """The core that the fast answer reduces to, then the per-prime breakdown of the core, or at a power p**k of
+        the claim's prime, of the target, whose v_p is r + v_p(core)."""
         n, r = claim.locate(i)
         core = f"Catalan({n})" if claim.catalan else f"C({2 * n},{n})"
         core, shift = (f"{2 * n + 1}*{core}", "1 + ") if r else (core, "")
-        line = f"  core: {core}; omega_{base}({label}) = {shift}omega_{base}(core)"
-        return [line, *_explain_lines(base, lambda p: _core_vp(n, r, p, claim.catalan), "core")]
+        core_vp = functools.partial(_core_vp, n, r, catalan=claim.catalan)
+        if power(base) == 1:
+            line = f"  core: {core}; omega_{base}({label}) = {shift}omega_{base}(core)"
+            return [line, *_explain_lines(base, core_vp, "core")]
+        p = claim.base()
+        line = f"  core: {core}; v_{p}({label}) = {shift}v_{p}(core)"
+        return [line, *_explain_lines(base, lambda q: r + core_vp(q))]
 
     return Target(label, oracle, fast, explain)
 

@@ -14,9 +14,10 @@ from functools import lru_cache
 
 U64_MAX = 2**64 - 1
 
-_SMALL_PRIMES = (
+_SMALL_PRIMES = frozenset((
     2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61,
-)
+))
+_SMALL_PRIMES_PRODUCT = math.prod(_SMALL_PRIMES)
 # Every n below 67**2 with no prime factor up to 61 is prime.
 _SMALL_PRIMES_CLEAR = 67 * 67
 
@@ -31,26 +32,25 @@ _PSI13 = 3317044064679887385961981
 def is_prime(n: int) -> bool:
     """Deterministic primality test for every n below psi_13 (about 3.3e24).
 
-    Trial division by the primes to 61; a cofactor left below 67**2 is then
-    prime.  Up to 2**64 - 1 the Baillie-PSW test decides: one strong
-    probable-prime test to base 2 and one strong Lucas test with Selfridge's
-    parameters (Baillie & Wagstaff, Lucas pseudoprimes, Math. Comp. 35,
-    1980).  It has no pseudoprime below 2**64: Gilchrist checked it against
-    Feitsma and Galway's list of every base-2 strong pseudoprime there.  A
-    cold 64-bit prime costs about 60 us.  From 2**64 up to
+    n <= 61 is looked up; a larger n is screened by one gcd with the
+    product of the primes to 61, and one below 67**2 that passes is prime.
+    Up to 2**64 - 1 the Baillie-PSW test decides: one strong probable-prime
+    test to base 2 and one strong Lucas test with Selfridge's parameters
+    (Baillie & Wagstaff, Lucas pseudoprimes, Math. Comp. 35, 1980), whose
+    ladder runs on V_2k / Q**k = V_k(1/Q - 2, 1).  It has no pseudoprime
+    below 2**64: Gilchrist checked it against Feitsma and Galway's list of
+    every base-2 strong pseudoprime there.  A cold 64-bit prime costs about
+    40 us (two shared cores, Python 3.11.7).  From 2**64 up to
     psi_13 = 3317044064679887385961981 the thirteen prime bases 2..41
     decide, since Baillie-PSW is not proven there.  n >= psi_13 raises
     KernelRangeError: no test here is proven for it.
     """
     if n >= _PSI13:
         raise KernelRangeError(f"primality is decided only below {_PSI13}, got {n}")
-    if n < 2:
+    if n <= 61:
+        return n in _SMALL_PRIMES
+    if math.gcd(n, _SMALL_PRIMES_PRODUCT) != 1:
         return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
     if n < _SMALL_PRIMES_CLEAR:
         return True
     if n <= U64_MAX:
@@ -99,10 +99,15 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
     Selfridge's method A: D is the first of 5, -7, 9, -11, ... with Jacobi
     symbol (D/n) = -1, P = 1 and Q = (1 - D)/4.  A perfect square has no
-    such D and is rejected first.  With n + 1 = d * 2**s, d odd, n passes
-    when U_d = 0 or V_(d * 2**r) = 0 mod n for some r < s.  One ladder over
-    the bits of d keeps V_k, V_(k+1) and Q**k; U_d is (2 V_(d+1) - P V_d)/D,
-    and D is invertible mod n, so U_d = 0 when 2 V_(d+1) - V_d = 0.
+    such D and is rejected first.  With n + 1 = d * 2**s, d = 2a + 1, n
+    passes when U_d = 0 or V_(d * 2**r) = 0 mod n for some r < s.
+
+    The ladder runs on W_k = V_2k / Q**k, which is V_k(P', 1) with
+    P' = 1/Q - 2 mod n, so each bit costs two products: W_2k = W_k**2 - 2
+    and W_(2k+1) = W_k W_(k+1) - P'.  Since V_(2a+2) - Q V_2a = D U_d and
+    V_(2a+2) + Q V_2a = V_d, and D and Q are units mod n, U_d = 0 exactly
+    when W_(a+1) = W_a and V_d = 0 exactly when W_(a+1) + W_a = 0; for
+    r >= 1, V_(d * 2**r) = 0 exactly when W_(d * 2**(r-1)) = 0.
     """
     if math.isqrt(n) ** 2 == n:
         return False
@@ -115,28 +120,27 @@ def _strong_lucas_probable_prime(n: int) -> bool:
             return False  # |D| < n shares a factor with n
         D = -D - 2 if D > 0 else -D + 2
     Q = (1 - D) // 4
+    # Q is a unit mod n: an odd prime q of Q is below |D|, so a D tried
+    # before, of absolute value q (or 9 for q = 3), had (D/n) = 0 if q | n.
+    P = (pow(Q, -1, n) - 2) % n
     d = n + 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    v, w, qk = 2, 1, 1  # V_0, V_1, Q**0
-    for bit in bin(d)[2:]:
+    w, w1 = 2, P  # W_0, W_1; then W_a, W_(a+1)
+    for bit in bin(d >> 1)[2:]:
         if bit == "1":  # k -> 2k + 1
-            v = (v * w - qk) % n
-            w = (w * w - 2 * qk * Q) % n
-            qk = qk * qk * Q % n
+            w, w1 = (w * w1 - P) % n, (w1 * w1 - 2) % n
         else:  # k -> 2k
-            w = (v * w - qk) % n
-            v = (v * v - 2 * qk) % n
-            qk = qk * qk % n
-    if v == 0 or (2 * w - v) % n == 0:
+            w, w1 = (w * w - 2) % n, (w * w1 - P) % n
+    if w == w1 or (w + w1) % n == 0:
         return True
+    w = (w * w1 - P) % n  # W_d
     for _ in range(s - 1):
-        v = (v * v - 2 * qk) % n
-        if v == 0:
+        if w == 0:
             return True
-        qk = qk * qk % n
+        w = (w * w - 2) % n
     return False
 
 

@@ -32,7 +32,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import islice, repeat, tee
 from typing import Callable, Iterable, Iterator
 
 from .digits import (
@@ -619,7 +619,11 @@ def _run_lemma1(p: int, n_max: int) -> list[ReportBatch]:
     checkpoints = {n_max, *(1 << k for k in range(n_max.bit_length()))}
     ns = range(n_max + 1)
     central_vp, digit_sums, multinomial_vp, shifted_vp = [], [], [], []
-    for n, central, multinomial in zip(ns, central_multinomial_values(2), central_multinomial_values(p)):
+    # At p = 2 the multinomial stream is the central binomials' own: step it once.
+    centrals, multinomials = (
+        tee(central_multinomial_values(2)) if p == 2 else (central_multinomial_values(2), central_multinomial_values(p))
+    )
+    for n, central, multinomial in zip(ns, centrals, multinomials):
         if n in checkpoints and central_multinomial_product(n, p) != multinomial:
             raise IntegralityError(
                 f"multinomial forms disagree at n={n}, p={p}"

@@ -198,7 +198,7 @@ def factorize(x: int) -> Factorization:
     divide x, and only those are stripped.  A cofactor below 257**2 is then
     prime; any other is certified prime by is_prime (Baillie-PSW, exact
     below 2**64) or split by Pollard-Brent rho, and the parts are treated
-    the same way.  A cold 64-bit prime costs about 65 us, nearly all of it
+    the same way.  A cold 64-bit prime costs about 45 us, nearly all of it
     in is_prime; a semiprime of two 32-bit primes still spends tens of
     milliseconds in rho.
     """

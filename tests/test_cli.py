@@ -299,7 +299,7 @@ class TestFastRoutes:
         "argv",
         [
             ("5", "delannoy", "10"),
-            ("9", "schroder", "10"),
+            ("12", "schroder", "10"),
             ("2", "hexagonal", "10"),
             ("5", "trinomial", "10", "2", "3"),
             ("-7", "motzkin", "10", "2", "3"),
@@ -419,6 +419,51 @@ class TestFastRouteAgreement:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["omega", str(base), *target, "--mode", "both"] + (["--explain"] if explain else []))
         assert (code, err.getvalue()) == (0, "")
+
+
+class TestPrimePowerBases:
+    """A claim with a fixed prime base p answers each power p**k on its fast route, as floor(v_p / k)."""
+
+    def test_delannoy_at_base_9(self, capsys):
+        assert run(capsys, "omega", "9", "delannoy", "20", "--mode", "fast") == (0, "omega_9(delannoy(20)) = 0\n", "")
+        # v_3(delannoy(11)) = 1 + v_3(11*C(10,5)) = 3, so omega_9 is floor(3 / 2) = 1, not 1 + omega_9(core) = 2.
+        code, out, err = run(capsys, "omega", "9", "delannoy", "11", "--mode", "fast", "--explain")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "omega_9(delannoy(11)) = 1",
+            "  core: 11*C(10,5); v_3(delannoy(11)) = 1 + v_3(core)",
+            "  p=3: v_p(target)=3, v_p(base)=2, floor=1",
+            "  min(1) = 1",
+        ]
+        oracle = run(capsys, "omega", "9", "delannoy", "11", "--mode", "oracle", "--explain")
+        assert oracle == (0, "\n".join(out.splitlines()[:1] + out.splitlines()[2:]) + "\n", "")
+
+    @pytest.mark.parametrize("name", ["delannoy", "schroder", "little-schroder", "hexagonal"])
+    def test_both_modes_agree(self, capsys, name):
+        lo = SEQUENCES[name].min_index
+        indices = [lo, lo + 1, 2000, *random.Random(name).sample(range(lo + 2, 2000), 29)]
+        answers = set()
+        for i in indices:
+            for k in (1, 2, 3, 4):
+                for base in (3**k, -(3**k)):
+                    code, out, err = run(capsys, "omega", str(base), name, str(i), "--mode", "both")
+                    assert (code, err) == (0, ""), (name, i, base)
+                    answers.add((k, int(out.split(" = ")[1])))
+                    if i == indices[2] and k > 1:  # the fast breakdown of the target is the oracle's
+                        fast = run(capsys, "omega", str(base), name, str(i), "--mode", "fast", "--explain")[1]
+                        oracle = run(capsys, "omega", str(base), name, str(i), "--mode", "oracle", "--explain")[1]
+                        assert fast.splitlines()[2:] == oracle.splitlines()[1:], (name, i, base)
+        assert {(2, 1), (3, 1)} <= answers  # some powers 9 and 27 divide, and are told apart from 3
+
+    @pytest.mark.parametrize("base", ["12", "-6", "5", str(3**41)])
+    def test_other_bases_keep_their_errors(self, capsys, base):
+        # A base that is not a power of 3 exits 2 on the fast route; one past the 64-bit bases as it does on the oracle's.
+        fast = run(capsys, "omega", base, "delannoy", "10", "--mode", "fast")
+        assert fast[:2] == (2, "")
+        if base == str(3**41):
+            assert fast == run(capsys, "omega", base, "delannoy", "10", "--mode", "oracle")
+        else:
+            assert fast[2] == f"error: the fast path computes the power of 3, not of {base}\n"
 
 
 class TestVp:

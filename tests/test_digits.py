@@ -12,6 +12,7 @@ from valuata.digits import (
     DigitExpansion,
     KernelRangeError,
     _doubling_carries,
+    _jacobi,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     digit_sum,
@@ -58,6 +59,50 @@ def sinclair_is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def selfridge_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test with Selfridge's parameters, its ladder on V_k(1, Q) itself, for odd n > 61.
+
+    The same D, P = 1 and Q = (1 - D)/4 as the library's test, whose ladder
+    runs on V_2k / Q**k instead.  One step over the bits of d keeps V_k,
+    V_(k+1) and Q**k; U_d is (2 V_(d+1) - V_d)/D, and D is invertible mod
+    n, so U_d = 0 when 2 V_(d+1) - V_d = 0.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d = n + 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    v, w, qk = 2, 1, 1  # V_0, V_1, Q**0
+    for bit in bin(d)[2:]:
+        if bit == "1":  # k -> 2k + 1
+            v = (v * w - qk) % n
+            w = (w * w - 2 * qk * Q) % n
+            qk = qk * qk * Q % n
+        else:  # k -> 2k
+            w = (v * w - qk) % n
+            v = (v * v - 2 * qk) % n
+            qk = qk * qk % n
+    if v == 0 or (2 * w - v) % n == 0:
+        return True
+    for _ in range(s - 1):
+        v = (v * v - 2 * qk) % n
+        if v == 0:
+            return True
+        qk = qk * qk % n
+    return False
 
 
 def sieve(limit: int) -> bytearray:
@@ -190,6 +235,32 @@ class TestIsPrime:
             assert not _strong_probable_prime(n, (2,)), n
             assert not is_prime.__wrapped__(n), n
 
+    def test_lucas_ladder_matches_the_selfridge_reference(self):
+        # Every odd n in [67, 400000] with no prime factor up to 61, 3,000
+        # seeded 64-bit odd n with none and the strong Lucas pseudoprimes.
+        small = [n for n in range(67, 400_001, 2) if math.gcd(n, digits._SMALL_PRIMES_PRODUCT) == 1]
+        rng = random.Random(33)
+        wide = []
+        while len(wide) < 3000:
+            n = rng.getrandbits(64) | 1
+            if no_factor_to_61(n):
+                wide.append(n)
+        for n in small + wide:
+            assert _strong_lucas_probable_prime(n) == selfridge_lucas_probable_prime(n), n
+        assert sum(map(_strong_lucas_probable_prime, wide)) > 30  # the sample holds primes, not only composites
+        for n in self.LUCAS_PSEUDOPRIMES:
+            assert _strong_lucas_probable_prime(n) and selfridge_lucas_probable_prime(n), n
+
+    def test_screen_edges(self):
+        # 61 is the last prime looked up; 62 the first n screened by the gcd;
+        # 4489 = 67**2 the first that passes the screen but is not prime.
+        edges = {61: True, 62: False, 67: True, 4487: False, 4489: False, 4493: True}
+        flags = sieve(4494)
+        for n, prime in edges.items():
+            assert is_prime.__wrapped__(n) == prime == bool(flags[n]), n
+        assert _strong_probable_prime(4493, (2,)) and _strong_lucas_probable_prime(4493)
+        assert not _strong_lucas_probable_prime(4489)
+
     def test_base_2_half_accepts_its_pseudoprimes(self):
         for n in self.BASE_2_PSEUDOPRIMES:
             assert _strong_probable_prime(n, (2,)), n
@@ -222,7 +293,7 @@ class TestIsPrime:
             assert is_prime.__wrapped__(n), n
             assert calls == [(2,), "lucas"], n
         calls.clear()
-        # Below 67**2 trial division alone decides.
+        # Below 67**2 the lookup and the gcd screen alone decide.
         assert [n for n in range(67 * 67) if is_prime.__wrapped__(n)] == [
             n for n in range(67 * 67) if sinclair_is_prime(n)
         ]

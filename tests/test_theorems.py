@@ -541,6 +541,27 @@ class TestLemma1Checkpoints:
         assert set(calls) == {2, 3, 5, 7}
         assert max(calls.values()) <= (n_max.bit_length() - 1) + 3, calls
 
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_p_2_steps_one_stream(self, monkeypatch, p):
+        # At p = 2 the multinomial stream is the central binomials' stream, so only one is built and stepped; the
+        # columns must still be those of math.comb.
+        import valuata.theorems as theorems
+
+        streams = Counter()
+        real = theorems.central_multinomial_values
+
+        def counted(q):
+            streams[q] += 1
+            return real(q)
+
+        monkeypatch.setattr(theorems, "central_multinomial_values", counted)
+        batches = {batch.claim: batch for batch in RUNNERS["lemma1"].run(p=p, n_max=130)}
+        assert streams == ({2: 1} if p == 2 else {2: 1, 3: 1})
+        if p == 2:
+            v2 = [(c & -c).bit_length() - 1 for c in (comb(2 * n, n) for n in range(131))]  # 2n + 1 is odd
+            assert batches["lemma1"].oracle == batches["multinomial-valuation"].oracle == v2
+            assert batches["multinomial-valuation"].predicted == [n.bit_count() for n in range(131)]
+
     @pytest.mark.parametrize("bad_n", [1, 2, 64, 100])
     def test_a_disagreement_at_a_checkpoint_raises(self, monkeypatch, bad_n):
         import valuata.theorems as theorems
