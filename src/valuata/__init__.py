@@ -32,30 +32,23 @@ from .sequences import (
     IntegralityError,
     binomial,
     bsum_range_values,
-    catalan,
-    central_binomial,
     central_multinomial,
     central_multinomial_product,
     central_multinomial_values,
     check_congruence,
     delannoy_values,
     eval_B,
-    eval_B_via_macmahon,
-    eval_B_via_trinomial,
     eval_M,
     eval_T,
-    franel,
     franel_values,
     fuss_catalan,
     fuss_catalan_values,
     hexagonal_values,
-    legendre,
     legendre_rational,
     legendre_values,
     motzkin_values,
     schroder_large,
     schroder_large_values,
-    schroder_little,
     schroder_little_values,
     square_sum_values,
     trinomial_values,

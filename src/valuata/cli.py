@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import re
@@ -20,7 +19,7 @@ from itertools import chain
 from typing import Callable, Iterator, NamedTuple
 
 from .digits import KernelRangeError, is_prime
-from .harness import CSV_COLUMNS, text_lines
+from .harness import CSV_COLUMNS, _dumps, text_lines
 from .sequences import (
     SEQUENCES,
     DomainError,
@@ -297,7 +296,7 @@ def cmd_omega(args: argparse.Namespace) -> int:
 
     if args.format == "json":
         obj = dict(base=base, target=target.label, mode=args.mode, omega="inf" if result is INFINITE else result)
-        print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+        print(_dumps(obj))
     else:
         print(f"omega_{base}({target.label}) = {result}")
         if args.explain and result is not INFINITE:
@@ -365,7 +364,7 @@ def cmd_seq(args: argparse.Namespace) -> int:
     if args.format == "json":
         for row in rows:
             obj = dict(zip(header, ["inf" if v is INFINITE else v for v in row]))
-            print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+            print(_dumps(obj))
     elif args.format == "csv":
         _write_csv(args.output, header, rows)
     else:

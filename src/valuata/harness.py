@@ -107,10 +107,6 @@ class TheoremReport(tuple):
             "slack": self.slack,
         }
 
-    def to_json_line(self) -> str:
-        """json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))."""
-        return _dumps(self.to_json_obj())
-
 
 _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode  # json.dumps with these options
 

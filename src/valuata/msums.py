@@ -5,7 +5,7 @@ For the weighted power sum B these are
     M(n, j, t; a, b) = C(n-j, j) * sum_v C(n-2j, v) * C(n, j+v)**t
                                          * a**(n-j-v) * b**(j+v)
 
-for 0 <= j <= n/2 and t >= 0.  Raising t by one is a binomial-weighted
+for n >= 0, 0 <= j <= n/2 and t >= 0.  Raising t by one is a binomial-weighted
 combination of the family at the previous level, which is what lets a
 common divisor of the whole j-range propagate to every higher t and to
 the power sums themselves.  Closed forms exist at t = 0, 1, 2.
@@ -34,8 +34,8 @@ def _binom(n: int, k: int) -> int:
 
 
 def _check_index(n: int, j: int, t: int) -> None:
-    if n < 1:
-        raise IndexError(f"n must be positive, got {n}")
+    if n < 0:
+        raise IndexError(f"n must be non-negative, got {n}")
     if t < 0:
         raise IndexError(f"t must be non-negative, got {t}")
     if not 0 <= j <= n // 2:

@@ -185,36 +185,6 @@ def eval_B(n: int, m: int, a: int, b: int) -> int:
     return total
 
 
-def eval_B_via_trinomial(n: int, a: int, b: int) -> int:
-    """The m = 2 sum in its folded form:
-
-    sum_{k <= n/2} C(n, k) * C(n-k, k) * (ab)**k * (a+b)**(n-2k).
-
-    Must agree with eval_B(n, 2, a, b); the two routes share no code.
-    """
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    ab, s = a * b, a + b
-    total = 0
-    for k in range(n // 2 + 1):
-        total += comb(n, k) * comb(n - k, k) * ab**k * s ** (n - 2 * k)
-    return total
-
-
-def eval_B_via_macmahon(n: int, a: int, b: int) -> int:
-    """The m = 3 sum in its folded (MacMahon) form:
-
-    sum_{k <= n/2} C(n, 2k) * C(2k, k) * C(n+k, k) * (ab)**k * (a+b)**(n-2k).
-    """
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    ab, s = a * b, a + b
-    total = 0
-    for k in range(n // 2 + 1):
-        total += comb(n, 2 * k) * comb(2 * k, k) * comb(n + k, k) * ab**k * s ** (n - 2 * k)
-    return total
-
-
 def eval_T(n: int, a: int, b: int) -> int:
     """Generalized central trinomial coefficient:
 
@@ -261,23 +231,6 @@ def eval_M(n: int, a: int, b: int) -> int:
         cat = _exact_div(cat * (4 * k + 2), k + 2, "eval_M")
         apow *= a
     return total * b ** (n % 2)
-
-
-def central_binomial(n: int) -> int:
-    """C(2n, n)."""
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    return binomial(2 * n, n)
-
-
-def catalan(n: int) -> int:
-    """C(2n, n) / (n + 1)."""
-    return _exact_div(central_binomial(n), n + 1, "catalan")
-
-
-def franel(n: int) -> int:
-    """sum_k C(n, k)**3."""
-    return eval_B(n, 3, 1, 1)
 
 
 def fuss_catalan(n: int, k: int) -> int:
@@ -475,7 +428,7 @@ def hexagonal_values(start: int = 0) -> Iterator[int]:
 
 def schroder_little_values(start: int = 0) -> Iterator[int | None]:
     """s_start, s_start+1, ...: the large stream halved; index 0 is undefined and yields None."""
-    return (s if s is None else _exact_div(s, 2, "schroder_little") for s in schroder_large_values(start))
+    return (s if s is None else _exact_div(s, 2, "schroder_little_values") for s in schroder_large_values(start))
 
 
 def stream_slice(
@@ -495,13 +448,6 @@ def schroder_large(n: int) -> int:
         raise DomainError(f"large Schroder numbers start at index 1, got {n}")
     d_prev, d, d_next = stream_slice(delannoy_values, n - 1, n + 2)
     return _exact_div(-d_prev + 6 * d - d_next, 2, "schroder_large")
-
-
-def schroder_little(n: int) -> int:
-    """Little Schroder number s_n = S_n / 2, n >= 1."""
-    if n < 1:
-        raise DomainError(f"little Schroder numbers start at index 1, got {n}")
-    return _exact_div(schroder_large(n), 2, "schroder_little")
 
 
 def central_multinomial(n: int, p: int) -> int:
@@ -535,19 +481,6 @@ def central_multinomial_values(p: int, start: int = 0) -> Iterator[int]:
         cur, rem = divmod(num, den)
         if rem:  # the failure text is built only here, so a step costs one divmod
             _exact_div(num, den, f"central_multinomial at n={n + 1}, p={p}")
-
-
-def legendre(n: int, x: int) -> int:
-    """Integer Legendre polynomial value P_n(x) for odd x.
-
-    Uses P_n(x) = B(n, 2, (x-1)/2, (x+1)/2); for even x the value need
-    not be an integer, so even x is rejected (see legendre_rational).
-    """
-    if n < 0:
-        raise DomainError(f"n must be non-negative, got {n}")
-    if x % 2 == 0:
-        raise DomainError(f"x must be odd for an integer value, got {x}")
-    return eval_B(n, 2, (x - 1) // 2, (x + 1) // 2)
 
 
 def legendre_rational(n: int, x: int) -> Fraction:

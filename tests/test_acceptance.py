@@ -16,8 +16,6 @@ from valuata.sequences import (
     check_congruence,
     delannoy_values,
     eval_B,
-    eval_B_via_macmahon,
-    eval_B_via_trinomial,
     eval_M,
     eval_T,
 )
@@ -229,22 +227,22 @@ class TestCriterion09IdentitySuite:
             for b in range(-20, 21):
                 for n in (0, 1, 2, 3, 5, 8, 13):
                     direct = eval_B(n, 2, a, b)
-                    assert eval_B_via_trinomial(n, a, b) == direct
+                    assert msum_closed_t1(n, 0, a, b) == direct
                     assert eval_T(n, a * b, a + b) == direct
         for a, b in ((1, 1), (1, 2), (2, 3), (3, 5), (-3, 5), (2, -7), (20, 20)):
             for n in ladder:
                 direct = eval_B(n, 2, a, b)
-                assert eval_B_via_trinomial(n, a, b) == direct
+                assert msum_closed_t1(n, 0, a, b) == direct
                 assert eval_T(n, a * b, a + b) == direct
 
     def test_criterion_09_folded_cube_identity(self):
         for a in range(-10, 11):
             for b in range(-10, 11):
                 for n in (0, 1, 2, 3, 5, 8):
-                    assert eval_B_via_macmahon(n, a, b) == eval_B(n, 3, a, b)
+                    assert msum_closed_t2(n, 0, a, b) == eval_B(n, 3, a, b)
         for a, b in ((1, 1), (1, 2), (2, 3), (-3, 5), (10, -9)):
             for n in list(range(30)) + [50, 100, 150, 200]:
-                assert eval_B_via_macmahon(n, a, b) == eval_B(n, 3, a, b)
+                assert msum_closed_t2(n, 0, a, b) == eval_B(n, 3, a, b)
 
     def test_criterion_09_alternating_closed_forms(self):
         for n in range(501):

@@ -23,7 +23,7 @@ import valuata.harness as harness
 from valuata.cli import main
 from valuata.digits import kummer_carries
 from valuata.sequences import (
-    SEQUENCES, DomainError, eval_B, fuss_catalan, schroder_large, schroder_little,
+    SEQUENCES, DomainError, eval_B, fuss_catalan, schroder_large,
 )
 from valuata.theorems import CLAIMS, RUNNERS, HarnessGrid, _FAST_N_MAX, run_harness
 from valuata.valuation import INFINITE, vp_int
@@ -277,15 +277,15 @@ class TestFastRoutes:
             assert run(capsys, "omega", base, *target, "--mode", mode) == oracle
             assert run(capsys, "omega", base, *target, "--mode", mode, "--explain") == oracle
 
-    @pytest.mark.parametrize("name, size", [("schroder", "large"), ("little-schroder", "little")])
-    def test_out_of_domain_index_names_the_sequence_asked_for(self, capsys, name, size):
-        # Every mode gives seq's message; the library function keeps its own.
+    @pytest.mark.parametrize("name", ["schroder", "little-schroder"])
+    def test_out_of_domain_index_names_the_sequence_asked_for(self, capsys, name):
+        # Every mode gives seq's message; the library function schroder_large keeps its own.
         for index in ("0", "-5"):
             expected = (2, "", f"error: {name} starts at index 1, got {index}\n")
             for mode in ("oracle", "fast", "both"):
                 assert run(capsys, "omega", "3", name, index, "--mode", mode) == expected
-            with pytest.raises(DomainError, match=f"^{size} Schroder numbers start at index 1, got {index}$"):
-                {"large": schroder_large, "little": schroder_little}[size](int(index))
+            with pytest.raises(DomainError, match=f"^large Schroder numbers start at index 1, got {index}$"):
+                schroder_large(int(index))
         assert run(capsys, "seq", name, "0..3") == (2, "", f"error: {name} starts at index 1, got 0\n")
 
     def test_index_past_the_fast_range_is_reported_as_given(self, capsys):
@@ -539,7 +539,9 @@ class TestSeq:
         code, out, _ = run(capsys, "seq", "bsum", "0..40", "2", str(a), str(b))
         assert code == 0 and out == "".join(f"{n}\t{eval_B(n, 2, a, b)}\n" for n in range(41))
 
-    @pytest.mark.parametrize("name, single", [("schroder", schroder_large), ("little-schroder", schroder_little)])
+    @pytest.mark.parametrize(
+        "name, single", [("schroder", schroder_large), ("little-schroder", lambda n: schroder_large(n) // 2)]
+    )
     def test_schroder_table_gives_pointwise_bytes(self, capsys, name, single):
         values = {n: single(n) for n in range(1, 61)}
         for fmt, p in FORMATS:

@@ -13,7 +13,7 @@ from valuata.msums import (
     msum_closed_t2,
     msum_recurrence_step,
 )
-from valuata.sequences import eval_B, franel
+from valuata.sequences import eval_B
 
 AB_VALUES = (1, -1, 2, 3)
 
@@ -30,18 +30,26 @@ def brute_msum(n, j, t, a, b):
 class TestDirectSum:
     def test_examples(self):
         assert msum_B(4, 1, 0, 1, 1) == 12 == comb(3, 1) * 2**2
-        assert msum_B(2, 0, 2, 1, 1) == 10 == franel(2)
+        assert msum_B(2, 0, 2, 1, 1) == 10 == eval_B(2, 3, 1, 1)
         assert msum_B(4, 2, 1, 1, -1) == 6 == comb(4, 2)
 
     def test_index_validation(self):
         with pytest.raises(IndexError):
             msum_B(4, 3, 0, 1, 1)
-        with pytest.raises(IndexError):
-            msum_B(0, 0, 0, 1, 1)
+        with pytest.raises(IndexError, match="n must be non-negative, got -1"):
+            msum_B(-1, 0, 0, 1, 1)
         with pytest.raises(IndexError):
             msum_B(4, -1, 0, 1, 1)
         with pytest.raises(IndexError):
             msum_B(4, 0, -1, 1, 1)
+
+    def test_index_zero(self):
+        # M(0, 0, t) is the one term v = 0, so 1 at every level and weight.
+        for a in AB_VALUES:
+            for b in AB_VALUES:
+                for t in range(4):
+                    assert msum_B(0, 0, t, a, b) == 1
+                assert msum_closed_t0(0, 0, a, b) == msum_closed_t1(0, 0, a, b) == msum_closed_t2(0, 0, a, b) == 1
 
     @given(st.integers(1, 24), st.data(), st.integers(0, 3), ab_st, ab_st)
     def test_matches_brute_force(self, n, data, t, a, b):
@@ -84,15 +92,13 @@ class TestClosedForms:
         assert msum_closed_t1(4, 1, 1, 1) == msum_B(4, 1, 1, 1, 1)
 
     def test_level_one_reduces_to_folded_square_form(self):
-        from valuata.sequences import eval_B_via_trinomial
-
         for n in range(1, 30):
             for a, b in ((1, 1), (1, 2), (2, 3), (-3, 5)):
-                assert msum_closed_t1(n, 0, a, b) == eval_B_via_trinomial(n, a, b)
+                assert msum_closed_t1(n, 0, a, b) == eval_B(n, 2, a, b)
 
     def test_level_two_examples(self):
-        assert msum_closed_t2(2, 0, 1, 1) == 10 == franel(2)
-        assert msum_closed_t2(3, 0, 1, 1) == 56 == franel(3)
+        assert msum_closed_t2(2, 0, 1, 1) == 10 == eval_B(2, 3, 1, 1)
+        assert msum_closed_t2(3, 0, 1, 1) == 56 == eval_B(3, 3, 1, 1)
         assert msum_closed_t2(2, 1, 1, 1) == msum_B(2, 1, 2, 1, 1)
 
     def test_all_levels_sweep(self):

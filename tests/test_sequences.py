@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import valuata.sequences as sequences
+from valuata.msums import msum_closed_t1, msum_closed_t2
 from valuata.sequences import (
     SEQUENCES,
     DomainError,
@@ -21,30 +22,23 @@ from valuata.sequences import (
     SequenceDef,
     binomial,
     bsum_range_values,
-    catalan,
-    central_binomial,
     central_multinomial,
     central_multinomial_product,
     central_multinomial_values,
     check_congruence,
     delannoy_values,
     eval_B,
-    eval_B_via_macmahon,
-    eval_B_via_trinomial,
     eval_M,
     eval_T,
-    franel,
     franel_values,
     fuss_catalan,
     fuss_catalan_values,
     hexagonal_values,
-    legendre,
     legendre_rational,
     legendre_values,
     motzkin_values,
     schroder_large,
     schroder_large_values,
-    schroder_little,
     schroder_little_values,
     square_sum_values,
     trinomial_values,
@@ -145,12 +139,12 @@ class TestBsumTable:
 
 class TestFoldedForms:
     def test_small_values(self):
-        assert eval_B_via_trinomial(2, 1, 2) == 13 == 1 + 8 + 4
-        assert eval_B_via_trinomial(3, 1, 1) == 20 == comb(6, 3)
+        assert msum_closed_t1(2, 0, 1, 2) == 13 == 1 + 8 + 4
+        assert msum_closed_t1(3, 0, 1, 1) == 20 == comb(6, 3)
 
     def test_odd_alternating_vanishes(self):
         for n in (1, 3, 5, 21, 77):
-            assert eval_B_via_trinomial(n, 1, -1) == 0
+            assert msum_closed_t1(n, 0, 1, -1) == 0
             assert eval_B(n, 2, 1, -1) == 0
             assert eval_B(n, 3, 1, -1) == 0
 
@@ -158,25 +152,25 @@ class TestFoldedForms:
     def test_three_routes_agree(self, a, b):
         for n in range(51):
             direct = eval_B(n, 2, a, b)
-            assert eval_B_via_trinomial(n, a, b) == direct
+            assert msum_closed_t1(n, 0, a, b) == direct
             assert eval_T(n, a * b, a + b) == direct
 
     @given(st.integers(0, 300), small_int, small_int)
     @settings(max_examples=80, deadline=None)
     def test_three_routes_agree_sampled(self, n, a, b):
         direct = eval_B(n, 2, a, b)
-        assert eval_B_via_trinomial(n, a, b) == direct
+        assert msum_closed_t1(n, 0, a, b) == direct
         assert eval_T(n, a * b, a + b) == direct
 
     @pytest.mark.parametrize("a,b", SIGNED_PAIRS)
     def test_macmahon_route_agrees(self, a, b):
         for n in range(41):
-            assert eval_B_via_macmahon(n, a, b) == eval_B(n, 3, a, b)
+            assert msum_closed_t2(n, 0, a, b) == eval_B(n, 3, a, b)
 
     @given(st.integers(0, 200), st.integers(-10, 10), st.integers(-10, 10))
     @settings(max_examples=60, deadline=None)
     def test_macmahon_route_agrees_sampled(self, n, a, b):
-        assert eval_B_via_macmahon(n, a, b) == eval_B(n, 3, a, b)
+        assert msum_closed_t2(n, 0, a, b) == eval_B(n, 3, a, b)
 
     def test_even_alternating_closed_forms(self):
         # One-square and one-cube closed forms at (1, -1); the cube form's
@@ -221,15 +215,15 @@ class TestMotzkin:
 
     def test_catalan_shift_instance(self):
         for n in range(30):
-            assert eval_M(n, 1, 2) == catalan(n + 1)
+            assert eval_M(n, 1, 2) == fuss_catalan(n + 1, 2)
 
     def test_little_schroder_instance(self):
-        assert eval_M(2, 2, 3) == 11 == schroder_little(3)
+        assert eval_M(2, 2, 3) == 11 == SEQUENCES["little-schroder"].value(3)
 
     @given(st.integers(0, 40), st.integers(-6, 6), st.integers(-6, 6))
     def test_matches_direct_sum(self, n, a, b):
         expected = sum(
-            comb(n, 2 * k) * catalan(k) * a**k * b ** (n - 2 * k)
+            comb(n, 2 * k) * (comb(2 * k, k) // (k + 1)) * a**k * b ** (n - 2 * k)
             for k in range(n // 2 + 1)
         )
         assert eval_M(n, a, b) == expected
@@ -251,19 +245,19 @@ class TestNamedSequences:
 
     def test_schroder_values(self):
         assert [schroder_large(n) for n in (1, 2, 3, 4)] == [2, 6, 22, 90]
-        assert [schroder_little(n) for n in (1, 2, 3, 4)] == [1, 3, 11, 45]
+        assert [SEQUENCES["little-schroder"].value(n) for n in (1, 2, 3, 4)] == [1, 3, 11, 45]
 
     def test_schroder_undefined_at_zero(self):
         with pytest.raises(DomainError):
             schroder_large(0)
         with pytest.raises(DomainError):
-            schroder_little(0)
+            SEQUENCES["little-schroder"].value(0)
 
     def test_schroder_table_matches_pointwise(self):
         table, little = _first(schroder_large_values(), 40), _first(schroder_little_values(), 40)
         assert table[0] is None and little[0] is None
         for n in range(1, 41):
-            assert table[n] == schroder_large(n) == 2 * schroder_little(n) == 2 * little[n]
+            assert table[n] == schroder_large(n) == 2 * SEQUENCES["little-schroder"].value(n) == 2 * little[n]
         assert _first(schroder_large_values(), 0) == _first(schroder_little_values(), 0) == [None]
         long_large, long_little = _first(schroder_large_values(), 1500), _first(schroder_little_values(), 1500)
         for n in (41, 257, 1000, 1499, 1500):
@@ -271,26 +265,25 @@ class TestNamedSequences:
 
     def test_little_schroder_is_motzkin_value(self):
         for n in range(121):
-            assert schroder_little(n + 1) == eval_M(n, 2, 3)
+            assert SEQUENCES["little-schroder"].value(n + 1) == eval_M(n, 2, 3)
 
     @given(st.integers(0, 2000))
     @settings(max_examples=10, deadline=None)
     def test_little_schroder_motzkin_sampled(self, n):
-        assert schroder_little(n + 1) == eval_M(n, 2, 3)
+        assert SEQUENCES["little-schroder"].value(n + 1) == eval_M(n, 2, 3)
 
     def test_franel(self):
-        assert [franel(n) for n in range(4)] == [1, 2, 10, 56]
+        assert [eval_B(n, 3, 1, 1) for n in range(4)] == [1, 2, 10, 56]
 
     def test_hexagonal(self):
         assert [SEQUENCES["hexagonal"].value(n) for n in range(5)] == [1, 3, 10, 36, 137]
 
     def test_catalan(self):
-        assert [catalan(n) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
-        assert catalan(0) == 1
+        assert [fuss_catalan(n, 2) for n in range(7)] == [1, 1, 2, 5, 14, 42, 132]
+        assert fuss_catalan(0, 2) == 1
 
     def test_central_binomial(self):
-        assert central_binomial(0) == 1
-        assert central_binomial(5) == 252
+        assert [binomial(2 * n, n) for n in (0, 5)] == [1, 252]
 
     def test_central_binomial_stream(self):
         # The central binomials are the central multinomials at p = 2.  k <= 3000
@@ -330,17 +323,17 @@ class TestRecurrenceTables:
                 assert _first(motzkin_values(a, b), self.N - 1) == [eval_M(n, a, b) for n in range(self.N)]
 
     def test_named_tables_match_defining_sums(self):
-        assert _first(franel_values(), self.N - 1) == [franel(n) for n in range(self.N)]
-        assert _first(fuss_catalan_values(2), self.N - 1) == [catalan(n) for n in range(self.N)]
+        assert _first(franel_values(), self.N - 1) == [eval_B(n, 3, 1, 1) for n in range(self.N)]
+        assert _first(fuss_catalan_values(2), self.N - 1) == [comb(2 * n, n) // (n + 1) for n in range(self.N)]
         assert _first(hexagonal_values(), self.N - 1) == [eval_M(n, 1, 3) for n in range(self.N)]
         for x in (3, -3, 5, -5, 9, -15):
-            assert _first(legendre_values(x), self.N - 1) == [legendre(n, x) for n in range(self.N)]
+            assert _first(legendre_values(x), self.N - 1) == [eval_B(n, 2, (x - 1) // 2, (x + 1) // 2) for n in range(self.N)]
 
     def test_long_tables_match_at_sampled_indices(self):
         table = _first(trinomial_values(37 * 62, 37 + 62), 400)
         for n in (0, 1, 2, 199, 400):
             assert table[n] == eval_B(n, 2, 37, 62)
-        assert _first(franel_values(), 300)[300] == franel(300)
+        assert _first(franel_values(), 300)[300] == eval_B(300, 3, 1, 1)
         assert _first(motzkin_values(-4, 5), 301)[301] == eval_M(301, -4, 5)
 
     def test_square_sum_stream(self):
@@ -398,8 +391,8 @@ class TestRegistryTables:
     def test_value_matches_the_defining_sums(self):
         # Each entry's single value against other constructions, called as
         # form(n, *params).  The streams of catalan, central-binomial and
-        # fuss-catalan take their first value from `binomial`, as the library
-        # functions do, and bsum's at m != 2 is eval_B, so math.comb and the
+        # fuss-catalan take their first value from `binomial`, as fuss_catalan
+        # does, and bsum's at m != 2 is eval_B, so math.comb and the
         # term-by-term sum give those a construction that shares no code with
         # the stream.
         def comb_fuss_catalan(n, k):
@@ -408,10 +401,10 @@ class TestRegistryTables:
         forms = [
             ("delannoy", (), lambda n: eval_B(n, 2, 1, 2)),
             ("schroder", (), schroder_large),  # the Delannoy form
-            ("little-schroder", (), schroder_little),
-            ("catalan", (), catalan),
+            ("little-schroder", (), lambda n: schroder_large(n) // 2),
+            ("catalan", (), lambda n: fuss_catalan(n, 2)),
             ("catalan", (), lambda n: comb(2 * n, n) // (n + 1)),
-            ("central-binomial", (), central_binomial),
+            ("central-binomial", (), lambda n: binomial(2 * n, n)),
             ("central-binomial", (), lambda n: comb(2 * n, n)),
             ("franel", (), lambda n: eval_B(n, 3, 1, 1)),
             ("hexagonal", (), lambda n: eval_M(n, 1, 3)),
@@ -465,7 +458,7 @@ class TestRegistryTables:
             for (a, b), table in square_sums.items():
                 assert SEQUENCES["bsum"].value(n, 2, a, b) == table[n], (n, a, b)
             if n:
-                assert schroder_large(n) == large[n] and schroder_little(n) == little[n]
+                assert schroder_large(n) == large[n] and schroder_large(n) // 2 == little[n]
         # Any other order reads eval_B at each index.
         for m, a, b in ((0, 1, 2), (1, -3, 5), (3, 2, -7), (5, -1, 4)):
             assert _first(bsum_range_values(m, a, b, 7), n_max - 7) == [eval_B(n, m, a, b) for n in range(7, n_max + 1)]
@@ -476,10 +469,9 @@ class TestRegistryTables:
         n = 3000
         routes = {
             "schroder_large": lambda: schroder_large(n),
-            "schroder_little": lambda: schroder_little(n),
             "eval_B": lambda: eval_B(n, 3, 7, 2),
-            "franel": lambda: franel(n),
-            "legendre": lambda: legendre(n, -15),
+            "eval_B franel": lambda: eval_B(n, 3, 1, 1),
+            "eval_B legendre": lambda: eval_B(n, 2, -8, -7),
         }
         params = {
             "trinomial": (2, 5), "motzkin": (3, -4), "legendre": (-15,), "fuss-catalan": (3,), "multinomial": (3,),
@@ -499,11 +491,10 @@ class TestRegistryTables:
         for name, params in (("delannoy", ()), ("bsum", (2, 1, 2)), ("bsum", (3, 1, 2)), ("trinomial", (1, 2))):
             with pytest.raises(DomainError, match=f"^{name} starts at index 0, got -3$"):
                 SEQUENCES[name].value(-3, *params)
-        for size, route in (("large", schroder_large), ("little", schroder_little)):
-            for n in (0, -3):
-                with pytest.raises(DomainError, match=f"^{size} Schroder numbers start at index 1, got {n}$"):
-                    route(n)
-        for route in (SEQUENCES["legendre"].value, legendre, lambda n, x: _first(legendre_values(x), n)):
+        for n in (0, -3):
+            with pytest.raises(DomainError, match=f"^large Schroder numbers start at index 1, got {n}$"):
+                schroder_large(n)
+        for route in (SEQUENCES["legendre"].value, lambda n, x: _first(legendre_values(x), n)):
             with pytest.raises(DomainError, match="^x must be odd for an integer value, got 4$"):
                 route(3, 4)
         for name, params, message in (
@@ -583,7 +574,12 @@ class TestBinomial:
             with pytest.raises(DomainError, match=r"^C\(100000000000000000000000, \d+\) is past the oracle's reach"):
                 binomial(huge, k)
         assert binomial(huge, 3) == comb(huge, 3)
-        for route in (central_binomial, catalan, lambda n: fuss_catalan(n, 3), lambda n: central_multinomial_product(n, 3)):
+        for route in (
+            lambda n: binomial(2 * n, n),
+            lambda n: fuss_catalan(n, 2),
+            lambda n: fuss_catalan(n, 3),
+            lambda n: central_multinomial_product(n, 3),
+        ):
             with pytest.raises(DomainError, match="is past the oracle's reach"):
                 route(huge)
 
@@ -612,7 +608,7 @@ class TestOracleReach:
             lambda n: SEQUENCES["trinomial"].value(n, 1, 2),
             lambda n: SEQUENCES["bsum"].value(n, 2, 1, 2),
             schroder_large,
-            schroder_little,
+            SEQUENCES["little-schroder"].value,
             SEQUENCES["franel"].value,
         ):
             with pytest.raises(DomainError, match="is past the oracle's reach"):
@@ -754,7 +750,7 @@ class TestExactDiv:
 class TestFussCatalan:
     def test_reduces_to_catalan(self):
         for n in range(40):
-            assert fuss_catalan(n, 2) == catalan(n)
+            assert fuss_catalan(n, 2) == comb(2 * n, n) // (n + 1)
 
     def test_small_values(self):
         assert fuss_catalan(2, 3) == 3
@@ -779,7 +775,7 @@ class TestFussCatalan:
             assert _first(fuss_catalan_values(k), 120) == [fuss_catalan(n, k) for n in range(121)], k
             for start in (1, 2, 17, 300, 2000):
                 assert _first(fuss_catalan_values(k, start), 6) == [fuss_catalan(n, k) for n in range(start, start + 7)]
-        assert _first(fuss_catalan_values(2), 300) == [catalan(n) for n in range(301)]
+        assert _first(fuss_catalan_values(2), 300) == [comb(2 * n, n) // (n + 1) for n in range(301)]
 
     def test_stream_cancels_the_shared_factors(self):
         # For 1 <= j < k the runs kj+1..kj+k-1 and (k-1)j+2..(k-1)j+k share kj+1..(k-1)j+k.
@@ -866,23 +862,23 @@ class TestCentralMultinomial:
 
 class TestLegendre:
     def test_delannoy_specialization(self):
-        assert legendre(2, 3) == 13
-        assert legendre(3, 3) == 63
+        assert eval_B(2, 2, 1, 2) == 13
+        assert eval_B(3, 2, 1, 2) == 63
         for n in range(101):
-            assert legendre(n, 3) == SEQUENCES["delannoy"].value(n)
+            assert eval_B(n, 2, 1, 2) == SEQUENCES["delannoy"].value(n)
 
     def test_degree_zero(self):
         for x in (-9, -3, 3, 17):
-            assert legendre(0, x) == 1
+            assert eval_B(0, 2, (x - 1) // 2, (x + 1) // 2) == 1
 
     def test_even_x_rejected(self):
-        with pytest.raises(DomainError):
-            legendre(2, 4)
+        with pytest.raises(DomainError, match="^x must be odd for an integer value, got 4$"):
+            SEQUENCES["legendre"].value(2, 4)
 
     def test_rational_route_agrees_for_odd_x(self):
         for x in (-9, -3, 3, 5, 15):
             for n in range(61):
-                assert legendre_rational(n, x) == Fraction(legendre(n, x))
+                assert legendre_rational(n, x) == Fraction(eval_B(n, 2, (x - 1) // 2, (x + 1) // 2))
 
     def test_rational_route_handles_even_x(self):
         assert legendre_rational(2, 4) == Fraction(47, 2)
@@ -893,7 +889,7 @@ class TestLegendre:
     @settings(max_examples=60, deadline=None)
     def test_rational_route_sampled(self, n, x):
         if x % 2:
-            assert legendre_rational(n, x) == legendre(n, x)
+            assert legendre_rational(n, x) == eval_B(n, 2, (x - 1) // 2, (x + 1) // 2)
         else:
             assert legendre_rational(n, x).denominator >= 1
 

@@ -33,8 +33,6 @@ from valuata.sequences import (
     eval_B,
     eval_M,
     eval_T,
-    franel,
-    legendre,
 )
 from valuata.theorems import (
     CLAIMS,
@@ -129,14 +127,14 @@ class TestPredictFranel:
     """The central binomial 2-adic prediction lower-bounds the Franel numbers."""
 
     def test_examples(self):
-        assert vp_int(franel(2), 2) == 1 >= predict_central_binomial_v2(1, "even")
-        assert vp_int(franel(3), 2) == 3 >= predict_central_binomial_v2(1, "odd") == 2
-        assert vp_int(franel(1), 2) == 1 >= predict_central_binomial_v2(0, "odd") == 1
+        assert vp_int(eval_B(2, 3, 1, 1), 2) == 1 >= predict_central_binomial_v2(1, "even")
+        assert vp_int(eval_B(3, 3, 1, 1), 2) == 3 >= predict_central_binomial_v2(1, "odd") == 2
+        assert vp_int(eval_B(1, 3, 1, 1), 2) == 1 >= predict_central_binomial_v2(0, "odd") == 1
 
     def test_bound_sweep(self):
         for n in range(80):
-            assert vp_int(franel(2 * n), 2) >= predict_central_binomial_v2(n, "even")
-            assert vp_int(franel(2 * n + 1), 2) >= predict_central_binomial_v2(n, "odd")
+            assert vp_int(eval_B(2 * n, 3, 1, 1), 2) >= predict_central_binomial_v2(n, "even")
+            assert vp_int(eval_B(2 * n + 1, 3, 1, 1), 2) >= predict_central_binomial_v2(n, "odd")
 
 
 class TestPredictDelannoy:
@@ -157,8 +155,8 @@ class TestPredictSchroder:
 
 class TestPredictLegendre:
     def test_examples(self):
-        assert predict_legendre_omega(1, "odd", 3) == 2 and legendre(3, 3) == 63
-        assert predict_legendre_omega(1, "even", 3) == 0 and legendre(2, 3) == 13
+        assert predict_legendre_omega(1, "odd", 3) == 2 and eval_B(3, 2, 1, 2) == 63
+        assert predict_legendre_omega(1, "even", 3) == 0 and eval_B(2, 2, 1, 2) == 13
         assert predict_legendre_omega(0, "even", 7) == 0
 
     def test_hypothesis_checks(self):
@@ -173,7 +171,7 @@ class TestPredictLegendre:
         for n in range(25):
             for parity, idx in (("even", 2 * n), ("odd", 2 * n + 1)):
                 assert predict_legendre_omega(n, parity, -3) == omega(
-                    -3, legendre(idx, -3)
+                    -3, eval_B(idx, 2, -2, -1)  # P_idx(-3)
                 )
 
 
@@ -781,8 +779,8 @@ class TestReportPath:
             TheoremReport("demo \"quoted\" \u00e9", (("x", -9),), -1, 0, KIND_EXACT),
         ]
         for report in reports + extra:
-            expected = json.dumps(report.to_json_obj(), sort_keys=True, separators=(",", ":"))
-            assert report.to_json_line() == expected
+            obj = report.to_json_obj()
+            assert harness._dumps(obj) == json.dumps(obj, sort_keys=True, separators=(",", ":"))
         assert "".join(text_lines(result.batches, "json")) == "".join(map(_dumps_line, reports))
         assert {r.claim for r in reports} == {
             claim for runner in RUNNERS.values() for claim in runner.claims
