@@ -36,21 +36,18 @@ from .sequences import (
     central_multinomial_product,
     central_multinomial_values,
     check_congruence,
-    delannoy_values,
     eval_B,
     eval_M,
     eval_T,
     franel_values,
     fuss_catalan,
     fuss_catalan_values,
-    hexagonal_values,
     legendre_rational,
     legendre_values,
     motzkin_values,
     schroder_large,
     schroder_large_values,
     schroder_little_values,
-    square_sum_values,
     trinomial_values,
 )
 from .theorems import (

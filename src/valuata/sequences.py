@@ -401,29 +401,11 @@ def fuss_catalan_values(k: int, start: int = 0) -> Iterator[int]:
     return values()
 
 
-def delannoy_values(start: int = 0) -> Iterator[int]:
-    """Central Delannoy numbers D_start, D_start+1, ...: the trinomial stream at (ab, a+b) = (2, 3), so
-
-    (n+1) D_{n+1} = 3(2n+1) D_n - n D_{n-1},   D_0 = 1, D_1 = 3.
-    """
-    return trinomial_values(2, 3, start)
-
-
-def square_sum_values(a: int, b: int, start: int = 0) -> Iterator[int]:
-    """B(start, 2, a, b), B(start+1, 2, a, b), ...: as B(n, 2, a, b) = T_n(ab, a+b), the trinomial stream there."""
-    return trinomial_values(a * b, a + b, start)
-
-
 def legendre_values(x: int, start: int = 0) -> Iterator[int]:
-    """P_start(x), P_start+1(x), ... at odd x: the square-sum stream at ((x-1)/2, (x+1)/2)."""
+    """P_start(x), P_start+1(x), ... at odd x: the square sums B(n, 2, (x-1)/2, (x+1)/2)."""
     if x % 2 == 0:
         raise DomainError(f"x must be odd for an integer value, got {x}")
-    return square_sum_values((x - 1) // 2, (x + 1) // 2, start)
-
-
-def hexagonal_values(start: int = 0) -> Iterator[int]:
-    """Restricted hexagonal numbers from index start: the Motzkin stream at (1, 3)."""
-    return motzkin_values(1, 3, start)
+    return bsum_range_values(2, (x - 1) // 2, (x + 1) // 2, start)
 
 
 def schroder_little_values(start: int = 0) -> Iterator[int | None]:
@@ -443,10 +425,10 @@ def stream_slice(
 
 
 def schroder_large(n: int) -> int:
-    """Large Schroder number S_n = (-D_{n-1} + 6 D_n - D_{n+1}) / 2, n >= 1."""
+    """Large Schroder number S_n = (-D_{n-1} + 6 D_n - D_{n+1}) / 2, n >= 1, from central Delannoy D_n = T_n(2, 3)."""
     if n < 1:
         raise DomainError(f"large Schroder numbers start at index 1, got {n}")
-    d_prev, d, d_next = stream_slice(delannoy_values, n - 1, n + 2)
+    d_prev, d, d_next = stream_slice(trinomial_values, n - 1, n + 2, 2, 3)
     return _exact_div(-d_prev + 6 * d - d_next, 2, "schroder_large")
 
 
@@ -505,8 +487,8 @@ def legendre_rational(n: int, x: int) -> Fraction:
 
 
 def bsum_range_values(m: int, a: int, b: int, start: int = 0) -> Iterator[int]:
-    """B(start, m, a, b), B(start+1, m, a, b), ...: the square-sum stream at m = 2, eval_B at each index otherwise."""
-    return square_sum_values(a, b, start) if m == 2 else (eval_B(n, m, a, b) for n in count(start))
+    """B(n, m, a, b) for n = start, start+1, ...: the trinomial stream T_n(ab, a+b) at m = 2, else eval_B at each n."""
+    return trinomial_values(a * b, a + b, start) if m == 2 else (eval_B(n, m, a, b) for n in count(start))
 
 
 def half_rows() -> Iterator[list[int]]:
@@ -536,10 +518,11 @@ def check_congruence(n: int, m: int, a: int, b: int) -> bool:
 
 @dataclass(frozen=True)
 class SequenceDef:
-    """A named integer sequence: the CLI-facing registry entry.
+    """A named integer sequence: the registry entry.
 
-    `values(*params, start=0)` streams y_start, y_start+1, ..., with None
-    below `min_index`; ranges and single values alike read it.
+    `values(*params, start=0)` is the sequence's one stream, y_start,
+    y_start+1, ..., with None below `min_index`: ranges, single values and
+    the oracles of theorems.CLAIMS all read it.
     """
 
     name: str
@@ -561,13 +544,13 @@ class SequenceDef:
 SEQUENCES: dict[str, SequenceDef] = {
     s.name: s
     for s in (
-        SequenceDef("delannoy", (), 0, delannoy_values),
+        SequenceDef("delannoy", (), 0, partial(trinomial_values, 2, 3)),
         SequenceDef("schroder", (), 1, schroder_large_values),
         SequenceDef("little-schroder", (), 1, schroder_little_values),
         SequenceDef("catalan", (), 0, partial(fuss_catalan_values, 2)),
         SequenceDef("central-binomial", (), 0, partial(central_multinomial_values, 2)),
         SequenceDef("franel", (), 0, franel_values),
-        SequenceDef("hexagonal", (), 0, hexagonal_values),
+        SequenceDef("hexagonal", (), 0, partial(motzkin_values, 1, 3)),
         SequenceDef("fuss-catalan", ("k",), 0, fuss_catalan_values),
         SequenceDef("multinomial", ("p",), 0, central_multinomial_values),
         SequenceDef("trinomial", ("a", "b"), 0, trinomial_values),

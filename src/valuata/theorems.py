@@ -42,21 +42,7 @@ from .digits import (
     is_prime,
     popcount_valuation,
 )
-from .sequences import (
-    central_multinomial_product,
-    central_multinomial_values,
-    delannoy_values,
-    franel_values,
-    fuss_catalan_values,
-    half_rows,
-    hexagonal_values,
-    legendre_values,
-    motzkin_values,
-    schroder_large_values,
-    square_sum_values,
-    trinomial_values,
-    IntegralityError,
-)
+from .sequences import SEQUENCES, IntegralityError, central_multinomial_product, half_rows
 from . import harness
 from .harness import (
     KIND_EXACT,
@@ -265,9 +251,10 @@ class Claim:
     predictor built from those fields at construction, and `column(n_lo,
     n_hi, *params)` its answers for a block of n, in batch row order (see
     `_shape_column`).  `values(*params)` is the oracle: the stream Y_0, Y_1,
-    ... of exact integers, divided by `divisor`.  `axis(grid)` lists the
-    parameter tuples a table sweep covers; claims without parameters sweep
-    n in blocks instead.  `sequence` names the `omega` target that the claim
+    ... of exact integers, divided by `divisor`, that a SEQUENCES entry
+    streams (thm1's fixes bsum's m = 2), so a claim and `seq` read one
+    object.  `axis(grid)` lists the parameter tuples a table sweep covers;
+    claims without parameters sweep n in blocks instead.  `sequence` names the `omega` target that the claim
     answers on the CLI fast route.
     """
 
@@ -305,22 +292,22 @@ CLAIMS: dict[str, Claim] = {
     c.name: c
     for c in (
         # name, sequence, values, params, base, catalan, offset, kind, axis, n_max
-        Claim("thm1", "bsum", square_sum_values, ("a", "b"),
+        Claim("thm1", "bsum", functools.partial(SEQUENCES["bsum"].values, 2), ("a", "b"),
               lambda a, b: _check_weights(a, b, "a + b", a + b), False, 0, KIND_EXACT,
               lambda grid: coprime_pairs(grid.ab_max), 200),
-        Claim("cor2", None, franel_values, (), lambda: 2, False, 0, KIND_LOWER, None, 300),
-        Claim("thm3", "delannoy", delannoy_values, (), lambda: 3, False, 0, KIND_EXACT, None, 1000),
-        Claim("thm4", "schroder", schroder_large_values, (), lambda: 3, True, 1, KIND_EXACT, None, 1000),
-        Claim("little-schroder", "little-schroder", schroder_large_values, (), lambda: 3, True, 1, KIND_EXACT, None,
-              1000, divisor=2),
-        Claim("cor3", "legendre", legendre_values, ("x",), _check_odd, False, 0, KIND_EXACT, _odd_points, 300),
-        Claim("thm5", "trinomial", trinomial_values, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), False, 0,
-              KIND_EXACT, _signed_pairs, 300),
-        Claim("thm6", "motzkin", motzkin_values, ("a", "b"), lambda a, b: _check_weights(a, b, "b", b), True, 0,
-              KIND_EXACT, _signed_pairs, 300),
-        Claim("hexagonal", "hexagonal", hexagonal_values, (), lambda: 3, True, 0, KIND_EXACT, None, 300),
-        Claim("catalan-shift", None, functools.partial(fuss_catalan_values, 2), (), lambda: 2, True, 1, KIND_EXACT,
-              None, 300),
+        Claim("cor2", None, SEQUENCES["franel"].values, (), lambda: 2, False, 0, KIND_LOWER, None, 300),
+        Claim("thm3", "delannoy", SEQUENCES["delannoy"].values, (), lambda: 3, False, 0, KIND_EXACT, None, 1000),
+        Claim("thm4", "schroder", SEQUENCES["schroder"].values, (), lambda: 3, True, 1, KIND_EXACT, None, 1000),
+        Claim("little-schroder", "little-schroder", SEQUENCES["schroder"].values, (), lambda: 3, True, 1,
+              KIND_EXACT, None, 1000, divisor=2),
+        Claim("cor3", "legendre", SEQUENCES["legendre"].values, ("x",), _check_odd, False, 0, KIND_EXACT,
+              _odd_points, 300),
+        Claim("thm5", "trinomial", SEQUENCES["trinomial"].values, ("a", "b"),
+              lambda a, b: _check_weights(a, b, "b", b), False, 0, KIND_EXACT, _signed_pairs, 300),
+        Claim("thm6", "motzkin", SEQUENCES["motzkin"].values, ("a", "b"),
+              lambda a, b: _check_weights(a, b, "b", b), True, 0, KIND_EXACT, _signed_pairs, 300),
+        Claim("hexagonal", "hexagonal", SEQUENCES["hexagonal"].values, (), lambda: 3, True, 0, KIND_EXACT, None, 300),
+        Claim("catalan-shift", None, SEQUENCES["catalan"].values, (), lambda: 2, True, 1, KIND_EXACT, None, 300),
     )
 }
 
@@ -506,8 +493,8 @@ _ROW_TABLE_BITS = 1 << 27
 
 
 def _items_thm2(grid: HarnessGrid) -> list[dict]:
-    """One item per coprime pair (a, b), for all orders of the grid; the items share one table of powered rows."""
-    orders = tuple(dict.fromkeys(grid.m_values))
+    """One item per coprime pair (a, b), for the grid's orders m >= 2; the items share one table of powered rows."""
+    orders = tuple(m for m in dict.fromkeys(grid.m_values) if m >= 2)
     if not orders:
         return []
     n, rows = _n_max(grid, 60), {}
@@ -584,7 +571,8 @@ def _run_cor1(n_lo: int, n_hi: int, exact_max: int) -> list[ReportBatch]:
     v_2 of C(4n, 2n) and C(4n + 2, 2n + 1).
     """
     predicted = CLAIMS["cor2"].column(n_lo, n_hi)
-    doubled, single = central_multinomial_values(2, 2 * n_lo), central_multinomial_values(2, n_lo)
+    central_binomials = SEQUENCES["central-binomial"].values
+    doubled, single = central_binomials(2 * n_lo), central_binomials(n_lo)
     ns = range(n_lo, n_hi + 1)
     oracle, popcounts, central_vp = [], [], []
     for n in ns:
@@ -619,10 +607,9 @@ def _run_lemma1(p: int, n_max: int) -> list[ReportBatch]:
     checkpoints = {n_max, *(1 << k for k in range(n_max.bit_length()))}
     ns = range(n_max + 1)
     central_vp, digit_sums, multinomial_vp, shifted_vp = [], [], [], []
+    centrals = SEQUENCES["central-binomial"].values()
     # At p = 2 the multinomial stream is the central binomials' own: step it once.
-    centrals, multinomials = (
-        tee(central_multinomial_values(2)) if p == 2 else (central_multinomial_values(2), central_multinomial_values(p))
-    )
+    centrals, multinomials = tee(centrals) if p == 2 else (centrals, SEQUENCES["multinomial"].values(p))
     for n, central, multinomial in zip(ns, centrals, multinomials):
         if n in checkpoints and central_multinomial_product(n, p) != multinomial:
             raise IntegralityError(

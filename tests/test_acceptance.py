@@ -13,8 +13,8 @@ from math import comb, gcd
 from valuata.digits import kummer_carries, popcount_valuation
 from valuata.msums import msum_B, msum_closed_t0, msum_closed_t1, msum_closed_t2
 from valuata.sequences import (
+    SEQUENCES,
     check_congruence,
-    delannoy_values,
     eval_B,
     eval_M,
     eval_T,
@@ -126,7 +126,7 @@ class TestCriterion05DelannoySchroder:
     def test_criterion_05_three_adic_exact(self):
         # Brute-force tables; the recurrence route is cross-checked against
         # the direct summation route over the full doubled index range.
-        table = _first(delannoy_values(), 2 * self.N_MAX + 3)
+        table = _first(SEQUENCES["delannoy"].values(), 2 * self.N_MAX + 3)
         for idx in range(2 * self.N_MAX + 1):
             assert table[idx] == eval_B(idx, 2, 1, 2)
 

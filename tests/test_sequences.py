@@ -26,21 +26,18 @@ from valuata.sequences import (
     central_multinomial_product,
     central_multinomial_values,
     check_congruence,
-    delannoy_values,
     eval_B,
     eval_M,
     eval_T,
     franel_values,
     fuss_catalan,
     fuss_catalan_values,
-    hexagonal_values,
     legendre_rational,
     legendre_values,
     motzkin_values,
     schroder_large,
     schroder_large_values,
     schroder_little_values,
-    square_sum_values,
     trinomial_values,
 )
 
@@ -231,7 +228,7 @@ class TestMotzkin:
 
 class TestNamedSequences:
     def test_delannoy_values(self):
-        assert _first(delannoy_values(), 5) == [1, 3, 13, 63, 321, 1683]
+        assert _first(SEQUENCES["delannoy"].values(), 5) == [1, 3, 13, 63, 321, 1683]
         assert SEQUENCES["delannoy"].value(3) == 63
 
     def test_delannoy_equals_square_sum(self):
@@ -325,7 +322,7 @@ class TestRecurrenceTables:
     def test_named_tables_match_defining_sums(self):
         assert _first(franel_values(), self.N - 1) == [eval_B(n, 3, 1, 1) for n in range(self.N)]
         assert _first(fuss_catalan_values(2), self.N - 1) == [comb(2 * n, n) // (n + 1) for n in range(self.N)]
-        assert _first(hexagonal_values(), self.N - 1) == [eval_M(n, 1, 3) for n in range(self.N)]
+        assert _first(SEQUENCES["hexagonal"].values(), self.N - 1) == [eval_M(n, 1, 3) for n in range(self.N)]
         for x in (3, -3, 5, -5, 9, -15):
             assert _first(legendre_values(x), self.N - 1) == [eval_B(n, 2, (x - 1) // 2, (x + 1) // 2) for n in range(self.N)]
 
@@ -341,12 +338,13 @@ class TestRecurrenceTables:
         for a, b in SIGNED_PAIRS:
             for start in (0, 1, 17):
                 expected = [eval_B(n, 2, a, b) for n in range(start, start + 6)]
-                assert _first(square_sum_values(a, b, start), 5) == expected
+                assert _first(bsum_range_values(2, a, b, start), 5) == expected
         for x in (3, -15):
-            assert _first(legendre_values(x, 30), 3) == _first(square_sum_values((x - 1) // 2, (x + 1) // 2, 30), 3)
+            square_sums = bsum_range_values(2, (x - 1) // 2, (x + 1) // 2, 30)
+            assert _first(legendre_values(x, 30), 3) == _first(square_sums, 3)
 
     def test_short_tables(self):
-        for values in (franel_values, partial(fuss_catalan_values, 2), hexagonal_values):
+        for values in (franel_values, partial(fuss_catalan_values, 2), partial(motzkin_values, 1, 3)):
             assert _first(values(), 0) == [1]
             assert len(_first(values(), 1)) == 2
         assert _first(trinomial_values(6, 5), 0) == [1] and _first(trinomial_values(6, 5), 1) == [1, 5]
@@ -373,9 +371,9 @@ class TestRegistryTables:
             for name, spec in SEQUENCES.items()
         }
         assert streams == {
-            "delannoy": delannoy_values,
+            "delannoy": (trinomial_values, (2, 3), {}),
             "franel": franel_values,
-            "hexagonal": hexagonal_values,
+            "hexagonal": (motzkin_values, (1, 3), {}),
             "trinomial": trinomial_values,
             "motzkin": motzkin_values,
             "legendre": legendre_values,
@@ -430,11 +428,11 @@ class TestRegistryTables:
     def test_single_values_match_their_tables(self):
         n_max = 59
         tables = {
-            "delannoy": ((), delannoy_values),
+            "delannoy": ((), lambda: trinomial_values(2, 3)),
             "schroder": ((), schroder_large_values),
             "little-schroder": ((), schroder_little_values),
             "franel": ((), franel_values),
-            "hexagonal": ((), hexagonal_values),
+            "hexagonal": ((), lambda: motzkin_values(1, 3)),
             "trinomial": ((-3, 5), trinomial_values),
             "motzkin": ((2, -4), motzkin_values),
             "legendre": ((-15,), legendre_values),
@@ -450,7 +448,7 @@ class TestRegistryTables:
             assert len(table) == n_max + 1 and table[: spec.min_index] == [None] * spec.min_index
             for n in range(spec.min_index, n_max + 1):
                 assert spec.value(n, *params) == table[n], (name, n)
-        delannoys = _first(delannoy_values(), n_max)
+        delannoys = _first(trinomial_values(2, 3), n_max)
         large, little = _first(schroder_large_values(), n_max), _first(schroder_little_values(), n_max)
         square_sums = {(a, b): _first(trinomial_values(a * b, a + b), n_max) for a, b in SIGNED_PAIRS}
         for n in range(n_max + 1):
@@ -483,7 +481,7 @@ class TestRegistryTables:
         for name, route in routes.items():
             peak, value = _traced_peak(route)
             assert peak < 16 * sys.getsizeof(value), (name, peak, sys.getsizeof(value))
-        peak, table = _traced_peak(lambda: _first(delannoy_values(), n))
+        peak, table = _traced_peak(lambda: _first(trinomial_values(2, 3), n))
         assert peak > 1000 * sys.getsizeof(table[n])  # the measurement tells a table from a value
 
     def test_value_domain(self):
@@ -638,7 +636,7 @@ class TestJump:
 
     # name -> (stream, params, defining sum of y_n)
     STREAMS = {
-        "delannoy": (delannoy_values, (), lambda n: eval_B(n, 2, 1, 2)),
+        "delannoy": (trinomial_values, (2, 3), lambda n: eval_B(n, 2, 1, 2)),
         "trinomial -3 5": (trinomial_values, (-3, 5), lambda n: eval_T(n, -3, 5)),
         "trinomial 1 2": (trinomial_values, (1, 2), lambda n: eval_T(n, 1, 2)),  # b**2 - 4a = 0
         "trinomial 0 4": (trinomial_values, (0, 4), lambda n: eval_T(n, 0, 4)),
@@ -647,7 +645,7 @@ class TestJump:
         "motzkin 0 3": (motzkin_values, (0, 3), lambda n: eval_M(n, 0, 3)),
         "legendre -15": (legendre_values, (-15,), lambda n: legendre_rational(n, -15)),
         "franel": (franel_values, (), lambda n: eval_B(n, 3, 1, 1)),
-        "hexagonal": (hexagonal_values, (), lambda n: eval_M(n, 1, 3)),
+        "hexagonal": (motzkin_values, (1, 3), lambda n: eval_M(n, 1, 3)),
         "schroder": (schroder_large_values, (), lambda n: _schroder_sum(n) if n else None),
         "little-schroder": (schroder_little_values, (), lambda n: _schroder_sum(n) // 2 if n else None),
         **{
@@ -722,7 +720,7 @@ class TestJump:
             sequences._jump(step, 0, 0, 1, 128, "delannoy")
 
     def test_start_domain(self):
-        for values, params in ((delannoy_values, ()), (franel_values, ()), (schroder_little_values, ())):
+        for values, params in ((SEQUENCES["delannoy"].values, ()), (franel_values, ()), (schroder_little_values, ())):
             with pytest.raises(DomainError, match="^start must be non-negative, got -1$"):
                 values(*params, start=-1)
         assert list(islice(schroder_large_values(start=0), 2)) == [None, 2]

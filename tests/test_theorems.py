@@ -519,6 +519,62 @@ class TestThm2Runner:
         with pytest.raises(SelectionError, match="^the grid gives thm2 nothing to check$"):
             run_harness(["thm2"], HarnessGrid(m_values=()))
 
+    def test_orders_below_two_are_not_swept(self):
+        # thm2 bounds B(i, m, a, b) for m >= 2 only; the axis keeps those orders, as the other axes keep their
+        # valid points.
+        assert [kw["orders"] for kw in RUNNERS["thm2"].items(HarnessGrid(m_values=(1, 3, 0, 2), ab_max=2))] == [
+            (3, 2),
+            (3, 2),
+        ]
+        for orders in ((1, 0), (-1,)):
+            grid = HarnessGrid(m_values=orders, n_max=5, ab_max=3)
+            assert RUNNERS["thm2"].items(grid) == []
+            with pytest.raises(SelectionError, match="^the grid gives thm2 nothing to check$"):
+                run_harness(["thm2"], grid)
+        result = run_harness(["thm2"], HarnessGrid(m_values=(1, 3), n_max=5, ab_max=3))
+        assert result.ok and {dict(r.instance)["m"] for r in result.reports} == {3}
+
+
+def _count_stream_starts(monkeypatch, *names: str) -> list[tuple[str, tuple]]:
+    """Make each SEQUENCES entry of `names` log (name, args) to the returned list whenever it starts a stream."""
+    starts = []
+    for name in names:
+        spec = SEQUENCES[name]
+
+        def values(*args, name=name, real=spec.values):
+            starts.append((name, args))
+            return real(*args)
+
+        monkeypatch.setitem(SEQUENCES, name, dataclasses.replace(spec, values=values))
+    return starts
+
+
+class TestClaimStreams:
+    """Every claim reads its oracle from the SEQUENCES registry, the object that `seq` and `omega` read."""
+
+    # claim -> the entry whose stream it reads; thm1 reads bsum's at m = 2, little-schroder halves schroder's
+    ENTRIES = {
+        "cor2": "franel", "thm3": "delannoy", "thm4": "schroder", "little-schroder": "schroder", "cor3": "legendre",
+        "thm5": "trinomial", "thm6": "motzkin", "hexagonal": "hexagonal", "catalan-shift": "catalan",
+    }
+
+    def test_each_claim_reads_its_registry_stream(self):
+        assert set(CLAIMS) == {"thm1", *self.ENTRIES}
+        thm1 = CLAIMS["thm1"].values
+        assert (thm1.func, thm1.args, thm1.keywords) == (SEQUENCES["bsum"].values, (2,), {})
+        for claim, entry in self.ENTRIES.items():
+            assert CLAIMS[claim].values is SEQUENCES[entry].values, claim
+        assert CLAIMS["little-schroder"].divisor == 2
+        assert {claim.divisor for name, claim in CLAIMS.items() if name != "little-schroder"} == {1}
+
+    def test_cor1_and_lemma1_step_the_registry_streams(self, monkeypatch):
+        starts = _count_stream_starts(monkeypatch, "central-binomial", "multinomial")
+        RUNNERS["cor1"].run(n_lo=5, n_hi=12, exact_max=40)
+        assert starts == [("central-binomial", (10,)), ("central-binomial", (5,))]
+        starts.clear()
+        RUNNERS["lemma1"].run(p=5, n_max=8)
+        assert starts == [("central-binomial", ()), ("multinomial", (5,))]
+
 
 class TestLemma1Checkpoints:
     """lemma1 rebuilds the product form of (pn)! / (n!)**p at n = 0, the powers of two and n_max."""
@@ -543,17 +599,9 @@ class TestLemma1Checkpoints:
     def test_p_2_steps_one_stream(self, monkeypatch, p):
         # At p = 2 the multinomial stream is the central binomials' stream, so only one is built and stepped; the
         # columns must still be those of math.comb.
-        import valuata.theorems as theorems
-
-        streams = Counter()
-        real = theorems.central_multinomial_values
-
-        def counted(q):
-            streams[q] += 1
-            return real(q)
-
-        monkeypatch.setattr(theorems, "central_multinomial_values", counted)
+        starts = _count_stream_starts(monkeypatch, "central-binomial", "multinomial")
         batches = {batch.claim: batch for batch in RUNNERS["lemma1"].run(p=p, n_max=130)}
+        streams = Counter(args[0] if name == "multinomial" else 2 for name, args in starts)
         assert streams == ({2: 1} if p == 2 else {2: 1, 3: 1})
         if p == 2:
             v2 = [(c & -c).bit_length() - 1 for c in (comb(2 * n, n) for n in range(131))]  # 2n + 1 is odd
